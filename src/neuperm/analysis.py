@@ -73,23 +73,6 @@ def effective_protected_bits(l_prime: int, l_total: int, l_np: int) -> int:
     return l_eff
 
 
-@dataclass(frozen=True)
-class SecurityParams:
-    """Inputs to the survival bounds, after any effective-L reduction."""
-
-    d: float
-    L: int
-    delta: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.d <= 1.0:
-            raise ValueError("d must lie in (0, 1]")
-        if self.L < 1:
-            raise ValueError("L must be >= 1")
-        if not 0.0 <= self.delta < 1.0:
-            raise ValueError("delta must lie in [0, 1)")
-
-
 def success_bound_no_ecc(d: float, L: int) -> float:
     """d^L, evaluated in log space so huge L underflows cleanly to 0."""
     if not 0.0 < d <= 1.0:
@@ -118,10 +101,11 @@ def success_bound_ecc(d: float, delta: float, L: int) -> float:
     return min(1.0, success_bound_no_ecc(d, L) + math.exp(-2.0 * gap * gap * L))
 
 
-def success_bound(params: SecurityParams) -> float:
-    if params.delta == 0.0:
-        return success_bound_no_ecc(params.d, params.L)
-    return success_bound_ecc(params.d, params.delta, params.L)
+def success_bound(d: float, delta: float, L: int) -> float:
+    """The bound that fits the decoder: d^L without ECC (delta 0), else the ECC form."""
+    if delta == 0.0:
+        return success_bound_no_ecc(d, L)
+    return success_bound_ecc(d, delta, L)
 
 
 # ------------------------------------------------------------ simulation
@@ -159,13 +143,7 @@ def simulate_extraction_game(
     """
     if n < 1 or L < 1 or trials < 1:
         raise ValueError("n, L and trials must all be >= 1")
-    if n == 1:
-        # single-row sites cannot move anything; every trial succeeds
-        return GameResult(
-            n=1, L=L, delta=delta, trials=trials, successes=trials,
-            bound=success_bound_no_ecc(1.0, L) if delta == 0.0
-            else success_bound_ecc(1.0, delta, L),
-        )
+    bound = success_bound(1.0 / n, delta, L)
     rng = SeededRng(seed)
     budget = math.floor(delta * L)
     span = ((1 << 64) // n) * n  # == 2**64 when n is a power of two: no rejection needed
@@ -185,11 +163,6 @@ def simulate_extraction_game(
         errors = displaced.sum(axis=1)
         successes += int(np.count_nonzero(errors <= budget))
         done += t
-    bound = (
-        success_bound_no_ecc(1.0 / n, L)
-        if delta == 0.0
-        else success_bound_ecc(1.0 / n, delta, L)
-    )
     return GameResult(n=n, L=L, delta=delta, trials=trials, successes=successes, bound=bound)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -139,9 +140,7 @@ def parse_archive(buf: bytes) -> ModelArchive:
                 8 + header_len + begin,
             )
         dt = _TAG_TO_NUMPY[tag]
-        count = 1
-        for s in shape:
-            count *= s
+        count = math.prod(shape)
         if end - begin != count * dt.itemsize:
             raise ParseError(
                 f"tensor {name!r}: {end - begin} bytes but shape {shape} "

@@ -34,8 +34,7 @@ from .analysis import (
     d_from_site_sizes,
     effective_protected_bits,
     simulate_extraction_game,
-    success_bound_ecc,
-    success_bound_no_ecc,
+    success_bound,
 )
 from .archive import archive_digest, load_archive, save_archive
 from .descriptor import load_descriptor
@@ -239,12 +238,8 @@ def _extract_for_plan(plan: dict, archive) -> tuple[bytes, float | None]:
             bits_per_param=plan["bits_per_param"], seed=plan["seed"], ecc=ecc,
         )
         return got, None
-    if plan["method"] == "sign":
-        got = sign_extract(
-            archive, plan["payload_len"], seed=plan["seed"], ecc=ecc
-        )
-        return got, None
-    raise ValueError(f"plan method {plan['method']!r} is not extractable here")
+    got = sign_extract(archive, plan["payload_len"], seed=plan["seed"], ecc=ecc)
+    return got, None
 
 
 def _variant_specs(configs, trials: int, seed: int):
@@ -261,10 +256,34 @@ def _variant_specs(configs, trials: int, seed: int):
     return out
 
 
-def cmd_evaluate(args, argv) -> int:
-    archive = load_archive(args.carrier)
-    with open(args.plan, "r", encoding="utf-8") as fh:
+def _load_plan(path) -> dict:
+    """Read an attack plan, rejecting a malformed one with ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
         plan = json.load(fh)
+    if not isinstance(plan, dict):
+        raise ValueError("plan must be a JSON object")
+    method = plan.get("method")
+    if method not in ("lsb", "sign", "ss"):
+        raise ValueError(f"plan method {method!r} is not one of lsb, sign, ss")
+    fields = {"seed": int, "ecc": str, "payload_sha256": str}
+    fields.update({"ss": dict} if method == "ss" else {"payload_len": int})
+    if method == "lsb":
+        fields["bits_per_param"] = int
+    for key, kind in fields.items():
+        value = plan.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"plan field {key!r} must be a {kind.__name__}, got {value!r}")
+    if plan.get("payload_len", 1) < 1 or plan.get("bits_per_param", 1) < 1:
+        raise ValueError("plan payload_len and bits_per_param must be >= 1")
+    return plan
+
+
+def cmd_evaluate(args, argv) -> int:
+    if args.trials < 1:
+        print("error: --trials must be >= 1", file=sys.stderr)
+        return 1
+    archive = load_archive(args.carrier)
+    plan = _load_plan(args.plan)
     configs = [parse_disruptor(s) for s in args.disrupt]
     if not configs:
         print("error: at least one --disrupt is required", file=sys.stderr)
@@ -351,9 +370,7 @@ def cmd_bound(args, argv) -> int:
     if delta is None:
         delta = 0.0
 
-    bound = (
-        success_bound_no_ecc(d, L) if delta == 0.0 else success_bound_ecc(d, delta, L)
-    )
+    bound = success_bound(d, delta, L)
     print(f"success_bound {bound:.6e} (d={d:g}, delta={delta:g}, L={L})")
 
     details = {"d": d, "delta": delta, "L": L, "bound": bound}

@@ -15,6 +15,7 @@ architectures whose weights we never materialize.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .archive import ModelArchive
@@ -158,7 +159,7 @@ def validate_descriptor(desc: ArchDescriptor, archive: ModelArchive | None = Non
                 f"{archive.param_count}"
             )
     elif desc.shapes is not None:
-        listed = sum(_numel(s) for s in desc.shapes.values())
+        listed = sum(math.prod(s) for s in desc.shapes.values())
         if listed > desc.total_params:
             raise DescriptorError(
                 f"shapes map holds {listed} params, more than total_params "
@@ -196,11 +197,8 @@ def validate_descriptor(desc: ArchDescriptor, archive: ModelArchive | None = Non
                     )
 
 
-def _numel(shape) -> int:
-    count = 1
-    for s in shape:
-        count *= s
-    return count
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_refs(site_id: str, role: str, raw) -> tuple[Ref, ...]:
@@ -214,8 +212,7 @@ def _parse_refs(site_id: str, role: str, raw) -> tuple[Ref, ...]:
             not isinstance(item, list)
             or len(item) != 2
             or not isinstance(item[0], str)
-            or not isinstance(item[1], int)
-            or isinstance(item[1], bool)
+            or not _is_int(item[1])
         ):
             raise DescriptorError(
                 f"site {site_id!r}: {role} entries must be [name, axis], got {item!r}"
@@ -233,7 +230,7 @@ def descriptor_from_dict(doc: dict) -> ArchDescriptor:
     if not isinstance(raw_sites, list):
         raise DescriptorError("'sites' must be a list")
     total = doc["total_params"]
-    if not isinstance(total, int) or isinstance(total, bool):
+    if not _is_int(total):
         raise DescriptorError("'total_params' must be an integer")
     sites = []
     for raw in raw_sites:
@@ -247,9 +244,11 @@ def descriptor_from_dict(doc: dict) -> ArchDescriptor:
             g = raw["gqa"]
             if not isinstance(g, dict) or {"h_q", "h_kv", "head_dim"} - g.keys():
                 raise DescriptorError(f"site {sid!r}: gqa needs h_q, h_kv, head_dim")
+            if not all(_is_int(g[k]) for k in ("h_q", "h_kv", "head_dim")):
+                raise DescriptorError(f"site {sid!r}: gqa fields must be integers")
             gqa = GqaMeta(g["h_q"], g["h_kv"], g["head_dim"])
         n = raw.get("n")
-        if not isinstance(n, int) or isinstance(n, bool):
+        if not _is_int(n):
             raise DescriptorError(f"site {sid!r}: n must be an integer")
         sites.append(
             PermutableSite(
@@ -268,9 +267,7 @@ def descriptor_from_dict(doc: dict) -> ArchDescriptor:
             raise DescriptorError("'shapes' must be an object")
         shapes = {}
         for name, shape in raw_shapes.items():
-            if not isinstance(shape, list) or not all(
-                isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in shape
-            ):
+            if not isinstance(shape, list) or not all(_is_int(s) and s >= 0 for s in shape):
                 raise DescriptorError(f"shape for {name!r} must be a list of ints")
             shapes[name] = tuple(shape)
     return ArchDescriptor(

@@ -9,15 +9,16 @@ contraction axis with the same p.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .archive import ModelArchive
-from .descriptor import ArchDescriptor, GqaMeta, PermutableSite, validate_descriptor
+from .descriptor import ArchDescriptor, PermutableSite, validate_descriptor
 from .errors import DescriptorError
 from .rng import SeededRng, derive_seed
-from .tensor import Tensor, fisher_yates, is_permutation, permute_axis, permute_axis_blocks
+from .tensor import Tensor, fisher_yates, is_permutation, permute_axis_blocks
 
 
 def site_seed(master_seed: int, site_id: str) -> int:
@@ -65,42 +66,24 @@ class CoverageReport:
         return round(self.fraction * 100.0, 2)
 
 
-def _site_param_counts(
-    desc: ArchDescriptor, shapes: dict[str, tuple[int, ...]]
-) -> dict[str, int]:
-    def numel(name: str) -> int:
-        count = 1
-        for s in shapes[name]:
-            count *= s
-        return count
-
-    return {
-        site.site_id: sum(numel(name) for name in sorted(site.tensor_names()))
-        for site in desc.sites
-    }
+def _param_counts(desc: ArchDescriptor, archive: ModelArchive | None) -> dict[str, int]:
+    """Element count of every tensor the descriptor references."""
+    shapes = desc.resolve_shapes(archive)
+    return {name: math.prod(shape) for name, shape in shapes.items()}
 
 
 def _coverage(
-    desc: ArchDescriptor,
-    shapes: dict[str, tuple[int, ...]],
-    applied: list[PermutableSite],
+    desc: ArchDescriptor, sizes: dict[str, int], applied: list[PermutableSite]
 ) -> CoverageReport:
-    def numel(name: str) -> int:
-        count = 1
-        for s in shapes[name]:
-            count *= s
-        return count
-
     touched: set[str] = set()
     per_site: dict[str, int] = {}
     for site in applied:
         names = site.tensor_names()
-        per_site[site.site_id] = sum(numel(n) for n in names)
+        per_site[site.site_id] = sum(sizes[n] for n in names)
         touched |= names
-    changed = sum(numel(n) for n in touched)
     return CoverageReport(
         total_params=desc.total_params,
-        changed_params=changed,
+        changed_params=sum(sizes[n] for n in touched),
         per_site=per_site,
         applied_sites=tuple(s.site_id for s in applied),
     )
@@ -122,7 +105,7 @@ def make_schedule(
     if fraction_target is None or fraction_target >= 1.0:
         selected = list(desc.sites)
     else:
-        selected = _select_sites(desc, desc.resolve_shapes(archive), fraction_target)
+        selected = _select_sites(desc, _param_counts(desc, archive), fraction_target)
     entries: dict[str, np.ndarray] = {}
     for site in selected:
         rng = SeededRng(site_seed(master_seed, site.site_id))
@@ -131,23 +114,12 @@ def make_schedule(
 
 
 def _select_sites(
-    desc: ArchDescriptor,
-    shapes: dict[str, tuple[int, ...]],
-    fraction_target: float | None,
+    desc: ArchDescriptor, sizes: dict[str, int], fraction_target: float
 ) -> list[PermutableSite]:
-    if fraction_target is None or fraction_target >= 1.0:
-        return list(desc.sites)
     if fraction_target < 0.0:
         raise ValueError("fraction_target must be in [0, 1]")
-    sizes = _site_param_counts(desc, shapes)
-    order = sorted(desc.sites, key=lambda s: (-sizes[s.site_id], s.site_id))
-
-    def numel(name: str) -> int:
-        count = 1
-        for s in shapes[name]:
-            count *= s
-        return count
-
+    site_sizes = {s.site_id: sum(sizes[n] for n in s.tensor_names()) for s in desc.sites}
+    order = sorted(desc.sites, key=lambda s: (-site_sizes[s.site_id], s.site_id))
     chosen: list[PermutableSite] = []
     touched: set[str] = set()
     covered = 0
@@ -155,10 +127,9 @@ def _select_sites(
         if desc.total_params and covered / desc.total_params >= fraction_target:
             break
         chosen.append(site)
-        for name in site.tensor_names():
-            if name not in touched:
-                touched.add(name)
-                covered += numel(name)
+        for name in site.tensor_names() - touched:
+            touched.add(name)
+            covered += sizes[name]
     # keep descriptor order for deterministic application
     chosen_ids = {s.site_id for s in chosen}
     return [s for s in desc.sites if s.site_id in chosen_ids]
@@ -183,7 +154,7 @@ def apply_schedule(
         for name, axis in site.refs:
             t = updates.get(name, archive.tensors[name])
             updates[name] = permute_axis_blocks(t, axis, p, site.n)
-    report = _coverage(desc, desc.resolve_shapes(archive), applied)
+    report = _coverage(desc, _param_counts(desc, archive), applied)
     return archive.replace(updates), report
 
 
@@ -197,7 +168,7 @@ def count_changed_fraction(
     Works from the archive's shapes or the descriptor's own shapes map, so
     it also serves architectures whose archives are never materialized.
     """
-    shapes = desc.resolve_shapes(archive)
+    sizes = _param_counts(desc, archive)
     if site_ids is None:
         applied = list(desc.sites)
     else:
@@ -206,70 +177,4 @@ def count_changed_fraction(
         if unknown:
             raise DescriptorError(f"unknown site ids {sorted(unknown)}")
         applied = [s for s in desc.sites if s.site_id in wanted]
-    return _coverage(desc, shapes, applied)
-
-
-# direct forms of the three site rewrites; apply_schedule is the generic path
-
-
-def permute_fc_pair(
-    w1: Tensor, b1: Tensor | None, w2: Tensor, p: np.ndarray
-) -> tuple[Tensor, Tensor | None, Tensor]:
-    """Reorder hidden units between two dense layers.
-
-    w1 rows and b1 entries move by p; w2 columns move by the same p, so
-    w2' @ relu(w1' x + b1') equals the original for any elementwise
-    activation.
-    """
-    n = w1.shape[0]
-    if w2.shape[1] != n or (b1 is not None and b1.shape != (n,)):
-        raise ValueError("shapes do not share a hidden width")
-    w1p = permute_axis(w1, 0, p)
-    b1p = permute_axis(b1, 0, p) if b1 is not None else None
-    w2p = permute_axis(w2, 1, p)
-    return w1p, b1p, w2p
-
-
-def permute_conv_block(
-    w1: Tensor,
-    b1: Tensor | None,
-    bn: tuple[Tensor, Tensor, Tensor, Tensor] | None,
-    w2: Tensor,
-    p: np.ndarray,
-) -> tuple[Tensor, Tensor | None, tuple[Tensor, ...] | None, Tensor]:
-    """Reorder channels across CONV -> (BN) -> CONV.
-
-    All four batchnorm vectors (gamma, beta, running_mean, running_var)
-    follow the channel permutation; the downstream kernel consumes channels
-    via its axis 1.
-    """
-    n = w1.shape[0]
-    if w2.shape[1] != n:
-        raise ValueError("second kernel does not consume the first one's channels")
-    w1p = permute_axis(w1, 0, p)
-    b1p = permute_axis(b1, 0, p) if b1 is not None else None
-    bnp = tuple(permute_axis(t, 0, p) for t in bn) if bn is not None else None
-    w2p = permute_axis(w2, 1, p)
-    return w1p, b1p, bnp, w2p
-
-
-def permute_attention_gqa(
-    wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, meta: GqaMeta, p: np.ndarray
-) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Reorder kv-head groups in grouped-query attention.
-
-    Projections are stored [out, in]. wq's rows form h_kv groups of
-    (h_q/h_kv)*head_dim rows, wk/wv rows form h_kv groups of head_dim, and
-    wo's columns mirror wq's rows; all move by the same group permutation.
-    """
-    n = meta.h_kv
-    if wq.shape[0] != meta.h_q * meta.head_dim or wk.shape[0] != n * meta.head_dim:
-        raise ValueError("projection shapes do not match gqa meta")
-    if wv.shape[0] != wk.shape[0] or wo.shape[1] != wq.shape[0]:
-        raise ValueError("projection shapes do not match gqa meta")
-    return (
-        permute_axis_blocks(wq, 0, p, n),
-        permute_axis_blocks(wk, 0, p, n),
-        permute_axis_blocks(wv, 0, p, n),
-        permute_axis_blocks(wo, 1, p, n),
-    )
+    return _coverage(desc, sizes, applied)

@@ -9,7 +9,7 @@ architectures whose weights this repo never materializes).
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .archive import ModelArchive
 from .descriptor import ArchDescriptor, GqaMeta, PermutableSite
@@ -22,15 +22,13 @@ DEFAULT_SEEDS = {"mlp": 2001, "cnn": 2002, "gqa": 2003, "ss": 2004}
 
 def _gauss(seed: int, label: str, shape, scale: float, dtype="float32") -> Tensor:
     rng = SeededRng(derive_seed(seed, label))
-    size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    vals = rng.gaussian_block(size).reshape(shape) * scale
+    vals = rng.gaussian_block(math.prod(shape)).reshape(shape) * scale
     return tensor(vals, dtype)
 
 
 def _uniform(seed: int, label: str, shape, lo: float, hi: float, dtype="float32") -> Tensor:
     rng = SeededRng(derive_seed(seed, label))
-    size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    vals = lo + (hi - lo) * rng.uniform_block(size).reshape(shape)
+    vals = lo + (hi - lo) * rng.uniform_block(math.prod(shape)).reshape(shape)
     return tensor(vals, dtype)
 
 

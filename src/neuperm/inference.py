@@ -16,6 +16,7 @@ Two attention conventions coexist on purpose:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,19 +67,30 @@ class ToyNetwork:
 
 
 def network_from_dict(doc: dict) -> ToyNetwork:
-    layers = tuple(
-        LayerSpec(
-            kind=raw["kind"],
-            params=dict(raw.get("params", {})),
-            hyper=dict(raw.get("hyper", {})),
-        )
-        for raw in doc["layers"]
-    )
-    return ToyNetwork(
-        layers=layers,
-        input_kind=doc["input"]["kind"],
-        input_shape=tuple(doc["input"]["shape"]),
-    )
+    """Build a network from sidecar JSON; a malformed sidecar raises ValueError."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("layers"), list):
+        raise ValueError("net sidecar needs a 'layers' list")
+    inp = doc.get("input")
+    shape = inp.get("shape") if isinstance(inp, dict) else None
+    if not isinstance(shape, list) or not all(
+        isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in shape
+    ):
+        raise ValueError("net sidecar needs an 'input' object with a list-of-ints shape")
+    layers = []
+    for raw in doc["layers"]:
+        if not isinstance(raw, dict):
+            raise ValueError(f"net sidecar layer must be an object, got {raw!r}")
+        params, hyper = raw.get("params", {}), raw.get("hyper", {})
+        if not isinstance(params, dict) or not all(
+            v is None or isinstance(v, str) for v in params.values()
+        ):
+            raise ValueError(f"layer {raw.get('kind')!r}: params must map to tensor names")
+        if not isinstance(hyper, dict) or not all(
+            isinstance(v, (int, float)) for v in hyper.values()
+        ):
+            raise ValueError(f"layer {raw.get('kind')!r}: hyper values must be numbers")
+        layers.append(LayerSpec(kind=raw.get("kind"), params=dict(params), hyper=dict(hyper)))
+    return ToyNetwork(layers=tuple(layers), input_kind=inp.get("kind"), input_shape=tuple(shape))
 
 
 def network_to_dict(net: ToyNetwork) -> dict:
@@ -302,11 +314,8 @@ def random_inputs(net: ToyNetwork, count: int, seed: int):
             ids = [rng.bounded(_vocab_hint(net)) for _ in range(t)]
             out.append(np.asarray(ids, dtype=np.int64))
         else:
-            size = 1
-            for s in net.input_shape:
-                size *= s
-            vals = rng.gaussian_block(size).astype(np.float32).reshape(net.input_shape)
-            out.append(vals)
+            vals = rng.gaussian_block(math.prod(net.input_shape))
+            out.append(vals.astype(np.float32).reshape(net.input_shape))
     return out
 
 

@@ -123,12 +123,3 @@ def words_at(seed: int, indices: np.ndarray) -> np.ndarray:
     """
     idx = np.asarray(indices, dtype=np.uint64) + np.uint64(1)
     return _mix64_array(np.uint64(seed & MASK64) + idx * np.uint64(GOLDEN))
-
-
-def rademacher_words_block(seed: int, word_start: int, count: int) -> np.ndarray:
-    """Words [word_start, word_start+count) of the stream for `seed`.
-
-    Counter-based random access used by the spread-spectrum chip generator;
-    identical to the j-th sequential outputs of SeededRng(seed).
-    """
-    return words_at(seed, np.arange(word_start, word_start + count, dtype=np.uint64))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from neuperm.analysis import (
     GameResult,
-    SecurityParams,
     d_from_site_sizes,
     effective_protected_bits,
     fixed_point_prob,
@@ -63,21 +62,21 @@ def test_ecc_bound_inapplicable():
 
 
 def test_success_bound_dispatch():
-    assert success_bound(SecurityParams(d=0.9, L=10)) == success_bound_no_ecc(0.9, 10)
-    assert success_bound(SecurityParams(d=0.1, L=10, delta=0.25)) == success_bound_ecc(
-        0.1, 0.25, 10
-    )
+    assert success_bound(0.9, 0.0, 10) == success_bound_no_ecc(0.9, 10)
+    assert success_bound(0.1, 0.25, 10) == success_bound_ecc(0.1, 0.25, 10)
+    with pytest.raises(BoundInapplicableError):
+        success_bound(0.5, 0.5, 10)
 
 
-def test_security_params_validation():
+def test_success_bound_validation():
     with pytest.raises(ValueError):
-        SecurityParams(d=0.0, L=10)
+        success_bound(0.0, 0.0, 10)
     with pytest.raises(ValueError):
-        SecurityParams(d=1.5, L=10)
+        success_bound(1.5, 0.0, 10)
     with pytest.raises(ValueError):
-        SecurityParams(d=0.5, L=0)
+        success_bound(0.5, 0.0, 0)
     with pytest.raises(ValueError):
-        SecurityParams(d=0.5, L=10, delta=1.0)
+        success_bound(0.5, 1.0, 10)
 
 
 def test_fixed_point_prob_and_site_sizes():

@@ -16,6 +16,8 @@ from neuperm.descriptor import descriptor_to_dict
 from neuperm.fixtures import llama32_1b_descriptor, ss_host, toy_mlp, vgg11_descriptor
 from neuperm.inference import network_to_dict
 
+_SRC = Path(neuperm.__file__).resolve().parents[1]
+
 MANIFEST_KEYS = {
     "argv", "command", "details", "inputs", "outputs", "seed", "timestamp_utc", "tool",
 }
@@ -293,6 +295,65 @@ def test_attack_empty_payload_exit_1(ws, tmp_path, capsys):
     assert rc == 1 and "payload file is empty" in captured.err
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_evaluate_trials_below_one_exit_1(ws, tmp_path, capsys, trials):
+    carrier = tmp_path / "carrier.safetensors"
+    plan = tmp_path / "plan.json"
+    assert run(
+        "attack", "--input", ws["mlp"], "--output", carrier,
+        "--attack", "sign", "--payload", ws["payload"], "--seed", "9", "--plan", plan,
+    ) == 0
+    report = tmp_path / "report.csv"
+    rc = run(
+        "evaluate", "--carrier", carrier, "--plan", plan, "--disrupt", "neuperm:1",
+        "--descriptor", ws["mlp.desc"], "--trials", trials, "--seed", "5", "--output", report,
+    )
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error: --trials must be >= 1" in captured.err
+    assert not report.exists()
+
+
+_LSB_PLAN = {
+    "method": "lsb", "seed": 1, "ecc": "none", "payload_sha256": "0" * 64,
+    "payload_len": 16, "bits_per_param": 1,
+}
+
+#: (file the case writes, its JSON) for sidecars that once escaped as TypeError
+_MALFORMED_SIDECARS = {
+    "descriptor-gqa-h_q-string": ("desc", {
+        "sites": [{
+            "site_id": "attn", "kind": "attn_gqa", "n": 2, "produce": [["wq", 0]],
+            "gqa": {"h_q": "8", "h_kv": 2, "head_dim": 4},
+        }],
+        "total_params": 450,
+    }),
+    "net-layers-string": ("net", {"layers": "dense", "input": {"kind": "vector", "shape": [8]}}),
+    "plan-payload_len-string": ("plan", {**_LSB_PLAN, "payload_len": "x"}),
+    "plan-is-a-list": ("plan", [_LSB_PLAN]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_SIDECARS))
+def test_malformed_sidecar_exit_1(ws, tmp_path, case):
+    role, doc = _MALFORMED_SIDECARS[case]
+    bad = tmp_path / f"{role}.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    sanitize = ["sanitize", "--input", ws["mlp"], "--output", out, "--disrupt", "none"]
+    argv = {
+        "desc": [*sanitize, "--descriptor", bad],
+        "net": [*sanitize, "--verify", "--net", bad],
+        "plan": ["evaluate", "--carrier", ws["mlp"], "--plan", bad,
+                 "--disrupt", "none", "--output", out],
+    }[role]
+    proc = _fresh_interpreter([sys.executable, "-m", "neuperm"], *argv, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- bound
 
 def test_bound_golden_line(capsys):
@@ -374,35 +435,39 @@ def _declared_entry_point(pyproject: Path) -> tuple[str, str]:
     return module, attr
 
 
+def _fresh_interpreter(cmd, *argv, cwd):
+    """Run `cmd argv...` in a new process with this package's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(_SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [*cmd, *map(str, argv)], capture_output=True, text=True, timeout=60, env=env, cwd=cwd,
+    )
+
+
 def test_console_script(tmp_path):
-    """The declared console script runs, in a checkout with or without installation.
+    """The declared console script and `python -m neuperm` run, with or without installation.
 
     The launcher pip generates for `module:attr` is what runs without
     installation; an installed `neuperm` on PATH must print the same.
     """
-    src = Path(neuperm.__file__).resolve().parents[1]
-    module, attr = _declared_entry_point(src.parent / "pyproject.toml")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-    launcher = [
-        sys.executable, "-c", f"import sys; from {module} import {attr}; sys.exit({attr}())",
-    ]
+    module, attr = _declared_entry_point(_SRC.parent / "pyproject.toml")
+    launchers = {
+        "console script": [
+            sys.executable, "-c", f"import sys; from {module} import {attr}; sys.exit({attr}())",
+        ],
+        "python -m": [sys.executable, "-m", "neuperm"],
+    }
+    for label, launcher in launchers.items():
+        proc = _fresh_interpreter(launcher, "bound", "--d", "0.5", "--L", "10", cwd=tmp_path)
+        assert proc.returncode == 0, label
+        assert proc.stdout == "success_bound 9.765625e-04 (d=0.5, delta=0, L=10)\n", label
 
-    def script(cmd, *argv):
-        return subprocess.run(
-            [*cmd, *argv], capture_output=True, text=True, timeout=60, env=env, cwd=tmp_path,
-        )
-
-    proc = script(launcher, "bound", "--d", "0.5", "--L", "10")
-    assert proc.returncode == 0
-    assert proc.stdout == "success_bound 9.765625e-04 (d=0.5, delta=0, L=10)\n"
-
-    usage = script(launcher, "bound", "--d", "0.5")
-    assert usage.returncode == 1
-    assert "error: give --L or all of --L-prime, --L-total, --L-np" in usage.stderr
+        usage = _fresh_interpreter(launcher, "bound", "--d", "0.5", cwd=tmp_path)
+        assert usage.returncode == 1, label
+        assert "error: give --L or all of --L-prime, --L-total, --L-np" in usage.stderr, label
 
     exe = shutil.which("neuperm")
     if exe:
-        installed = script([exe], "bound", "--d", "0.5", "--L", "10")
+        installed = _fresh_interpreter([exe], "bound", "--d", "0.5", "--L", "10", cwd=tmp_path)
         assert installed.returncode == 0
         assert installed.stdout == proc.stdout

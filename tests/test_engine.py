@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from neuperm.descriptor import GqaMeta
+from neuperm.archive import ModelArchive
+from neuperm.descriptor import ArchDescriptor, GqaMeta, PermutableSite
 from neuperm.engine import (
+    PermutationSchedule,
     apply_schedule,
     count_changed_fraction,
     make_schedule,
-    permute_attention_gqa,
-    permute_conv_block,
-    permute_fc_pair,
     site_seed,
 )
 from neuperm.errors import DescriptorError
@@ -149,7 +148,6 @@ def test_apply_schedule_rejects_bad_entry(mlp_bundle):
     sid = next(iter(schedule.entries))
     broken = dict(schedule.entries)
     broken[sid] = np.zeros_like(broken[sid])
-    from neuperm.engine import PermutationSchedule
 
     with pytest.raises(ValueError, match="not a permutation"):
         apply_schedule(archive, desc, PermutationSchedule(4, broken))
@@ -158,8 +156,6 @@ def test_apply_schedule_rejects_bad_entry(mlp_bundle):
 def test_identity_schedule_counts_as_coverage(mlp_bundle):
     # coverage counts permutable positions, not how many values moved
     archive, desc, _ = mlp_bundle
-    from neuperm.engine import PermutationSchedule
-
     identity = PermutationSchedule(
         0, {s.site_id: np.arange(s.n, dtype=np.int64) for s in desc.sites}
     )
@@ -168,15 +164,28 @@ def test_identity_schedule_counts_as_coverage(mlp_bundle):
     assert report.fraction == 1.0
 
 
-# ------------------------------------------------------- direct site forms
+# ------------------------------------------------- one-site rewrites by hand
 
-def test_permute_fc_pair_preserves_function():
+def _apply_one_site(tensors, kind, n, produce, consume, p, gqa=None):
+    """apply_schedule on an archive holding just `tensors`, with one site."""
+    archive = ModelArchive(dict(tensors))
+    site = PermutableSite("s", kind, n, tuple(produce), tuple(consume), gqa)
+    desc = ArchDescriptor((site,), total_params=archive.param_count)
+    rewritten, _ = apply_schedule(archive, desc, PermutationSchedule(0, {"s": p}))
+    return rewritten.tensors
+
+
+def test_fc_pair_site_preserves_function():
     rng = SeededRng(8)
     w1 = Tensor(rng.gaussian_block(12).astype(np.float32).reshape(4, 3))
     b1 = Tensor(rng.gaussian_block(4).astype(np.float32))
     w2 = Tensor(rng.gaussian_block(8).astype(np.float32).reshape(2, 4))
     p = fisher_yates(4, SeededRng(3))
-    w1p, b1p, w2p = permute_fc_pair(w1, b1, w2, p)
+    out = _apply_one_site(
+        {"w1": w1, "b1": b1, "w2": w2}, "fc_pair", 4,
+        [("w1", 0), ("b1", 0)], [("w2", 1)], p,
+    )
+    w1p, b1p, w2p = out["w1"], out["b1"], out["w2"]
     x = rng.gaussian_block(3).astype(np.float32)
     h = np.maximum(w1.data @ x + b1.data, 0.0)
     hp = np.maximum(w1p.data @ x + b1p.data, 0.0)
@@ -184,31 +193,35 @@ def test_permute_fc_pair_preserves_function():
     assert np.array_equal(hp, h[p])
 
 
-def test_permute_fc_pair_shape_check():
+def test_fc_pair_site_shape_check():
     w1 = tensor(np.zeros((4, 3), dtype=np.float32))
     w2 = tensor(np.zeros((2, 5), dtype=np.float32))
-    with pytest.raises(ValueError):
-        permute_fc_pair(w1, None, w2, np.arange(4))
+    with pytest.raises(DescriptorError, match="extent 5 != n=4"):
+        _apply_one_site(
+            {"w1": w1, "w2": w2}, "fc_pair", 4, [("w1", 0)], [("w2", 1)], np.arange(4)
+        )
 
 
-def test_permute_conv_block_moves_bn_vectors():
+def test_conv_block_site_moves_bn_vectors():
     rng = SeededRng(10)
     w1 = Tensor(rng.gaussian_block(3 * 2 * 9).astype(np.float32).reshape(3, 2, 3, 3))
     b1 = Tensor(rng.gaussian_block(3).astype(np.float32))
-    bn = tuple(
-        Tensor(rng.gaussian_block(3).astype(np.float32)) for _ in range(4)
-    )
+    bn_names = ("gamma", "beta", "running_mean", "running_var")
+    bn = {k: Tensor(rng.gaussian_block(3).astype(np.float32)) for k in bn_names}
     w2 = Tensor(rng.gaussian_block(4 * 3 * 9).astype(np.float32).reshape(4, 3, 3, 3))
     p = np.array([2, 0, 1])
-    w1p, b1p, bnp, w2p = permute_conv_block(w1, b1, bn, w2, p)
-    assert np.array_equal(w1p.data, w1.data[p])
-    assert np.array_equal(b1p.data, b1.data[p])
-    for orig, moved in zip(bn, bnp):
-        assert np.array_equal(moved.data, orig.data[p])
-    assert np.array_equal(w2p.data, w2.data[:, p])
+    out = _apply_one_site(
+        {"w1": w1, "b1": b1, "w2": w2, **bn}, "conv_block", 3,
+        [("w1", 0), ("b1", 0)] + [(k, 0) for k in bn_names], [("w2", 1)], p,
+    )
+    assert np.array_equal(out["w1"].data, w1.data[p])
+    assert np.array_equal(out["b1"].data, b1.data[p])
+    for k in bn_names:
+        assert np.array_equal(out[k].data, bn[k].data[p])
+    assert np.array_equal(out["w2"].data, w2.data[:, p])
 
 
-def test_permute_attention_gqa_group_moves():
+def test_attn_gqa_site_group_moves():
     meta = GqaMeta(h_q=4, h_kv=2, head_dim=2)  # group_width 4
     rng = SeededRng(11)
     d = 8
@@ -217,14 +230,23 @@ def test_permute_attention_gqa_group_moves():
     wv = Tensor(rng.gaussian_block(4 * d).astype(np.float32).reshape(4, d))
     wo = Tensor(rng.gaussian_block(d * 8).astype(np.float32).reshape(d, 8))
     p = np.array([1, 0])
-    wqp, wkp, wvp, wop = permute_attention_gqa(wq, wk, wv, wo, meta, p)
+    produce = [("wq", 0), ("wk", 0), ("wv", 0)]
+    out = _apply_one_site(
+        {"wq": wq, "wk": wk, "wv": wv, "wo": wo}, "attn_gqa", 2,
+        produce, [("wo", 1)], p, meta,
+    )
     # kv rows move in head_dim blocks, q rows and o columns in group_width blocks
-    assert np.array_equal(wkp.data, np.vstack([wk.data[2:], wk.data[:2]]))
-    assert np.array_equal(wvp.data, np.vstack([wv.data[2:], wv.data[:2]]))
-    assert np.array_equal(wqp.data, np.vstack([wq.data[4:], wq.data[:4]]))
-    assert np.array_equal(wop.data, np.hstack([wo.data[:, 4:], wo.data[:, :4]]))
-    with pytest.raises(ValueError):
-        permute_attention_gqa(wk, wk, wv, wo, meta, p)
+    assert np.array_equal(out["wk"].data, np.vstack([wk.data[2:], wk.data[:2]]))
+    assert np.array_equal(out["wv"].data, np.vstack([wv.data[2:], wv.data[:2]]))
+    assert np.array_equal(out["wq"].data, np.vstack([wq.data[4:], wq.data[:4]]))
+    assert np.array_equal(out["wo"].data, np.hstack([wo.data[:, 4:], wo.data[:, :4]]))
+    # 6 q rows split into 2 groups of 3: neither head_dim nor group width
+    wq6 = Tensor(rng.gaussian_block(6 * d).astype(np.float32).reshape(6, d))
+    with pytest.raises(DescriptorError, match="group width 3"):
+        _apply_one_site(
+            {"wq": wq6, "wk": wk, "wv": wv, "wo": wo}, "attn_gqa", 2,
+            produce, [("wo", 1)], p, meta,
+        )
 
 
 def test_conv_1x1_block_equals_fc_pair():
@@ -234,12 +256,16 @@ def test_conv_1x1_block_equals_fc_pair():
     w1 = rng.gaussian_block(mid * cin).astype(np.float32).reshape(mid, cin, 1, 1)
     w2 = rng.gaussian_block(cout * mid).astype(np.float32).reshape(cout, mid, 1, 1)
     p = fisher_yates(mid, SeededRng(77))
-    w1c, _, _, w2c = permute_conv_block(Tensor(w1), None, None, Tensor(w2), p)
-    w1f, _, w2f = permute_fc_pair(
-        Tensor(w1.reshape(mid, cin)), None, Tensor(w2.reshape(cout, mid)), p
+    conv = _apply_one_site(
+        {"w1": Tensor(w1), "w2": Tensor(w2)}, "conv_block", mid,
+        [("w1", 0)], [("w2", 1)], p,
     )
-    assert np.array_equal(w1c.data.reshape(mid, cin), w1f.data)
-    assert np.array_equal(w2c.data.reshape(cout, mid), w2f.data)
+    fc = _apply_one_site(
+        {"w1": Tensor(w1.reshape(mid, cin)), "w2": Tensor(w2.reshape(cout, mid))},
+        "fc_pair", mid, [("w1", 0)], [("w2", 1)], p,
+    )
+    assert np.array_equal(conv["w1"].data.reshape(mid, cin), fc["w1"].data)
+    assert np.array_equal(conv["w2"].data.reshape(cout, mid), fc["w2"].data)
 
 
 def test_fixed_point_rates_match_theory():

@@ -195,17 +195,12 @@ def test_gqa_group_swap_claim(gqa_bundle):
     """End to end on the grouped-attention fixture: one group permutation
     applied to q/k/v rows and o columns leaves the network output unchanged
     to float16 tolerance."""
-    from neuperm.descriptor import GqaMeta
-    from neuperm.engine import permute_attention_gqa
+    from neuperm.engine import PermutationSchedule, apply_schedule
     from neuperm.inference import forward, random_inputs
 
     archive, desc, net = gqa_bundle
-    site = desc.site("attn")
-    meta: GqaMeta = site.gqa
-    p = fisher_yates(site.n, SeededRng(13))
-    wq, wk, wv, wo = (archive.tensors[k] for k in ("attn.wq", "attn.wk", "attn.wv", "attn.wo"))
-    nq, nk, nv, no = permute_attention_gqa(wq, wk, wv, wo, meta, p)
-    moved = archive.replace({"attn.wq": nq, "attn.wk": nk, "attn.wv": nv, "attn.wo": no})
+    p = fisher_yates(desc.site("attn").n, SeededRng(13))
+    moved, _ = apply_schedule(archive, desc, PermutationSchedule(0, {"attn": p}))
     for x in random_inputs(net, 6, 202):
         a = forward(net, archive, x)
         b = forward(net, moved, x)

@@ -10,7 +10,6 @@ from neuperm.rng import (
     derive_seed,
     fnv1a64,
     mix64,
-    rademacher_words_block,
     words_at,
 )
 
@@ -51,12 +50,6 @@ def test_words_at_matches_stream():
     assert out.shape == (2, 2)
     assert out[0, 0] == want[3] and out[0, 1] == want[1]
     assert out[1, 0] == want[4] == out[1, 1]
-
-
-def test_rademacher_words_block_is_stream_slice():
-    want = SeededRng(77).next_block(8)
-    got = rademacher_words_block(77, 3, 4)
-    assert got.tolist() == want[3:7].tolist()
 
 
 def test_mix64_zero_nonfixed():
