@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import base64
+import contextlib
 import hashlib
 import json
 import os
@@ -51,6 +52,7 @@ from .inference import load_network, normalized_output_deviation, random_inputs
 from .rng import derive_seed
 from .stego import (
     ChipPlan,
+    host_size,
     host_vector,
     lsb_embed,
     lsb_extract,
@@ -89,7 +91,50 @@ def _resolve_seed(args) -> int:
     return int.from_bytes(os.urandom(8), "little")
 
 
+class _StagedOutputs:
+    """Output files written under temporary names beside their targets.
+
+    ``stage(path)`` returns the temporary file to write in place of
+    ``path``. When the ``with`` block ends normally every staged file is
+    moved onto its target; when it raises, or a move fails, the staged
+    files and any already moved are deleted, so a failed command leaves no
+    output file.
+    """
+
+    def __init__(self):
+        self.staged: dict[str, str] = {}
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        moved = []
+        try:
+            if exc_type is None:
+                for path, tmp in self.staged.items():
+                    os.replace(tmp, path)
+                    moved.append(path)
+        except OSError:
+            for path in moved:
+                with contextlib.suppress(OSError):
+                    os.unlink(path)
+            raise
+        finally:
+            for tmp in self.staged.values():
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(tmp)
+
+    def stage(self, path) -> str:
+        path = str(path)
+        head, tail = os.path.split(os.path.abspath(path))
+        tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        self.staged[path] = tmp
+        return tmp
+
+
 def _write_manifest(path, command: str, argv, seed, inputs, outputs, details) -> None:
+    """``outputs`` maps each final output path to the file holding its bytes."""
     doc = {
         "tool": "neuperm",
         "command": command,
@@ -97,7 +142,7 @@ def _write_manifest(path, command: str, argv, seed, inputs, outputs, details) ->
         "seed": seed,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "inputs": {p: _sha256_file(p) for p in inputs},
-        "outputs": {p: _sha256_file(p) for p in outputs},
+        "outputs": {p: _sha256_file(f) for p, f in outputs.items()},
         "details": details,
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -139,7 +184,6 @@ def cmd_sanitize(args, argv) -> int:
             return 1
         deviation = _verify_preserved(net_path, archive, result, seed, args.probes)
 
-    save_archive(result, args.output)
     details = {"disrupt": config.spec, "output_digest": archive_digest(result)}
     if coverage is not None:
         details["coverage"] = {
@@ -151,10 +195,13 @@ def cmd_sanitize(args, argv) -> int:
         }
     if deviation is not None:
         details["verify_max_deviation"] = deviation
-    if args.manifest:
-        _write_manifest(
-            args.manifest, "sanitize", argv, seed, [args.input], [args.output], details
-        )
+    with _StagedOutputs() as out:
+        save_archive(result, out.stage(args.output))
+        if args.manifest:
+            _write_manifest(
+                out.stage(args.manifest), "sanitize", argv, seed, [args.input],
+                {args.output: out.staged[args.output]}, details,
+            )
     line = f"sanitize {config.spec} seed={seed}"
     if coverage is not None:
         line += f" coverage={coverage.percent:.2f}%"
@@ -211,19 +258,20 @@ def cmd_attack(args, argv) -> int:
         carrier = ss_embed(archive, payload, chip_plan)
         plan["ss"] = chip_plan.to_dict()
 
-    save_archive(carrier, args.output)
-    if args.plan:
-        with open(args.plan, "w", encoding="utf-8") as fh:
-            json.dump(plan, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if args.manifest:
-        _write_manifest(
-            args.manifest, "attack", argv, seed,
-            [args.input, args.payload], [args.output],
-            {"attack": args.attack, "ecc": ecc.spec,
-             "payload_sha256": plan["payload_sha256"],
-             "output_digest": archive_digest(carrier)},
-        )
+    with _StagedOutputs() as out:
+        save_archive(carrier, out.stage(args.output))
+        if args.plan:
+            with open(out.stage(args.plan), "w", encoding="utf-8") as fh:
+                json.dump(plan, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        if args.manifest:
+            _write_manifest(
+                out.stage(args.manifest), "attack", argv, seed,
+                [args.input, args.payload], {args.output: out.staged[args.output]},
+                {"attack": args.attack, "ecc": ecc.spec,
+                 "payload_sha256": plan["payload_sha256"],
+                 "output_digest": archive_digest(carrier)},
+            )
     print(f"attack {args.attack} ecc={ecc.spec} seed={seed} payload={len(payload)}B")
     return 0
 
@@ -298,6 +346,15 @@ def cmd_evaluate(args, argv) -> int:
     rows = []
     if plan["method"] == "ss":
         chip_plan = ChipPlan.from_dict(plan["ss"])
+        missing = [n for n in chip_plan.eligible if n not in archive.tensors]
+        if missing:
+            raise ValueError(f"ss plan names tensors the carrier lacks: {missing}")
+        held = host_size(archive, chip_plan.eligible)
+        if held != chip_plan.host_n:
+            raise ValueError(
+                f"ss plan host_n is {chip_plan.host_n} but its eligible tensors "
+                f"hold {held} params in the carrier"
+            )
         hosts = np.empty((len(variants), chip_plan.host_n), dtype=np.float32)
         for i, (config, vseed, _) in enumerate(variants):
             variant, _ = apply_disruptor(
@@ -319,18 +376,19 @@ def cmd_evaluate(args, argv) -> int:
             ok = int(hashlib.sha256(got).hexdigest() == expected_sha)
             rows.append((config.kind, param, "", ok))
 
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        fh.write("method,param,snr_db,extraction_success\n")
-        for method, param, snr, ok in rows:
-            fh.write(f"{method},{param:g},{snr},{ok}\n")
-    if args.manifest:
-        _write_manifest(
-            args.manifest, "evaluate", argv, seed,
-            [args.carrier, args.plan], [args.output],
-            {"disrupt": [c.spec for c in configs], "trials": args.trials,
-             "attempts": len(rows),
-             "successes": sum(r[3] for r in rows)},
-        )
+    with _StagedOutputs() as out:
+        with open(out.stage(args.output), "w", encoding="utf-8", newline="") as fh:
+            fh.write("method,param,snr_db,extraction_success\n")
+            for method, param, snr, ok in rows:
+                fh.write(f"{method},{param:g},{snr},{ok}\n")
+        if args.manifest:
+            _write_manifest(
+                out.stage(args.manifest), "evaluate", argv, seed,
+                [args.carrier, args.plan], {args.output: out.staged[args.output]},
+                {"disrupt": [c.spec for c in configs], "trials": args.trials,
+                 "attempts": len(rows),
+                 "successes": sum(r[3] for r in rows)},
+            )
     print(f"evaluate {len(rows)} attempts, {sum(r[3] for r in rows)} extractions succeeded")
     return 0
 
@@ -390,8 +448,9 @@ def cmd_bound(args, argv) -> int:
              "empirical": result.rate}
         )
     if args.manifest:
-        _write_manifest(args.manifest, "bound", argv, details.get("seed"),
-                        [], [], details)
+        with _StagedOutputs() as out:
+            _write_manifest(out.stage(args.manifest), "bound", argv, details.get("seed"),
+                            [], {}, details)
     return 0
 
 

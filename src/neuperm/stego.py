@@ -18,6 +18,8 @@ shows up as bit errors.
 from __future__ import annotations
 
 import hashlib
+import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,8 +314,15 @@ def sign_extract(
 #: min host params per coded bit; below this the chips no longer average out
 SS_MIN_RATIO = 64
 
-#: host params handled per matmul chunk when (de)spreading
-_SS_CHUNK = 16384
+#: bytes of float32 chips per (de)spreading block: small enough to stay in
+#: cache and be reused by the allocator instead of page-faulted afresh
+_SS_BLOCK_BYTES = 6 << 20
+
+#: byte value -> its 8 chips as +/-1, little-endian bit order
+_CHIP_LUT = (
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    .astype(np.float32) * 2.0 - 1.0
+)
 
 
 @dataclass(frozen=True)
@@ -349,14 +358,46 @@ class ChipPlan:
 
     @staticmethod
     def from_dict(doc: dict) -> "ChipPlan":
+        """Plan from its JSON form; a missing or malformed field raises
+        ValueError naming it."""
+        if not isinstance(doc, dict):
+            raise ValueError("ss plan must be a JSON object")
+
+        def field(key, ok, want):
+            value = doc.get(key)
+            if isinstance(value, bool) or not ok(value):
+                raise ValueError(f"ss plan field {key!r} must be {want}, got {value!r}")
+            return value
+
+        ecc_spec = field("ecc", lambda v: isinstance(v, str), "an ecc spec string")
+        try:
+            parse_ecc(ecc_spec)
+        except ValueError as e:
+            raise ValueError(f"ss plan field 'ecc': {e}") from None
         return ChipPlan(
-            seed=int(doc["seed"]),
-            gamma=float(doc["gamma"]),
-            payload_bits=int(doc["payload_bits"]),
-            ecc_spec=str(doc["ecc"]),
-            eligible=tuple(doc["eligible"]),
-            host_n=int(doc["host_n"]),
-            payload_sha256=str(doc["payload_sha256"]),
+            seed=field("seed", lambda v: isinstance(v, int), "an integer"),
+            gamma=float(field(
+                "gamma",
+                lambda v: isinstance(v, (int, float)) and math.isfinite(v) and v > 0,
+                "a finite number > 0",
+            )),
+            payload_bits=field(
+                "payload_bits",
+                lambda v: isinstance(v, int) and v > 0 and v % 8 == 0,
+                "a positive multiple of 8",
+            ),
+            ecc_spec=ecc_spec,
+            eligible=tuple(field(
+                "eligible",
+                lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
+                "a list of tensor names",
+            )),
+            host_n=field("host_n", lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
+            payload_sha256=field(
+                "payload_sha256",
+                lambda v: isinstance(v, str) and re.fullmatch(r"[0-9a-f]{64}", v),
+                "a sha256 hex digest",
+            ),
         )
 
 
@@ -402,7 +443,8 @@ def _chip_block(plan: ChipPlan, start: int, stop: int, n_bits: int) -> np.ndarra
 
     Chip k occupies the k-th run of ceil(host_n/64) words in one counter
     stream, 64 chips per word, little-endian bit order within each word.
-    All rows are pulled in a single random-access call.
+    All rows are pulled in a single random-access call, and each byte of a
+    word becomes its 8 chips through one lookup in _CHIP_LUT.
     """
     words_per_bit = -(-plan.host_n // 64)
     chip_seed = derive_seed(plan.seed, "ss/chips")
@@ -410,9 +452,14 @@ def _chip_block(plan: ChipPlan, start: int, stop: int, n_bits: int) -> np.ndarra
     rows = np.arange(n_bits, dtype=np.uint64)[:, None] * np.uint64(words_per_bit)
     cols = np.arange(w0, w1, dtype=np.uint64)[None, :]
     words = words_at(chip_seed, rows + cols)
-    bits = np.unpackbits(words.view(np.uint8).reshape(n_bits, -1), axis=1, bitorder="little")
-    block = bits[:, start - w0 * 64 : stop - w0 * 64]
-    return block.astype(np.float32) * 2.0 - 1.0
+    chips = np.take(_CHIP_LUT, words.view(np.uint8), axis=0).reshape(n_bits, -1)
+    return chips[:, start - w0 * 64 : stop - w0 * 64]
+
+
+def _chunk_cols(n_bits: int) -> int:
+    """Host positions per (de)spreading block: a multiple of 64, so blocks
+    start on a chip word, sized to keep the block near _SS_BLOCK_BYTES."""
+    return max(64, _SS_BLOCK_BYTES // (4 * n_bits) // 64 * 64)
 
 
 def ss_embed(archive: ModelArchive, payload: bytes, plan: ChipPlan) -> ModelArchive:
@@ -425,8 +472,9 @@ def ss_embed(archive: ModelArchive, payload: bytes, plan: ChipPlan) -> ModelArch
     if vec.size != plan.host_n:
         raise ValueError("archive host size does not match plan")
     out = vec.copy()
-    for s in range(0, plan.host_n, _SS_CHUNK):
-        e = min(s + _SS_CHUNK, plan.host_n)
+    width = _chunk_cols(coded.size)
+    for s in range(0, plan.host_n, width):
+        e = min(s + width, plan.host_n)
         chips = _chip_block(plan, s, e, coded.size)
         out[s:e] += plan.gamma * (b @ chips)
     return scatter_host(archive, plan.eligible, out)
@@ -443,8 +491,9 @@ def ss_despread_many(hosts: np.ndarray, plan: ChipPlan) -> np.ndarray:
         raise ValueError("host vector length does not match plan")
     k = plan.coded_bits
     y = np.zeros((hosts.shape[0], k), dtype=np.float64)
-    for s in range(0, plan.host_n, _SS_CHUNK):
-        e = min(s + _SS_CHUNK, plan.host_n)
+    width = _chunk_cols(k)
+    for s in range(0, plan.host_n, width):
+        e = min(s + width, plan.host_n)
         chips = _chip_block(plan, s, e, k)
         y += hosts[:, s:e] @ chips.T
     return y / plan.host_n

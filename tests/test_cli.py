@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -72,7 +73,9 @@ def test_sanitize_neuperm_verify_manifest(ws, tmp_path, capsys):
     assert doc["tool"] == "neuperm" and doc["command"] == "sanitize"
     assert doc["seed"] == 31
     assert doc["details"]["coverage"]["percent"] == 100.0
-    assert str(ws["mlp"]) in doc["inputs"] and str(out) in doc["outputs"]
+    assert str(ws["mlp"]) in doc["inputs"]
+    assert doc["outputs"] == {str(out): hashlib.sha256(out.read_bytes()).hexdigest()}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.safetensors", "run.json"]
 
 
 def test_sanitize_unseeded_replay_byte_identical(ws, tmp_path, capsys):
@@ -319,7 +322,22 @@ _LSB_PLAN = {
     "payload_len": 16, "bits_per_param": 1,
 }
 
-#: (file the case writes, its JSON) for sidecars that once escaped as TypeError
+#: an ss plan whose chip plan matches the mlp carrier's two largest weights
+_SS_FIELDS = {
+    "seed": 1, "gamma": 0.009, "payload_bits": 8, "ecc": "none",
+    "eligible": ["fc1.weight", "fc2.weight"], "host_n": 320, "payload_sha256": "0" * 64,
+}
+
+_DROP = object()
+
+
+def _ss_plan(**fields):
+    """The plan above with some ss fields replaced, or removed by _DROP."""
+    ss = {k: v for k, v in {**_SS_FIELDS, **fields}.items() if v is not _DROP}
+    return {"method": "ss", "seed": 1, "ecc": "none", "payload_sha256": "0" * 64, "ss": ss}
+
+#: (file the case writes, its JSON, text the error line must carry) for
+#: sidecars that once escaped as a traceback or an error naming no field
 _MALFORMED_SIDECARS = {
     "descriptor-gqa-h_q-string": ("desc", {
         "sites": [{
@@ -327,16 +345,30 @@ _MALFORMED_SIDECARS = {
             "gqa": {"h_q": "8", "h_kv": 2, "head_dim": 4},
         }],
         "total_params": 450,
-    }),
-    "net-layers-string": ("net", {"layers": "dense", "input": {"kind": "vector", "shape": [8]}}),
-    "plan-payload_len-string": ("plan", {**_LSB_PLAN, "payload_len": "x"}),
-    "plan-is-a-list": ("plan", [_LSB_PLAN]),
+    }, "gqa"),
+    "net-layers-string": ("net", {"layers": "dense", "input": {"kind": "vector", "shape": [8]}},
+                          "layers"),
+    "plan-payload_len-string": ("plan", {**_LSB_PLAN, "payload_len": "x"}, "payload_len"),
+    "plan-is-a-list": ("plan", [_LSB_PLAN], "object"),
+    "ss-seed-null": ("plan", _ss_plan(seed=None), "'seed'"),
+    "ss-seed-bool": ("plan", _ss_plan(seed=True), "'seed'"),
+    "ss-gamma-zero": ("plan", _ss_plan(gamma=0), "'gamma'"),
+    "ss-gamma-string": ("plan", _ss_plan(gamma="0.009"), "'gamma'"),
+    "ss-payload_bits-not-bytes": ("plan", _ss_plan(payload_bits=12), "'payload_bits'"),
+    "ss-ecc-unknown": ("plan", _ss_plan(ecc="golay"), "'ecc'"),
+    "ss-eligible-string": ("plan", _ss_plan(eligible="fc1.weight"), "'eligible'"),
+    "ss-eligible-not-in-carrier": ("plan", _ss_plan(eligible=["fc1.weight", "wq"]), "'wq'"),
+    "ss-host_n-missing": ("plan", _ss_plan(host_n=_DROP), "'host_n'"),
+    "ss-host_n-zero": ("plan", _ss_plan(host_n=0), "'host_n'"),
+    "ss-host_n-mismatch": ("plan", _ss_plan(host_n=321), "host_n"),
+    "ss-sha256-not-hex": ("plan", _ss_plan(payload_sha256="z" * 64), "'payload_sha256'"),
+    "ss-block-a-list": ("plan", {**_ss_plan(), "ss": [_SS_FIELDS]}, "'ss'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED_SIDECARS))
 def test_malformed_sidecar_exit_1(ws, tmp_path, case):
-    role, doc = _MALFORMED_SIDECARS[case]
+    role, doc, names = _MALFORMED_SIDECARS[case]
     bad = tmp_path / f"{role}.json"
     bad.write_text(json.dumps(doc))
     out = tmp_path / "out"
@@ -349,9 +381,35 @@ def test_malformed_sidecar_exit_1(ws, tmp_path, case):
     }[role]
     proc = _fresh_interpreter([sys.executable, "-m", "neuperm"], *argv, cwd=tmp_path)
     assert proc.returncode == 1, proc.stderr
-    assert "error:" in proc.stderr
+    assert "error:" in proc.stderr and names in proc.stderr, proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["attack", "sanitize", "evaluate"])
+def test_unwritable_side_output_leaves_no_file(ws, tmp_path, capsys, command):
+    """The main output is written first; the plan or manifest after it cannot
+    be, so the command fails and its target directory stays empty."""
+    work = tmp_path / "work"
+    work.mkdir()
+    carrier, plan = tmp_path / "carrier.safetensors", tmp_path / "plan.json"
+    assert run("attack", "--input", ws["mlp"], "--output", carrier, "--attack", "sign",
+               "--payload", ws["payload"], "--seed", "9", "--plan", plan) == 0
+    unwritable = tmp_path / "missing" / "side.json"
+    argv = {
+        "attack": ["attack", "--input", ws["mlp"], "--output", work / "carrier.safetensors",
+                   "--attack", "sign", "--payload", ws["payload"], "--seed", "9",
+                   "--plan", unwritable],
+        "sanitize": ["sanitize", "--input", ws["mlp"], "--output", work / "clean.safetensors",
+                     "--disrupt", "neuperm", "--descriptor", ws["mlp.desc"], "--seed", "3",
+                     "--manifest", unwritable],
+        "evaluate": ["evaluate", "--carrier", carrier, "--plan", plan, "--disrupt", "none",
+                     "--seed", "5", "--output", work / "report.csv", "--manifest", unwritable],
+    }[command]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    assert "error:" in capsys.readouterr().err
+    assert list(work.iterdir()) == []
 
 
 # ---------------------------------------------------------------- bound

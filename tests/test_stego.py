@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neuperm.archive import ModelArchive
+from neuperm.archive import ModelArchive, write_archive
 from neuperm.errors import CapacityError
-from neuperm.rng import SeededRng, derive_seed
+from neuperm.rng import SeededRng, derive_seed, words_at
 from neuperm.stego import (
     SS_MIN_RATIO,
     ChipPlan,
     _chip_block,
+    _chunk_cols,
     decode_correlations,
     eligible_names,
     host_size,
@@ -193,6 +195,54 @@ def test_chip_block_properties(small_host_bundle):
     # different rows decorrelate
     r = block[0] @ block[1] / block.shape[1]
     assert abs(r) < 0.1
+
+
+def _unpacked_chips(plan, start, stop, n_bits):
+    """Chip block by the plain unpackbits -> *2-1 expansion of the stream words."""
+    words_per_bit = -(-plan.host_n // 64)
+    w0, w1 = start // 64, -(-stop // 64)
+    rows = np.arange(n_bits, dtype=np.uint64)[:, None] * np.uint64(words_per_bit)
+    words = words_at(derive_seed(plan.seed, "ss/chips"), rows + np.arange(w0, w1, dtype=np.uint64))
+    bits = np.unpackbits(words.view(np.uint8).reshape(n_bits, -1), axis=1, bitorder="little")
+    return bits[:, start - w0 * 64 : stop - w0 * 64].astype(np.float32) * 2.0 - 1.0
+
+
+@pytest.mark.parametrize("start,stop", [(0, 64), (3, 5), (100, 4000), (4031, 9000), (48999, 49152)])
+def test_chip_block_matches_unpacked_bits(small_host_bundle, start, stop):
+    archive, _, _ = small_host_bundle
+    plan = _plan(archive, random_payload(1021, 7))
+    got = _chip_block(plan, start, stop, plan.coded_bits)
+    assert got.dtype == np.float32
+    assert np.array_equal(got, _unpacked_chips(plan, start, stop, plan.coded_bits))
+
+
+def test_ss_sweeps_match_one_dense_block(small_host_bundle):
+    """Blockwise embed and despread equal one product with the whole chip
+    matrix, including the partial last block."""
+    archive, _, _ = small_host_bundle
+    payload = random_payload(1022, 5)
+    plan = _plan(archive, payload)
+    k = plan.coded_bits
+    assert plan.host_n % _chunk_cols(k) != 0 and plan.host_n > _chunk_cols(k)
+    chips = _unpacked_chips(plan, 0, plan.host_n, k)
+    host = host_vector(archive, plan.eligible)
+    coded = plan.ecc.encode(np.unpackbits(np.frombuffer(payload, dtype=np.uint8)))
+    b = coded.astype(np.float32) * 2.0 - 1.0
+    want = scatter_host(archive, plan.eligible, host + plan.gamma * (b @ chips))
+
+    carrier = ss_embed(archive, payload, plan)
+    assert write_archive(carrier) == write_archive(want)
+    hosts = np.stack([host_vector(carrier, plan.eligible), host])
+    assert np.allclose(ss_despread_many(hosts, plan), hosts @ chips.T / plan.host_n, rtol=1e-6)
+
+
+def test_ss_embed_carrier_frozen(small_host_bundle):
+    archive, _, _ = small_host_bundle
+    payload = random_payload(1020, 16)
+    carrier = ss_embed(archive, payload, _plan(archive, payload))
+    assert hashlib.sha256(write_archive(carrier)).hexdigest() == (
+        "72ff7e4f83fb65641ff94bf3fa84bfad75134119c36c7a1eca3e2c95ca9f3208"
+    )
 
 
 def test_ss_roundtrip_small_host(small_host_bundle):
