@@ -6,6 +6,7 @@ recomputed from first principles so the test constants have an independent
 origin. Run it whenever a golden constant looks suspicious.
 """
 
+import hashlib
 import json
 import math
 import struct
@@ -47,6 +48,17 @@ def fisher_yates(n, seed):
     return a
 
 
+def sample_positions(total, count, seed):
+    """Partial Fisher-Yates over a virtual identity array, one bounded draw per slot."""
+    swaps, out, state = {}, [], seed & MASK
+    for i in range(count):
+        state, r = bounded(state, total - i)
+        j = i + r
+        out.append(swaps.get(j, j))
+        swaps[j] = swaps.get(i, i)
+    return out
+
+
 def golden_archive():
     """Single float32 tensor 'w' = [1.0, 2.0] in canonical container form."""
     header = json.dumps(
@@ -64,6 +76,10 @@ def main():
     print("fisher_yates(4, seed=42):", fisher_yates(4, 42))
     print("fisher_yates(8, seed=7):", fisher_yates(8, 7))
     print("fisher_yates(1, seed=9):", fisher_yates(1, 9))
+
+    positions = sample_positions(2**20, 98304, 7)
+    blob = b"".join(struct.pack("<q", v) for v in positions)
+    print("sample_positions(2^20, 98304, seed=7) sha256:", hashlib.sha256(blob).hexdigest())
 
     blob = golden_archive()
     print("golden archive len:", len(blob))

@@ -140,6 +140,13 @@ def simulate_extraction_game(
     so each bit's survival is drawn directly as a bounded-rejection uniform
     word hitting the stored row — exact, without materializing permutations.
     A trial succeeds when read errors fit the decoder budget floor(delta*L).
+
+    Trials run in batches of about 2^16 words (512 KiB), which stay in cache.
+    The batches read one contiguous word stream, so the count does not depend
+    on the batch size unless a word is rejected: a rejected word is replaced
+    from the stream after its batch. No word is ever rejected when n is a
+    power of two, and for other n each word is rejected with probability
+    below n/2^64.
     """
     if n < 1 or L < 1 or trials < 1:
         raise ValueError("n, L and trials must all be >= 1")
@@ -149,7 +156,7 @@ def simulate_extraction_game(
     span = ((1 << 64) // n) * n  # == 2**64 when n is a power of two: no rejection needed
     limit = np.uint64(span - 1) if span < (1 << 64) else None
     successes = 0
-    batch = max(1, min(trials, (1 << 23) // L))
+    batch = max(1, min(trials, (1 << 16) // L))
     done = 0
     while done < trials:
         t = min(batch, trials - done)

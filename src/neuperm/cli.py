@@ -166,6 +166,9 @@ def _verify_preserved(net_path, original, rewritten, seed: int, probes: int) -> 
 
 
 def cmd_sanitize(args, argv) -> int:
+    if args.probes < 1:
+        print("error: --probes must be >= 1", file=sys.stderr)
+        return 1
     archive = load_archive(args.input)
     config = parse_disruptor(args.disrupt)
     descriptor = None
@@ -396,6 +399,9 @@ def cmd_evaluate(args, argv) -> int:
 # ---------------------------------------------------------------- bound
 
 def cmd_bound(args, argv) -> int:
+    if args.simulate is not None and args.simulate < 1:
+        print("error: --simulate must be >= 1", file=sys.stderr)
+        return 1
     sizes = None
     if args.site_sizes:
         sizes = [int(s) for s in args.site_sizes.split(",") if s.strip()]
@@ -432,7 +438,7 @@ def cmd_bound(args, argv) -> int:
     print(f"success_bound {bound:.6e} (d={d:g}, delta={delta:g}, L={L})")
 
     details = {"d": d, "delta": delta, "L": L, "bound": bound}
-    if args.simulate:
+    if args.simulate is not None:
         if sizes is None:
             print("error: --simulate needs --site-sizes for the game geometry",
                   file=sys.stderr)

@@ -311,8 +311,8 @@ def random_inputs(net: ToyNetwork, count: int, seed: int):
         if net.input_kind == "tokens":
             (t,) = net.input_shape
             # vocab bound is the embedding table's first dim, checked at lookup
-            ids = [rng.bounded(_vocab_hint(net)) for _ in range(t)]
-            out.append(np.asarray(ids, dtype=np.int64))
+            ids = rng.bounded_block(np.full(t, _vocab_hint(net), dtype=np.int64))
+            out.append(ids.astype(np.int64))
         else:
             vals = rng.gaussian_block(math.prod(net.input_shape))
             out.append(vals.astype(np.float32).reshape(net.input_shape))

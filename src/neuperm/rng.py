@@ -9,6 +9,7 @@ to the sequential path.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -78,18 +79,45 @@ class SeededRng:
         return out
 
     def bounded(self, n: int) -> int:
-        """Uniform draw from [0, n) by bounded rejection.
+        """Uniform draw from [0, n); one-element `bounded_block`."""
+        return int(self.bounded_block([n])[0])
 
-        Words >= floor(2^64 / n) * n are rejected, the rest reduced mod n,
-        so every residue is exactly equally likely.
+    def bounded_block(self, moduli) -> np.ndarray:
+        """Uniform draws from [0, m) for each m in `moduli`, as a uint64 array.
+
+        Bounded rejection: a word w is rejected when w >= 2^64 - (2^64 mod m)
+        and the next word is tried for the same m; accepted words are reduced
+        mod m, so every residue is exactly equally likely. Equal, value for
+        value and word for word, to drawing the moduli one at a time: the
+        words come from one `next_block`, and on the first rejection the
+        accepted prefix is kept, the state rewound past the words drawn after
+        the rejected one, and the rest drawn again. Moduli lie in [1, 2^64).
+        A modulus rejects with probability below m/2^64, so the redraws are
+        rare at any size this package uses; moduli near 2^63 reject about
+        half the words and cost time quadratic in their count.
         """
-        if n <= 0:
-            raise ValueError("n must be positive")
-        limit = ((1 << 64) // n) * n
-        while True:
-            x = self.next_u64()
-            if x < limit:
-                return x % n
+        if isinstance(moduli, np.ndarray):
+            if moduli.dtype.kind not in "iu":
+                raise ValueError("moduli must be integers")
+            lo, hi = (int(moduli.min()), int(moduli.max())) if moduli.size else (1, 1)
+        else:
+            moduli = [operator.index(m) for m in moduli]
+            lo, hi = (min(moduli), max(moduli)) if moduli else (1, 1)
+        if lo < 1 or hi > MASK64:
+            raise ValueError("moduli must lie in [1, 2**64)")
+        m = np.asarray(moduli, dtype=np.uint64).ravel()
+        top = ~((np.uint64(0) - m) % m)  # largest accepted word: 2^64 - 1 - (2^64 mod m)
+        out = np.empty(m.size, dtype=np.uint64)
+        done = 0
+        while done < m.size:
+            words = self.next_block(m.size - done)
+            bad = np.flatnonzero(words > top[done:])
+            k = int(bad[0]) if bad.size else words.size
+            out[done : done + k] = words[:k] % m[done : done + k]
+            if bad.size:
+                self._state = (self._state - (words.size - k - 1) * GOLDEN) & MASK64
+            done += k
+        return out
 
     def uniform_block(self, count: int) -> np.ndarray:
         """float64 uniforms in (0, 1], 53-bit resolution."""

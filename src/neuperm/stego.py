@@ -17,6 +17,7 @@ shows up as bit errors.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
@@ -175,18 +176,32 @@ def sample_positions(total: int, count: int, seed: int) -> np.ndarray:
     """`count` distinct positions in [0, total), uniform, in draw order.
 
     Partial Fisher-Yates over a virtual identity array; only displaced
-    entries are materialised, so sampling stays O(count) in memory.
+    entries are materialised, so sampling stays O(count) in memory. The
+    offsets (moduli total, total-1, ...) come from one `bounded_block`
+    call; only the swaps run one by one.
     """
     if count > total:
         raise CapacityError(f"need {count} positions but host has only {total}")
     rng = SeededRng(seed)
+    offsets = rng.bounded_block(np.arange(total, total - count, -1, dtype=np.int64))
     swaps: dict[int, int] = {}
-    out = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        j = i + rng.bounded(total - i)
-        out[i] = swaps.get(j, j)
+    out = []
+    for i, j in enumerate((offsets.astype(np.int64) + np.arange(count)).tolist()):
+        out.append(swaps.get(j, j))
         swaps[j] = swaps.get(i, i)
-    return out
+    return np.asarray(out, dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=8)
+def _positions(total: int, count: int, seed: int) -> np.ndarray:
+    """`sample_positions`, drawn once per (total, count, seed) and read-only.
+
+    Disruptors never change tensor shapes, so every variant of a carrier
+    reads the same positions; embed and extract share them through here.
+    """
+    positions = sample_positions(total, count, seed)
+    positions.setflags(write=False)
+    return positions
 
 
 def _locate(archive: ModelArchive, names, positions: np.ndarray):
@@ -223,7 +238,7 @@ def lsb_embed(
     total = host_size(archive, names)
     coded = ecc.encode(bytes_to_bits(payload))
     slots = -(-coded.size // bits_per_param)
-    positions = sample_positions(total, slots, derive_seed(seed, "lsb/positions"))
+    positions = _positions(total, slots, derive_seed(seed, "lsb/positions"))
     padded = np.zeros(slots * bits_per_param, dtype=np.uint8)
     padded[: coded.size] = coded
     chunks = padded.reshape(slots, bits_per_param)
@@ -253,7 +268,7 @@ def lsb_extract(
     total = host_size(archive, names)
     coded_len = ecc.coded_len(payload_len * 8)
     slots = -(-coded_len // bits_per_param)
-    positions = sample_positions(total, slots, derive_seed(seed, "lsb/positions"))
+    positions = _positions(total, slots, derive_seed(seed, "lsb/positions"))
     values = np.zeros(slots, dtype=np.uint32)
     for name, local, slot_idx in _locate(archive, names, positions):
         t = archive.tensors[name]
@@ -279,7 +294,7 @@ def sign_embed(
     names = eligible_names(archive)
     total = host_size(archive, names)
     coded = ecc.encode(bytes_to_bits(payload))
-    positions = sample_positions(total, coded.size, derive_seed(seed, "sign/positions"))
+    positions = _positions(total, coded.size, derive_seed(seed, "sign/positions"))
     updates = {}
     for name, local, slot_idx in _locate(archive, names, positions):
         t = archive.tensors[name]
@@ -300,7 +315,7 @@ def sign_extract(
     names = eligible_names(archive)
     total = host_size(archive, names)
     coded_len = ecc.coded_len(payload_len * 8)
-    positions = sample_positions(total, coded_len, derive_seed(seed, "sign/positions"))
+    positions = _positions(total, coded_len, derive_seed(seed, "sign/positions"))
     bits = np.zeros(coded_len, dtype=np.uint8)
     for name, local, slot_idx in _locate(archive, names, positions):
         flat = archive.tensors[name].data.ravel()

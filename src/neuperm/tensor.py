@@ -90,15 +90,16 @@ def invert(p: np.ndarray) -> np.ndarray:
 def fisher_yates(n: int, rng: SeededRng) -> np.ndarray:
     """Uniform random permutation of range(n).
 
-    Classic descending swap loop; index draws use the rng's bounded
-    rejection sampler, so every one of the n! orderings is exactly equally
+    Classic descending swap loop; the index draws (moduli n, n-1, ..., 2)
+    come from one `bounded_block` call, the same words the sequential
+    sampler would use, so every one of the n! orderings is exactly equally
     likely. n == 1 consumes no randomness.
     """
     if n <= 0:
         raise ValueError("n must be positive")
+    draws = rng.bounded_block(np.arange(n, 1, -1, dtype=np.int64)).tolist()
     a = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = rng.bounded(i + 1)
+    for i, j in zip(range(n - 1, 0, -1), draws):
         a[i], a[j] = a[j], a[i]
     return np.asarray(a, dtype=np.int64)
 

@@ -168,6 +168,23 @@ def test_game_deterministic():
     assert a.successes == b.successes
 
 
+@pytest.mark.parametrize(
+    "n, L, delta, trials, seed, successes",
+    [
+        (2, 10, 0.3, 200_000, 1, 34234),
+        (3, 12, 1 / 3, 100_000, 2, 1868),
+        (5, 3, 0.34, 300_000, 3, 31073),
+        (512, 1000, 1 / 7, 50_000, 4, 0),
+        (7, 70_000, 0.8, 3, 5, 0),
+    ],
+)
+def test_game_success_counts_frozen(n, L, delta, trials, seed, successes):
+    # frozen when a batch held 2^23 words; at 2^16 words these runs span
+    # many batches, and L = 70000 plays one trial per batch
+    g = simulate_extraction_game(n=n, L=L, delta=delta, trials=trials, seed=seed)
+    assert g.successes == successes
+
+
 def test_game_result_rate():
     r = GameResult(n=2, L=10, delta=0.0, trials=100, successes=25, bound=1.0)
     assert r.rate == 0.25

@@ -113,6 +113,23 @@ def test_sanitize_none_is_byte_identity(ws, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("probes", ["0", "-2"])
+def test_sanitize_probes_below_one_exit_1(ws, tmp_path, capsys, probes):
+    out = tmp_path / "clean.safetensors"
+    manifest = tmp_path / "run.json"
+    rc = run(
+        "sanitize", "--input", ws["mlp"], "--output", out,
+        "--disrupt", "neuperm", "--descriptor", ws["mlp.desc"],
+        "--seed", "31", "--verify", "--net", ws["mlp.net"],
+        "--probes", probes, "--manifest", manifest,
+    )
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error: --probes must be >= 1" in captured.err
+    assert "verified" not in captured.out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sanitize_verify_failure_exit_2_no_output(ws, tmp_path, capsys):
     out = tmp_path / "never.safetensors"
     rc = run(
@@ -315,6 +332,20 @@ def test_evaluate_trials_below_one_exit_1(ws, tmp_path, capsys, trials):
     assert rc == 1
     assert "error: --trials must be >= 1" in captured.err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("simulate", ["0", "-4"])
+def test_bound_simulate_below_one_exit_1(tmp_path, capsys, simulate):
+    manifest = tmp_path / "bound.json"
+    rc = run(
+        "bound", "--site-sizes", "2", "--L", "8",
+        "--simulate", simulate, "--seed", "11", "--manifest", manifest,
+    )
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error: --simulate must be >= 1" in captured.err
+    assert "simulated" not in captured.out
+    assert not manifest.exists()
 
 
 _LSB_PLAN = {

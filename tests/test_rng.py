@@ -142,3 +142,84 @@ def test_counter_formula_spotcheck():
 def test_negative_count_rejected():
     with pytest.raises(ValueError):
         SeededRng(0).next_block(-1)
+
+
+# ------------------------------------------------- batched bounded draws
+
+def _bounded_reference(seed: int, moduli):
+    """Sequential bounded rejection in pure Python ints: (draws, final state)."""
+    state, out = seed & MASK64, []
+    for m in moduli:
+        limit = ((1 << 64) // m) * m
+        while True:
+            state = (state + GOLDEN) & MASK64
+            x = mix64(state)
+            if x < limit:
+                out.append(x % m)
+                break
+    return out, state
+
+
+_HALF_REJECT = [(1 << 63) + 1 + 977 * k for k in range(40)]
+
+
+@pytest.mark.parametrize(
+    "seed, moduli",
+    [
+        (1, []),
+        (2, [1]),
+        (3, [1, 1, 1]),
+        (4, list(range(4096, 1, -1))),
+        (5, _HALF_REJECT),
+        (6, [7, (1 << 63) + 5, 1, 3, MASK64, (1 << 63) + 1, 2, 10**18]),
+        (7, [MASK64] * 5),
+    ],
+    ids=["empty", "one", "ones", "fisher-yates-4096", "half-reject", "mixed", "max"],
+)
+def test_bounded_block_matches_sequential_reference(seed, moduli):
+    want, state = _bounded_reference(seed, moduli)
+    rng = SeededRng(seed)
+    got = rng.bounded_block(moduli)
+    assert got.dtype == np.uint64 and got.shape == (len(moduli),)
+    assert got.tolist() == want
+    assert rng._state == state
+    # the array form takes the same path and draws the same words
+    arr_rng = SeededRng(seed)
+    assert arr_rng.bounded_block(np.array(moduli, dtype=np.uint64)).tolist() == want
+    assert arr_rng._state == state
+
+
+def test_bounded_block_rejections_actually_happen():
+    # moduli just above 2^63 reject about half the words, so the rewind path runs
+    _, state = _bounded_reference(5, _HALF_REJECT)
+    drawn = ((state - 5) * pow(GOLDEN, -1, 1 << 64)) & MASK64
+    assert drawn > len(_HALF_REJECT) + 10
+
+
+def test_bounded_matches_sequential_reference():
+    moduli = [10, 3, (1 << 63) + 7, 1, 2**40 + 1]
+    want, state = _bounded_reference(8, moduli)
+    rng = SeededRng(8)
+    assert [rng.bounded(m) for m in moduli] == want
+    assert rng._state == state
+
+
+@pytest.mark.parametrize("bad", [0, -1, -(2**70), 1 << 64, 2**64 + 1])
+def test_bounded_rejects_moduli_out_of_range(bad):
+    with pytest.raises(ValueError):
+        SeededRng(1).bounded(bad)
+    with pytest.raises(ValueError):
+        SeededRng(1).bounded_block([5, bad])
+
+
+def test_bounded_block_rejects_bad_arrays():
+    with pytest.raises(ValueError):
+        SeededRng(1).bounded_block(np.array([3, 0, 2]))
+    with pytest.raises(ValueError):
+        SeededRng(1).bounded_block(np.array([-4], dtype=np.int64))
+    with pytest.raises(ValueError):
+        SeededRng(1).bounded_block(np.array([2.0, 3.0]))
+    rng = SeededRng(1)
+    with pytest.raises(ValueError):
+        rng.bounded_block([2, 3, 0])
+    assert rng._state == 1  # nothing is drawn before the moduli are checked

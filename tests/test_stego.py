@@ -12,6 +12,7 @@ from neuperm.rng import SeededRng, derive_seed, words_at
 from neuperm.stego import (
     SS_MIN_RATIO,
     ChipPlan,
+    _positions,
     _chip_block,
     _chunk_cols,
     decode_correlations,
@@ -92,6 +93,41 @@ def test_sample_positions_uniformish():
     assert counts.min() > 0.7 * counts.mean()
 
 
+def test_sample_positions_frozen():
+    # printed by scripts/oracle_goldens.py (pure-Python partial Fisher-Yates)
+    pos = sample_positions(2**20, 98304, 7)
+    assert pos.dtype == np.int64 and pos.shape == (98304,)
+    assert hashlib.sha256(pos.astype("<i8").tobytes()).hexdigest() == (
+        "727202842985234bbabf22124c500d169ab94186483b577f3f0c0a96eff81e24"
+    )
+
+
+def test_positions_drawn_once_per_seed(small_host_bundle, monkeypatch):
+    import neuperm.stego as stego
+
+    archive, _, _ = small_host_bundle
+    calls = []
+
+    def counting(total, count, seed):
+        calls.append((total, count, seed))
+        return sample_positions(total, count, seed)
+
+    monkeypatch.setattr(stego, "sample_positions", counting)
+    _positions.cache_clear()
+    payload = random_payload(1031, 32)
+    carrier = lsb_embed(archive, payload, bits_per_param=2, seed=41)
+    for _ in range(3):
+        assert lsb_extract(carrier, 32, bits_per_param=2, seed=41) == payload
+    carrier = sign_embed(archive, payload, seed=41)
+    for _ in range(3):
+        assert sign_extract(carrier, 32, seed=41) == payload
+    assert len(calls) == 2  # one lsb draw, one sign draw
+    _positions.cache_clear()
+    cached = _positions(1000, 10, 3)
+    assert not cached.flags.writeable
+    assert np.array_equal(cached, sample_positions(1000, 10, 3))
+
+
 # ----------------------------------------------------------------- lsb
 
 @pytest.mark.parametrize("bpp", [1, 2, 4, 8])
@@ -149,6 +185,15 @@ def test_lsb_bpp_validation(mlp_bundle):
         lsb_embed(archive, b"x", bits_per_param=9, seed=0)
 
 
+def test_lsb_embed_carrier_frozen(small_host_bundle):
+    archive, _, _ = small_host_bundle
+    payload = random_payload(1030, 64)
+    carrier = lsb_embed(archive, payload, bits_per_param=2, seed=31, ecc=parse_ecc("hamming74"))
+    assert hashlib.sha256(write_archive(carrier)).hexdigest() == (
+        "4a88986e32b0056f72bab9afb0c6426ee027e0f38e9b52ff7c7deebbebfd991f"
+    )
+
+
 # ---------------------------------------------------------------- sign
 
 @pytest.mark.parametrize("spec", ["none", "repetition:3"])
@@ -175,6 +220,15 @@ def test_sign_wrong_seed_fails(small_host_bundle):
     payload = random_payload(1007, 32)
     carrier = sign_embed(archive, payload, seed=4)
     assert sign_extract(carrier, len(payload), seed=5) != payload
+
+
+def test_sign_embed_carrier_frozen(small_host_bundle):
+    archive, _, _ = small_host_bundle
+    payload = random_payload(1030, 64)
+    carrier = sign_embed(archive, payload, seed=32, ecc=parse_ecc("repetition:3"))
+    assert hashlib.sha256(write_archive(carrier)).hexdigest() == (
+        "f677b296f7b1d07635972fd2b2a9b85c0ad2d9f7660af1552b83e97648ee3641"
+    )
 
 
 # ------------------------------------------------------ spread spectrum

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neuperm.rng import SeededRng
+from neuperm.rng import GOLDEN, MASK64, SeededRng, mix64
 from neuperm.tensor import (
     Tensor,
     fisher_yates,
@@ -74,6 +76,45 @@ def test_fisher_yates_goldens():
     assert fisher_yates(4, SeededRng(42)).tolist() == FY_4_SEED42
     assert fisher_yates(8, SeededRng(7)).tolist() == FY_8_SEED7
     assert fisher_yates(1, SeededRng(9)).tolist() == [0]
+
+
+def _fisher_yates_reference(n: int, seed: int):
+    """Descending swap loop with one sequential bounded draw per step, in
+    pure Python ints: (permutation, stream state afterwards)."""
+    a, state = list(range(n)), seed & MASK64
+    for i in range(n - 1, 0, -1):
+        limit = ((1 << 64) // (i + 1)) * (i + 1)
+        while True:
+            state = (state + GOLDEN) & MASK64
+            x = mix64(state)
+            if x < limit:
+                break
+        j = x % (i + 1)
+        a[i], a[j] = a[j], a[i]
+    return a, state
+
+
+@pytest.mark.parametrize("n, seed", [(1, 9), (2, 3), (8, 7), (97, 5), (4096, 11)])
+def test_fisher_yates_matches_sequential_reference(n, seed):
+    want, state = _fisher_yates_reference(n, seed)
+    rng = SeededRng(seed)
+    assert fisher_yates(n, rng).tolist() == want
+    # later draws from the same rng continue where the sequential loop stops
+    assert rng._state == state
+    ref = SeededRng(0)
+    ref._state = state
+    assert rng.next_block(3).tolist() == ref.next_block(3).tolist()
+
+
+def test_fisher_yates_4096_frozen():
+    # frozen before the draws were batched: the permutation and the words after it
+    rng = SeededRng(11)
+    p = fisher_yates(4096, rng)
+    assert hashlib.sha256(p.astype("<i8").tobytes()).hexdigest() == (
+        "d6a15979ef7fd50341e728ca9d6d41fafd447b3a8198fa923e6a6927c2de781e"
+    )
+    assert rng.next_block(2).tolist() == [0x529F4C38A7F8704F, 0xBC1312FF2F95B016]
+    assert rng.bounded(1000) == 661
 
 
 def test_fisher_yates_rejects_nonpositive():
