@@ -21,7 +21,6 @@ so any run can be replayed bit-for-bit.
 from __future__ import annotations
 
 import argparse
-import base64
 import contextlib
 import hashlib
 import json
@@ -51,8 +50,7 @@ from .errors import (
 from .inference import load_network, normalized_output_deviation, random_inputs
 from .rng import derive_seed
 from .stego import (
-    ChipPlan,
-    host_size,
+    AttackPlan,
     host_vector,
     lsb_embed,
     lsb_extract,
@@ -243,36 +241,28 @@ def cmd_attack(args, argv) -> int:
     ecc = parse_ecc(args.ecc)
     seed = _resolve_seed(args)
 
-    plan: dict = {
-        "method": kind,
-        "seed": seed,
-        "ecc": ecc.spec,
-        "payload_b64": base64.b64encode(payload).decode("ascii"),
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
-        "payload_len": len(payload),
-    }
-    if kind == "lsb":
-        carrier = lsb_embed(archive, payload, bits_per_param=param, seed=seed, ecc=ecc)
-        plan["bits_per_param"] = param
-    elif kind == "sign":
-        carrier = sign_embed(archive, payload, seed=seed, ecc=ecc)
+    if kind == "ss":
+        plan = make_chip_plan(archive, payload, gamma=param, seed=seed, ecc=ecc)
+        carrier = ss_embed(archive, payload, plan)
     else:
-        chip_plan = make_chip_plan(archive, payload, gamma=param, seed=seed, ecc=ecc)
-        carrier = ss_embed(archive, payload, chip_plan)
-        plan["ss"] = chip_plan.to_dict()
+        plan = AttackPlan.for_payload(kind, payload, seed=seed, ecc=ecc, bits_per_param=param)
+        if kind == "lsb":
+            carrier = lsb_embed(archive, payload, bits_per_param=param, seed=seed, ecc=ecc)
+        else:
+            carrier = sign_embed(archive, payload, seed=seed, ecc=ecc)
 
     with _StagedOutputs() as out:
         save_archive(carrier, out.stage(args.output))
         if args.plan:
             with open(out.stage(args.plan), "w", encoding="utf-8") as fh:
-                json.dump(plan, fh, indent=2, sort_keys=True)
+                json.dump(plan.to_dict(), fh, indent=2, sort_keys=True)
                 fh.write("\n")
         if args.manifest:
             _write_manifest(
                 out.stage(args.manifest), "attack", argv, seed,
                 [args.input, args.payload], {args.output: out.staged[args.output]},
                 {"attack": args.attack, "ecc": ecc.spec,
-                 "payload_sha256": plan["payload_sha256"],
+                 "payload_sha256": plan.payload_sha256,
                  "output_digest": archive_digest(carrier)},
             )
     print(f"attack {args.attack} ecc={ecc.spec} seed={seed} payload={len(payload)}B")
@@ -280,18 +270,6 @@ def cmd_attack(args, argv) -> int:
 
 
 # ------------------------------------------------------------- evaluate
-
-def _extract_for_plan(plan: dict, archive) -> tuple[bytes, float | None]:
-    ecc = parse_ecc(plan["ecc"])
-    if plan["method"] == "lsb":
-        got = lsb_extract(
-            archive, plan["payload_len"],
-            bits_per_param=plan["bits_per_param"], seed=plan["seed"], ecc=ecc,
-        )
-        return got, None
-    got = sign_extract(archive, plan["payload_len"], seed=plan["seed"], ecc=ecc)
-    return got, None
-
 
 def _variant_specs(configs, trials: int, seed: int):
     """(config, variant_seed, param_label) triples; deterministic disruptors
@@ -307,34 +285,13 @@ def _variant_specs(configs, trials: int, seed: int):
     return out
 
 
-def _load_plan(path) -> dict:
-    """Read an attack plan, rejecting a malformed one with ValueError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        plan = json.load(fh)
-    if not isinstance(plan, dict):
-        raise ValueError("plan must be a JSON object")
-    method = plan.get("method")
-    if method not in ("lsb", "sign", "ss"):
-        raise ValueError(f"plan method {method!r} is not one of lsb, sign, ss")
-    fields = {"seed": int, "ecc": str, "payload_sha256": str}
-    fields.update({"ss": dict} if method == "ss" else {"payload_len": int})
-    if method == "lsb":
-        fields["bits_per_param"] = int
-    for key, kind in fields.items():
-        value = plan.get(key)
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise ValueError(f"plan field {key!r} must be a {kind.__name__}, got {value!r}")
-    if plan.get("payload_len", 1) < 1 or plan.get("bits_per_param", 1) < 1:
-        raise ValueError("plan payload_len and bits_per_param must be >= 1")
-    return plan
-
-
 def cmd_evaluate(args, argv) -> int:
     if args.trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)
         return 1
     archive = load_archive(args.carrier)
-    plan = _load_plan(args.plan)
+    with open(args.plan, "r", encoding="utf-8") as fh:
+        plan = AttackPlan.from_dict(json.load(fh))
     configs = [parse_disruptor(s) for s in args.disrupt]
     if not configs:
         print("error: at least one --disrupt is required", file=sys.stderr)
@@ -343,41 +300,34 @@ def cmd_evaluate(args, argv) -> int:
     if args.descriptor:
         descriptor = load_descriptor(args.descriptor, archive)
     seed = _resolve_seed(args)
-    expected_sha = plan["payload_sha256"]
     variants = _variant_specs(configs, args.trials, seed)
 
-    rows = []
-    if plan["method"] == "ss":
-        chip_plan = ChipPlan.from_dict(plan["ss"])
-        missing = [n for n in chip_plan.eligible if n not in archive.tensors]
-        if missing:
-            raise ValueError(f"ss plan names tensors the carrier lacks: {missing}")
-        held = host_size(archive, chip_plan.eligible)
-        if held != chip_plan.host_n:
-            raise ValueError(
-                f"ss plan host_n is {chip_plan.host_n} but its eligible tensors "
-                f"hold {held} params in the carrier"
-            )
-        hosts = np.empty((len(variants), chip_plan.host_n), dtype=np.float32)
-        for i, (config, vseed, _) in enumerate(variants):
-            variant, _ = apply_disruptor(
-                archive, config, seed=vseed, descriptor=descriptor
-            )
-            hosts[i] = host_vector(variant, chip_plan.eligible)
-        correlations = ss_despread_many(hosts, chip_plan)
-        del hosts
-        for (config, _, param), y in zip(variants, correlations):
-            got, reading = decode_correlations(y, chip_plan)
-            ok = int(hashlib.sha256(got).hexdigest() == expected_sha)
-            rows.append((config.kind, param, f"{reading.snr_db:.4f}", ok))
-    else:
-        for config, vseed, param in variants:
-            variant, _ = apply_disruptor(
-                archive, config, seed=vseed, descriptor=descriptor
-            )
-            got, _ = _extract_for_plan(plan, variant)
-            ok = int(hashlib.sha256(got).hexdigest() == expected_sha)
-            rows.append((config.kind, param, "", ok))
+    # ss variants share one chip sweep, so their host vectors are stacked and
+    # despread together; lsb and sign variants are read once disrupted
+    hosts = None
+    if plan.method == "ss":
+        plan.check_host(archive)
+        hosts = np.empty((len(variants), plan.host_n), dtype=np.float32)
+    extracted = []
+    for i, (config, vseed, _) in enumerate(variants):
+        variant, _ = apply_disruptor(archive, config, seed=vseed, descriptor=descriptor)
+        if plan.method == "lsb":
+            got = lsb_extract(variant, plan.payload_len, bits_per_param=plan.bits_per_param,
+                              seed=plan.seed, ecc=plan.ecc)
+        elif plan.method == "sign":
+            got = sign_extract(variant, plan.payload_len, seed=plan.seed, ecc=plan.ecc)
+        else:
+            hosts[i] = host_vector(variant, plan.eligible)
+            continue
+        extracted.append((got, ""))
+    if hosts is not None:
+        for y in ss_despread_many(hosts, plan):
+            got, reading = decode_correlations(y, plan)
+            extracted.append((got, f"{reading.snr_db:.4f}"))
+    rows = [
+        (config.kind, param, snr, int(plan.matches(got)))
+        for (config, _, param), (got, snr) in zip(variants, extracted)
+    ]
 
     with _StagedOutputs() as out:
         with open(out.stage(args.output), "w", encoding="utf-8", newline="") as fh:

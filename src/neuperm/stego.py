@@ -223,6 +223,10 @@ _UINT_FOR = {np.dtype(np.float32): np.uint32, np.dtype(np.float16): np.uint16}
 
 # ---------------------------------------------------------------- lsb
 
+#: low mantissa bits an lsb attack may overwrite per parameter
+LSB_BITS = range(1, 9)
+
+
 def lsb_embed(
     archive: ModelArchive,
     payload: bytes,
@@ -232,7 +236,7 @@ def lsb_embed(
     ecc: EccScheme = EccScheme("none"),
 ) -> ModelArchive:
     """Hide payload bits in the low mantissa bits of sampled parameters."""
-    if not 1 <= bits_per_param <= 8:
+    if bits_per_param not in LSB_BITS:
         raise ValueError("bits_per_param must be in 1..8")
     names = eligible_names(archive)
     total = host_size(archive, names)
@@ -264,6 +268,8 @@ def lsb_extract(
     ecc: EccScheme = EccScheme("none"),
 ) -> bytes:
     """Mirror of lsb_embed; payload_len is the expected byte count."""
+    if bits_per_param not in LSB_BITS:
+        raise ValueError("bits_per_param must be in 1..8")
     names = eligible_names(archive)
     total = host_size(archive, names)
     coded_len = ecc.coded_len(payload_len * 8)
@@ -324,6 +330,137 @@ def sign_extract(
     return bits_to_bytes(decoded[: payload_len * 8])
 
 
+# --------------------------------------------------------------- plans
+
+def _is_ecc_spec(value) -> bool:
+    try:
+        return isinstance(value, str) and bool(parse_ecc(value))
+    except ValueError:
+        return False
+
+
+#: plan field -> (test its JSON value must pass, what the test asks for)
+_PLAN_FIELDS = {
+    "seed": (lambda v: isinstance(v, int), "an integer"),
+    "ecc": (_is_ecc_spec, "an ecc spec (none, repetition:r or hamming74)"),
+    "payload_sha256": (lambda v: isinstance(v, str) and bool(re.fullmatch(r"[0-9a-f]{64}", v)),
+                       "a sha256 hex digest"),
+    "payload_len": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
+    "bits_per_param": (lambda v: isinstance(v, int) and v in LSB_BITS, "an integer in 1..8"),
+    "gamma": (lambda v: isinstance(v, (int, float)) and math.isfinite(v) and v > 0,
+              "a finite number > 0"),
+    "payload_bits": (lambda v: isinstance(v, int) and v > 0 and v % 8 == 0,
+                     "a positive multiple of 8"),
+    "eligible": (lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
+                 "a list of tensor names"),
+    "host_n": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
+}
+
+
+def _plan_field(doc: dict, key: str, where: str):
+    ok, want = _PLAN_FIELDS[key]
+    value = doc.get(key)
+    if isinstance(value, bool) or not ok(value):
+        raise ValueError(f"{where} field {key!r} must be {want}, got {value!r}")
+    return value
+
+
+@dataclass(frozen=True)
+class AttackPlan:
+    """Everything an extractor needs to find a payload in a carrier.
+
+    Every method records its seed, ecc and the payload's length and digest,
+    never the payload itself. ``lsb`` adds ``bits_per_param``; ``ss`` adds
+    ``gamma`` and the host it spreads over (``eligible`` tensors holding
+    ``host_n`` params).
+    """
+
+    method: str
+    seed: int
+    ecc_spec: str
+    payload_sha256: str
+    payload_len: int
+    bits_per_param: int | None = None
+    gamma: float | None = None
+    eligible: tuple[str, ...] = ()
+    host_n: int | None = None
+
+    @classmethod
+    def for_payload(cls, method: str, payload: bytes, *, seed: int, ecc: EccScheme,
+                    **fields) -> "AttackPlan":
+        return cls(method, seed, ecc.spec, hashlib.sha256(payload).hexdigest(),
+                   len(payload), **fields)
+
+    @property
+    def ecc(self) -> EccScheme:
+        return parse_ecc(self.ecc_spec)
+
+    @property
+    def payload_bits(self) -> int:
+        return self.payload_len * 8
+
+    @property
+    def coded_bits(self) -> int:
+        return self.ecc.coded_len(self.payload_bits)
+
+    def matches(self, payload: bytes) -> bool:
+        return hashlib.sha256(payload).hexdigest() == self.payload_sha256
+
+    def check_host(self, archive: ModelArchive) -> None:
+        """Raise unless `archive` holds this ss plan's host (ValueError) and
+        the host has SS_MIN_RATIO params per coded bit (CapacityError)."""
+        missing = [n for n in self.eligible if n not in archive.tensors]
+        if missing:
+            raise ValueError(f"ss plan names tensors the carrier lacks: {missing}")
+        held = host_size(archive, self.eligible)
+        if held != self.host_n:
+            raise ValueError(f"ss plan host_n is {self.host_n} but its eligible tensors "
+                             f"hold {held} params in the carrier")
+        if self.host_n < SS_MIN_RATIO * self.coded_bits:
+            raise CapacityError(f"host has {self.host_n} params; {self.coded_bits} coded bits "
+                                f"need at least {SS_MIN_RATIO * self.coded_bits}")
+
+    def to_dict(self) -> dict:
+        common = {"seed": self.seed, "ecc": self.ecc_spec, "payload_sha256": self.payload_sha256}
+        doc = {"method": self.method, **common, "payload_len": self.payload_len}
+        if self.method == "lsb":
+            doc["bits_per_param"] = self.bits_per_param
+        elif self.method == "ss":
+            doc["ss"] = {**common, "gamma": self.gamma, "payload_bits": self.payload_bits,
+                         "eligible": list(self.eligible), "host_n": self.host_n}
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc) -> "AttackPlan":
+        """Plan from its JSON form. A missing or malformed field, or a
+        top-level field that disagrees with its copy in an ss plan's ``ss``
+        object, raises ValueError naming it."""
+        if not isinstance(doc, dict):
+            raise ValueError("plan must be a JSON object")
+        method = doc.get("method")
+        if method not in ("lsb", "sign", "ss"):
+            raise ValueError(f"plan method {method!r} is not one of lsb, sign, ss")
+        keys = ["seed", "ecc", "payload_sha256"]
+        keys += ["payload_len"] if method != "ss" or "payload_len" in doc else []
+        keys += ["bits_per_param"] if method == "lsb" else []
+        fields = {key: _plan_field(doc, key, "plan") for key in keys}
+        if method == "ss":
+            ss = doc.get("ss")
+            if not isinstance(ss, dict):
+                raise ValueError(f"plan field 'ss' must be a JSON object, got {ss!r}")
+            inner = {key: _plan_field(ss, key, "ss plan") for key in (
+                "seed", "ecc", "payload_sha256", "payload_bits", "gamma", "eligible", "host_n")}
+            inner.update(payload_len=inner.pop("payload_bits") // 8, gamma=float(inner["gamma"]),
+                         eligible=tuple(inner["eligible"]))
+            for key, value in fields.items():
+                if value != inner[key]:
+                    raise ValueError(
+                        f"plan field {key!r} is {value!r} but the ss plan says {inner[key]!r}")
+            fields = inner
+        fields["ecc_spec"] = fields.pop("ecc")
+        return cls(method, **fields)
+
+
 # ------------------------------------------------------ spread spectrum
 
 #: min host params per coded bit; below this the chips no longer average out
@@ -338,82 +475,6 @@ _CHIP_LUT = (
     np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
     .astype(np.float32) * 2.0 - 1.0
 )
-
-
-@dataclass(frozen=True)
-class ChipPlan:
-    """Everything an extractor needs to despread a carrier archive."""
-
-    seed: int
-    gamma: float
-    payload_bits: int
-    ecc_spec: str
-    eligible: tuple[str, ...]
-    host_n: int
-    payload_sha256: str
-
-    @property
-    def ecc(self) -> EccScheme:
-        return parse_ecc(self.ecc_spec)
-
-    @property
-    def coded_bits(self) -> int:
-        return self.ecc.coded_len(self.payload_bits)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "gamma": self.gamma,
-            "payload_bits": self.payload_bits,
-            "ecc": self.ecc_spec,
-            "eligible": list(self.eligible),
-            "host_n": self.host_n,
-            "payload_sha256": self.payload_sha256,
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "ChipPlan":
-        """Plan from its JSON form; a missing or malformed field raises
-        ValueError naming it."""
-        if not isinstance(doc, dict):
-            raise ValueError("ss plan must be a JSON object")
-
-        def field(key, ok, want):
-            value = doc.get(key)
-            if isinstance(value, bool) or not ok(value):
-                raise ValueError(f"ss plan field {key!r} must be {want}, got {value!r}")
-            return value
-
-        ecc_spec = field("ecc", lambda v: isinstance(v, str), "an ecc spec string")
-        try:
-            parse_ecc(ecc_spec)
-        except ValueError as e:
-            raise ValueError(f"ss plan field 'ecc': {e}") from None
-        return ChipPlan(
-            seed=field("seed", lambda v: isinstance(v, int), "an integer"),
-            gamma=float(field(
-                "gamma",
-                lambda v: isinstance(v, (int, float)) and math.isfinite(v) and v > 0,
-                "a finite number > 0",
-            )),
-            payload_bits=field(
-                "payload_bits",
-                lambda v: isinstance(v, int) and v > 0 and v % 8 == 0,
-                "a positive multiple of 8",
-            ),
-            ecc_spec=ecc_spec,
-            eligible=tuple(field(
-                "eligible",
-                lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
-                "a list of tensor names",
-            )),
-            host_n=field("host_n", lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-            payload_sha256=field(
-                "payload_sha256",
-                lambda v: isinstance(v, str) and re.fullmatch(r"[0-9a-f]{64}", v),
-                "a sha256 hex digest",
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -433,27 +494,17 @@ def make_chip_plan(
     gamma: float,
     seed: int,
     ecc: EccScheme = EccScheme("none"),
-) -> ChipPlan:
+) -> AttackPlan:
     names = eligible_names(archive, min_ndim=2)
-    n = host_size(archive, names)
-    plan = ChipPlan(
-        seed=seed,
-        gamma=float(gamma),
-        payload_bits=len(payload) * 8,
-        ecc_spec=ecc.spec,
-        eligible=names,
-        host_n=n,
-        payload_sha256=hashlib.sha256(payload).hexdigest(),
-    )
-    if n < SS_MIN_RATIO * plan.coded_bits:
-        raise CapacityError(
-            f"host has {n} params; {plan.coded_bits} coded bits need at least "
-            f"{SS_MIN_RATIO * plan.coded_bits}"
-        )
+    plan = AttackPlan.for_payload("ss", payload, seed=seed, ecc=ecc, gamma=gamma,
+                                  eligible=names, host_n=host_size(archive, names))
+    # read back as evaluate will, so attack never writes a plan evaluate refuses
+    plan = AttackPlan.from_dict(plan.to_dict())
+    plan.check_host(archive)
     return plan
 
 
-def _chip_block(plan: ChipPlan, start: int, stop: int, n_bits: int) -> np.ndarray:
+def _chip_block(plan: AttackPlan, start: int, stop: int, n_bits: int) -> np.ndarray:
     """Chips for host positions [start, stop) and all coded bits: (n_bits, width).
 
     Chip k occupies the k-th run of ceil(host_n/64) words in one counter
@@ -477,9 +528,9 @@ def _chunk_cols(n_bits: int) -> int:
     return max(64, _SS_BLOCK_BYTES // (4 * n_bits) // 64 * 64)
 
 
-def ss_embed(archive: ModelArchive, payload: bytes, plan: ChipPlan) -> ModelArchive:
+def ss_embed(archive: ModelArchive, payload: bytes, plan: AttackPlan) -> ModelArchive:
     """w' = w + gamma * sum_k b_k c_k with b_k = +/-1 from the coded bits."""
-    if hashlib.sha256(payload).hexdigest() != plan.payload_sha256:
+    if not plan.matches(payload):
         raise ValueError("payload does not match plan digest")
     coded = plan.ecc.encode(bytes_to_bits(payload))
     b = (coded.astype(np.float32) * 2.0 - 1.0)
@@ -495,7 +546,7 @@ def ss_embed(archive: ModelArchive, payload: bytes, plan: ChipPlan) -> ModelArch
     return scatter_host(archive, plan.eligible, out)
 
 
-def ss_despread_many(hosts: np.ndarray, plan: ChipPlan) -> np.ndarray:
+def ss_despread_many(hosts: np.ndarray, plan: AttackPlan) -> np.ndarray:
     """Correlations y[v, k] = <host_v, c_k> / N for a stack of host vectors.
 
     The chip matrix is regenerated chunk by chunk and shared across all
@@ -514,7 +565,7 @@ def ss_despread_many(hosts: np.ndarray, plan: ChipPlan) -> np.ndarray:
     return y / plan.host_n
 
 
-def decode_correlations(y: np.ndarray, plan: ChipPlan) -> tuple[bytes, SnrReading]:
+def decode_correlations(y: np.ndarray, plan: AttackPlan) -> tuple[bytes, SnrReading]:
     coded_hat = (y > 0).astype(np.uint8)
     decoded = plan.ecc.decode(coded_hat)[: plan.payload_bits]
     payload = bits_to_bytes(decoded)
@@ -530,11 +581,8 @@ def decode_correlations(y: np.ndarray, plan: ChipPlan) -> tuple[bytes, SnrReadin
     return payload, SnrReading(snr, mean, var, int(y.size))
 
 
-def ss_extract(archive: ModelArchive, plan: ChipPlan) -> tuple[bytes, SnrReading]:
+def ss_extract(archive: ModelArchive, plan: AttackPlan) -> tuple[bytes, SnrReading]:
     vec = host_vector(archive, plan.eligible)
     y = ss_despread_many(vec[None, :], plan)[0]
     return decode_correlations(y, plan)
 
-
-def payload_matches(plan: ChipPlan, payload: bytes) -> bool:
-    return hashlib.sha256(payload).hexdigest() == plan.payload_sha256

@@ -1,5 +1,7 @@
+import base64
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -280,6 +282,71 @@ def test_attack_ss_then_evaluate(ws, tmp_path, capsys):
     assert all("." in r["snr_db"] and len(r["snr_db"].split(".")[1]) == 4 for r in rows)
 
 
+#: (attack, ecc, seed, sha256 of the evaluate CSV) per method on the host
+#: carrier, computed before the plan of every method became one type
+_FROZEN_EVALUATE = {
+    "lsb": ("lsb:2", "hamming74", "7",
+        "8803b938f702a1e38b37b9aa93624c92e9035584bc36bff24f0098508dbe5d7a"),
+    "sign": ("sign", "repetition:3", "9",
+        "8d4a367e5cb0724566eda20a350afb5d65267f2b1e866b2ae824f6db2433b6ee"),
+    "ss": ("ss:0.02", "repetition:3", "13",
+        "068a7304983bf7af7d074c3fb8b95872a622e6bebdecf0db1c402151dc40c002"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_FROZEN_EVALUATE))
+def test_evaluate_csv_frozen(ws, tmp_path, capsys, method):
+    attack, ecc, seed, want = _FROZEN_EVALUATE[method]
+    carrier, plan, report = (tmp_path / n for n in ("carrier.safetensors", "plan.json", "r.csv"))
+    assert run("attack", "--input", ws["host"], "--output", carrier, "--attack", attack,
+               "--ecc", ecc, "--payload", ws["payload"], "--seed", seed, "--plan", plan) == 0
+    assert run("evaluate", "--carrier", carrier, "--plan", plan, "--disrupt", "none",
+               "--disrupt", "noise:0.0001", "--disrupt", "prune:0.05", "--disrupt", "neuperm:1",
+               "--descriptor", ws["host.desc"], "--trials", "2", "--seed", "5",
+               "--output", report) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == want
+
+
+@pytest.mark.parametrize("attack,extra", [
+    ("lsb:2", {"bits_per_param"}), ("sign", set()), ("ss:0.02", {"ss"}),
+])
+def test_attack_plan_holds_no_payload(ws, tmp_path, capsys, attack, extra):
+    plan = tmp_path / "plan.json"
+    assert run("attack", "--input", ws["host"], "--output", tmp_path / "carrier.safetensors",
+               "--attack", attack, "--payload", ws["payload"], "--seed", "3",
+               "--plan", plan) == 0
+    capsys.readouterr()
+    payload = ws["payload"].read_bytes()
+    text = plan.read_text()
+    for form in (base64.b64encode(payload).decode("ascii"), payload.hex()):
+        assert form not in text
+    doc = json.loads(text)
+    assert set(doc) == {"method", "seed", "ecc", "payload_sha256", "payload_len", *extra}
+    assert doc["payload_sha256"] == hashlib.sha256(payload).hexdigest()
+    assert doc["payload_len"] == len(payload)
+
+
+def test_evaluate_ss_plan_beyond_host_exit_3(ws, tmp_path, capsys):
+    """A plan with more coded bits than its host can carry fails the same
+    capacity rule as `attack`, before anything is allocated for it."""
+    carrier, plan, report = (tmp_path / n for n in ("carrier.safetensors", "plan.json", "r.csv"))
+    assert run("attack", "--input", ws["host"], "--output", carrier, "--attack", "ss:0.02",
+               "--ecc", "repetition:3", "--payload", ws["payload"], "--seed", "13",
+               "--plan", plan) == 0
+    doc = json.loads(plan.read_text())
+    doc["payload_len"] = 10**12
+    doc["ss"]["payload_bits"] = 8 * 10**12
+    plan.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = run("evaluate", "--carrier", carrier, "--plan", plan, "--disrupt", "none",
+             "--seed", "5", "--output", report)
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "coded bits need at least" in captured.err
+    assert not report.exists()
+
+
 def test_attack_capacity_exit_3_no_output(ws, tmp_path, capsys):
     out = tmp_path / "never.safetensors"
     rc = run(
@@ -296,6 +363,12 @@ def test_attack_bad_specs_exit_1(ws, tmp_path, capsys):
     out = tmp_path / "never.safetensors"
     for spec in ("warp:3", "ss", "sign:2"):
         rc = run("attack", "--input", ws["mlp"], "--output", out,
+                 "--attack", spec, "--payload", ws["payload"], "--seed", "1")
+        assert rc == 1, spec
+        assert not out.exists()
+    # a gamma the plan reader refuses is refused before anything is embedded
+    for spec in ("ss:0", "ss:-0.01", "ss:nan", "ss:inf"):
+        rc = run("attack", "--input", ws["host"], "--output", out,
                  "--attack", spec, "--payload", ws["payload"], "--seed", "1")
         assert rc == 1, spec
         assert not out.exists()
@@ -381,6 +454,9 @@ _MALFORMED_SIDECARS = {
                           "layers"),
     "plan-payload_len-string": ("plan", {**_LSB_PLAN, "payload_len": "x"}, "payload_len"),
     "plan-is-a-list": ("plan", [_LSB_PLAN], "object"),
+    "plan-bits_per_param-0": ("plan", {**_LSB_PLAN, "bits_per_param": 0}, "'bits_per_param'"),
+    "plan-bits_per_param-9": ("plan", {**_LSB_PLAN, "bits_per_param": 9}, "'bits_per_param'"),
+    "plan-bits_per_param-40": ("plan", {**_LSB_PLAN, "bits_per_param": 40}, "'bits_per_param'"),
     "ss-seed-null": ("plan", _ss_plan(seed=None), "'seed'"),
     "ss-seed-bool": ("plan", _ss_plan(seed=True), "'seed'"),
     "ss-gamma-zero": ("plan", _ss_plan(gamma=0), "'gamma'"),
@@ -394,6 +470,10 @@ _MALFORMED_SIDECARS = {
     "ss-host_n-mismatch": ("plan", _ss_plan(host_n=321), "host_n"),
     "ss-sha256-not-hex": ("plan", _ss_plan(payload_sha256="z" * 64), "'payload_sha256'"),
     "ss-block-a-list": ("plan", {**_ss_plan(), "ss": [_SS_FIELDS]}, "'ss'"),
+    "ss-seed-disagrees": ("plan", _ss_plan(seed=2), "'seed'"),
+    "ss-ecc-disagrees": ("plan", _ss_plan(ecc="hamming74"), "'ecc'"),
+    "ss-sha256-disagrees": ("plan", _ss_plan(payload_sha256="f" * 64), "'payload_sha256'"),
+    "ss-payload_len-disagrees": ("plan", {**_ss_plan(), "payload_len": 2}, "'payload_len'"),
 }
 
 
@@ -509,6 +589,22 @@ def test_committed_descriptors_in_sync():
     for name, maker in (("vgg11", vgg11_descriptor), ("llama32_1b", llama32_1b_descriptor)):
         committed = json.loads((repo / "descriptors" / f"{name}.json").read_text())
         assert committed == descriptor_to_dict(maker()), name
+
+
+def test_tracer_targets_resolve():
+    """Every name the benchmark tracer wraps still resolves to a callable,
+    so a traced run cannot fail at install time."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", _SRC.parent / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for module_name, attr, _, _ in tracer.TARGETS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), f"{module_name}.{attr}"
 
 
 def _declared_entry_point(pyproject: Path) -> tuple[str, str]:

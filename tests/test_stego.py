@@ -11,7 +11,7 @@ from neuperm.errors import CapacityError
 from neuperm.rng import SeededRng, derive_seed, words_at
 from neuperm.stego import (
     SS_MIN_RATIO,
-    ChipPlan,
+    AttackPlan,
     _positions,
     _chip_block,
     _chunk_cols,
@@ -23,7 +23,6 @@ from neuperm.stego import (
     lsb_extract,
     make_chip_plan,
     parse_ecc,
-    payload_matches,
     sample_positions,
     scatter_host,
     sign_embed,
@@ -183,6 +182,9 @@ def test_lsb_bpp_validation(mlp_bundle):
         lsb_embed(archive, b"x", bits_per_param=0, seed=0)
     with pytest.raises(ValueError):
         lsb_embed(archive, b"x", bits_per_param=9, seed=0)
+    for bpp in (0, 9, 33, 40):
+        with pytest.raises(ValueError, match="1..8"):
+            lsb_extract(archive, 1, bits_per_param=bpp, seed=0)
 
 
 def test_lsb_embed_carrier_frozen(small_host_bundle):
@@ -306,7 +308,7 @@ def test_ss_roundtrip_small_host(small_host_bundle):
     carrier = ss_embed(archive, payload, plan)
     got, reading = ss_extract(carrier, plan)
     assert got == payload
-    assert payload_matches(plan, got)
+    assert plan.matches(got)
     assert reading.snr_db > 0
     assert reading.coded_bits == plan.coded_bits
 
@@ -394,17 +396,26 @@ def test_ss_despread_many_matches_single(small_host_bundle):
 
 def test_chip_plan_dict_roundtrip(small_host_bundle):
     archive, _, _ = small_host_bundle
-    plan = _plan(archive, random_payload(1019, 16))
-    back = ChipPlan.from_dict(plan.to_dict())
-    assert back == plan
-    assert back.ecc.spec == plan.ecc_spec
+    payload = random_payload(1019, 16)
+    ecc = parse_ecc("repetition:3")
+    plans = {
+        "ss": _plan(archive, payload),
+        "lsb": AttackPlan.for_payload("lsb", payload, seed=40, ecc=ecc, bits_per_param=3),
+        "sign": AttackPlan.for_payload("sign", payload, seed=40, ecc=ecc),
+    }
+    for method, plan in plans.items():
+        assert plan.method == method
+        back = AttackPlan.from_dict(plan.to_dict())
+        assert back == plan
+        assert back.ecc.spec == plan.ecc_spec
+        assert back.matches(payload) and not back.matches(payload[::-1])
+    assert plans["ss"].to_dict()["ss"]["payload_bits"] == 128
 
 
 def test_snr_guard_on_constant_correlations():
-    plan_like = ChipPlan(
-        seed=1, gamma=0.5, payload_bits=8, ecc_spec="none",
-        eligible=("w",), host_n=4096,
-        payload_sha256="0" * 64,
+    plan_like = AttackPlan(
+        "ss", seed=1, ecc_spec="none", payload_sha256="0" * 64, payload_len=1,
+        gamma=0.5, eligible=("w",), host_n=4096,
     )
     y = np.full(8, 0.25)
     _, reading = decode_correlations(y, plan_like)
