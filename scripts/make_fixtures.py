@@ -11,7 +11,7 @@ import argparse
 import json
 from pathlib import Path
 
-from neuperm.archive import save_archive, archive_digest
+from neuperm.archive import save_archive
 from neuperm.descriptor import descriptor_to_dict
 from neuperm.fixtures import ss_host, toy_cnn, toy_gqa, toy_mlp
 from neuperm.inference import network_to_dict
@@ -20,14 +20,14 @@ from neuperm.inference import network_to_dict
 def emit(out_dir: Path, name: str, bundle) -> None:
     archive, desc, net = bundle
     path = out_dir / f"{name}.safetensors"
-    save_archive(archive, path)
+    digest = save_archive(archive, path)
     (out_dir / f"{name}.desc.json").write_text(
         json.dumps(descriptor_to_dict(desc), indent=2, sort_keys=True) + "\n"
     )
     (out_dir / f"{name}.net.json").write_text(
         json.dumps(network_to_dict(net), indent=2, sort_keys=True) + "\n"
     )
-    print(f"{name}: {archive.param_count} params sha256={archive_digest(archive)[:16]}…")
+    print(f"{name}: {archive.param_count} params sha256={digest[:16]}…")
 
 
 def main() -> None:

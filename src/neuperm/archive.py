@@ -8,6 +8,16 @@ Canonical writes sort names lexicographically, emit minimal JSON (no
 whitespace, sorted keys) and pack payloads contiguously in name order, so
 equal archives serialize to identical bytes. The parser is stricter than it
 needs to be for our own files on purpose: it is the fuzz target.
+
+Loading copies nothing per tensor. ``load_archive`` reads the file once into
+a read-only buffer placed so that the payload starts on a 64-byte boundary,
+and ``parse_archive`` wraps each tensor as a view of that buffer; only a
+tensor whose offset does not suit its dtype's alignment is copied (by
+``Tensor``), because numpy runs misaligned arrays through a slower non-BLAS
+loop that also rounds differently. Writing streams the
+header and then each tensor's bytes through one serializer, ``_serialize``;
+``save_archive`` hashes the bytes as they go to disk and returns the sha256,
+so a saved archive is never serialized or read again to name its digest.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -29,6 +40,8 @@ _METADATA_KEY = "__metadata__"
 
 # json header larger than this is rejected before allocation
 _MAX_HEADER = 256 * 1024 * 1024
+# load_archive starts the payload on a multiple of this many bytes
+_PAYLOAD_ALIGN = 64
 
 
 @dataclass
@@ -71,8 +84,13 @@ def _dup_check(pairs):
     return out
 
 
-def parse_archive(buf: bytes) -> ModelArchive:
-    """Decode container bytes. Every malformation raises ParseError."""
+def parse_archive(buf) -> ModelArchive:
+    """Decode container bytes. Every malformation raises ParseError.
+
+    ``buf`` is any bytes-like object; tensors are views of it where their
+    data is aligned and ``buf`` is read-only, and copies otherwise.
+    """
+    buf = memoryview(buf).cast("B")
     if len(buf) < 8:
         raise ParseError("file shorter than the 8-byte header-length prefix", 0)
     (header_len,) = struct.unpack_from("<Q", buf, 0)
@@ -83,7 +101,7 @@ def parse_archive(buf: bytes) -> ModelArchive:
             f"header length {header_len} overruns the file ({len(buf)} bytes)", 0
         )
     try:
-        text = buf[8 : 8 + header_len].decode("utf-8")
+        text = bytes(buf[8 : 8 + header_len]).decode("utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(f"header is not valid UTF-8: {e.reason}", 8 + e.start) from e
     try:
@@ -161,38 +179,70 @@ def parse_archive(buf: bytes) -> ModelArchive:
     return ModelArchive(tensors, metadata)
 
 
-def write_archive(archive: ModelArchive) -> bytes:
-    """Canonical serialization (stable bytes for equal archives)."""
+def _serialize(archive: ModelArchive, sink) -> None:
+    """Feed the canonical bytes to ``sink``: the length prefix and header as
+    one bytes chunk, then each tensor's payload as a uint8 view of its data."""
     names = sorted(archive.tensors)
     header: dict[str, object] = {}
     if archive.metadata:
         header[_METADATA_KEY] = dict(archive.metadata)
-    chunks = []
     cursor = 0
     for name in names:
         t = archive.tensors[name]
-        raw = t.data.tobytes()
         header[name] = {
             "dtype": _DTYPE_TO_TAG[t.dtype],
             "shape": list(t.shape),
-            "data_offsets": [cursor, cursor + len(raw)],
+            "data_offsets": [cursor, cursor + t.data.nbytes],
         }
-        chunks.append(raw)
-        cursor += len(raw)
+        cursor += t.data.nbytes
     text = json.dumps(header, separators=(",", ":"), sort_keys=True).encode("utf-8")
-    return struct.pack("<Q", len(text)) + text + b"".join(chunks)
+    sink(struct.pack("<Q", len(text)) + text)
+    for name in names:
+        sink(archive.tensors[name].data.reshape(-1).view(np.uint8))
+
+
+def write_archive(archive: ModelArchive) -> bytes:
+    """Canonical serialization (stable bytes for equal archives)."""
+    chunks: list = []
+    _serialize(archive, chunks.append)
+    return b"".join(chunks)
 
 
 def load_archive(path) -> ModelArchive:
+    """Read a file into one read-only buffer whose payload is 64-byte aligned."""
     with open(path, "rb") as fh:
-        return parse_archive(fh.read())
+        size = os.fstat(fh.fileno()).st_size
+        # a short or implausible prefix only moves the start; parse_archive rejects it
+        start = -(8 + int.from_bytes(fh.read(8), "little")) % _PAYLOAD_ALIGN
+        raw = np.empty(size + 2 * _PAYLOAD_ALIGN, dtype=np.uint8)
+        start += -raw.ctypes.data % _PAYLOAD_ALIGN
+        fh.seek(0)
+        filled = 0
+        with memoryview(raw[start : start + size]) as view:
+            while filled < size:
+                got = fh.readinto(view[filled:])
+                if not got:
+                    break
+                filled += got
+    raw.setflags(write=False)
+    return parse_archive(raw[start : start + filled])
 
 
-def save_archive(archive: ModelArchive, path) -> None:
+def save_archive(archive: ModelArchive, path) -> str:
+    """Write the canonical bytes to ``path``; returns their sha256."""
+    digest = hashlib.sha256()
+
+    def sink(chunk) -> None:
+        fh.write(chunk)
+        digest.update(chunk)
+
     with open(path, "wb") as fh:
-        fh.write(write_archive(archive))
+        _serialize(archive, sink)
+    return digest.hexdigest()
 
 
 def archive_digest(archive: ModelArchive) -> str:
     """sha256 of the canonical serialization."""
-    return hashlib.sha256(write_archive(archive)).hexdigest()
+    digest = hashlib.sha256()
+    _serialize(archive, digest.update)
+    return digest.hexdigest()

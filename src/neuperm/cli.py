@@ -36,7 +36,9 @@ from .analysis import (
     simulate_extraction_game,
     success_bound,
 )
-from .archive import archive_digest, load_archive, save_archive
+# archive_digest is unused here but stays importable as neuperm.cli.archive_digest,
+# the name perfbench/tracer.py wraps
+from .archive import archive_digest, load_archive, save_archive  # noqa: F401
 from .descriptor import load_descriptor
 from .disrupt import apply_disruptor, parse_disruptor
 from .errors import (
@@ -132,7 +134,7 @@ class _StagedOutputs:
 
 
 def _write_manifest(path, command: str, argv, seed, inputs, outputs, details) -> None:
-    """``outputs`` maps each final output path to the file holding its bytes."""
+    """``outputs`` maps each final output path to the sha256 of its bytes."""
     doc = {
         "tool": "neuperm",
         "command": command,
@@ -140,7 +142,7 @@ def _write_manifest(path, command: str, argv, seed, inputs, outputs, details) ->
         "seed": seed,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "inputs": {p: _sha256_file(p) for p in inputs},
-        "outputs": {p: _sha256_file(f) for p, f in outputs.items()},
+        "outputs": dict(outputs),
         "details": details,
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -185,7 +187,7 @@ def cmd_sanitize(args, argv) -> int:
             return 1
         deviation = _verify_preserved(net_path, archive, result, seed, args.probes)
 
-    details = {"disrupt": config.spec, "output_digest": archive_digest(result)}
+    details = {"disrupt": config.spec}
     if coverage is not None:
         details["coverage"] = {
             "total_params": coverage.total_params,
@@ -197,11 +199,11 @@ def cmd_sanitize(args, argv) -> int:
     if deviation is not None:
         details["verify_max_deviation"] = deviation
     with _StagedOutputs() as out:
-        save_archive(result, out.stage(args.output))
+        details["output_digest"] = save_archive(result, out.stage(args.output))
         if args.manifest:
             _write_manifest(
                 out.stage(args.manifest), "sanitize", argv, seed, [args.input],
-                {args.output: out.staged[args.output]}, details,
+                {args.output: details["output_digest"]}, details,
             )
     line = f"sanitize {config.spec} seed={seed}"
     if coverage is not None:
@@ -252,7 +254,7 @@ def cmd_attack(args, argv) -> int:
             carrier = sign_embed(archive, payload, seed=seed, ecc=ecc)
 
     with _StagedOutputs() as out:
-        save_archive(carrier, out.stage(args.output))
+        digest = save_archive(carrier, out.stage(args.output))
         if args.plan:
             with open(out.stage(args.plan), "w", encoding="utf-8") as fh:
                 json.dump(plan.to_dict(), fh, indent=2, sort_keys=True)
@@ -260,10 +262,10 @@ def cmd_attack(args, argv) -> int:
         if args.manifest:
             _write_manifest(
                 out.stage(args.manifest), "attack", argv, seed,
-                [args.input, args.payload], {args.output: out.staged[args.output]},
+                [args.input, args.payload], {args.output: digest},
                 {"attack": args.attack, "ecc": ecc.spec,
                  "payload_sha256": plan.payload_sha256,
-                 "output_digest": archive_digest(carrier)},
+                 "output_digest": digest},
             )
     print(f"attack {args.attack} ecc={ecc.spec} seed={seed} payload={len(payload)}B")
     return 0
@@ -337,7 +339,8 @@ def cmd_evaluate(args, argv) -> int:
         if args.manifest:
             _write_manifest(
                 out.stage(args.manifest), "evaluate", argv, seed,
-                [args.carrier, args.plan], {args.output: out.staged[args.output]},
+                [args.carrier, args.plan],
+                {args.output: _sha256_file(out.staged[args.output])},
                 {"disrupt": [c.spec for c in configs], "trials": args.trials,
                  "attempts": len(rows),
                  "successes": sum(r[3] for r in rows)},

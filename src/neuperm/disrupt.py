@@ -76,7 +76,7 @@ def add_gaussian_noise(archive: ModelArchive, sigma: float, seed: int) -> ModelA
         rng = SeededRng(derive_seed(seed, f"noise/{name}"))
         g = rng.gaussian_block(t.size).astype(np.float32).reshape(t.shape)
         vals = t.f32() + np.float32(sigma) * g
-        updates[name] = Tensor(np.ascontiguousarray(vals.astype(t.dtype)))
+        updates[name] = Tensor.adopt(vals.astype(t.dtype, copy=False))
     return archive.replace(updates)
 
 
@@ -97,7 +97,7 @@ def prune_magnitude(archive: ModelArchive, ratio: float) -> ModelArchive:
         flat = t.data.copy().ravel()
         order = np.argsort(np.abs(flat), kind="stable")
         flat[order[:k]] = flat.dtype.type(0)
-        updates[name] = Tensor(flat.reshape(t.shape))
+        updates[name] = Tensor.adopt(flat.reshape(t.shape))
     return archive.replace(updates)
 
 

@@ -165,7 +165,7 @@ def scatter_host(archive: ModelArchive, names, vec: np.ndarray) -> ModelArchive:
     for n in names:
         t = archive.tensors[n]
         chunk = vec[at : at + t.size].reshape(t.shape)
-        updates[n] = Tensor(np.ascontiguousarray(chunk.astype(t.dtype)))
+        updates[n] = Tensor.adopt(chunk.astype(t.dtype))
         at += t.size
     if at != vec.size:
         raise ValueError("host vector length mismatch")
@@ -255,7 +255,7 @@ def lsb_embed(
         raw = t.data.copy().view(_UINT_FOR[t.data.dtype]).ravel()
         mask = raw.dtype.type((1 << bits_per_param) - 1)
         raw[local] = (raw[local] & ~mask) | values[slot_idx].astype(raw.dtype)
-        updates[name] = Tensor(raw.view(t.data.dtype).reshape(t.shape))
+        updates[name] = Tensor.adopt(raw.view(t.data.dtype).reshape(t.shape))
     return archive.replace(updates)
 
 
@@ -307,7 +307,7 @@ def sign_embed(
         flat = t.data.copy().ravel()
         signs = np.where(coded[slot_idx] == 1, -1.0, 1.0).astype(flat.dtype)
         flat[local] = np.copysign(np.abs(flat[local]), signs)
-        updates[name] = Tensor(flat.reshape(t.shape))
+        updates[name] = Tensor.adopt(flat.reshape(t.shape))
     return archive.replace(updates)
 
 

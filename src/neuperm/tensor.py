@@ -3,6 +3,14 @@
 Tensors carry float32 or float16 payloads in row-major order. Permutations
 move whole slices without touching their bits, so any permutation op is
 lossless on either dtype.
+
+A tensor never copies what it can share. It wraps a read-only, contiguous,
+aligned array as it is, so tensors parsed from one load buffer stay views
+of it; it copies only a caller's writable array or one that is
+non-contiguous or misaligned. Code that builds a fresh array, such as a
+permutation's ``np.take`` result, hands it over with ``Tensor.adopt``, which
+freezes it in place, and ``f32()`` hands out the stored array itself for
+float32 data.
 """
 
 from __future__ import annotations
@@ -29,12 +37,17 @@ class Tensor:
             raise TypeError("Tensor wraps a numpy array")
         if arr.dtype not in _DTYPE_NAMES:
             raise ValueError(f"unsupported dtype {arr.dtype}; use float32 or float16")
-        if not arr.flags.c_contiguous or arr.flags.writeable:
-            arr = np.ascontiguousarray(arr).copy()
+        if arr.flags.writeable or not (arr.flags.c_contiguous and arr.flags.aligned):
+            arr = np.array(arr, order="C")
             arr.setflags(write=False)
             object.__setattr__(self, "data", arr)
-        else:
-            arr.setflags(write=False)
+
+    @classmethod
+    def adopt(cls, arr: np.ndarray) -> "Tensor":
+        """Wrap an array the caller hands over and never writes again: it is
+        frozen in place instead of copied."""
+        arr.setflags(write=False)
+        return cls(arr)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -49,7 +62,10 @@ class Tensor:
         return int(self.data.size)
 
     def f32(self) -> np.ndarray:
-        """Compute copy in float32 (inference arithmetic always runs here)."""
+        """The values in float32, where inference arithmetic runs: the stored
+        read-only array itself for float32 data, a converted copy for float16."""
+        if self.data.dtype == np.float32:
+            return self.data
         return self.data.astype(np.float32)
 
     def same_bits(self, other: "Tensor") -> bool:
@@ -109,7 +125,7 @@ def permute_axis(t: Tensor, axis: int, p: np.ndarray) -> Tensor:
     n = t.shape[axis]
     if not is_permutation(p, n):
         raise ValueError(f"not a permutation of length {n}")
-    return Tensor(np.take(t.data, np.asarray(p, dtype=np.int64), axis=axis))
+    return Tensor.adopt(np.take(t.data, np.asarray(p, dtype=np.int64), axis=axis))
 
 
 def permute_axis_blocks(t: Tensor, axis: int, p: np.ndarray, n_blocks: int) -> Tensor:
@@ -130,4 +146,4 @@ def permute_axis_blocks(t: Tensor, axis: int, p: np.ndarray, n_blocks: int) -> T
     shape = t.shape
     grouped = t.data.reshape(shape[:axis] + (n_blocks, block) + shape[axis + 1 :])
     moved = np.take(grouped, np.asarray(p, dtype=np.int64), axis=axis)
-    return Tensor(np.ascontiguousarray(moved.reshape(shape)))
+    return Tensor.adopt(moved.reshape(shape))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -15,6 +16,7 @@ from neuperm.archive import (
     write_archive,
 )
 from neuperm.errors import ParseError
+from neuperm.inference import LayerSpec, ToyNetwork, forward, random_inputs
 from neuperm.rng import SeededRng
 from neuperm.tensor import Tensor, tensor
 
@@ -86,6 +88,103 @@ def test_save_load_roundtrip(tmp_path):
     p = tmp_path / "m.safetensors"
     save_archive(a, p)
     assert load_archive(p).same_bits(a)
+
+
+def test_save_returns_digest_of_file_bytes(tmp_path):
+    a = ModelArchive(
+        {"w": tensor([[1.5, -2.5]]), "v": tensor([0.25, 3.0, -1.0], dtype="float16")},
+        {"origin": "unit-test"},
+    )
+    p = tmp_path / "m.safetensors"
+    digest = save_archive(a, p)
+    assert digest == hashlib.sha256(p.read_bytes()).hexdigest()
+    assert digest == archive_digest(a) == hashlib.sha256(write_archive(a)).hexdigest()
+    assert p.read_bytes() == write_archive(a)
+
+
+# ------------------------------------------------------- aligned loading
+
+def _misaligned_archive() -> tuple[ModelArchive, ToyNetwork]:
+    """A dense net whose archive packs an odd-length F16 bias before each F32
+    weight, so "b" sits 2 bytes off a 4-byte boundary within the payload and
+    "d" on one; metadata padding puts the payload itself at an odd offset."""
+    rng = SeededRng(0xA11)
+    tensors = {
+        "a": Tensor(rng.gaussian_block(3).astype(np.float16)),
+        "b": Tensor(rng.gaussian_block(24).astype(np.float32).reshape(3, 8)),
+        "c": Tensor(rng.gaussian_block(5).astype(np.float16)),
+        "d": Tensor(rng.gaussian_block(15).astype(np.float32).reshape(5, 3)),
+    }
+    for pad in range(8):
+        archive = ModelArchive(tensors, {"pad": "x" * pad})
+        (header_len,) = struct.unpack_from("<Q", write_archive(archive))
+        if (8 + header_len) % 2:
+            break
+    net = ToyNetwork(
+        layers=(
+            LayerSpec("dense", {"weight": "b", "bias": "a"}),
+            LayerSpec("relu"),
+            LayerSpec("dense", {"weight": "d", "bias": "c"}),
+        ),
+        input_kind="vector",
+        input_shape=(8,),
+    )
+    return archive, net
+
+
+def _payload_offsets(raw: bytes) -> dict[str, int]:
+    (header_len,) = struct.unpack_from("<Q", raw)
+    header = json.loads(raw[8 : 8 + header_len])
+    header.pop("__metadata__")
+    return {name: entry["data_offsets"][0] for name, entry in header.items()}
+
+
+def test_load_is_aligned_and_shares_one_buffer(tmp_path):
+    archive, net = _misaligned_archive()
+    raw = write_archive(archive)
+    assert (len(raw) - 172) % 4 != 0  # the payload (172 bytes) starts off 4-byte alignment
+    offsets = _payload_offsets(raw)
+    assert offsets == {"a": 0, "b": 6, "c": 102, "d": 112}
+    p = tmp_path / "m.safetensors"
+    save_archive(archive, p)
+
+    loaded = load_archive(p)
+    assert loaded.same_bits(archive)
+    for t in loaded.tensors.values():
+        assert t.data.flags.aligned and not t.data.flags.writeable
+    # tensors whose offset suits their dtype are views of the load buffer, at
+    # their file offsets from a payload start on a 64-byte boundary; "b" is not
+    # 4-byte aligned there, so it alone is copied
+    start = loaded.tensors["a"].data.ctypes.data
+    assert start % 64 == 0
+    for name in ("c", "d"):
+        assert loaded.tensors[name].data.ctypes.data - start == offsets[name]
+    assert loaded.tensors["b"].data.base is None
+
+    parsed = parse_archive(raw)
+    assert parsed.same_bits(archive)
+    assert all(t.data.flags.aligned for t in parsed.tensors.values())
+
+    for x in random_inputs(net, 4, seed=5):
+        want = forward(net, archive, x)
+        for other in (loaded, parsed):
+            got = forward(net, other, x)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_parse_copies_only_what_it_cannot_share():
+    a = ModelArchive({"w": tensor([1.0, 2.0])}, {"pad": "xxxx"})
+    raw = write_archive(a)
+    assert (len(raw) - 8) % 4 == 0  # payload offset 4-byte aligned
+    frozen = np.frombuffer(raw, dtype=np.uint8).copy()
+    frozen.setflags(write=False)
+    shared = parse_archive(frozen).tensors["w"].data
+    assert np.shares_memory(shared, frozen) and not shared.flags.writeable
+    # a writable buffer could change under the tensor, so its data is copied
+    writable = np.frombuffer(raw, dtype=np.uint8).copy()
+    copied = parse_archive(writable).tensors["w"].data
+    assert not np.shares_memory(copied, writable) and not copied.flags.writeable
+    assert parse_archive(bytearray(raw)).same_bits(a)
 
 
 # ------------------------------------------------------- malformed inputs

@@ -80,6 +80,69 @@ def test_sanitize_neuperm_verify_manifest(ws, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.safetensors", "run.json"]
 
 
+@pytest.mark.parametrize("command", ["sanitize", "attack"])
+def test_manifest_output_digest_is_the_file_sha256(ws, tmp_path, capsys, command):
+    out, manifest = tmp_path / "out.safetensors", tmp_path / "run.json"
+    argv = {
+        "sanitize": ["sanitize", "--input", ws["mlp"], "--disrupt", "neuperm",
+                     "--descriptor", ws["mlp.desc"], "--seed", "31"],
+        "attack": ["attack", "--input", ws["mlp"], "--attack", "lsb:2",
+                   "--payload", ws["payload"], "--seed", "7"],
+    }[command]
+    assert run(*argv, "--output", out, "--manifest", manifest) == 0
+    capsys.readouterr()
+    doc = json.loads(manifest.read_text())
+    real = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert doc["outputs"] == {str(out): real}
+    assert doc["details"]["output_digest"] == real
+
+
+def test_failed_streaming_write_leaves_no_file(ws, tmp_path, capsys, monkeypatch):
+    """An I/O error after the archive header is out exits 1 and removes the
+    staged archive; the manifest is never written."""
+    import builtins
+
+    import neuperm.archive
+
+    class _FailAfterHeader:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, chunk):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError(28, "No space left on device")
+            return self.fh.write(chunk)
+
+    opened = []
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        fh = builtins.open(path, mode, *args, **kwargs)
+        if "w" not in mode:
+            return fh
+        opened.append(_FailAfterHeader(fh))
+        return opened[-1]
+
+    monkeypatch.setattr(neuperm.archive, "open", failing_open, raising=False)
+    work = tmp_path / "work"
+    work.mkdir()
+    rc = run(
+        "sanitize", "--input", ws["mlp"], "--output", work / "clean.safetensors",
+        "--disrupt", "neuperm", "--descriptor", ws["mlp.desc"], "--seed", "3",
+        "--manifest", work / "run.json",
+    )
+    assert rc == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert [w.writes for w in opened] == [2]  # header written, first payload refused
+    assert list(work.iterdir()) == []
+
+
 def test_sanitize_unseeded_replay_byte_identical(ws, tmp_path, capsys):
     first = tmp_path / "a.safetensors"
     manifest = tmp_path / "a.json"

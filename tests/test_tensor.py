@@ -50,6 +50,47 @@ def test_tensor_copies_writable_input():
     assert t.data[0] == 0.0
 
 
+def test_f32_of_float32_is_the_stored_array():
+    t = tensor([[1.0, 2.0], [3.0, 4.0]])
+    got = t.f32()
+    assert got.dtype == np.float32 and np.shares_memory(got, t.data)
+    assert not got.flags.writeable
+
+
+def test_f32_of_float16_is_a_fresh_copy():
+    t = tensor([1.0, 2.5, -3.0], dtype="float16")
+    got = t.f32()
+    assert got.dtype == np.float32 and got.flags.owndata
+    assert not np.shares_memory(got, t.data)
+    assert got.tolist() == [1.0, 2.5, -3.0]
+
+
+def test_adopt_freezes_without_copying():
+    arr = np.arange(4, dtype=np.float32)
+    t = Tensor.adopt(arr)
+    assert np.shares_memory(t.data, arr) and not arr.flags.writeable
+
+
+def test_permutations_freeze_their_output_without_copying():
+    t = tensor(np.arange(12, dtype=np.float32).reshape(3, 4))
+    for out in (permute_axis(t, 1, np.array([3, 2, 1, 0])),
+                permute_axis_blocks(t, 1, np.array([1, 0]), 2)):
+        assert not out.data.flags.writeable and out.data.flags.c_contiguous
+        assert not np.shares_memory(out.data, t.data)
+    assert permute_axis_blocks(t, 1, np.array([1, 0]), 2).data.tolist() == [
+        [2.0, 3.0, 0.0, 1.0], [6.0, 7.0, 4.0, 5.0], [10.0, 11.0, 8.0, 9.0],
+    ]
+
+
+def test_tensor_copies_misaligned_input():
+    raw = np.zeros(4 * 3 + 1, dtype=np.uint8)
+    view = raw[1:].view(np.float32)
+    view.setflags(write=False)
+    assert not view.flags.aligned
+    t = Tensor(view)
+    assert t.data.flags.aligned and not np.shares_memory(t.data, raw)
+
+
 def test_same_bits_exact():
     a = tensor([1.0, -0.0])
     b = tensor([1.0, 0.0])
