@@ -26,7 +26,6 @@ forms can be checked empirically.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -171,32 +170,3 @@ def simulate_extraction_game(
         successes += int(np.count_nonzero(errors <= budget))
         done += t
     return GameResult(n=n, L=L, delta=delta, trials=trials, successes=successes, bound=bound)
-
-
-def run_game_grid(ns, Ls, delta: float, trials: int, seed: int) -> list[GameResult]:
-    """Cartesian sweep; each cell gets an independent derived stream."""
-    from .rng import derive_seed
-
-    out = []
-    for n in ns:
-        for L in Ls:
-            cell_seed = derive_seed(seed, f"game/{n}/{L}")
-            out.append(simulate_extraction_game(n, L, delta, trials, cell_seed))
-    return out
-
-
-def write_grid_csv(path, results) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["d", "delta", "L", "bound", "empirical", "trials"])
-        for r in results:
-            w.writerow(
-                [
-                    f"{1.0 / r.n:.10g}",
-                    f"{r.delta:.10g}",
-                    r.L,
-                    f"{r.bound:.10g}",
-                    f"{r.rate:.10g}",
-                    r.trials,
-                ]
-            )

@@ -46,10 +46,16 @@ _PAYLOAD_ALIGN = 64
 
 @dataclass
 class ModelArchive:
-    """Named tensors plus free-form string metadata."""
+    """Named tensors plus free-form string metadata.
+
+    ``source`` is the read-only file content ``load_archive`` parsed, so a
+    caller can hash its input without reading the file again; it is None
+    for an archive built any other way, ``replace`` included.
+    """
 
     tensors: dict[str, Tensor] = field(default_factory=dict)
     metadata: dict[str, str] = field(default_factory=dict)
+    source: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def param_count(self) -> int:
@@ -209,7 +215,8 @@ def write_archive(archive: ModelArchive) -> bytes:
 
 
 def load_archive(path) -> ModelArchive:
-    """Read a file into one read-only buffer whose payload is 64-byte aligned."""
+    """Read a file into one read-only buffer whose payload is 64-byte aligned;
+    the archive keeps that buffer as its ``source``."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         # a short or implausible prefix only moves the start; parse_archive rejects it
@@ -225,7 +232,10 @@ def load_archive(path) -> ModelArchive:
                     break
                 filled += got
     raw.setflags(write=False)
-    return parse_archive(raw[start : start + filled])
+    content = raw[start : start + filled]
+    archive = parse_archive(content)
+    archive.source = content
+    return archive
 
 
 def save_archive(archive: ModelArchive, path) -> str:

@@ -85,6 +85,11 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
+def _source_digest(archive) -> str:
+    """sha256 of the file an archive was loaded from, from the bytes already read."""
+    return hashlib.sha256(archive.source).hexdigest()
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -134,14 +139,14 @@ class _StagedOutputs:
 
 
 def _write_manifest(path, command: str, argv, seed, inputs, outputs, details) -> None:
-    """``outputs`` maps each final output path to the sha256 of its bytes."""
+    """``inputs`` and ``outputs`` map each path to the sha256 of its bytes."""
     doc = {
         "tool": "neuperm",
         "command": command,
         "argv": list(argv),
         "seed": seed,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
-        "inputs": {p: _sha256_file(p) for p in inputs},
+        "inputs": dict(inputs),
         "outputs": dict(outputs),
         "details": details,
     }
@@ -202,8 +207,9 @@ def cmd_sanitize(args, argv) -> int:
         details["output_digest"] = save_archive(result, out.stage(args.output))
         if args.manifest:
             _write_manifest(
-                out.stage(args.manifest), "sanitize", argv, seed, [args.input],
-                {args.output: details["output_digest"]}, details,
+                out.stage(args.manifest), "sanitize", argv, seed,
+                {args.input: _source_digest(archive)}, {args.output: details["output_digest"]},
+                details,
             )
     line = f"sanitize {config.spec} seed={seed}"
     if coverage is not None:
@@ -262,7 +268,8 @@ def cmd_attack(args, argv) -> int:
         if args.manifest:
             _write_manifest(
                 out.stage(args.manifest), "attack", argv, seed,
-                [args.input, args.payload], {args.output: digest},
+                {args.input: _source_digest(archive), args.payload: plan.payload_sha256},
+                {args.output: digest},
                 {"attack": args.attack, "ecc": ecc.spec,
                  "payload_sha256": plan.payload_sha256,
                  "output_digest": digest},
@@ -339,7 +346,7 @@ def cmd_evaluate(args, argv) -> int:
         if args.manifest:
             _write_manifest(
                 out.stage(args.manifest), "evaluate", argv, seed,
-                [args.carrier, args.plan],
+                {args.carrier: _source_digest(archive), args.plan: _sha256_file(args.plan)},
                 {args.output: _sha256_file(out.staged[args.output])},
                 {"disrupt": [c.spec for c in configs], "trials": args.trials,
                  "attempts": len(rows),
@@ -409,7 +416,7 @@ def cmd_bound(args, argv) -> int:
     if args.manifest:
         with _StagedOutputs() as out:
             _write_manifest(out.stage(args.manifest), "bound", argv, details.get("seed"),
-                            [], {}, details)
+                            {}, {}, details)
     return 0
 
 

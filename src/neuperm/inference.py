@@ -2,15 +2,8 @@
 
 Storage may be float16 or float32; arithmetic always runs in float32 and
 rounds to the storage dtype only when values are written back (which forward
-never does). Networks are flat layer chains described by a JSON sidecar.
-
-Two attention conventions coexist on purpose:
-
-* the `attention_gqa` layer kind uses the modern tokens-as-rows layout, and
-* `mhsa_forward` implements the older weights-left algebra (tokens are
-  columns, Attention(Q, K, V) = softmax(Q K^T / sqrt(d)) V with a row-wise
-  softmax over the head-feature axis), which is the form whose swap
-  identities the proof tests exercise.
+never does). Networks are flat layer chains described by a JSON sidecar. The
+`attention_gqa` layer kind uses the tokens-as-rows layout.
 """
 
 from __future__ import annotations
@@ -242,41 +235,6 @@ def forward(net: ToyNetwork, archive: ModelArchive, x: np.ndarray) -> np.ndarray
             )
         x = x.astype(np.float32)
     return x
-
-
-def mhsa_forward(w_heads, w_o, x: np.ndarray) -> np.ndarray:
-    """Multi-head self-attention in the weights-left convention.
-
-    x has tokens as columns: (d_model, T). Each head carries (wq, wk, wv)
-    of shape (d_head, d_model); w_o is (d_model, h * d_head). Heads are
-    concatenated vertically before the output projection.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    outs = []
-    for wq, wk, wv in w_heads:
-        q = np.asarray(wq, dtype=np.float64) @ x
-        k = np.asarray(wk, dtype=np.float64) @ x
-        v = np.asarray(wv, dtype=np.float64) @ x
-        d_head = q.shape[0]
-        scores = (q @ k.T) / np.sqrt(d_head)
-        outs.append(softmax(scores, axis=-1) @ v)
-    concat = np.concatenate(outs, axis=0)
-    return np.asarray(w_o, dtype=np.float64) @ concat
-
-
-def max_output_deviation(
-    net: ToyNetwork,
-    a: ModelArchive,
-    b: ModelArchive,
-    inputs,
-) -> float:
-    """Largest |forward(a) - forward(b)| over the given inputs."""
-    worst = 0.0
-    for x in inputs:
-        ya = forward(net, a, x)
-        yb = forward(net, b, x)
-        worst = max(worst, float(np.max(np.abs(ya - yb))))
-    return worst
 
 
 def normalized_output_deviation(

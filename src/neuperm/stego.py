@@ -13,6 +13,13 @@ Payloads are arbitrary caller-supplied bytes; this module only moves bits
 around. Extraction is the exact mirror of embedding: same seed, same
 position/chip derivation, so any parameter displacement between the two
 shows up as bit errors.
+
+The two spread-spectrum chip sweeps, ``ss_embed`` and ``ss_despread_many``,
+run their column blocks through ``sweep.run_ordered``: one thread per CPU in
+the affinity mask, OpenBLAS held at one thread, block results added in
+column order. Every block makes the same BLAS call as a single-thread sweep
+would, so carriers and correlations are byte for byte the same on any CPU
+count. Each thread holds one chip block (about _SS_BLOCK_BYTES) at a time.
 """
 
 from __future__ import annotations
@@ -539,10 +546,15 @@ def ss_embed(archive: ModelArchive, payload: bytes, plan: AttackPlan) -> ModelAr
         raise ValueError("archive host size does not match plan")
     out = vec.copy()
     width = _chunk_cols(coded.size)
-    for s in range(0, plan.host_n, width):
-        e = min(s + width, plan.host_n)
-        chips = _chip_block(plan, s, e, coded.size)
-        out[s:e] += plan.gamma * (b @ chips)
+    from .sweep import run_ordered  # here, so commands that never sweep never load it
+
+    def spread(s: int) -> np.ndarray:
+        return b @ _chip_block(plan, s, min(s + width, plan.host_n), coded.size)
+
+    def add(s: int, block: np.ndarray) -> None:
+        out[s : s + block.size] += plan.gamma * block
+
+    run_ordered(spread, add, range(0, plan.host_n, width))
     return scatter_host(archive, plan.eligible, out)
 
 
@@ -558,10 +570,13 @@ def ss_despread_many(hosts: np.ndarray, plan: AttackPlan) -> np.ndarray:
     k = plan.coded_bits
     y = np.zeros((hosts.shape[0], k), dtype=np.float64)
     width = _chunk_cols(k)
-    for s in range(0, plan.host_n, width):
+    from .sweep import run_ordered  # here, so commands that never sweep never load it
+
+    def correlate(s: int) -> np.ndarray:
         e = min(s + width, plan.host_n)
-        chips = _chip_block(plan, s, e, k)
-        y += hosts[:, s:e] @ chips.T
+        return hosts[:, s:e] @ _chip_block(plan, s, e, k).T
+
+    run_ordered(correlate, lambda s, block: np.add(y, block, out=y), range(0, plan.host_n, width))
     return y / plan.host_n
 
 

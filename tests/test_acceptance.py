@@ -11,9 +11,15 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_payload
+from conftest import (
+    max_output_deviation,
+    mhsa_forward,
+    random_payload,
+    run_game_grid,
+    write_grid_csv,
+)
 
-from neuperm.analysis import run_game_grid, success_bound_no_ecc, write_grid_csv
+from neuperm.analysis import success_bound_no_ecc
 from neuperm.archive import ModelArchive, parse_archive, save_archive, write_archive
 from neuperm.cli import main as cli_main
 from neuperm.descriptor import descriptor_to_dict
@@ -21,7 +27,7 @@ from neuperm.disrupt import apply_disruptor, parse_disruptor
 from neuperm.engine import apply_schedule, count_changed_fraction, make_schedule
 from neuperm.errors import ParseError
 from neuperm.fixtures import llama32_1b_descriptor, ss_host, vgg11_descriptor
-from neuperm.inference import max_output_deviation, random_inputs, softmax
+from neuperm.inference import random_inputs, softmax
 from neuperm.rng import SeededRng, derive_seed
 from neuperm.stego import lsb_embed, lsb_extract, parse_ecc, sign_embed, sign_extract
 from neuperm.tensor import Tensor, fisher_yates
@@ -242,8 +248,6 @@ def test_criterion_6_algebraic_claims():
         m = rng.gaussian_block(r * c).reshape(r, c)
         p = fisher_yates(r, rng)
         worst = max(worst, float(np.max(np.abs(softmax(m, axis=-1)[p] - softmax(m[p], axis=-1)))))
-
-    from neuperm.inference import mhsa_forward
 
     for trial in range(50):  # attention head reorder + matching w_o column blocks
         hrng = SeededRng(derive_seed(SEED, f"mhsa/{trial}"))

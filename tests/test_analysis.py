@@ -6,18 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import run_game_grid, write_grid_csv
 
 from neuperm.analysis import (
     GameResult,
     d_from_site_sizes,
     effective_protected_bits,
     fixed_point_prob,
-    run_game_grid,
     simulate_extraction_game,
     success_bound,
     success_bound_ecc,
     success_bound_no_ecc,
-    write_grid_csv,
 )
 from neuperm.errors import BoundInapplicableError, IneffectiveRegimeError
 

@@ -81,7 +81,15 @@ def test_sanitize_neuperm_verify_manifest(ws, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["sanitize", "attack"])
-def test_manifest_output_digest_is_the_file_sha256(ws, tmp_path, capsys, command):
+def test_manifest_output_digest_is_the_file_sha256(ws, tmp_path, capsys, monkeypatch, command):
+    """Input digests too are the files' sha256, taken from the bytes the
+    command loaded: no input file is hashed by reading it again."""
+    import neuperm.cli
+
+    def no_reread(path):
+        raise AssertionError(f"{path} read again to hash it")
+
+    monkeypatch.setattr(neuperm.cli, "_sha256_file", no_reread)
     out, manifest = tmp_path / "out.safetensors", tmp_path / "run.json"
     argv = {
         "sanitize": ["sanitize", "--input", ws["mlp"], "--disrupt", "neuperm",
@@ -95,6 +103,8 @@ def test_manifest_output_digest_is_the_file_sha256(ws, tmp_path, capsys, command
     real = hashlib.sha256(out.read_bytes()).hexdigest()
     assert doc["outputs"] == {str(out): real}
     assert doc["details"]["output_digest"] == real
+    inputs = [ws["mlp"]] + ([ws["payload"]] if command == "attack" else [])
+    assert doc["inputs"] == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs}
 
 
 def test_failed_streaming_write_leaves_no_file(ws, tmp_path, capsys, monkeypatch):
@@ -304,6 +314,8 @@ def test_attack_sign_then_evaluate_deterministic_collapse(ws, tmp_path, capsys):
     ]
     doc = json.loads(manifest.read_text())
     assert doc["details"]["attempts"] == 2 and doc["details"]["successes"] == 1
+    assert doc["inputs"] == {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                             for p in (carrier, plan)}
 
 
 def test_attack_ss_then_evaluate(ws, tmp_path, capsys):
@@ -584,6 +596,50 @@ def test_unwritable_side_output_leaves_no_file(ws, tmp_path, capsys, command):
     assert run(*argv) == 1
     assert "error:" in capsys.readouterr().err
     assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["attack", "evaluate"])
+def test_sweep_helper_error_exit_1_no_output(ws, tmp_path, capsys, monkeypatch, command):
+    """A chip block that fails on a sweep helper thread ends the command with
+    exit 1 and an error line, writes none of its outputs, and leaves the
+    BLAS thread count as it found it."""
+    import threading
+
+    import neuperm.stego as stego
+    import neuperm.sweep as sweep
+
+    work = tmp_path / "work"
+    work.mkdir()
+    carrier, plan = tmp_path / "carrier.safetensors", tmp_path / "plan.json"
+    assert run("attack", "--input", ws["host"], "--output", carrier, "--attack", "ss:0.02",
+               "--ecc", "repetition:3", "--payload", ws["payload"], "--seed", "13",
+               "--plan", plan) == 0
+    caller = threading.get_ident()
+    real = stego._chip_block
+
+    def failing_block(*args):
+        if threading.get_ident() != caller:
+            raise ValueError("chip block failed on a helper")
+        return real(*args)
+
+    monkeypatch.setattr(stego, "_chip_block", failing_block)
+    monkeypatch.setattr(sweep, "workers", lambda: 2)
+    blas = sweep._blas_thread_calls()
+    prior = blas[0]() if blas else None
+    argv = {
+        "attack": ["attack", "--input", ws["host"], "--output", work / "carrier.safetensors",
+                   "--attack", "ss:0.02", "--ecc", "repetition:3", "--payload", ws["payload"],
+                   "--seed", "13", "--plan", work / "plan.json", "--manifest", work / "run.json"],
+        "evaluate": ["evaluate", "--carrier", carrier, "--plan", plan, "--disrupt", "none",
+                     "--disrupt", "neuperm:1", "--descriptor", ws["host.desc"], "--seed", "5",
+                     "--output", work / "report.csv", "--manifest", work / "run.json"],
+    }[command]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    assert "error: chip block failed on a helper" in capsys.readouterr().err
+    assert list(work.iterdir()) == []
+    if blas:
+        assert blas[0]() == prior
 
 
 # ---------------------------------------------------------------- bound

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import max_output_deviation
 
 from neuperm.archive import ModelArchive
 from neuperm.descriptor import ArchDescriptor, GqaMeta, PermutableSite
@@ -18,7 +19,7 @@ from neuperm.fixtures import (
     ss_host,
     vgg11_descriptor,
 )
-from neuperm.inference import max_output_deviation, random_inputs
+from neuperm.inference import random_inputs
 from neuperm.rng import SeededRng, derive_seed
 from neuperm.tensor import Tensor, fisher_yates, invert, tensor
 

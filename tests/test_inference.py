@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import max_output_deviation, mhsa_forward
 
 from neuperm.archive import ModelArchive
 from neuperm.inference import (
@@ -9,8 +10,6 @@ from neuperm.inference import (
     ToyNetwork,
     forward,
     load_network,
-    max_output_deviation,
-    mhsa_forward,
     network_from_dict,
     network_to_dict,
     normalized_output_deviation,

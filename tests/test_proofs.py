@@ -8,8 +8,9 @@ output projection's column blocks in multi-head attention.
 """
 
 import numpy as np
+from conftest import mhsa_forward
 
-from neuperm.inference import mhsa_forward, softmax
+from neuperm.inference import softmax
 from neuperm.rng import SeededRng, derive_seed
 from neuperm.tensor import fisher_yates, invert
 

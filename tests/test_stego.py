@@ -1,11 +1,14 @@
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import neuperm.stego as stego
+import neuperm.sweep as sweep
 from neuperm.archive import ModelArchive, write_archive
 from neuperm.errors import CapacityError
 from neuperm.rng import SeededRng, derive_seed, words_at
@@ -102,8 +105,6 @@ def test_sample_positions_frozen():
 
 
 def test_positions_drawn_once_per_seed(small_host_bundle, monkeypatch):
-    import neuperm.stego as stego
-
     archive, _, _ = small_host_bundle
     calls = []
 
@@ -299,6 +300,150 @@ def test_ss_embed_carrier_frozen(small_host_bundle):
     assert hashlib.sha256(write_archive(carrier)).hexdigest() == (
         "72ff7e4f83fb65641ff94bf3fa84bfad75134119c36c7a1eca3e2c95ca9f3208"
     )
+
+
+def _serial_embed(archive, payload, plan):
+    """The single-thread embed loop the threaded sweep must reproduce byte for byte."""
+    coded = plan.ecc.encode(np.unpackbits(np.frombuffer(payload, dtype=np.uint8)))
+    b = coded.astype(np.float32) * 2.0 - 1.0
+    out = host_vector(archive, plan.eligible).copy()
+    width = _chunk_cols(coded.size)
+    for s in range(0, plan.host_n, width):
+        e = min(s + width, plan.host_n)
+        out[s:e] += plan.gamma * (b @ _chip_block(plan, s, e, coded.size))
+    return scatter_host(archive, plan.eligible, out)
+
+
+def _serial_despread(hosts, plan):
+    """The single-thread despread loop the threaded sweep must reproduce byte for byte."""
+    y = np.zeros((hosts.shape[0], plan.coded_bits))
+    width = _chunk_cols(plan.coded_bits)
+    for s in range(0, plan.host_n, width):
+        e = min(s + width, plan.host_n)
+        y += hosts[:, s:e] @ _chip_block(plan, s, e, plan.coded_bits).T
+    return y / plan.host_n
+
+
+def _record_producers(monkeypatch):
+    """Wrap _chip_block to record (thread, block start) for every block produced."""
+    calls = []
+    real = stego._chip_block
+
+    def recording(plan, start, stop, n_bits):
+        calls.append((threading.current_thread(), start))
+        return real(plan, start, stop, n_bits)
+
+    monkeypatch.setattr(stego, "_chip_block", recording)
+    return calls
+
+
+@pytest.mark.parametrize("nbytes,spec", [(5, "repetition:3"), (7, "hamming74")])
+@pytest.mark.parametrize("workers", [1, 2, 3, "beyond"])
+def test_ss_sweeps_match_serial_at_any_worker_count(small_host_bundle, monkeypatch,
+                                                    nbytes, spec, workers):
+    """Threaded embed and despread equal the serial loops byte for byte, on a
+    host whose last column block is partial, for one and several stacked
+    hosts (BLAS gemv and gemm); every block is produced exactly once, and no
+    thread is started without blocks to produce.
+
+    The serial loops run with BLAS at one thread, as the sweeps do: for some
+    shapes a multi-threaded OpenBLAS gemv splits the sum itself (one host,
+    98 coded bits over 16000-column blocks rounds differently at two BLAS
+    threads), so only a fixed BLAS thread count makes the bytes repeatable.
+    """
+    archive, _, _ = small_host_bundle
+    payload = random_payload(1023, nbytes)
+    plan = _plan(archive, payload, spec=spec)
+    width = _chunk_cols(plan.coded_bits)
+    starts = list(range(0, plan.host_n, width))
+    assert plan.host_n % width != 0 and len(starts) >= 3
+    with sweep.blas_single_thread():
+        want_carrier = _serial_embed(archive, payload, plan)
+        host = host_vector(archive, plan.eligible)
+        hosts = np.stack([host_vector(want_carrier, plan.eligible), host, -host])
+        want = [_serial_despread(h, plan) for h in (hosts[:1], hosts)]
+
+    count = plan.coded_bits + 1 if workers == "beyond" else workers
+    monkeypatch.setattr(sweep, "workers", lambda: count)
+    calls = _record_producers(monkeypatch)
+    carrier = ss_embed(archive, payload, plan)
+    assert write_archive(carrier) == write_archive(want_carrier)
+    for stack, y in zip((hosts[:1], hosts), want):
+        calls.clear()
+        assert ss_despread_many(stack, plan).tobytes() == y.tobytes()
+        assert sorted(start for _, start in calls) == starts
+        assert len({thread for thread, _ in calls}) == min(count, len(starts))
+
+
+@pytest.fixture
+def blas_calls():
+    """numpy's OpenBLAS (get, set) thread-count calls, or None, with the count
+    at two for the test (so a pin to one shows) and its prior value after."""
+    calls = sweep._blas_thread_calls()
+    if calls is None:
+        yield None
+        return
+    get, set_ = calls
+    prior = get()
+    set_(2)
+    try:
+        yield calls
+    finally:
+        set_(prior)
+
+
+def test_sweep_holds_blas_at_one_thread_then_restores_it(small_host_bundle, monkeypatch,
+                                                         blas_calls):
+    if blas_calls is None:
+        pytest.skip("numpy's BLAS exports no thread-count calls")
+    get, _ = blas_calls
+    archive, _, _ = small_host_bundle
+    payload = random_payload(1024, 16)
+    plan = _plan(archive, payload)
+    during = []
+    real = stego._chip_block
+
+    def observing(*args):
+        during.append(get())
+        return real(*args)
+
+    monkeypatch.setattr(stego, "_chip_block", observing)
+    monkeypatch.setattr(sweep, "workers", lambda: 2)
+    carrier = ss_embed(archive, payload, plan)
+    assert get() == 2
+    ss_despread_many(host_vector(carrier, plan.eligible), plan)
+    assert get() == 2
+    assert during and set(during) == {1}
+
+
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_sweep_error_reaches_caller_and_restores_blas(small_host_bundle, monkeypatch,
+                                                      blas_calls, failing):
+    """An error in any block, on a helper thread or on the calling one, is
+    raised by the sweep after every helper has stopped, with the BLAS thread
+    count back at its prior value."""
+    archive, _, _ = small_host_bundle
+    payload = random_payload(1025, 16)
+    plan = _plan(archive, payload)
+    caller = threading.get_ident()
+    real = stego._chip_block
+
+    def failing_block(plan, start, stop, n_bits):
+        if (threading.get_ident() == caller) == (failing == "caller") and start > 0:
+            raise ValueError(f"chip block at {start} failed")
+        return real(plan, start, stop, n_bits)
+
+    monkeypatch.setattr(stego, "_chip_block", failing_block)
+    monkeypatch.setattr(sweep, "workers", lambda: 3)
+    threads_before = threading.active_count()
+    host = host_vector(archive, plan.eligible)
+    for run in (lambda: ss_embed(archive, payload, plan),
+                lambda: ss_despread_many(np.stack([host, host]), plan)):
+        with pytest.raises(ValueError, match="chip block at"):
+            run()
+        assert threading.active_count() == threads_before
+        if blas_calls is not None:
+            assert blas_calls[0]() == 2
 
 
 def test_ss_roundtrip_small_host(small_host_bundle):
