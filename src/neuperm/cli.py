@@ -172,8 +172,7 @@ def _verify_preserved(net_path, original, rewritten, seed: int, probes: int) -> 
 
 def cmd_sanitize(args, argv) -> int:
     if args.probes < 1:
-        print("error: --probes must be >= 1", file=sys.stderr)
-        return 1
+        raise ValueError("--probes must be >= 1")
     archive = load_archive(args.input)
     config = parse_disruptor(args.disrupt)
     descriptor = None
@@ -188,8 +187,7 @@ def cmd_sanitize(args, argv) -> int:
     if args.verify:
         net_path = args.net or args.input + ".net.json"
         if not os.path.exists(net_path):
-            print(f"error: no net sidecar at {net_path}", file=sys.stderr)
-            return 1
+            raise ValueError(f"no net sidecar at {net_path}")
         deviation = _verify_preserved(net_path, archive, result, seed, args.probes)
 
     details = {"disrupt": config.spec}
@@ -243,8 +241,7 @@ def cmd_attack(args, argv) -> int:
     with open(args.payload, "rb") as fh:
         payload = fh.read()
     if not payload:
-        print("error: payload file is empty", file=sys.stderr)
-        return 1
+        raise ValueError("payload file is empty")
     kind, param = _parse_attack_spec(args.attack)
     ecc = parse_ecc(args.ecc)
     seed = _resolve_seed(args)
@@ -296,15 +293,13 @@ def _variant_specs(configs, trials: int, seed: int):
 
 def cmd_evaluate(args, argv) -> int:
     if args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return 1
+        raise ValueError("--trials must be >= 1")
     archive = load_archive(args.carrier)
     with open(args.plan, "r", encoding="utf-8") as fh:
         plan = AttackPlan.from_dict(json.load(fh))
     configs = [parse_disruptor(s) for s in args.disrupt]
     if not configs:
-        print("error: at least one --disrupt is required", file=sys.stderr)
-        return 1
+        raise ValueError("at least one --disrupt is required")
     descriptor = None
     if args.descriptor:
         descriptor = load_descriptor(args.descriptor, archive)
@@ -360,36 +355,30 @@ def cmd_evaluate(args, argv) -> int:
 
 def cmd_bound(args, argv) -> int:
     if args.simulate is not None and args.simulate < 1:
-        print("error: --simulate must be >= 1", file=sys.stderr)
-        return 1
+        raise ValueError("--simulate must be >= 1")
     sizes = None
     if args.site_sizes:
         sizes = [int(s) for s in args.site_sizes.split(",") if s.strip()]
         if not sizes or any(n < 1 for n in sizes):
-            print("error: --site-sizes needs positive integers", file=sys.stderr)
-            return 1
+            raise ValueError("--site-sizes needs positive integers")
     if (args.d is None) == (sizes is None):
-        print("error: give exactly one of --d or --site-sizes", file=sys.stderr)
-        return 1
+        raise ValueError("give exactly one of --d or --site-sizes")
     d = args.d if args.d is not None else d_from_site_sizes(sizes)
 
     if args.L is not None:
         if args.L_prime is not None or args.L_total is not None or args.L_np is not None:
-            print("error: --L conflicts with --L-prime/--L-total/--L-np", file=sys.stderr)
-            return 1
+            raise ValueError("--L conflicts with --L-prime/--L-total/--L-np")
         L = args.L
     else:
         parts = (args.L_prime, args.L_total, args.L_np)
         if any(p is None for p in parts):
-            print("error: give --L or all of --L-prime, --L-total, --L-np", file=sys.stderr)
-            return 1
+            raise ValueError("give --L or all of --L-prime, --L-total, --L-np")
         L = effective_protected_bits(*parts)
 
     delta = args.delta
     if args.ecc is not None:
         if delta is not None:
-            print("error: --delta conflicts with --ecc", file=sys.stderr)
-            return 1
+            raise ValueError("--delta conflicts with --ecc")
         delta = parse_ecc(args.ecc).delta
     if delta is None:
         delta = 0.0
@@ -400,9 +389,7 @@ def cmd_bound(args, argv) -> int:
     details = {"d": d, "delta": delta, "L": L, "bound": bound}
     if args.simulate is not None:
         if sizes is None:
-            print("error: --simulate needs --site-sizes for the game geometry",
-                  file=sys.stderr)
-            return 1
+            raise ValueError("--simulate needs --site-sizes for the game geometry")
         seed = _resolve_seed(args)
         result = simulate_extraction_game(min(sizes), L, delta, args.simulate, seed)
         print(

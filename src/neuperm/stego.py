@@ -9,6 +9,11 @@ disruption passes have something concrete to break:
 * ``ss``   — additive spread spectrum: each coded bit rides a pseudorandom
   +/-1 chip sequence across the whole host at small amplitude gamma.
 
+``lsb:k`` and ``sign`` are two fields of the same raw word: the low k bits,
+or the top bit (bit 31 of a float32, bit 15 of a float16). One core writes
+and reads a field at sampled positions for both, so NaN, -0.0 and inf
+carry payload bits like any other value.
+
 Payloads are arbitrary caller-supplied bytes; this module only moves bits
 around. Extraction is the exact mirror of embedding: same seed, same
 position/chip derivation, so any parameter displacement between the two
@@ -211,28 +216,74 @@ def _positions(total: int, count: int, seed: int) -> np.ndarray:
     return positions
 
 
-def _locate(archive: ModelArchive, names, positions: np.ndarray):
-    """Split global host positions into per-tensor (name, local_offsets, slot_idx)."""
-    sizes = np.array([archive.tensors[n].size for n in names], dtype=np.int64)
-    bounds = np.cumsum(sizes)
-    owner = np.searchsorted(bounds, positions, side="right")
-    local = positions - (bounds[owner] - sizes[owner])
-    groups = []
-    for ti, name in enumerate(names):
-        mask = owner == ti
-        if mask.any():
-            groups.append((name, local[mask], np.flatnonzero(mask)))
-    return groups
-
+# ---------------------------------------------------------- bit fields
 
 _UINT_FOR = {np.dtype(np.float32): np.uint32, np.dtype(np.float16): np.uint16}
-
-
-# ---------------------------------------------------------------- lsb
 
 #: low mantissa bits an lsb attack may overwrite per parameter
 LSB_BITS = range(1, 9)
 
+
+def _bit_slots(archive: ModelArchive, count: int, seed: int, method: str):
+    """The `count` parameters a bit attack writes, yielded as per-tensor
+    (name, local_offsets, slot_idx) groups in eligible-name order."""
+    names = eligible_names(archive)
+    positions = _positions(host_size(archive, names), count,
+                           derive_seed(seed, f"{method}/positions"))
+    sizes = np.array([archive.tensors[n].size for n in names], dtype=np.int64)
+    bounds = np.cumsum(sizes)
+    owner = np.searchsorted(bounds, positions, side="right")
+    local = positions - (bounds[owner] - sizes[owner])
+    for ti, name in enumerate(names):
+        mask = owner == ti
+        if mask.any():
+            yield name, local[mask], np.flatnonzero(mask)
+
+
+def _raw_field(data: np.ndarray, width: int, top: bool):
+    """Flat raw-word view of `data`, plus the shift and mask of its `width`-bit
+    field: the low bits, or the top ones (the sign bit when width is 1)."""
+    raw = data.view(_UINT_FOR[data.dtype]).ravel()
+    shift = raw.itemsize * 8 - width if top else 0
+    return raw, shift, raw.dtype.type(((1 << width) - 1) << shift)
+
+
+def _embed_bits(archive: ModelArchive, payload: bytes, ecc: EccScheme, *, method: str,
+                seed: int, width: int, top: bool) -> ModelArchive:
+    """Write the coded payload, `width` bits per sampled parameter, into one
+    field of each parameter's raw word; only the tensors written are copied."""
+    coded = ecc.encode(bytes_to_bits(payload))
+    slots = -(-coded.size // width)
+    padded = np.zeros(slots * width, dtype=np.uint8)
+    padded[: coded.size] = coded
+    weights = 1 << np.arange(width - 1, -1, -1, dtype=np.uint32)
+    values = (padded.reshape(slots, width).astype(np.uint32) * weights).sum(axis=1)
+    updates = {}
+    for name, local, slot_idx in _bit_slots(archive, slots, seed, method):
+        data = archive.tensors[name].data
+        raw, shift, mask = _raw_field(data, width, top)
+        raw = raw.copy()
+        raw[local] = (raw[local] & ~mask) | (values[slot_idx].astype(raw.dtype) << shift)
+        updates[name] = Tensor.adopt(raw.view(data.dtype).reshape(data.shape))
+    return archive.replace(updates)
+
+
+def _extract_bits(archive: ModelArchive, payload_len: int, ecc: EccScheme, *, method: str,
+                  seed: int, width: int, top: bool) -> bytes:
+    """Mirror of _embed_bits: reads the field through views of the stored data."""
+    coded_len = ecc.coded_len(payload_len * 8)
+    slots = -(-coded_len // width)
+    values = np.zeros(slots, dtype=np.uint32)
+    for name, local, slot_idx in _bit_slots(archive, slots, seed, method):
+        raw, shift, mask = _raw_field(archive.tensors[name].data, width, top)
+        values[slot_idx] = (raw[local] & mask) >> shift
+    shifts = np.arange(width - 1, -1, -1, dtype=np.uint32)
+    bits = ((values[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
+    decoded = ecc.decode(bits[:coded_len])
+    return bits_to_bytes(decoded[: payload_len * 8])
+
+
+# ------------------------------------------------------------ lsb, sign
 
 def lsb_embed(
     archive: ModelArchive,
@@ -245,25 +296,8 @@ def lsb_embed(
     """Hide payload bits in the low mantissa bits of sampled parameters."""
     if bits_per_param not in LSB_BITS:
         raise ValueError("bits_per_param must be in 1..8")
-    names = eligible_names(archive)
-    total = host_size(archive, names)
-    coded = ecc.encode(bytes_to_bits(payload))
-    slots = -(-coded.size // bits_per_param)
-    positions = _positions(total, slots, derive_seed(seed, "lsb/positions"))
-    padded = np.zeros(slots * bits_per_param, dtype=np.uint8)
-    padded[: coded.size] = coded
-    chunks = padded.reshape(slots, bits_per_param)
-    weights = 1 << np.arange(bits_per_param - 1, -1, -1, dtype=np.uint32)
-    values = (chunks.astype(np.uint32) * weights).sum(axis=1)
-
-    updates = {}
-    for name, local, slot_idx in _locate(archive, names, positions):
-        t = archive.tensors[name]
-        raw = t.data.copy().view(_UINT_FOR[t.data.dtype]).ravel()
-        mask = raw.dtype.type((1 << bits_per_param) - 1)
-        raw[local] = (raw[local] & ~mask) | values[slot_idx].astype(raw.dtype)
-        updates[name] = Tensor.adopt(raw.view(t.data.dtype).reshape(t.shape))
-    return archive.replace(updates)
+    return _embed_bits(archive, payload, ecc, method="lsb", seed=seed,
+                       width=bits_per_param, top=False)
 
 
 def lsb_extract(
@@ -277,24 +311,9 @@ def lsb_extract(
     """Mirror of lsb_embed; payload_len is the expected byte count."""
     if bits_per_param not in LSB_BITS:
         raise ValueError("bits_per_param must be in 1..8")
-    names = eligible_names(archive)
-    total = host_size(archive, names)
-    coded_len = ecc.coded_len(payload_len * 8)
-    slots = -(-coded_len // bits_per_param)
-    positions = _positions(total, slots, derive_seed(seed, "lsb/positions"))
-    values = np.zeros(slots, dtype=np.uint32)
-    for name, local, slot_idx in _locate(archive, names, positions):
-        t = archive.tensors[name]
-        raw = t.data.view(_UINT_FOR[t.data.dtype]).ravel()
-        mask = raw.dtype.type((1 << bits_per_param) - 1)
-        values[slot_idx] = (raw[local] & mask).astype(np.uint32)
-    shifts = np.arange(bits_per_param - 1, -1, -1, dtype=np.uint32)
-    bits = ((values[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
-    decoded = ecc.decode(bits[:coded_len])
-    return bits_to_bytes(decoded[: payload_len * 8])
+    return _extract_bits(archive, payload_len, ecc, method="lsb", seed=seed,
+                         width=bits_per_param, top=False)
 
-
-# --------------------------------------------------------------- sign
 
 def sign_embed(
     archive: ModelArchive,
@@ -304,18 +323,7 @@ def sign_embed(
     ecc: EccScheme = EccScheme("none"),
 ) -> ModelArchive:
     """Store one coded bit per sampled parameter: bit 1 -> negative sign."""
-    names = eligible_names(archive)
-    total = host_size(archive, names)
-    coded = ecc.encode(bytes_to_bits(payload))
-    positions = _positions(total, coded.size, derive_seed(seed, "sign/positions"))
-    updates = {}
-    for name, local, slot_idx in _locate(archive, names, positions):
-        t = archive.tensors[name]
-        flat = t.data.copy().ravel()
-        signs = np.where(coded[slot_idx] == 1, -1.0, 1.0).astype(flat.dtype)
-        flat[local] = np.copysign(np.abs(flat[local]), signs)
-        updates[name] = Tensor.adopt(flat.reshape(t.shape))
-    return archive.replace(updates)
+    return _embed_bits(archive, payload, ecc, method="sign", seed=seed, width=1, top=True)
 
 
 def sign_extract(
@@ -325,16 +333,7 @@ def sign_extract(
     seed: int,
     ecc: EccScheme = EccScheme("none"),
 ) -> bytes:
-    names = eligible_names(archive)
-    total = host_size(archive, names)
-    coded_len = ecc.coded_len(payload_len * 8)
-    positions = _positions(total, coded_len, derive_seed(seed, "sign/positions"))
-    bits = np.zeros(coded_len, dtype=np.uint8)
-    for name, local, slot_idx in _locate(archive, names, positions):
-        flat = archive.tensors[name].data.ravel()
-        bits[slot_idx] = np.signbit(flat[local]).astype(np.uint8)
-    decoded = ecc.decode(bits)
-    return bits_to_bytes(decoded[: payload_len * 8])
+    return _extract_bits(archive, payload_len, ecc, method="sign", seed=seed, width=1, top=True)
 
 
 # --------------------------------------------------------------- plans

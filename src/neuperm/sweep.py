@@ -31,8 +31,11 @@ _AHEAD = 2
 
 
 def workers() -> int:
-    """Threads a sweep runs on: one per CPU in this process's affinity mask."""
-    return len(os.sched_getaffinity(0))
+    """Threads a sweep runs on: one per CPU in this process's affinity mask,
+    or per CPU where the platform has no affinity call (macOS, Windows)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 #: (get, set) thread-count symbols of the OpenBLAS builds numpy wheels bundle

@@ -642,6 +642,29 @@ def test_sweep_helper_error_exit_1_no_output(ws, tmp_path, capsys, monkeypatch, 
         assert blas[0]() == prior
 
 
+def test_attack_ss_without_sched_getaffinity(ws, tmp_path, capsys, monkeypatch):
+    """Where os has no sched_getaffinity (macOS, Windows) a sweep runs on
+    os.cpu_count() threads: attack ss exits 0 and writes the same carrier
+    bytes, and an ss evaluate exits 0."""
+    import neuperm.sweep as sweep
+
+    def attack(name):
+        carrier, plan = tmp_path / f"{name}.safetensors", tmp_path / f"{name}.json"
+        assert run("attack", "--input", ws["host"], "--output", carrier, "--attack", "ss:0.02",
+                   "--ecc", "repetition:3", "--payload", ws["payload"], "--seed", "13",
+                   "--plan", plan) == 0
+        return carrier, plan
+
+    with_affinity, _ = attack("with")
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert sweep.workers() == (os.cpu_count() or 1)
+    without, plan = attack("without")
+    assert without.read_bytes() == with_affinity.read_bytes()
+    assert run("evaluate", "--carrier", without, "--plan", plan, "--disrupt", "none",
+               "--seed", "5", "--output", tmp_path / "report.csv") == 0
+    assert "error" not in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- bound
 
 def test_bound_golden_line(capsys):
@@ -712,18 +735,22 @@ def test_committed_descriptors_in_sync():
 
 def test_tracer_targets_resolve():
     """Every name the benchmark tracer wraps still resolves to a callable,
-    so a traced run cannot fail at install time."""
+    so a traced run cannot fail at install time. The tracer is loaded from
+    its file without touching sys.path, and its wrappers are not installed."""
+    path = list(sys.path)
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", _SRC.parent / "perfbench" / "tracer.py"
     )
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    assert sys.path == path
     assert tracer.TARGETS
     for module_name, attr, _, _ in tracer.TARGETS:
         owner = importlib.import_module(module_name)
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), f"{module_name}.{attr}"
+        assert not hasattr(owner, "__wrapped__"), f"{module_name}.{attr} is wrapped"
 
 
 def _declared_entry_point(pyproject: Path) -> tuple[str, str]:

@@ -234,6 +234,59 @@ def test_sign_embed_carrier_frozen(small_host_bundle):
     )
 
 
+# ---------------------------------------------------------- bit fields
+
+def _special_values_host() -> ModelArchive:
+    """Small mixed float32/float16 host in which every third value is NaN,
+    -NaN, +/-0.0 or +/-inf."""
+    special = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf]
+    tensors = {}
+    for i, (dtype, shape) in enumerate(
+        ((np.float32, (24, 20)), (np.float16, (30, 16)), (np.float16, (40,)))
+    ):
+        flat = np.random.default_rng(i).standard_normal(shape).astype(dtype).ravel()
+        flat[::3] = np.resize(np.array(special, dtype=dtype), flat[::3].size)
+        tensors[f"t{i}"] = Tensor(flat.reshape(shape))
+    return ModelArchive(tensors)
+
+
+@pytest.mark.parametrize("attack", ["lsb:1", "lsb:8", "sign"])
+@pytest.mark.parametrize("host", ["f16_gqa", "specials"])
+def test_bit_attack_writes_only_its_field(gqa_bundle, host, attack):
+    """lsb:k owns the low k bits of a sampled parameter's raw word and sign
+    its top bit (31 for float32, 15 for float16). The payload round-trips,
+    and no other bit of any word changes, NaN, -0.0 and inf included."""
+    archive = gqa_bundle[0] if host == "f16_gqa" else _special_values_host()
+    payload = random_payload(1040, 16)
+    method, _, k = attack.partition(":")
+    width = int(k or 1)
+    if method == "lsb":
+        carrier = lsb_embed(archive, payload, bits_per_param=width, seed=8)
+        assert lsb_extract(carrier, len(payload), bits_per_param=width, seed=8) == payload
+    else:
+        carrier = sign_embed(archive, payload, seed=8)
+        assert sign_extract(carrier, len(payload), seed=8) == payload
+    names = eligible_names(archive)
+    assert set(names) == set(archive.tensors)
+    sampled = sample_positions(host_size(archive, names), -(-len(payload) * 8 // width),
+                               derive_seed(8, f"{method}/positions"))
+    at = changed = 0
+    for name in names:
+        a, b = archive.tensors[name].data, carrier.tensors[name].data
+        assert b.dtype == a.dtype and b.shape == a.shape
+        bits = a.itemsize * 8
+        uint = np.uint32 if bits == 32 else np.uint16
+        diff = a.view(uint).ravel() ^ b.view(uint).ravel()
+        owned = (1 << width) - 1 if method == "lsb" else 1 << (bits - 1)
+        assert not np.any(diff & uint(~owned & ((1 << bits) - 1))), name
+        untouched = np.ones(a.size, dtype=bool)
+        untouched[sampled[(sampled >= at) & (sampled < at + a.size)] - at] = False
+        assert not np.any(diff[untouched]), name
+        changed += int(np.count_nonzero(diff))
+        at += a.size
+    assert changed > 0
+
+
 # ------------------------------------------------------ spread spectrum
 
 def _plan(archive, payload, gamma=0.02, seed=40, spec="repetition:3"):
