@@ -7,6 +7,11 @@ permutation to every ref of a site preserves the network function; that is
 the descriptor author's promise (residual connections being the classic way
 to break it).
 
+An `attn_gqa` site's n is h_kv, and its refs are read by position: the
+first `produce` ref is the q rows and every `consume` ref the o columns,
+both in group-width blocks ((h_q/h_kv)*head_dim); the other `produce`
+refs are the k and v rows, in head_dim blocks.
+
 Descriptors normally validate against the archive they describe. A
 descriptor may instead embed a `shapes` map so coverage accounting works for
 architectures whose weights we never materialize.
@@ -140,9 +145,8 @@ class ArchDescriptor:
 def validate_descriptor(desc: ArchDescriptor, archive: ModelArchive | None = None) -> None:
     """Eager checks: refs resolve and every axis extent fits its site.
 
-    fc_pair and conv_block axes must equal n exactly; attn_gqa axes must
-    split into n groups whose width is head_dim (k/v rows) or
-    (h_q/h_kv)*head_dim (q rows, o columns).
+    fc_pair and conv_block axes must equal n exactly; an attn_gqa axis must
+    hold n blocks of the width its ref position sets (see the module doc).
     """
     shapes = desc.resolve_shapes(archive)
     if archive is not None:
@@ -167,7 +171,7 @@ def validate_descriptor(desc: ArchDescriptor, archive: ModelArchive | None = Non
             )
 
     for site in desc.sites:
-        for name, axis in site.refs:
+        for i, (name, axis) in enumerate(site.refs):
             shape = shapes[name]
             if axis < 0 or axis >= len(shape):
                 raise DescriptorError(
@@ -176,25 +180,19 @@ def validate_descriptor(desc: ArchDescriptor, archive: ModelArchive | None = Non
                 )
             extent = shape[axis]
             if site.kind == "attn_gqa":
-                meta = site.gqa
-                if extent % site.n != 0:
+                kv = 0 < i < len(site.produce)
+                width = site.gqa.head_dim if kv else site.gqa.group_width
+                if extent != site.n * width:
+                    role = "k/v rows" if kv else "q rows or o columns"
                     raise DescriptorError(
-                        f"site {site.site_id!r}: {name!r} axis {axis} extent "
-                        f"{extent} not divisible into {site.n} groups"
+                        f"site {site.site_id!r}: {name!r} axis {axis} extent {extent} has "
+                        f"group width {extent / site.n:g}; as {role} it needs {width}"
                     )
-                block = extent // site.n
-                if block not in (meta.head_dim, meta.group_width):
-                    raise DescriptorError(
-                        f"site {site.site_id!r}: {name!r} axis {axis} group width "
-                        f"{block} matches neither head_dim={meta.head_dim} nor "
-                        f"group width {meta.group_width}"
-                    )
-            else:
-                if extent != site.n:
-                    raise DescriptorError(
-                        f"site {site.site_id!r}: {name!r} axis {axis} extent "
-                        f"{extent} != n={site.n}"
-                    )
+            elif extent != site.n:
+                raise DescriptorError(
+                    f"site {site.site_id!r}: {name!r} axis {axis} extent "
+                    f"{extent} != n={site.n}"
+                )
 
 
 def _is_int(value) -> bool:

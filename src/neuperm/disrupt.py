@@ -118,6 +118,5 @@ def apply_disruptor(
         return prune_magnitude(archive, config.value), None
     if descriptor is None:
         raise ValueError("the permutation pass needs an architecture descriptor")
-    target = None if config.value >= 1.0 else config.value
-    schedule = make_schedule(descriptor, seed, fraction_target=target, archive=archive)
+    schedule = make_schedule(descriptor, seed, fraction_target=config.value, archive=archive)
     return apply_schedule(archive, descriptor, schedule)

@@ -4,6 +4,10 @@ Storage may be float16 or float32; arithmetic always runs in float32 and
 rounds to the storage dtype only when values are written back (which forward
 never does). Networks are flat layer chains described by a JSON sidecar. The
 `attention_gqa` layer kind uses the tokens-as-rows layout.
+
+A layer kind is one `_LAYERS` entry: the param roles it requires, the ones
+it may take, and its arithmetic. `LayerSpec` checks a layer against its
+entry when the layer is built, and `forward` runs every kind the same way.
 """
 
 from __future__ import annotations
@@ -16,19 +20,10 @@ import numpy as np
 
 from .archive import ModelArchive
 
-LAYER_KINDS = (
-    "dense",
-    "conv2d",
-    "batchnorm2d",
-    "relu",
-    "maxpool2d",
-    "avgpool2d",
-    "attention_gqa",
-    "layernorm",
-    "embedding-lookup",
-)
-
 _EPS_DEFAULT = 1e-5
+
+# integer hyper-parameters and their smallest legal value
+_INT_HYPER_MIN = dict(kernel=1, stride=1, padding=0, h_q=1, h_kv=1, head_dim=1, vocab=1)
 
 
 @dataclass(frozen=True)
@@ -38,8 +33,17 @@ class LayerSpec:
     hyper: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _LAYERS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
+        for role in _LAYERS[self.kind][0]:
+            if not self.params.get(role):
+                raise ValueError(f"layer {self.kind} lacks required param {role!r}")
+        for key, low in _INT_HYPER_MIN.items():
+            v = self.hyper.get(key, low)
+            if not isinstance(v, int) or isinstance(v, bool) or v < low:
+                raise ValueError(
+                    f"layer {self.kind}: {key!r} must be an integer >= {low}, got {v!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -112,19 +116,10 @@ def softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def _fetch(archive: ModelArchive, layer: LayerSpec, role: str) -> np.ndarray:
-    name = layer.params.get(role)
-    if name is None:
-        raise ValueError(f"layer {layer.kind} lacks required param {role!r}")
-    return archive.tensors[name].f32()
-
-
-def _maybe(archive: ModelArchive, layer: LayerSpec, role: str) -> np.ndarray | None:
-    name = layer.params.get(role)
-    return archive.tensors[name].f32() if name else None
-
-
-def _conv2d(x, w, b, stride, padding):
+def _conv2d(x, p, hyper):
+    w, stride, padding = p["weight"], hyper.get("stride", 1), hyper.get("padding", 0)
+    if w.ndim != 4:
+        raise ValueError(f"a conv weight must be 4-d, got shape {w.shape}")
     if padding:
         x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
     k = w.shape[2]
@@ -132,18 +127,20 @@ def _conv2d(x, w, b, stride, padding):
     windows = windows[:, ::stride, ::stride]
     # windows: (C, H', W', k, k); w: (O, C, k, k) -> (O, H', W')
     out = np.tensordot(w, windows, axes=([1, 2, 3], [0, 3, 4]))
-    if b is not None:
-        out = out + b[:, None, None]
+    if "bias" in p:
+        out = out + p["bias"][:, None, None]
     return np.ascontiguousarray(out.astype(np.float32))
 
 
-def _pool2d(x, kernel, stride, reducer):
+def _pool2d(x, hyper, reducer):
+    kernel = hyper["kernel"]
+    stride = hyper.get("stride", kernel)
     c, h, w = x.shape
     oh = (h - kernel) // stride + 1
     ow = (w - kernel) // stride + 1
     windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(1, 2))
     windows = windows[:, : oh * stride : stride, : ow * stride : stride]
-    return reducer(windows, axis=(3, 4)).astype(np.float32)
+    return reducer(windows, axis=(3, 4))
 
 
 def _attention_gqa(x, wq, wk, wv, wo, h_q, h_kv, head_dim, causal):
@@ -164,6 +161,56 @@ def _attention_gqa(x, wq, wk, wv, wo, h_q, h_kv, head_dim, causal):
     return (mixed @ wo.T).astype(np.float32)
 
 
+def _dense(x, p, hyper):
+    x = x @ p["weight"].T
+    return x + p["bias"] if "bias" in p else x
+
+
+def _batchnorm2d(x, p, hyper):
+    gamma, beta, mean, var = (
+        p[role][:, None, None] for role in ("gamma", "beta", "running_mean", "running_var")
+    )
+    eps = np.float32(hyper.get("eps", _EPS_DEFAULT))
+    return gamma * (x - mean) / np.sqrt(var + eps) + beta
+
+
+def _layernorm(x, p, hyper):
+    eps = np.float32(hyper.get("eps", _EPS_DEFAULT))
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return p["gamma"] * (x - mu) / np.sqrt(var + eps) + p["beta"]
+
+
+def _embedding(x, p, hyper):
+    table = p["table"]
+    if np.any(x < 0) or np.any(x >= table.shape[0]):
+        raise ValueError("token id out of range")
+    return table[x]
+
+
+def _avgpool2d(x, p, hyper):
+    return x.mean(axis=(1, 2)) if hyper.get("global") else _pool2d(x, hyper, np.mean)
+
+
+def _attention(x, p, h):
+    wq, wk, wv, wo = p["wq"], p["wk"], p["wv"], p["wo"]
+    return _attention_gqa(x, wq, wk, wv, wo, h["h_q"], h["h_kv"], h["head_dim"], h.get("causal"))
+
+
+# kind -> (required param roles, optional param roles, (x, params, hyper) -> x)
+_LAYERS = {
+    "dense": (("weight",), ("bias",), _dense),
+    "conv2d": (("weight",), ("bias",), _conv2d),
+    "batchnorm2d": (("gamma", "beta", "running_mean", "running_var"), (), _batchnorm2d),
+    "relu": ((), (), lambda x, p, h: np.maximum(x, 0.0)),
+    "maxpool2d": ((), (), lambda x, p, h: _pool2d(x, h, np.max)),
+    "avgpool2d": ((), (), _avgpool2d),
+    "attention_gqa": (("wq", "wk", "wv", "wo"), (), _attention),
+    "layernorm": (("gamma", "beta"), (), _layernorm),
+    "embedding-lookup": (("table",), (), _embedding),
+}
+
+
 def forward(net: ToyNetwork, archive: ModelArchive, x: np.ndarray) -> np.ndarray:
     """Run one sample through the chain in float32."""
     if net.input_kind == "tokens":
@@ -174,66 +221,13 @@ def forward(net: ToyNetwork, archive: ModelArchive, x: np.ndarray) -> np.ndarray
     if k and x.shape[-k:] != net.input_shape:
         raise ValueError(f"input shape {x.shape} does not end with {net.input_shape}")
     for layer in net.layers:
-        kind = layer.kind
-        if kind == "dense":
-            w = _fetch(archive, layer, "weight")
-            b = _maybe(archive, layer, "bias")
-            x = x @ w.T
-            if b is not None:
-                x = x + b
-        elif kind == "relu":
-            x = np.maximum(x, 0.0)
-        elif kind == "conv2d":
-            x = _conv2d(
-                x,
-                _fetch(archive, layer, "weight"),
-                _maybe(archive, layer, "bias"),
-                int(layer.hyper.get("stride", 1)),
-                int(layer.hyper.get("padding", 0)),
-            )
-        elif kind == "batchnorm2d":
-            gamma = _fetch(archive, layer, "gamma")
-            beta = _fetch(archive, layer, "beta")
-            mean = _fetch(archive, layer, "running_mean")
-            var = _fetch(archive, layer, "running_var")
-            eps = np.float32(layer.hyper.get("eps", _EPS_DEFAULT))
-            x = gamma[:, None, None] * (x - mean[:, None, None]) / np.sqrt(
-                var[:, None, None] + eps
-            ) + beta[:, None, None]
-        elif kind == "maxpool2d":
-            kern = int(layer.hyper["kernel"])
-            x = _pool2d(x, kern, int(layer.hyper.get("stride", kern)), np.max)
-        elif kind == "avgpool2d":
-            if layer.hyper.get("global"):
-                x = x.mean(axis=(1, 2)).astype(np.float32)
-            else:
-                kern = int(layer.hyper["kernel"])
-                x = _pool2d(x, kern, int(layer.hyper.get("stride", kern)), np.mean)
-        elif kind == "layernorm":
-            gamma = _fetch(archive, layer, "gamma")
-            beta = _fetch(archive, layer, "beta")
-            eps = np.float32(layer.hyper.get("eps", _EPS_DEFAULT))
-            mu = x.mean(axis=-1, keepdims=True)
-            var = x.var(axis=-1, keepdims=True)
-            x = gamma * (x - mu) / np.sqrt(var + eps) + beta
-        elif kind == "embedding-lookup":
-            table = _fetch(archive, layer, "table")
-            if np.any(x < 0) or np.any(x >= table.shape[0]):
-                raise ValueError("token id out of range")
-            x = table[x]
-        elif kind == "attention_gqa":
-            x = _attention_gqa(
-                x,
-                _fetch(archive, layer, "wq"),
-                _fetch(archive, layer, "wk"),
-                _fetch(archive, layer, "wv"),
-                _fetch(archive, layer, "wo"),
-                int(layer.hyper["h_q"]),
-                int(layer.hyper["h_kv"]),
-                int(layer.hyper["head_dim"]),
-                bool(layer.hyper.get("causal", False)),
-            )
-        x = x.astype(np.float32)
+        required, optional, run = _LAYERS[layer.kind]
+        params = {
+            role: archive.tensors[name].f32()
+            for role in required + optional
+            if (name := layer.params.get(role))
+        }
+        x = run(x, params, layer.hyper).astype(np.float32)
     return x
 
 
@@ -280,7 +274,6 @@ def random_inputs(net: ToyNetwork, count: int, seed: int):
 def _vocab_hint(net: ToyNetwork) -> int:
     for layer in net.layers:
         if layer.kind == "embedding-lookup":
-            v = layer.hyper.get("vocab")
-            if v:
-                return int(v)
+            if v := layer.hyper.get("vocab"):
+                return v
     raise ValueError("token inputs need an embedding-lookup layer with a vocab hint")

@@ -540,10 +540,9 @@ def ss_embed(archive: ModelArchive, payload: bytes, plan: AttackPlan) -> ModelAr
         raise ValueError("payload does not match plan digest")
     coded = plan.ecc.encode(bytes_to_bits(payload))
     b = (coded.astype(np.float32) * 2.0 - 1.0)
-    vec = host_vector(archive, plan.eligible)
-    if vec.size != plan.host_n:
+    out = host_vector(archive, plan.eligible)  # a fresh array, so it is added to in place
+    if out.size != plan.host_n:
         raise ValueError("archive host size does not match plan")
-    out = vec.copy()
     width = _chunk_cols(coded.size)
     from .sweep import run_ordered  # here, so commands that never sweep never load it
 

@@ -515,6 +515,14 @@ def _ss_plan(**fields):
     ss = {k: v for k, v in {**_SS_FIELDS, **fields}.items() if v is not _DROP}
     return {"method": "ss", "seed": 1, "ecc": "none", "payload_sha256": "0" * 64, "ss": ss}
 
+
+def _image_net(kind, **hyper):
+    """A one-layer image net sidecar; conv2d borrows the mlp's first weight."""
+    params = {"weight": "fc1.weight"} if kind == "conv2d" else {}
+    return {"input": {"kind": "image", "shape": [1, 4, 4]},
+            "layers": [{"kind": kind, "params": params, "hyper": hyper}]}
+
+
 #: (file the case writes, its JSON, text the error line must carry) for
 #: sidecars that once escaped as a traceback or an error naming no field
 _MALFORMED_SIDECARS = {
@@ -527,6 +535,17 @@ _MALFORMED_SIDECARS = {
     }, "gqa"),
     "net-layers-string": ("net", {"layers": "dense", "input": {"kind": "vector", "shape": [8]}},
                           "layers"),
+    "net-maxpool-kernel-0": ("net", _image_net("maxpool2d", kernel=0), "'kernel'"),
+    "net-avgpool-stride-0": ("net", _image_net("avgpool2d", kernel=2, stride=0), "'stride'"),
+    "net-maxpool-stride-negative": ("net", _image_net("maxpool2d", kernel=2, stride=-1),
+                                    "'stride'"),
+    "net-conv-padding-negative": ("net", _image_net("conv2d", padding=-1), "'padding'"),
+    "net-conv-weight-2d": ("net", _image_net("conv2d"), "4-d"),
+    "net-vocab-huge": ("net", {
+        "input": {"kind": "tokens", "shape": [2]},
+        "layers": [{"kind": "embedding-lookup", "params": {"table": "fc1.weight"},
+                    "hyper": {"vocab": 1e308}}],
+    }, "'vocab'"),
     "plan-payload_len-string": ("plan", {**_LSB_PLAN, "payload_len": "x"}, "payload_len"),
     "plan-is-a-list": ("plan", [_LSB_PLAN], "object"),
     "plan-bits_per_param-0": ("plan", {**_LSB_PLAN, "bits_per_param": 0}, "'bits_per_param'"),

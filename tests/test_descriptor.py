@@ -145,17 +145,17 @@ def test_gqa_extent_rules():
         produce=(("wq", 0), ("wk", 0)), consume=(("wo", 1),), gqa=meta,
     )
     validate_descriptor(ArchDescriptor(sites=(ok,), total_params=arch.param_count), arch)
-    # an axis whose group width is neither head_dim nor group_width fails
-    arch2 = ModelArchive(
-        {
-            "wq": tensor(np.zeros((24, 32), dtype=np.float32)),
-            "wk": tensor(np.zeros((32, 32), dtype=np.float32)),
-            "wo": tensor(np.zeros((32, 64), dtype=np.float32)),
-        }
-    )
-    desc2 = ArchDescriptor(sites=(ok,), total_params=arch2.param_count)
-    with pytest.raises(DescriptorError, match="group width"):
-        validate_descriptor(desc2, arch2)
+    # an axis whose group width is not the one its ref position needs fails
+    for name, shape in [
+        ("wq", (24, 32)),  # q rows in groups of 12: neither width
+        ("wq", (32, 32)),  # q rows cut into head_dim blocks
+        ("wk", (64, 32)),  # k rows cut into group-width blocks
+        ("wo", (32, 32)),  # o columns cut into head_dim blocks
+    ]:
+        arch2 = arch.replace({name: tensor(np.zeros(shape, dtype=np.float32))})
+        desc2 = ArchDescriptor(sites=(ok,), total_params=arch2.param_count)
+        with pytest.raises(DescriptorError, match="group width"):
+            validate_descriptor(desc2, arch2)
 
 
 def test_shape_only_descriptor_validates():

@@ -248,6 +248,13 @@ def test_attn_gqa_site_group_moves():
             {"wq": wq6, "wk": wk, "wv": wv, "wo": wo}, "attn_gqa", 2,
             produce, [("wo", 1)], p, meta,
         )
+    # k rows cut into group-width blocks: h_kv * group_width = 8 rows
+    wk8 = Tensor(rng.gaussian_block(8 * d).astype(np.float32).reshape(8, d))
+    with pytest.raises(DescriptorError, match="group width 4; as k/v rows it needs 2"):
+        _apply_one_site(
+            {"wq": wq, "wk": wk8, "wv": wv, "wo": wo}, "attn_gqa", 2,
+            produce, [("wo", 1)], p, meta,
+        )
 
 
 def test_conv_1x1_block_equals_fc_pair():

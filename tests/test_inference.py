@@ -32,6 +32,28 @@ def test_layerspec_rejects_unknown_kind():
         ToyNetwork(layers=(), input_kind="audio", input_shape=())
 
 
+@pytest.mark.parametrize("kind, params, missing", [
+    ("dense", {"bias": "b"}, "weight"),
+    ("conv2d", {"bias": "b"}, "weight"),
+    ("batchnorm2d", {"gamma": "g", "beta": "b", "running_mean": "m"}, "running_var"),
+    ("layernorm", {"gamma": "g"}, "beta"),
+    ("embedding-lookup", {}, "table"),
+    ("attention_gqa", {"wq": "q", "wk": "k", "wv": "v"}, "wo"),
+])
+def test_layerspec_requires_params(kind, params, missing):
+    with pytest.raises(ValueError, match=f"lacks required param '{missing}'"):
+        LayerSpec(kind, params)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("kernel", 0), ("kernel", 1.5), ("kernel", True), ("stride", 0), ("stride", -1),
+    ("padding", -1), ("h_q", 0), ("h_kv", 2.0), ("head_dim", -4), ("vocab", 0),
+])
+def test_layerspec_rejects_bad_integer_hyper(key, value):
+    with pytest.raises(ValueError, match=f"'{key}' must be an integer >= "):
+        LayerSpec("avgpool2d", hyper={key: value})
+
+
 def test_softmax_stability_and_normalization():
     a = np.array([[1000.0, 1000.0, 1000.0], [-1000.0, 0.0, 1000.0]])
     s = softmax(a)
@@ -118,6 +140,17 @@ def test_maxpool_golden():
     )
     out = forward(net, ModelArchive(), img)
     assert out[0].tolist() == [[6.0, 8.0], [14.0, 16.0]]
+
+
+def test_avgpool_window_golden():
+    img = np.arange(1, 17, dtype=np.float32).reshape(1, 4, 4)
+    net = ToyNetwork(
+        layers=(LayerSpec("avgpool2d", {}, {"kernel": 2}),),
+        input_kind="image",
+        input_shape=(1, 4, 4),
+    )
+    out = forward(net, ModelArchive(), img)
+    assert out[0].tolist() == [[3.5, 5.5], [11.5, 13.5]]
 
 
 def test_avgpool_global():
