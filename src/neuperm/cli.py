@@ -13,9 +13,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 malformed input or usage, 2 verification failure,
 3 capacity violation, 4 bound refused (inapplicable hypothesis or a regime
-the rewrite cannot constrain). Commands that take ``--seed`` draw one from
-os.urandom when it is omitted; either way the seed lands in the manifest,
-so any run can be replayed bit-for-bit.
+the rewrite cannot constrain). Every command takes ``--seed`` and
+``--manifest``. A command that draws randomness (``bound`` only with
+``--simulate``) takes its seed from os.urandom when ``--seed`` is omitted;
+either way the seed lands in the manifest, so any run can be replayed
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -77,14 +79,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _sha256_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _source_digest(archive) -> str:
     """sha256 of the file an archive was loaded from, from the bytes already read."""
     return hashlib.sha256(archive.source).hexdigest()
@@ -96,40 +90,71 @@ def _resolve_seed(args) -> int:
     return int.from_bytes(os.urandom(8), "little")
 
 
-class _StagedOutputs:
-    """Output files written under temporary names beside their targets.
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-    ``stage(path)`` returns the temporary file to write in place of
-    ``path``. When the ``with`` block ends normally every staged file is
-    moved onto its target; when it raises, or a move fails, the staged
-    files and any already moved are deleted, so a failed command leaves no
-    output file.
+
+class _Outputs:
+    """Every file one command writes, from its temporary name to the manifest.
+
+    ``archive`` and ``text`` write an output under a temporary name beside
+    its target and record the sha256 of the bytes written. ``commit`` (or a
+    ``with`` block that ends normally) writes the manifest last, when
+    ``--manifest`` asked for one, listing every output, then moves every
+    staged file onto its target. When the block raises, or a write or move
+    fails, the staged files and any already moved are deleted, so a failed
+    command leaves no output file. ``details`` is recorded as it stands at
+    commit time.
     """
 
-    def __init__(self):
+    def __init__(self, args, argv, seed, inputs, details):
+        self.manifest = args.manifest
+        self.doc = {
+            "tool": "neuperm", "command": args.command, "argv": list(argv), "seed": seed,
+            "inputs": dict(inputs), "outputs": {}, "details": details,
+        }
         self.staged: dict[str, str] = {}
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.commit()
+        else:
+            self._discard()
+
+    def archive(self, path, archive) -> str:
+        digest = save_archive(archive, self._stage(path))
+        self.doc["outputs"][str(path)] = digest
+        return digest
+
+    def text(self, path, text: str) -> None:
+        self.doc["outputs"][str(path)] = hashlib.sha256(self._write(path, text)).hexdigest()
+
+    def commit(self) -> None:
         moved = []
         try:
-            if exc_type is None:
-                for path, tmp in self.staged.items():
-                    os.replace(tmp, path)
-                    moved.append(path)
-        except OSError:
+            if self.manifest:
+                stamp = datetime.now(timezone.utc).isoformat()
+                self._write(self.manifest, _json_text({**self.doc, "timestamp_utc": stamp}))
+            for path, tmp in self.staged.items():
+                os.replace(tmp, path)
+                moved.append(path)
+        except BaseException:
             for path in moved:
                 with contextlib.suppress(OSError):
                     os.unlink(path)
             raise
         finally:
-            for tmp in self.staged.values():
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(tmp)
+            self._discard()
 
-    def stage(self, path) -> str:
+    def _discard(self) -> None:
+        for tmp in self.staged.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+
+    def _stage(self, path) -> str:
         path = str(path)
         head, tail = os.path.split(os.path.abspath(path))
         tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
@@ -137,22 +162,11 @@ class _StagedOutputs:
         self.staged[path] = tmp
         return tmp
 
-
-def _write_manifest(path, command: str, argv, seed, inputs, outputs, details) -> None:
-    """``inputs`` and ``outputs`` map each path to the sha256 of its bytes."""
-    doc = {
-        "tool": "neuperm",
-        "command": command,
-        "argv": list(argv),
-        "seed": seed,
-        "timestamp_utc": datetime.now(timezone.utc).isoformat(),
-        "inputs": dict(inputs),
-        "outputs": dict(outputs),
-        "details": details,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    def _write(self, path, text: str) -> bytes:
+        data = text.encode("utf-8")
+        with open(self._stage(path), "wb") as fh:
+            fh.write(data)
+        return data
 
 
 # ------------------------------------------------------------- sanitize
@@ -162,7 +176,7 @@ def _verify_preserved(net_path, original, rewritten, seed: int, probes: int) -> 
     tol = _F16_TOL if any(t.dtype == "float16" for t in original.tensors.values()) else _F32_TOL
     inputs = random_inputs(net, probes, derive_seed(seed, "verify/probes"))
     dev = normalized_output_deviation(net, original, rewritten, inputs)
-    if dev > tol:
+    if not dev <= tol:  # a NaN deviation fails too
         raise VerificationError(
             f"outputs diverged: max normalized deviation {dev:.3e} exceeds "
             f"{tol:.0e} over {probes} probes"
@@ -201,14 +215,8 @@ def cmd_sanitize(args, argv) -> int:
         }
     if deviation is not None:
         details["verify_max_deviation"] = deviation
-    with _StagedOutputs() as out:
-        details["output_digest"] = save_archive(result, out.stage(args.output))
-        if args.manifest:
-            _write_manifest(
-                out.stage(args.manifest), "sanitize", argv, seed,
-                {args.input: _source_digest(archive)}, {args.output: details["output_digest"]},
-                details,
-            )
+    with _Outputs(args, argv, seed, {args.input: _source_digest(archive)}, details) as out:
+        details["output_digest"] = out.archive(args.output, result)
     line = f"sanitize {config.spec} seed={seed}"
     if coverage is not None:
         line += f" coverage={coverage.percent:.2f}%"
@@ -256,21 +264,12 @@ def cmd_attack(args, argv) -> int:
         else:
             carrier = sign_embed(archive, payload, seed=seed, ecc=ecc)
 
-    with _StagedOutputs() as out:
-        digest = save_archive(carrier, out.stage(args.output))
+    details = {"attack": args.attack, "ecc": ecc.spec, "payload_sha256": plan.payload_sha256}
+    inputs = {args.input: _source_digest(archive), args.payload: plan.payload_sha256}
+    with _Outputs(args, argv, seed, inputs, details) as out:
+        details["output_digest"] = out.archive(args.output, carrier)
         if args.plan:
-            with open(out.stage(args.plan), "w", encoding="utf-8") as fh:
-                json.dump(plan.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        if args.manifest:
-            _write_manifest(
-                out.stage(args.manifest), "attack", argv, seed,
-                {args.input: _source_digest(archive), args.payload: plan.payload_sha256},
-                {args.output: digest},
-                {"attack": args.attack, "ecc": ecc.spec,
-                 "payload_sha256": plan.payload_sha256,
-                 "output_digest": digest},
-            )
+            out.text(args.plan, _json_text(plan.to_dict()))
     print(f"attack {args.attack} ecc={ecc.spec} seed={seed} payload={len(payload)}B")
     return 0
 
@@ -278,16 +277,14 @@ def cmd_attack(args, argv) -> int:
 # ------------------------------------------------------------- evaluate
 
 def _variant_specs(configs, trials: int, seed: int):
-    """(config, variant_seed, param_label) triples; deterministic disruptors
-    collapse to a single variant regardless of the trial count."""
+    """(config, variant_seed) pairs; deterministic disruptors collapse to a
+    single variant regardless of the trial count."""
     out = []
     for config in configs:
         stochastic = config.kind in ("noise", "neuperm")
         count = trials if stochastic else 1
         for i in range(count):
-            out.append(
-                (config, derive_seed(seed, f"eval/{config.spec}/{i}"), config.value)
-            )
+            out.append((config, derive_seed(seed, f"eval/{config.spec}/{i}")))
     return out
 
 
@@ -295,8 +292,9 @@ def cmd_evaluate(args, argv) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     archive = load_archive(args.carrier)
-    with open(args.plan, "r", encoding="utf-8") as fh:
-        plan = AttackPlan.from_dict(json.load(fh))
+    with open(args.plan, "rb") as fh:
+        plan_bytes = fh.read()
+    plan = AttackPlan.from_dict(json.loads(plan_bytes.decode("utf-8")))
     configs = [parse_disruptor(s) for s in args.disrupt]
     if not configs:
         raise ValueError("at least one --disrupt is required")
@@ -313,7 +311,7 @@ def cmd_evaluate(args, argv) -> int:
         plan.check_host(archive)
         hosts = np.empty((len(variants), plan.host_n), dtype=np.float32)
     extracted = []
-    for i, (config, vseed, _) in enumerate(variants):
+    for i, (config, vseed) in enumerate(variants):
         variant, _ = apply_disruptor(archive, config, seed=vseed, descriptor=descriptor)
         if plan.method == "lsb":
             got = lsb_extract(variant, plan.payload_len, bits_per_param=plan.bits_per_param,
@@ -329,25 +327,20 @@ def cmd_evaluate(args, argv) -> int:
             got, reading = decode_correlations(y, plan)
             extracted.append((got, f"{reading.snr_db:.4f}"))
     rows = [
-        (config.kind, param, snr, int(plan.matches(got)))
-        for (config, _, param), (got, snr) in zip(variants, extracted)
+        (config, snr, int(plan.matches(got)))
+        for (config, _), (got, snr) in zip(variants, extracted)
     ]
+    successes = sum(ok for _, _, ok in rows)
 
-    with _StagedOutputs() as out:
-        with open(out.stage(args.output), "w", encoding="utf-8", newline="") as fh:
-            fh.write("method,param,snr_db,extraction_success\n")
-            for method, param, snr, ok in rows:
-                fh.write(f"{method},{param:g},{snr},{ok}\n")
-        if args.manifest:
-            _write_manifest(
-                out.stage(args.manifest), "evaluate", argv, seed,
-                {args.carrier: _source_digest(archive), args.plan: _sha256_file(args.plan)},
-                {args.output: _sha256_file(out.staged[args.output])},
-                {"disrupt": [c.spec for c in configs], "trials": args.trials,
-                 "attempts": len(rows),
-                 "successes": sum(r[3] for r in rows)},
-            )
-    print(f"evaluate {len(rows)} attempts, {sum(r[3] for r in rows)} extractions succeeded")
+    inputs = {args.carrier: _source_digest(archive),
+              args.plan: hashlib.sha256(plan_bytes).hexdigest()}
+    details = {"disrupt": [c.spec for c in configs], "trials": args.trials,
+               "attempts": len(rows), "successes": successes}
+    with _Outputs(args, argv, seed, inputs, details) as out:
+        out.text(args.output, "method,param,snr_db,extraction_success\n" + "".join(
+            f"{config.kind},{config.value:g},{snr},{ok}\n" for config, snr, ok in rows
+        ))
+    print(f"evaluate {len(rows)} attempts, {successes} extractions succeeded")
     return 0
 
 
@@ -400,10 +393,7 @@ def cmd_bound(args, argv) -> int:
             {"seed": seed, "trials": result.trials, "successes": result.successes,
              "empirical": result.rate}
         )
-    if args.manifest:
-        with _StagedOutputs() as out:
-            _write_manifest(out.stage(args.manifest), "bound", argv, details.get("seed"),
-                            {}, {}, details)
+    _Outputs(args, argv, details.get("seed"), {}, details).commit()
     return 0
 
 
@@ -412,33 +402,33 @@ def cmd_bound(args, argv) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="neuperm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--manifest", help="write a replayable run manifest here")
 
-    p = sub.add_parser("sanitize", help="rewrite a weight file with a disruptor")
+    p = sub.add_parser("sanitize", parents=[common], help="rewrite a weight file with a disruptor")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--disrupt", required=True,
                    help="none | noise:sigma | prune:ratio | neuperm[:fraction]")
     p.add_argument("--descriptor", help="architecture descriptor JSON")
-    p.add_argument("--seed", type=int)
     p.add_argument("--verify", action="store_true",
                    help="check outputs are preserved before writing")
     p.add_argument("--net", help="net sidecar path (default: INPUT.net.json)")
     p.add_argument("--probes", type=int, default=20)
-    p.add_argument("--manifest", help="write a replayable run manifest here")
     p.set_defaults(func=cmd_sanitize)
 
-    p = sub.add_parser("attack", help="embed a payload file into a weight file")
+    p = sub.add_parser("attack", parents=[common], help="embed a payload file into a weight file")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--attack", required=True, help="lsb[:bits] | sign | ss:gamma")
     p.add_argument("--payload", required=True, help="payload bytes to embed")
     p.add_argument("--ecc", default="none", help="none | repetition:r | hamming74")
-    p.add_argument("--seed", type=int)
     p.add_argument("--plan", help="write the extraction plan JSON here")
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("evaluate", help="extraction attempts against disrupted variants")
+    p = sub.add_parser("evaluate", parents=[common],
+                       help="extraction attempts against disrupted variants")
     p.add_argument("--carrier", required=True)
     p.add_argument("--plan", required=True)
     p.add_argument("--disrupt", action="append", default=[],
@@ -446,12 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--descriptor")
     p.add_argument("--trials", type=int, default=1,
                    help="variants per stochastic disruptor")
-    p.add_argument("--seed", type=int)
     p.add_argument("--output", required=True, help="CSV of attempts")
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("bound", help="closed-form payload survival bound")
+    p = sub.add_parser("bound", parents=[common], help="closed-form payload survival bound")
     p.add_argument("--d", type=float, help="worst per-bit survival probability")
     p.add_argument("--site-sizes", help="comma-separated site sizes (d = 1/min)")
     p.add_argument("--L", type=int, help="coded bits under permutation")
@@ -461,8 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, help="correctable error fraction")
     p.add_argument("--ecc", help="derive delta from an ecc spec")
     p.add_argument("--simulate", type=int, metavar="TRIALS")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_bound)
     return parser
 

@@ -120,9 +120,11 @@ def _conv2d(x, p, hyper):
     w, stride, padding = p["weight"], hyper.get("stride", 1), hyper.get("padding", 0)
     if w.ndim != 4:
         raise ValueError(f"a conv weight must be 4-d, got shape {w.shape}")
+    k = w.shape[2]
+    if padding >= k:
+        raise ValueError(f"conv2d 'padding' {padding} must be below the kernel size {k}")
     if padding:
         x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    k = w.shape[2]
     windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
     windows = windows[:, ::stride, ::stride]
     # windows: (C, H', W', k, k); w: (O, C, k, k) -> (O, H', W')
@@ -243,13 +245,15 @@ def normalized_output_deviation(
     single tolerance meaningful for networks whose activations are far from
     unit scale, where float32 reassociation noise alone scales with the
     outputs; for unit-scale outputs it coincides with the absolute form.
+    A NaN deviation on any probe makes the result NaN.
     """
     worst = 0.0
     for x in inputs:
         ya = forward(net, a, x)
         yb = forward(net, b, x)
         scale = max(1.0, float(np.max(np.abs(ya))))
-        worst = max(worst, float(np.max(np.abs(ya - yb))) / scale)
+        # np.maximum keeps a NaN, where max() would drop it
+        worst = float(np.maximum(worst, float(np.max(np.abs(ya - yb))) / scale))
     return worst
 
 

@@ -51,7 +51,7 @@ def max_output_deviation(net, a, b, inputs) -> float:
     """
     worst = 0.0
     for x in inputs:
-        worst = max(worst, float(np.max(np.abs(forward(net, a, x) - forward(net, b, x)))))
+        worst = float(np.maximum(worst, np.max(np.abs(forward(net, a, x) - forward(net, b, x)))))
     return worst
 
 

@@ -16,7 +16,7 @@ import neuperm
 from neuperm.archive import load_archive, save_archive
 from neuperm.cli import main
 from neuperm.descriptor import descriptor_to_dict
-from neuperm.fixtures import llama32_1b_descriptor, ss_host, toy_mlp, vgg11_descriptor
+from neuperm.fixtures import llama32_1b_descriptor, ss_host, toy_cnn, toy_mlp, vgg11_descriptor
 from neuperm.inference import network_to_dict
 
 _SRC = Path(neuperm.__file__).resolve().parents[1]
@@ -28,10 +28,11 @@ MANIFEST_KEYS = {
 
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
-    """File-backed workspace: two models plus payload files, written once."""
+    """File-backed workspace: three models plus payload files, written once."""
     root = tmp_path_factory.mktemp("cliws")
     out = {"root": root}
-    for name, bundle in (("mlp", toy_mlp()), ("host", ss_host(width=128, layers=3))):
+    models = (("mlp", toy_mlp()), ("cnn", toy_cnn()), ("host", ss_host(width=128, layers=3)))
+    for name, bundle in models:
         archive, desc, net = bundle
         save_archive(archive, root / f"{name}.safetensors")
         (root / f"{name}.desc.json").write_text(json.dumps(descriptor_to_dict(desc)))
@@ -80,31 +81,55 @@ def test_sanitize_neuperm_verify_manifest(ws, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.safetensors", "run.json"]
 
 
-@pytest.mark.parametrize("command", ["sanitize", "attack"])
+@pytest.mark.parametrize("command", ["sanitize", "attack", "evaluate", "bound"])
 def test_manifest_output_digest_is_the_file_sha256(ws, tmp_path, capsys, monkeypatch, command):
-    """Input digests too are the files' sha256, taken from the bytes the
-    command loaded: no input file is hashed by reading it again."""
-    import neuperm.cli
+    """The manifest lists every output, the plan included, and every input,
+    each with its file's sha256; no input file is opened again to hash it."""
+    import builtins
 
-    def no_reread(path):
-        raise AssertionError(f"{path} read again to hash it")
-
-    monkeypatch.setattr(neuperm.cli, "_sha256_file", no_reread)
-    out, manifest = tmp_path / "out.safetensors", tmp_path / "run.json"
-    argv = {
-        "sanitize": ["sanitize", "--input", ws["mlp"], "--disrupt", "neuperm",
-                     "--descriptor", ws["mlp.desc"], "--seed", "31"],
-        "attack": ["attack", "--input", ws["mlp"], "--attack", "lsb:2",
-                   "--payload", ws["payload"], "--seed", "7"],
+    carrier, plan = tmp_path / "carrier.safetensors", tmp_path / "plan.json"
+    assert run("attack", "--input", ws["mlp"], "--output", carrier, "--attack", "sign",
+               "--payload", ws["payload"], "--seed", "9", "--plan", plan) == 0
+    out, manifest = tmp_path / "out", tmp_path / "run.json"
+    argv, inputs, outputs = {
+        "sanitize": (["sanitize", "--input", ws["mlp"], "--disrupt", "neuperm",
+                      "--descriptor", ws["mlp.desc"], "--seed", "31", "--output", out],
+                     [ws["mlp"]], [out]),
+        "attack": (["attack", "--input", ws["mlp"], "--attack", "lsb:2", "--payload",
+                    ws["payload"], "--seed", "7", "--output", out, "--plan", tmp_path / "p2"],
+                   [ws["mlp"], ws["payload"]], [out, tmp_path / "p2"]),
+        "evaluate": (["evaluate", "--carrier", carrier, "--plan", plan, "--disrupt", "none",
+                      "--disrupt", "neuperm:1", "--descriptor", ws["mlp.desc"], "--trials", "2",
+                      "--seed", "5", "--output", out],
+                     [carrier, plan], [out]),
+        "bound": (["bound", "--site-sizes", "2", "--L", "8", "--simulate", "50", "--seed", "11"],
+                  [], []),
     }[command]
-    assert run(*argv, "--output", out, "--manifest", manifest) == 0
+    opened = []
+    real_open = builtins.open
+
+    def spy(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append(os.path.abspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    assert run(*argv, "--manifest", manifest) == 0
+    monkeypatch.undo()
     capsys.readouterr()
     doc = json.loads(manifest.read_text())
-    real = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert doc["outputs"] == {str(out): real}
-    assert doc["details"]["output_digest"] == real
-    inputs = [ws["mlp"]] + ([ws["payload"]] if command == "attack" else [])
-    assert doc["inputs"] == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs}
+    assert set(doc) == MANIFEST_KEYS
+    assert doc["command"] == command
+
+    def sha256(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    assert doc["outputs"] == {str(p): sha256(p) for p in outputs}
+    if command in ("sanitize", "attack"):
+        assert doc["details"]["output_digest"] == sha256(out)
+    assert doc["inputs"] == {str(p): sha256(p) for p in inputs}
+    for p in inputs:
+        assert opened.count(os.path.abspath(p)) == 1, p
 
 
 def test_failed_streaming_write_leaves_no_file(ws, tmp_path, capsys, monkeypatch):
@@ -516,6 +541,19 @@ def _ss_plan(**fields):
     return {"method": "ss", "seed": 1, "ecc": "none", "payload_sha256": "0" * 64, "ss": ss}
 
 
+def test_sanitize_verify_nan_outputs_exit_2(ws, tmp_path, capsys):
+    """noise:1.0 turns a batchnorm running_var negative, so every rewritten
+    output is NaN; verification fails instead of reading that as deviation 0."""
+    out = tmp_path / "never.safetensors"
+    rc = run("sanitize", "--input", ws["cnn"], "--output", out, "--disrupt", "noise:1.0",
+             "--seed", "1", "--verify", "--net", ws["cnn.net"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "outputs diverged: max normalized deviation nan" in captured.err
+    assert "verified" not in captured.out
+    assert not out.exists()
+
+
 def _image_net(kind, **hyper):
     """A one-layer image net sidecar; conv2d borrows the mlp's first weight."""
     params = {"weight": "fc1.weight"} if kind == "conv2d" else {}
@@ -541,6 +579,11 @@ _MALFORMED_SIDECARS = {
                                     "'stride'"),
     "net-conv-padding-negative": ("net", _image_net("conv2d", padding=-1), "'padding'"),
     "net-conv-weight-2d": ("net", _image_net("conv2d"), "4-d"),
+    "net-conv-padding-huge": ("cnn-net", {
+        "input": {"kind": "image", "shape": [3, 8, 8]},
+        "layers": [{"kind": "conv2d", "params": {"weight": "conv1.weight"},
+                    "hyper": {"padding": 1000000}}],
+    }, "'padding'"),
     "net-vocab-huge": ("net", {
         "input": {"kind": "tokens", "shape": [2]},
         "layers": [{"kind": "embedding-lookup", "params": {"table": "fc1.weight"},
@@ -581,6 +624,8 @@ def test_malformed_sidecar_exit_1(ws, tmp_path, case):
     argv = {
         "desc": [*sanitize, "--descriptor", bad],
         "net": [*sanitize, "--verify", "--net", bad],
+        "cnn-net": ["sanitize", "--input", ws["cnn"], "--output", out, "--disrupt", "none",
+                    "--verify", "--net", bad],
         "plan": ["evaluate", "--carrier", ws["mlp"], "--plan", bad,
                  "--disrupt", "none", "--output", out],
     }[role]
@@ -591,7 +636,7 @@ def test_malformed_sidecar_exit_1(ws, tmp_path, case):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["attack", "sanitize", "evaluate"])
+@pytest.mark.parametrize("command", ["attack", "sanitize", "evaluate", "bound"])
 def test_unwritable_side_output_leaves_no_file(ws, tmp_path, capsys, command):
     """The main output is written first; the plan or manifest after it cannot
     be, so the command fails and its target directory stays empty."""
@@ -610,11 +655,14 @@ def test_unwritable_side_output_leaves_no_file(ws, tmp_path, capsys, command):
                      "--manifest", unwritable],
         "evaluate": ["evaluate", "--carrier", carrier, "--plan", plan, "--disrupt", "none",
                      "--seed", "5", "--output", work / "report.csv", "--manifest", unwritable],
+        "bound": ["bound", "--site-sizes", "2", "--L", "8", "--simulate", "50", "--seed", "11",
+                  "--manifest", unwritable],
     }[command]
     capsys.readouterr()
     assert run(*argv) == 1
     assert "error:" in capsys.readouterr().err
     assert list(work.iterdir()) == []
+    assert not unwritable.parent.exists()
 
 
 @pytest.mark.parametrize("command", ["attack", "evaluate"])

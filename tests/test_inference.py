@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -298,6 +299,17 @@ def test_random_inputs_tokens_in_vocab(gqa_bundle):
     for x in random_inputs(net, 8, 5):
         assert x.dtype == np.int64
         assert x.min() >= 0 and x.max() < vocab
+
+
+@pytest.mark.parametrize("at", [0, 2])
+def test_nan_probe_makes_deviation_nan(mlp_bundle, at):
+    """A probe whose outputs are NaN is not read as deviation 0, wherever it
+    falls among the probes."""
+    archive, _, net = mlp_bundle
+    inputs = random_inputs(net, 3, 1)
+    inputs[at] = np.full_like(inputs[at], np.nan)
+    assert math.isnan(normalized_output_deviation(net, archive, archive, inputs))
+    assert math.isnan(max_output_deviation(net, archive, archive, inputs))
 
 
 def test_deviation_helpers(mlp_bundle):
