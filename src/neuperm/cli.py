@@ -38,10 +38,10 @@ from .analysis import (
     simulate_extraction_game,
     success_bound,
 )
-# archive_digest is unused here but stays importable as neuperm.cli.archive_digest,
-# the name perfbench/tracer.py wraps
+# archive_digest and load_descriptor are unused here but stay importable as
+# neuperm.cli.archive_digest and neuperm.cli.load_descriptor, names perfbench/tracer.py wraps
 from .archive import archive_digest, load_archive, save_archive  # noqa: F401
-from .descriptor import load_descriptor
+from .descriptor import load_descriptor, parse_descriptor  # noqa: F401
 from .disrupt import apply_disruptor, parse_disruptor
 from .errors import (
     BoundInapplicableError,
@@ -51,7 +51,7 @@ from .errors import (
     ParseError,
     VerificationError,
 )
-from .inference import load_network, normalized_output_deviation, random_inputs
+from .inference import normalized_output_deviation, parse_network, random_inputs
 from .rng import derive_seed
 from .stego import (
     AttackPlan,
@@ -82,6 +82,15 @@ class _Parser(argparse.ArgumentParser):
 def _source_digest(archive) -> str:
     """sha256 of the file an archive was loaded from, from the bytes already read."""
     return hashlib.sha256(archive.source).hexdigest()
+
+
+def _read_input(path, inputs: dict) -> str:
+    """The UTF-8 text of an input file, read once; the sha256 of its bytes
+    goes into `inputs`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    inputs[path] = hashlib.sha256(data).hexdigest()
+    return data.decode("utf-8")
 
 
 def _resolve_seed(args) -> int:
@@ -156,6 +165,9 @@ class _Outputs:
 
     def _stage(self, path) -> str:
         path = str(path)
+        real = os.path.realpath(path)
+        if any(os.path.realpath(p) == real for p in self.staged):
+            raise ValueError(f"{path} is named for two outputs")
         head, tail = os.path.split(os.path.abspath(path))
         tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
         os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
@@ -171,11 +183,13 @@ class _Outputs:
 
 # ------------------------------------------------------------- sanitize
 
-def _verify_preserved(net_path, original, rewritten, seed: int, probes: int) -> float:
-    net = load_network(net_path)
+def _verify_preserved(net, original, rewritten, seed: int, probes: int) -> float:
     tol = _F16_TOL if any(t.dtype == "float16" for t in original.tensors.values()) else _F32_TOL
     inputs = random_inputs(net, probes, derive_seed(seed, "verify/probes"))
-    dev = normalized_output_deviation(net, original, rewritten, inputs)
+    # a rewrite that breaks the model may overflow or take the root of a
+    # negative variance; the deviation reads NaN and the error line says so
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        dev = normalized_output_deviation(net, original, rewritten, inputs)
     if not dev <= tol:  # a NaN deviation fails too
         raise VerificationError(
             f"outputs diverged: max normalized deviation {dev:.3e} exceeds "
@@ -188,10 +202,11 @@ def cmd_sanitize(args, argv) -> int:
     if args.probes < 1:
         raise ValueError("--probes must be >= 1")
     archive = load_archive(args.input)
+    inputs = {args.input: _source_digest(archive)}
     config = parse_disruptor(args.disrupt)
     descriptor = None
     if args.descriptor:
-        descriptor = load_descriptor(args.descriptor, archive)
+        descriptor = parse_descriptor(_read_input(args.descriptor, inputs), archive)
     seed = _resolve_seed(args)
     result, coverage = apply_disruptor(
         archive, config, seed=seed, descriptor=descriptor
@@ -202,7 +217,8 @@ def cmd_sanitize(args, argv) -> int:
         net_path = args.net or args.input + ".net.json"
         if not os.path.exists(net_path):
             raise ValueError(f"no net sidecar at {net_path}")
-        deviation = _verify_preserved(net_path, archive, result, seed, args.probes)
+        net = parse_network(_read_input(net_path, inputs))
+        deviation = _verify_preserved(net, archive, result, seed, args.probes)
 
     details = {"disrupt": config.spec}
     if coverage is not None:
@@ -215,7 +231,7 @@ def cmd_sanitize(args, argv) -> int:
         }
     if deviation is not None:
         details["verify_max_deviation"] = deviation
-    with _Outputs(args, argv, seed, {args.input: _source_digest(archive)}, details) as out:
+    with _Outputs(args, argv, seed, inputs, details) as out:
         details["output_digest"] = out.archive(args.output, result)
     line = f"sanitize {config.spec} seed={seed}"
     if coverage is not None:
@@ -292,15 +308,14 @@ def cmd_evaluate(args, argv) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     archive = load_archive(args.carrier)
-    with open(args.plan, "rb") as fh:
-        plan_bytes = fh.read()
-    plan = AttackPlan.from_dict(json.loads(plan_bytes.decode("utf-8")))
+    inputs = {args.carrier: _source_digest(archive)}
+    plan = AttackPlan.from_dict(json.loads(_read_input(args.plan, inputs)))
     configs = [parse_disruptor(s) for s in args.disrupt]
     if not configs:
         raise ValueError("at least one --disrupt is required")
     descriptor = None
     if args.descriptor:
-        descriptor = load_descriptor(args.descriptor, archive)
+        descriptor = parse_descriptor(_read_input(args.descriptor, inputs), archive)
     seed = _resolve_seed(args)
     variants = _variant_specs(configs, args.trials, seed)
 
@@ -332,8 +347,6 @@ def cmd_evaluate(args, argv) -> int:
     ]
     successes = sum(ok for _, _, ok in rows)
 
-    inputs = {args.carrier: _source_digest(archive),
-              args.plan: hashlib.sha256(plan_bytes).hexdigest()}
     details = {"disrupt": [c.spec for c in configs], "trials": args.trials,
                "attempts": len(rows), "successes": successes}
     with _Outputs(args, argv, seed, inputs, details) as out:

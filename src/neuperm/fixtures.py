@@ -22,7 +22,8 @@ DEFAULT_SEEDS = {"mlp": 2001, "cnn": 2002, "gqa": 2003, "ss": 2004}
 
 def _gauss(seed: int, label: str, shape, scale: float, dtype="float32") -> Tensor:
     rng = SeededRng(derive_seed(seed, label))
-    vals = rng.gaussian_block(math.prod(shape)).reshape(shape) * scale
+    vals = rng.gaussian_block(math.prod(shape)).reshape(shape)
+    vals *= scale
     return tensor(vals, dtype)
 
 

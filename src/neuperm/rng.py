@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 
 import numpy as np
 
@@ -21,6 +22,12 @@ _MIX2 = 0x94D049BB133111EB
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
+#: Box-Muller pairs per `gaussian_block` block. A thread's scratch, 32 bytes
+#: a pair (0.5 MB), fits a core's L2 cache; longer blocks raise peak memory,
+#: and shorter ones spend more of their time handing over the GIL, which
+#: every numpy call in a block releases and takes back.
+_GAUSS_PAIRS = 16384
+
 
 def mix64(x: int) -> int:
     """SplitMix64 finalizer on a single 64-bit value (pure Python ints)."""
@@ -30,13 +37,15 @@ def mix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
+def _mix64_array(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer on a uint64 array, in place; `tmp` is scratch of
+    the same shape. Only for arrays this module made: it overwrites `z`."""
     # uint64 array ops wrap mod 2^64 silently, which is exactly what we want
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MIX1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    for shift, mul in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, np.uint64(shift), out=tmp)
+        z *= np.uint64(mul)
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
+    return z
 
 
 def fnv1a64(data: bytes) -> int:
@@ -74,7 +83,8 @@ class SeededRng:
         if count == 0:
             return np.empty(0, dtype=np.uint64)
         steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GOLDEN)
-        out = _mix64_array(np.uint64(self._state) + steps)
+        out = np.uint64(self._state) + steps
+        _mix64_array(out, steps)  # the steps are spent: they serve as its scratch
         self._state = (self._state + count * GOLDEN) & MASK64
         return out
 
@@ -129,17 +139,60 @@ class SeededRng:
 
         Word pairs (u1, u2) produce (z0, z1) interleaved; an odd count drops
         the final z1. u1 lies in (0, 1] so log never sees zero.
+
+        The pairs are drawn in blocks of ``_GAUSS_PAIRS`` on every CPU: one
+        ``sweep.run_ordered`` item per thread, each taking the next undrawn
+        block until none is left, so a thread that is held up delays only
+        the block it holds. A block rebuilds its words from their stream
+        positions and takes each element through the same float64 steps
+        (uniform, log, sqrt, theta, cos, sin), so the bytes and the state
+        advance are those of one whole-array draw at any worker count. Never
+        call this from a ``run_ordered`` producer: nested sweeps would race
+        on the OpenBLAS thread count.
         """
         if count == 0:
             return np.empty(0, dtype=np.float64)
+        # imported here, so streams that draw no normals never load the sweep module
+        from .sweep import run_ordered, workers
+
         pairs = (count + 1) // 2
-        u = self.uniform_block(2 * pairs)
-        u1, u2 = u[0::2], u[1::2]
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * math.pi) * u2
+        size = min(pairs, _GAUSS_PAIRS)
+        state = self._state
+        steps = np.arange(1, 2 * size + 1, dtype=np.uint64)
+        steps *= np.uint64(GOLDEN)
         out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
+        blocks = iter(range(0, pairs, size))
+        taking = threading.Lock()
+
+        def fill_blocks(_) -> None:
+            scratch = np.empty((2, 2 * size), np.uint64)  # this thread's, for all its blocks
+            while True:
+                with taking:
+                    p0 = next(blocks, None)
+                if p0 is None:
+                    return
+                m = min(size, pairs - p0)
+                words, tmp = scratch[:, : 2 * m]
+                np.add(steps[: 2 * m], np.uint64((state + 2 * p0 * GOLDEN) & MASK64), out=words)
+                _mix64_array(words, tmp)
+                words >>= np.uint64(11)
+                # each scratch row is reused as float64 once its contents are spent:
+                # tmp holds the uniforms and then cos and sin, words holds r and theta
+                u = tmp.view(np.float64)
+                np.add(words, 1.0, out=u)  # exact: the words are below 2^53
+                u *= 2.0**-53
+                r, theta = words.view(np.float64).reshape(2, m)
+                np.log(u[0::2], out=r)
+                r *= -2.0
+                np.sqrt(r, out=r)
+                np.multiply(u[1::2], 2.0 * math.pi, out=theta)
+                trig = u[:m]
+                np.multiply(r, np.cos(theta, out=trig), out=out[2 * p0 : 2 * (p0 + m) : 2])
+                np.multiply(r, np.sin(theta, out=trig), out=out[2 * p0 + 1 : 2 * (p0 + m) : 2])
+
+        threads = min(workers(), -(-pairs // size))
+        run_ordered(fill_blocks, lambda *_: None, range(threads))
+        self._state = (state + 2 * pairs * GOLDEN) & MASK64
         return out[:count]
 
 
@@ -149,5 +202,7 @@ def words_at(seed: int, indices: np.ndarray) -> np.ndarray:
     `indices` is any uint64 array of word positions; output has its shape.
     Chip generation leans on this to pull scattered stream ranges in one call.
     """
-    idx = np.asarray(indices, dtype=np.uint64) + np.uint64(1)
-    return _mix64_array(np.uint64(seed & MASK64) + idx * np.uint64(GOLDEN))
+    idx = np.asarray(indices, dtype=np.uint64) + np.uint64(1)  # a new array: `indices` stays
+    z = idx * np.uint64(GOLDEN)
+    z += np.uint64(seed & MASK64)
+    return _mix64_array(z, idx)  # the positions are spent: they serve as its scratch

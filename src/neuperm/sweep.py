@@ -5,7 +5,10 @@ produce(item))`` for each item, in the order of ``items``. ``produce`` runs
 on W threads, one per CPU in the process's affinity mask (``taskset``
 limits it); ``consume`` runs on the calling thread only. A sweep whose
 ``consume`` is the only place results meet therefore computes the same
-bytes at any W. The spread-spectrum chip sweeps in ``stego`` use it.
+bytes at any W. A ``produce`` may also write its own disjoint slice of a
+shared output array and return nothing, which keeps the same property.
+The spread-spectrum chip sweeps in ``stego`` and the blocked Gaussian draws
+in ``rng`` use it.
 
 While a sweep runs, numpy's OpenBLAS is held at one thread and then set back
 to its previous count. The sweep threads make their own BLAS calls, so a

@@ -80,7 +80,7 @@ def tensor(values, dtype: str = "float32") -> Tensor:
     """Build a Tensor, rounding to the storage dtype (round-to-nearest-even)."""
     if dtype not in _NUMPY_DTYPES:
         raise ValueError(f"unsupported dtype {dtype!r}")
-    return Tensor(np.asarray(values).astype(_NUMPY_DTYPES[dtype]))
+    return Tensor.adopt(np.asarray(values).astype(_NUMPY_DTYPES[dtype], order="C"))
 
 
 def is_permutation(p: np.ndarray, n: int) -> bool:

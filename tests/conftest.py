@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -41,6 +42,23 @@ def random_payload(seed: int, nbytes: int) -> bytes:
 
     words = SeededRng(seed).next_block((nbytes + 7) // 8)
     return bytes(words.view(np.uint8)[:nbytes])
+
+
+def gaussian_reference(rng, count: int) -> np.ndarray:
+    """Box-Muller over one whole-array draw from `rng`'s stream: the
+    reference that the blocked `SeededRng.gaussian_block` matches byte for
+    byte, with the same state advance."""
+    if count == 0:
+        return np.empty(0, dtype=np.float64)
+    pairs = (count + 1) // 2
+    u = rng.uniform_block(2 * pairs)
+    u1, u2 = u[0::2], u[1::2]
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * math.pi) * u2
+    out = np.empty(2 * pairs, dtype=np.float64)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return out[:count]
 
 
 def max_output_deviation(net, a, b, inputs) -> float:

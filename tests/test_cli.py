@@ -76,7 +76,8 @@ def test_sanitize_neuperm_verify_manifest(ws, tmp_path, capsys):
     assert doc["tool"] == "neuperm" and doc["command"] == "sanitize"
     assert doc["seed"] == 31
     assert doc["details"]["coverage"]["percent"] == 100.0
-    assert str(ws["mlp"]) in doc["inputs"]
+    assert doc["inputs"] == {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                             for p in (ws["mlp"], ws["mlp.desc"], ws["mlp.net"])}
     assert doc["outputs"] == {str(out): hashlib.sha256(out.read_bytes()).hexdigest()}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.safetensors", "run.json"]
 
@@ -93,15 +94,16 @@ def test_manifest_output_digest_is_the_file_sha256(ws, tmp_path, capsys, monkeyp
     out, manifest = tmp_path / "out", tmp_path / "run.json"
     argv, inputs, outputs = {
         "sanitize": (["sanitize", "--input", ws["mlp"], "--disrupt", "neuperm",
-                      "--descriptor", ws["mlp.desc"], "--seed", "31", "--output", out],
-                     [ws["mlp"]], [out]),
+                      "--descriptor", ws["mlp.desc"], "--seed", "31", "--output", out,
+                      "--verify", "--net", ws["mlp.net"]],
+                     [ws["mlp"], ws["mlp.desc"], ws["mlp.net"]], [out]),
         "attack": (["attack", "--input", ws["mlp"], "--attack", "lsb:2", "--payload",
                     ws["payload"], "--seed", "7", "--output", out, "--plan", tmp_path / "p2"],
                    [ws["mlp"], ws["payload"]], [out, tmp_path / "p2"]),
         "evaluate": (["evaluate", "--carrier", carrier, "--plan", plan, "--disrupt", "none",
                       "--disrupt", "neuperm:1", "--descriptor", ws["mlp.desc"], "--trials", "2",
                       "--seed", "5", "--output", out],
-                     [carrier, plan], [out]),
+                     [carrier, plan, ws["mlp.desc"]], [out]),
         "bound": (["bound", "--site-sizes", "2", "--L", "8", "--simulate", "50", "--seed", "11"],
                   [], []),
     }[command]
@@ -541,17 +543,43 @@ def _ss_plan(**fields):
     return {"method": "ss", "seed": 1, "ecc": "none", "payload_sha256": "0" * 64, "ss": ss}
 
 
-def test_sanitize_verify_nan_outputs_exit_2(ws, tmp_path, capsys):
+def test_sanitize_verify_nan_outputs_exit_2(ws, tmp_path):
     """noise:1.0 turns a batchnorm running_var negative, so every rewritten
-    output is NaN; verification fails instead of reading that as deviation 0."""
+    output is NaN; verification fails instead of reading that as deviation 0,
+    and the error line is all it prints (no numpy warning)."""
     out = tmp_path / "never.safetensors"
-    rc = run("sanitize", "--input", ws["cnn"], "--output", out, "--disrupt", "noise:1.0",
-             "--seed", "1", "--verify", "--net", ws["cnn.net"])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert "outputs diverged: max normalized deviation nan" in captured.err
-    assert "verified" not in captured.out
+    proc = _fresh_interpreter(
+        [sys.executable, "-m", "neuperm"], "sanitize", "--input", ws["cnn"], "--output", out,
+        "--disrupt", "noise:1.0", "--seed", "1", "--verify", "--net", ws["cnn.net"],
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: outputs diverged: max normalized deviation nan"), line
+    assert proc.stdout == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["attack-plan", "sanitize-manifest"])
+def test_two_outputs_at_one_path_exit_1(ws, tmp_path, capsys, command):
+    """Two outputs named by one file, here once through a symlinked directory,
+    end the command with exit 1; it writes neither and leaves no temporary
+    file."""
+    work = tmp_path / "work"
+    work.mkdir()
+    (tmp_path / "link").symlink_to(work, target_is_directory=True)
+    target, alias = work / "same.out", tmp_path / "link" / "same.out"
+    argv = {
+        "attack-plan": ["attack", "--input", ws["mlp"], "--output", target, "--attack", "sign",
+                        "--payload", ws["payload"], "--seed", "9", "--plan", alias],
+        "sanitize-manifest": ["sanitize", "--input", ws["mlp"], "--output", target,
+                              "--disrupt", "neuperm", "--descriptor", ws["mlp.desc"],
+                              "--seed", "3", "--manifest", alias],
+    }[command]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    assert "named for two outputs" in capsys.readouterr().err
+    assert list(work.iterdir()) == []
 
 
 def _image_net(kind, **hyper):

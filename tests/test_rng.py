@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from conftest import gaussian_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import neuperm.sweep as sweep
 from neuperm.rng import (
+    _GAUSS_PAIRS,
     GOLDEN,
     MASK64,
     SeededRng,
@@ -112,6 +115,34 @@ def test_gaussian_block_moments():
 def test_gaussian_block_odd_length():
     g = SeededRng(11).gaussian_block(7)
     assert g.shape == (7,)
+
+
+_BLOCK = 2 * _GAUSS_PAIRS  # normals per gaussian_block block
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize(
+    "count",
+    [0, 1, 2, 3, _GAUSS_PAIRS - 1, _GAUSS_PAIRS + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+     5 * _BLOCK + 7, 2**20 + 7],
+)
+def test_gaussian_block_matches_whole_array_reference(monkeypatch, count, workers):
+    """The blocked draw gives the bytes and the state advance of one
+    whole-array Box-Muller at any worker count."""
+    monkeypatch.setattr(sweep, "workers", lambda: workers)
+    seed = derive_seed(count, "gaussian")
+    rng, ref = SeededRng(seed), SeededRng(seed)
+    got, want = rng.gaussian_block(count), gaussian_reference(ref, count)
+    assert got.dtype == np.float64 and got.shape == (count,)
+    assert got.tobytes() == want.tobytes()
+    assert rng.next_u64() == ref.next_u64()
+
+
+def test_words_at_leaves_indices_unmodified():
+    indices = np.arange(5, 1000, 3, dtype=np.uint64)
+    before = indices.copy()
+    words_at(9, indices)
+    assert np.array_equal(indices, before)
 
 
 @given(st.integers(0, MASK64), st.integers(0, MASK64))
