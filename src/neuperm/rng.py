@@ -141,8 +141,8 @@ class SeededRng:
         the final z1. u1 lies in (0, 1] so log never sees zero.
 
         The pairs are drawn in blocks of ``_GAUSS_PAIRS`` on every CPU: one
-        ``sweep.run_ordered`` item per thread, each taking the next undrawn
-        block until none is left, so a thread that is held up delays only
+        ``sweep.run_ordered`` item per block, which the next free thread
+        takes as it goes, so a thread that is held up delays only
         the block it holds. A block rebuilds its words from their stream
         positions and takes each element through the same float64 steps
         (uniform, log, sqrt, theta, cos, sin), so the bytes and the state
@@ -153,7 +153,7 @@ class SeededRng:
         if count == 0:
             return np.empty(0, dtype=np.float64)
         # imported here, so streams that draw no normals never load the sweep module
-        from .sweep import run_ordered, workers
+        from .sweep import run_ordered
 
         pairs = (count + 1) // 2
         size = min(pairs, _GAUSS_PAIRS)
@@ -161,37 +161,31 @@ class SeededRng:
         steps = np.arange(1, 2 * size + 1, dtype=np.uint64)
         steps *= np.uint64(GOLDEN)
         out = np.empty(2 * pairs, dtype=np.float64)
-        blocks = iter(range(0, pairs, size))
-        taking = threading.Lock()
+        local = threading.local()
 
-        def fill_blocks(_) -> None:
-            scratch = np.empty((2, 2 * size), np.uint64)  # this thread's, for all its blocks
-            while True:
-                with taking:
-                    p0 = next(blocks, None)
-                if p0 is None:
-                    return
-                m = min(size, pairs - p0)
-                words, tmp = scratch[:, : 2 * m]
-                np.add(steps[: 2 * m], np.uint64((state + 2 * p0 * GOLDEN) & MASK64), out=words)
-                _mix64_array(words, tmp)
-                words >>= np.uint64(11)
-                # each scratch row is reused as float64 once its contents are spent:
-                # tmp holds the uniforms and then cos and sin, words holds r and theta
-                u = tmp.view(np.float64)
-                np.add(words, 1.0, out=u)  # exact: the words are below 2^53
-                u *= 2.0**-53
-                r, theta = words.view(np.float64).reshape(2, m)
-                np.log(u[0::2], out=r)
-                r *= -2.0
-                np.sqrt(r, out=r)
-                np.multiply(u[1::2], 2.0 * math.pi, out=theta)
-                trig = u[:m]
-                np.multiply(r, np.cos(theta, out=trig), out=out[2 * p0 : 2 * (p0 + m) : 2])
-                np.multiply(r, np.sin(theta, out=trig), out=out[2 * p0 + 1 : 2 * (p0 + m) : 2])
+        def fill_block(p0: int) -> None:
+            if not hasattr(local, "scratch"):  # this thread's, for all its blocks
+                local.scratch = np.empty((2, 2 * size), np.uint64)
+            m = min(size, pairs - p0)
+            words, tmp = local.scratch[:, : 2 * m]
+            np.add(steps[: 2 * m], np.uint64((state + 2 * p0 * GOLDEN) & MASK64), out=words)
+            _mix64_array(words, tmp)
+            words >>= np.uint64(11)
+            # each scratch row is reused as float64 once its contents are spent:
+            # tmp holds the uniforms and then cos and sin, words holds r and theta
+            u = tmp.view(np.float64)
+            np.add(words, 1.0, out=u)  # exact: the words are below 2^53
+            u *= 2.0**-53
+            r, theta = words.view(np.float64).reshape(2, m)
+            np.log(u[0::2], out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            np.multiply(u[1::2], 2.0 * math.pi, out=theta)
+            trig = u[:m]
+            np.multiply(r, np.cos(theta, out=trig), out=out[2 * p0 : 2 * (p0 + m) : 2])
+            np.multiply(r, np.sin(theta, out=trig), out=out[2 * p0 + 1 : 2 * (p0 + m) : 2])
 
-        threads = min(workers(), -(-pairs // size))
-        run_ordered(fill_blocks, lambda *_: None, range(threads))
+        run_ordered(fill_block, lambda *_: None, range(0, pairs, size))
         self._state = (state + 2 * pairs * GOLDEN) & MASK64
         return out[:count]
 

@@ -21,10 +21,12 @@ shows up as bit errors.
 
 The two spread-spectrum chip sweeps, ``ss_embed`` and ``ss_despread_many``,
 run their column blocks through ``sweep.run_ordered``: one thread per CPU in
-the affinity mask, OpenBLAS held at one thread, block results added in
-column order. Every block makes the same BLAS call as a single-thread sweep
-would, so carriers and correlations are byte for byte the same on any CPU
-count. Each thread holds one chip block (about _SS_BLOCK_BYTES) at a time.
+the affinity mask, each taking the next block as it goes, OpenBLAS held at
+one thread, block results added in column order. Every block makes the same
+BLAS call as a single-thread sweep would, so carriers and correlations are
+byte for byte the same on any CPU count. Each thread holds one chip block
+(about _SS_BLOCK_BYTES) at a time, and at most two blocks per thread are
+taken and not yet added.
 """
 
 from __future__ import annotations

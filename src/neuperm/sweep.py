@@ -1,14 +1,14 @@
 """Ordered sweeps over independent items on every CPU the process may use.
 
 ``run_ordered(produce, consume, items)`` calls ``consume(item,
-produce(item))`` for each item, in the order of ``items``. ``produce`` runs
-on W threads, one per CPU in the process's affinity mask (``taskset``
-limits it); ``consume`` runs on the calling thread only. A sweep whose
-``consume`` is the only place results meet therefore computes the same
-bytes at any W. A ``produce`` may also write its own disjoint slice of a
-shared output array and return nothing, which keeps the same property.
-The spread-spectrum chip sweeps in ``stego`` and the blocked Gaussian draws
-in ``rng`` use it.
+produce(item))`` for each item, in the order of ``items``. W threads, one
+per CPU in the process's affinity mask (``taskset`` limits it), each take
+the next item, produce it, and consume every result that is next in order,
+one consume at a time. A sweep whose ``consume`` is the only place results
+meet therefore computes the same bytes at any W; so does one whose
+``produce`` writes its own disjoint slice of a shared output array. The
+spread-spectrum chip sweeps in ``stego`` and the blocked Gaussian draws in
+``rng`` use it.
 
 While a sweep runs, numpy's OpenBLAS is held at one thread and then set back
 to its previous count. The sweep threads make their own BLAS calls, so a
@@ -20,7 +20,6 @@ CPU count.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import ctypes
 import functools
@@ -29,7 +28,7 @@ import threading
 
 import numpy as np
 
-#: results a helper thread may finish before the calling thread consumes them
+#: items per thread that a sweep may take before their results are consumed
 _AHEAD = 2
 
 
@@ -88,50 +87,49 @@ def blas_single_thread():
 def run_ordered(produce, consume, items) -> None:
     """``consume(item, produce(item))`` for each item, consumed in order.
 
-    W = workers(), and never more than there are items. The calling thread
-    produces items 0, W, 2W, ... and consumes them all; helper thread j
-    produces items j, j + W, ... and runs at most _AHEAD of them ahead.
-    OpenBLAS is held at one thread meanwhile. An error raised by either
-    function is raised here, once every helper has stopped.
+    W = workers(), never more than there are items, the calling thread one
+    of them. A thread that is held up delays only the item it holds until
+    _AHEAD * W items are taken and not yet consumed; then the others wait
+    for it. OpenBLAS is held at one thread meanwhile. An error raised by
+    either function is raised here, once every helper has stopped.
     """
     count = min(workers(), len(items))
-    stop = threading.Event()
-    done = [collections.deque() for _ in range(count)]
-    ready = [threading.Semaphore(0) for _ in range(count)]
-    room = [threading.Semaphore(_AHEAD) for _ in range(count)]
+    lock = threading.Condition()
+    done = {}  # index -> (item, result), produced and not yet consumed
+    errors = []
+    taken = consumed = 0
 
-    def produce_share(j: int) -> None:
-        for item in items[j::count]:
-            room[j].acquire()
-            if stop.is_set():
-                return
+    def work() -> None:
+        nonlocal taken, consumed
+        with lock:
             try:
-                done[j].append((produce(item), None))
+                while not errors and taken < len(items):
+                    if taken - consumed >= _AHEAD * count:
+                        lock.wait()
+                        continue
+                    i, item = taken, items[taken]
+                    taken += 1
+                    lock.release()
+                    try:
+                        result = produce(item)
+                    finally:
+                        lock.acquire()
+                    done[i] = item, result
+                    while not errors and consumed in done:
+                        consume(*done.pop(consumed))
+                        consumed += 1
+                        lock.notify_all()
             except BaseException as e:  # re-raised on the calling thread
-                done[j].append((None, e))
-                return
+                errors.append(e)
             finally:
-                ready[j].release()
+                lock.notify_all()
 
-    helpers = [threading.Thread(target=produce_share, args=(j,)) for j in range(1, count)]
+    helpers = [threading.Thread(target=work) for _ in range(1, count)]
     with blas_single_thread():
         for t in helpers:
             t.start()
-        try:
-            for i, item in enumerate(items):
-                j = i % count
-                if j == 0:
-                    result = produce(item)
-                else:
-                    ready[j].acquire()
-                    result, error = done[j].popleft()
-                    room[j].release()
-                    if error is not None:
-                        raise error
-                consume(item, result)
-        finally:
-            stop.set()
-            for j in range(1, count):
-                room[j].release()  # a helper waiting for room wakes, sees stop, returns
-            for t in helpers:
-                t.join()
+        work()
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[0]

@@ -377,17 +377,23 @@ def _serial_despread(hosts, plan):
     return y / plan.host_n
 
 
-def _record_producers(monkeypatch):
-    """Wrap _chip_block to record (thread, block start) for every block produced."""
-    calls = []
-    real = stego._chip_block
+def _record_sweep(monkeypatch):
+    """Wrap _chip_block to record the start of every block produced, and the
+    thread constructor to record every helper thread a sweep starts."""
+    starts, helpers = [], []
+    real_block, real_thread = stego._chip_block, sweep.threading.Thread
 
-    def recording(plan, start, stop, n_bits):
-        calls.append((threading.current_thread(), start))
-        return real(plan, start, stop, n_bits)
+    def recording_block(plan, start, stop, n_bits):
+        starts.append(start)
+        return real_block(plan, start, stop, n_bits)
 
-    monkeypatch.setattr(stego, "_chip_block", recording)
-    return calls
+    def recording_thread(*args, **kwargs):
+        helpers.append(real_thread(*args, **kwargs))
+        return helpers[-1]
+
+    monkeypatch.setattr(stego, "_chip_block", recording_block)
+    monkeypatch.setattr(sweep.threading, "Thread", recording_thread)
+    return starts, helpers
 
 
 @pytest.mark.parametrize("nbytes,spec", [(5, "repetition:3"), (7, "hamming74")])
@@ -396,8 +402,8 @@ def test_ss_sweeps_match_serial_at_any_worker_count(small_host_bundle, monkeypat
                                                     nbytes, spec, workers):
     """Threaded embed and despread equal the serial loops byte for byte, on a
     host whose last column block is partial, for one and several stacked
-    hosts (BLAS gemv and gemm); every block is produced exactly once, and no
-    thread is started without blocks to produce.
+    hosts (BLAS gemv and gemm); every block is produced exactly once, and a
+    sweep starts min(W, blocks) - 1 helper threads beside the calling one.
 
     The serial loops run with BLAS at one thread, as the sweeps do: for some
     shapes a multi-threaded OpenBLAS gemv splits the sum itself (one host,
@@ -418,14 +424,17 @@ def test_ss_sweeps_match_serial_at_any_worker_count(small_host_bundle, monkeypat
 
     count = plan.coded_bits + 1 if workers == "beyond" else workers
     monkeypatch.setattr(sweep, "workers", lambda: count)
-    calls = _record_producers(monkeypatch)
+    produced, helpers = _record_sweep(monkeypatch)
     carrier = ss_embed(archive, payload, plan)
     assert write_archive(carrier) == write_archive(want_carrier)
+    assert sorted(produced) == starts
+    assert len(helpers) == min(count, len(starts)) - 1
     for stack, y in zip((hosts[:1], hosts), want):
-        calls.clear()
+        produced.clear()
+        helpers.clear()
         assert ss_despread_many(stack, plan).tobytes() == y.tobytes()
-        assert sorted(start for _, start in calls) == starts
-        assert len({thread for thread, _ in calls}) == min(count, len(starts))
+        assert sorted(produced) == starts
+        assert len(helpers) == min(count, len(starts)) - 1
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import pytest
 
@@ -27,29 +28,24 @@ def _bounded(fn, timeout=60.0):
 
 def test_run_ordered_consumes_every_item_once_in_order_under_stress(monkeypatch):
     """More threads than cores and a tiny switch interval: every item is
-    consumed exactly once, in order, on the calling thread."""
+    consumed exactly once, in order, and never two at once."""
     monkeypatch.setattr(sweep, "workers", lambda: 8)
     items = range(3000)
-    consumed, consumers = [], set()
+    consumed = []
+    consuming = threading.Lock()
 
     def consume(item, result):
-        consumers.add(threading.get_ident())
+        assert consuming.acquire(blocking=False), "two consumes ran at once"
         consumed.append((item, result))
-
-    def run():
-        consumers.clear()
-        caller = threading.get_ident()
-        sweep.run_ordered(lambda i: i * i, consume, items)
-        return caller
+        consuming.release()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        caller = _bounded(run)
+        _bounded(lambda: sweep.run_ordered(lambda i: i * i, consume, items))
     finally:
         sys.setswitchinterval(interval)
     assert consumed == [(i, i * i) for i in items]
-    assert consumers == {caller}
 
 
 @pytest.mark.parametrize("where", ["produce", "consume"])
@@ -73,5 +69,51 @@ def test_run_ordered_error_stops_every_helper(monkeypatch, where):
 
 def test_run_ordered_with_no_items_does_nothing():
     calls = []
-    sweep.run_ordered(calls.append, lambda *_: calls.append("consumed"), range(0))
+    _bounded(lambda: sweep.run_ordered(calls.append, lambda *_: calls.append("consumed"), range(0)))
     assert calls == []
+
+
+def test_held_up_item_does_not_stall_the_others(monkeypatch):
+    """While item 0 is held up, the other thread goes on to item 2."""
+    monkeypatch.setattr(sweep, "workers", lambda: 2)
+    item_2_ran = threading.Event()
+    held = {}
+
+    def produce(i):
+        if i == 0:
+            held["item 2 ran meanwhile"] = item_2_ran.wait(5.0)
+        elif i == 2:
+            item_2_ran.set()
+        return i
+
+    consumed = []
+    _bounded(lambda: sweep.run_ordered(produce, lambda i, r: consumed.append(r), range(6)))
+    assert held == {"item 2 ran meanwhile": True}
+    assert consumed == list(range(6))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_look_ahead_is_bounded_while_an_item_is_held_up(monkeypatch, workers):
+    """While item 0 is held up, the other threads produce items up to the
+    look-ahead bound, _AHEAD * W items taken and not consumed, and no further."""
+    monkeypatch.setattr(sweep, "workers", lambda: workers)
+    bound = sweep._AHEAD * workers - 1  # items produced besides item 0
+    others = []
+    reached = threading.Event()
+    held = {}
+
+    def produce(i):
+        if i == 0:
+            reached.wait(5.0)
+            time.sleep(0.2)  # room for items past the bound to show
+            held["others produced"] = len(others)
+        else:
+            others.append(i)
+            if len(others) >= bound:
+                reached.set()
+        return i
+
+    consumed = []
+    _bounded(lambda: sweep.run_ordered(produce, lambda i, r: consumed.append(r), range(40)))
+    assert held == {"others produced": bound}
+    assert consumed == list(range(40))
