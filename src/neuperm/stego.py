@@ -22,11 +22,14 @@ shows up as bit errors.
 The two spread-spectrum chip sweeps, ``ss_embed`` and ``ss_despread_many``,
 run their column blocks through ``sweep.run_ordered``: one thread per CPU in
 the affinity mask, each taking the next block as it goes, OpenBLAS held at
-one thread, block results added in column order. Every block makes the same
-BLAS call as a single-thread sweep would, so carriers and correlations are
-byte for byte the same on any CPU count. Each thread holds one chip block
-(about _SS_BLOCK_BYTES) at a time, and at most two blocks per thread are
-taken and not yet added.
+one thread, block results added in column order. The embed counts chip
+agreements from the chip bits, which is exact, with no BLAS call; the
+despread multiplies each float32 chip block by the hosts in one BLAS call.
+Every block computes the same thing as a single-thread sweep would, so
+carriers and correlations are byte for byte the same on any CPU count. Each
+thread holds one block at a time: about _SS_BLOCK_BYTES of float32 chips in
+the despread, a quarter of that in bits in the embed. At most two blocks per
+thread are taken and not yet added.
 """
 
 from __future__ import annotations
@@ -474,8 +477,9 @@ class AttackPlan:
 #: min host params per coded bit; below this the chips no longer average out
 SS_MIN_RATIO = 64
 
-#: bytes of float32 chips per (de)spreading block: small enough to stay in
-#: cache and be reused by the allocator instead of page-faulted afresh
+#: bytes of float32 chips per despreading block (the embed's block holds the
+#: same chips as one byte each): small enough to stay in cache and be reused
+#: by the allocator instead of page-faulted afresh
 _SS_BLOCK_BYTES = 6 << 20
 
 #: byte value -> its 8 chips as +/-1, little-endian bit order
@@ -512,22 +516,49 @@ def make_chip_plan(
     return plan
 
 
-def _chip_block(plan: AttackPlan, start: int, stop: int, n_bits: int) -> np.ndarray:
-    """Chips for host positions [start, stop) and all coded bits: (n_bits, width).
+def _chip_words(plan: AttackPlan, start: int, stop: int, n_bits: int) -> np.ndarray:
+    """Chip words for host positions [start, stop) and all coded bits:
+    (n_bits, words) uint64, the first word holding chips 64*(start//64) on.
 
     Chip k occupies the k-th run of ceil(host_n/64) words in one counter
-    stream, 64 chips per word, little-endian bit order within each word.
-    All rows are pulled in a single random-access call, and each byte of a
-    word becomes its 8 chips through one lookup in _CHIP_LUT.
+    stream, 64 chips per word, little-endian bit order within each word
+    (bit 1 is chip +1). All rows are pulled in a single random-access call.
     """
     words_per_bit = -(-plan.host_n // 64)
     chip_seed = derive_seed(plan.seed, "ss/chips")
     w0, w1 = start // 64, -(-stop // 64)
     rows = np.arange(n_bits, dtype=np.uint64)[:, None] * np.uint64(words_per_bit)
     cols = np.arange(w0, w1, dtype=np.uint64)[None, :]
-    words = words_at(chip_seed, rows + cols)
+    return words_at(chip_seed, rows + cols)
+
+
+def _chip_block(plan: AttackPlan, start: int, stop: int, n_bits: int) -> np.ndarray:
+    """Chips for host positions [start, stop) and all coded bits as +/-1
+    float32, (n_bits, width): each byte of a chip word becomes its 8 chips
+    through one lookup in _CHIP_LUT."""
+    words = _chip_words(plan, start, stop, n_bits)
     chips = np.take(_CHIP_LUT, words.view(np.uint8), axis=0).reshape(n_bits, -1)
-    return chips[:, start - w0 * 64 : stop - w0 * 64]
+    return chips[:, start % 64 : start % 64 + stop - start]
+
+
+def _spread_block(plan: AttackPlan, start: int, stop: int, coded: np.ndarray) -> np.ndarray:
+    """``b @ _chip_block(plan, start, stop, coded.size)`` with b = +/-1 from
+    the coded bits, counted from the chip bits alone.
+
+    Both factors are +/-1, so column j is the integer 2*agree_j - n_bits,
+    where agree_j counts the coded bits equal to chip bit j, and no partial
+    sum exceeds n_bits. A float32 product is therefore exact in any
+    summation order while n_bits < 2^24, which SS_MIN_RATIO puts beyond any
+    host under 2^30 params, and this count gives the same float32 bytes.
+    Rows of a 0 bit are inverted so that a set bit marks agreement; the
+    thread holds n_bits x width bytes of bits, not float32 chips.
+    """
+    n_bits = coded.size
+    words = _chip_words(plan, start, stop, n_bits)
+    words ^= np.where(coded == 1, np.uint64(0), ~np.uint64(0))[:, None]
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    agree = np.add.reduce(bits, axis=0, dtype=np.uint16 if n_bits < 1 << 16 else np.uint32)
+    return agree[start % 64 : start % 64 + stop - start].astype(np.float32) * 2 - n_bits
 
 
 def _chunk_cols(n_bits: int) -> int:
@@ -541,7 +572,6 @@ def ss_embed(archive: ModelArchive, payload: bytes, plan: AttackPlan) -> ModelAr
     if not plan.matches(payload):
         raise ValueError("payload does not match plan digest")
     coded = plan.ecc.encode(bytes_to_bits(payload))
-    b = (coded.astype(np.float32) * 2.0 - 1.0)
     out = host_vector(archive, plan.eligible)  # a fresh array, so it is added to in place
     if out.size != plan.host_n:
         raise ValueError("archive host size does not match plan")
@@ -549,7 +579,7 @@ def ss_embed(archive: ModelArchive, payload: bytes, plan: AttackPlan) -> ModelAr
     from .sweep import run_ordered  # here, so commands that never sweep never load it
 
     def spread(s: int) -> np.ndarray:
-        return b @ _chip_block(plan, s, min(s + width, plan.host_n), coded.size)
+        return _spread_block(plan, s, min(s + width, plan.host_n), coded)
 
     def add(s: int, block: np.ndarray) -> None:
         out[s : s + block.size] += plan.gamma * block
@@ -574,9 +604,10 @@ def ss_despread_many(hosts: np.ndarray, plan: AttackPlan) -> np.ndarray:
 
     def correlate(s: int) -> np.ndarray:
         e = min(s + width, plan.host_n)
-        return hosts[:, s:e] @ _chip_block(plan, s, e, k).T
+        return _chip_block(plan, s, e, k) @ hosts[:, s:e].T
 
-    run_ordered(correlate, lambda s, block: np.add(y, block, out=y), range(0, plan.host_n, width))
+    run_ordered(correlate, lambda s, block: np.add(y, block.T, out=y),
+                range(0, plan.host_n, width))
     return y / plan.host_n
 
 

@@ -710,14 +710,14 @@ def test_sweep_helper_error_exit_1_no_output(ws, tmp_path, capsys, monkeypatch, 
                "--ecc", "repetition:3", "--payload", ws["payload"], "--seed", "13",
                "--plan", plan) == 0
     caller = threading.get_ident()
-    real = stego._chip_block
+    real = stego._chip_words
 
     def failing_block(*args):
         if threading.get_ident() != caller:
             raise ValueError("chip block failed on a helper")
         return real(*args)
 
-    monkeypatch.setattr(stego, "_chip_block", failing_block)
+    monkeypatch.setattr(stego, "_chip_words", failing_block)
     monkeypatch.setattr(sweep, "workers", lambda: 2)
     blas = sweep._blas_thread_calls()
     prior = blas[0]() if blas else None

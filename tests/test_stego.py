@@ -18,6 +18,7 @@ from neuperm.stego import (
     _positions,
     _chip_block,
     _chunk_cols,
+    _spread_block,
     decode_correlations,
     eligible_names,
     host_size,
@@ -378,10 +379,11 @@ def _serial_despread(hosts, plan):
 
 
 def _record_sweep(monkeypatch):
-    """Wrap _chip_block to record the start of every block produced, and the
-    thread constructor to record every helper thread a sweep starts."""
+    """Wrap _chip_words, which every block of both sweeps calls once, to record
+    the start of every block produced, and the thread constructor to record
+    every helper thread a sweep starts."""
     starts, helpers = [], []
-    real_block, real_thread = stego._chip_block, sweep.threading.Thread
+    real_block, real_thread = stego._chip_words, sweep.threading.Thread
 
     def recording_block(plan, start, stop, n_bits):
         starts.append(start)
@@ -391,7 +393,7 @@ def _record_sweep(monkeypatch):
         helpers.append(real_thread(*args, **kwargs))
         return helpers[-1]
 
-    monkeypatch.setattr(stego, "_chip_block", recording_block)
+    monkeypatch.setattr(stego, "_chip_words", recording_block)
     monkeypatch.setattr(sweep.threading, "Thread", recording_thread)
     return starts, helpers
 
@@ -437,6 +439,42 @@ def test_ss_sweeps_match_serial_at_any_worker_count(small_host_bundle, monkeypat
         assert len(helpers) == min(count, len(starts)) - 1
 
 
+@pytest.mark.parametrize("n_bits", [1, 7, 3072, 65537])
+def test_spread_block_equals_float_product(n_bits):
+    """The embed's bit count gives the float32 bytes of b @ chips for every
+    64-column block of a host whose last block is partial. The coded bits
+    copy chip column 0, so that column sums to n_bits: at 65537 it overflows
+    a uint16 count."""
+    host_n = 3 * 64 + 17
+    plan = AttackPlan("ss", 41, "none", "0" * 64, 1, host_n=host_n)
+    coded = (_chip_block(plan, 0, 1, n_bits)[:, 0] > 0).astype(np.uint8)
+    b = coded.astype(np.float32) * 2.0 - 1.0
+    for s in range(0, host_n, 64):
+        e = min(s + 64, host_n)
+        got = _spread_block(plan, s, e, coded)
+        assert got.dtype == np.float32 and got.shape == (e - s,)
+        assert got.tobytes() == (b @ _chip_block(plan, s, e, n_bits)).tobytes()
+        if s == 0:
+            assert got[0] == n_bits
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_despread_of_102_hosts_matches_serial(small_host_bundle, monkeypatch, workers):
+    """A stack of 102 hosts, taller than any evaluate in the acceptance tests
+    stacks, gives the serial loop's correlations byte for byte."""
+    archive, _, _ = small_host_bundle
+    payload = random_payload(1026, 5)
+    plan = _plan(archive, payload)
+    carrier = ss_embed(archive, payload, plan)
+    host = host_vector(carrier, plan.eligible)
+    noise = SeededRng(1027).gaussian_block(101 * host.size).astype(np.float32)
+    hosts = np.vstack([host, host + 0.01 * noise.reshape(101, host.size)])
+    with sweep.blas_single_thread():
+        want = _serial_despread(hosts, plan)
+    monkeypatch.setattr(sweep, "workers", lambda: workers)
+    assert ss_despread_many(hosts, plan).tobytes() == want.tobytes()
+
+
 @pytest.fixture
 def blas_calls():
     """numpy's OpenBLAS (get, set) thread-count calls, or None, with the count
@@ -463,13 +501,13 @@ def test_sweep_holds_blas_at_one_thread_then_restores_it(small_host_bundle, monk
     payload = random_payload(1024, 16)
     plan = _plan(archive, payload)
     during = []
-    real = stego._chip_block
+    real = stego._chip_words
 
     def observing(*args):
         during.append(get())
         return real(*args)
 
-    monkeypatch.setattr(stego, "_chip_block", observing)
+    monkeypatch.setattr(stego, "_chip_words", observing)
     monkeypatch.setattr(sweep, "workers", lambda: 2)
     carrier = ss_embed(archive, payload, plan)
     assert get() == 2
@@ -488,14 +526,14 @@ def test_sweep_error_reaches_caller_and_restores_blas(small_host_bundle, monkeyp
     payload = random_payload(1025, 16)
     plan = _plan(archive, payload)
     caller = threading.get_ident()
-    real = stego._chip_block
+    real = stego._chip_words
 
     def failing_block(plan, start, stop, n_bits):
         if (threading.get_ident() == caller) == (failing == "caller") and start > 0:
             raise ValueError(f"chip block at {start} failed")
         return real(plan, start, stop, n_bits)
 
-    monkeypatch.setattr(stego, "_chip_block", failing_block)
+    monkeypatch.setattr(stego, "_chip_words", failing_block)
     monkeypatch.setattr(sweep, "workers", lambda: 3)
     threads_before = threading.active_count()
     host = host_vector(archive, plan.eligible)
