@@ -39,7 +39,7 @@ from .errors import (
     VerificationError,
 )
 from .rng import SeededRng, derive_seed, mix64
-from .tensor import Tensor, fisher_yates, invert, is_permutation, permute_axis, tensor
+from .tensor import Tensor, fisher_yates, invert, is_permutation, permute_axis_blocks, tensor
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,7 @@ __all__ = [
     "BoundInapplicableError", "CapacityError", "DescriptorError",
     "IneffectiveRegimeError", "ParseError", "VerificationError",
     "SeededRng", "derive_seed", "mix64",
-    "Tensor", "fisher_yates", "invert", "is_permutation", "permute_axis",
+    "Tensor", "fisher_yates", "invert", "is_permutation", "permute_axis_blocks",
     "tensor",
     "__version__",
 ]

@@ -32,10 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError
-from .tensor import Tensor
+from .tensor import DTYPES, Tensor
 
-_DTYPE_TO_TAG = {"float32": "F32", "float16": "F16"}
-_TAG_TO_NUMPY = {"F32": np.dtype("<f4"), "F16": np.dtype("<f2")}
+_TAG_TO_NUMPY = {tag: np.dtype(name).newbyteorder("<") for name, tag in DTYPES.items()}
 _METADATA_KEY = "__metadata__"
 
 # json header larger than this is rejected before allocation
@@ -116,6 +115,8 @@ def parse_archive(buf) -> ModelArchive:
         raise
     except json.JSONDecodeError as e:
         raise ParseError(f"header is not valid JSON: {e.msg}", 8 + e.pos) from e
+    except RecursionError as e:
+        raise ParseError("header JSON is nested too deeply", 8) from e
     if not isinstance(header, dict):
         raise ParseError("header JSON must be an object", 8)
 
@@ -196,7 +197,7 @@ def _serialize(archive: ModelArchive, sink) -> None:
     for name in names:
         t = archive.tensors[name]
         header[name] = {
-            "dtype": _DTYPE_TO_TAG[t.dtype],
+            "dtype": DTYPES[t.dtype],
             "shape": list(t.shape),
             "data_offsets": [cursor, cursor + t.data.nbytes],
         }

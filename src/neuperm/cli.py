@@ -309,7 +309,11 @@ def cmd_evaluate(args, argv) -> int:
         raise ValueError("--trials must be >= 1")
     archive = load_archive(args.carrier)
     inputs = {args.carrier: _source_digest(archive)}
-    plan = AttackPlan.from_dict(json.loads(_read_input(args.plan, inputs)))
+    try:
+        doc = json.loads(_read_input(args.plan, inputs))
+    except RecursionError as e:
+        raise ValueError("plan JSON is nested too deeply") from e
+    plan = AttackPlan.from_dict(doc)
     configs = [parse_disruptor(s) for s in args.disrupt]
     if not configs:
         raise ValueError("at least one --disrupt is required")

@@ -119,36 +119,31 @@ class ArchDescriptor:
                 return s
         raise KeyError(site_id)
 
-    def tensor_names(self) -> set[str]:
-        out: set[str] = set()
-        for s in self.sites:
-            out |= s.tensor_names()
-        return out
 
-    def resolve_shapes(self, archive: ModelArchive | None = None) -> dict[str, tuple[int, ...]]:
-        """Shapes for every referenced tensor, from the archive or the shapes map."""
-        out: dict[str, tuple[int, ...]] = {}
-        for name in sorted(self.tensor_names()):
-            if archive is not None:
-                if name not in archive.tensors:
-                    raise DescriptorError(f"descriptor references missing tensor {name!r}")
-                out[name] = archive.shape_of(name)
-            elif self.shapes is not None and name in self.shapes:
-                out[name] = self.shapes[name]
-            else:
-                raise DescriptorError(
-                    f"no shape known for {name!r} (no archive bound, not in shapes map)"
-                )
-        return out
-
-
-def validate_descriptor(desc: ArchDescriptor, archive: ModelArchive | None = None) -> None:
+def validate_descriptor(
+    desc: ArchDescriptor, archive: ModelArchive | None = None
+) -> dict[str, int]:
     """Eager checks: refs resolve and every axis extent fits its site.
 
     fc_pair and conv_block axes must equal n exactly; an attn_gqa axis must
     hold n blocks of the width its ref position sets (see the module doc).
+
+    Returns {tensor name: element count} for every tensor a site names,
+    from the archive's shapes, or from the shapes map when there is no
+    archive: the sizes coverage accounting and site selection use.
     """
-    shapes = desc.resolve_shapes(archive)
+    shapes: dict[str, tuple[int, ...]] = {}
+    for name in sorted({name for site in desc.sites for name, _ in site.refs}):
+        if archive is not None:
+            if name not in archive.tensors:
+                raise DescriptorError(f"descriptor references missing tensor {name!r}")
+            shapes[name] = archive.shape_of(name)
+        elif desc.shapes is not None and name in desc.shapes:
+            shapes[name] = desc.shapes[name]
+        else:
+            raise DescriptorError(
+                f"no shape known for {name!r} (no archive bound, not in shapes map)"
+            )
     if archive is not None:
         if self_consistent := desc.shapes:
             for name, shape in self_consistent.items():
@@ -193,6 +188,7 @@ def validate_descriptor(desc: ArchDescriptor, archive: ModelArchive | None = Non
                     f"site {site.site_id!r}: {name!r} axis {axis} extent "
                     f"{extent} != n={site.n}"
                 )
+    return {name: math.prod(shape) for name, shape in shapes.items()}
 
 
 def _is_int(value) -> bool:
@@ -319,6 +315,8 @@ def parse_descriptor(text: str, archive: ModelArchive | None = None) -> ArchDesc
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DescriptorError(f"descriptor is not valid JSON: {e.msg}") from e
+    except RecursionError as e:
+        raise DescriptorError("descriptor JSON is nested too deeply") from e
     desc = descriptor_from_dict(doc)
     if archive is not None or desc.shapes is not None:
         validate_descriptor(desc, archive)

@@ -9,7 +9,6 @@ contraction axis with the same p.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +50,6 @@ class CoverageReport:
 
     total_params: int
     changed_params: int
-    per_site: dict[str, int]
     applied_sites: tuple[str, ...]
 
     @property
@@ -66,25 +64,13 @@ class CoverageReport:
         return round(self.fraction * 100.0, 2)
 
 
-def _param_counts(desc: ArchDescriptor, archive: ModelArchive | None) -> dict[str, int]:
-    """Element count of every tensor the descriptor references."""
-    shapes = desc.resolve_shapes(archive)
-    return {name: math.prod(shape) for name, shape in shapes.items()}
-
-
 def _coverage(
     desc: ArchDescriptor, sizes: dict[str, int], applied: list[PermutableSite]
 ) -> CoverageReport:
-    touched: set[str] = set()
-    per_site: dict[str, int] = {}
-    for site in applied:
-        names = site.tensor_names()
-        per_site[site.site_id] = sum(sizes[n] for n in names)
-        touched |= names
+    touched = set().union(*(site.tensor_names() for site in applied))
     return CoverageReport(
         total_params=desc.total_params,
         changed_params=sum(sizes[n] for n in touched),
-        per_site=per_site,
         applied_sites=tuple(s.site_id for s in applied),
     )
 
@@ -100,12 +86,14 @@ def make_schedule(
     fraction_target None (or 1.0) selects every site. A partial target picks
     sites greedily by parameter count, largest first (site_id breaks ties),
     until the covered fraction reaches the target; only that path needs
-    shape information (from the archive or the descriptor's shapes map).
+    shapes, so only it validates (against the archive or the shapes map).
     """
     if fraction_target is None or fraction_target >= 1.0:
         selected = list(desc.sites)
+    elif fraction_target < 0.0:
+        raise ValueError("fraction_target must be in [0, 1]")
     else:
-        selected = _select_sites(desc, _param_counts(desc, archive), fraction_target)
+        selected = _select_sites(desc, validate_descriptor(desc, archive), fraction_target)
     entries: dict[str, np.ndarray] = {}
     for site in selected:
         rng = SeededRng(site_seed(master_seed, site.site_id))
@@ -116,8 +104,6 @@ def make_schedule(
 def _select_sites(
     desc: ArchDescriptor, sizes: dict[str, int], fraction_target: float
 ) -> list[PermutableSite]:
-    if fraction_target < 0.0:
-        raise ValueError("fraction_target must be in [0, 1]")
     site_sizes = {s.site_id: sum(sizes[n] for n in s.tensor_names()) for s in desc.sites}
     order = sorted(desc.sites, key=lambda s: (-site_sizes[s.site_id], s.site_id))
     chosen: list[PermutableSite] = []
@@ -139,7 +125,7 @@ def apply_schedule(
     archive: ModelArchive, desc: ArchDescriptor, schedule: PermutationSchedule
 ) -> tuple[ModelArchive, CoverageReport]:
     """Rewrite the archive under the schedule. Unscheduled tensors pass through."""
-    validate_descriptor(desc, archive)
+    sizes = validate_descriptor(desc, archive)
     updates: dict[str, Tensor] = {}
     applied: list[PermutableSite] = []
     for site in desc.sites:
@@ -153,9 +139,8 @@ def apply_schedule(
         applied.append(site)
         for name, axis in site.refs:
             t = updates.get(name, archive.tensors[name])
-            updates[name] = permute_axis_blocks(t, axis, p, site.n)
-    report = _coverage(desc, _param_counts(desc, archive), applied)
-    return archive.replace(updates), report
+            updates[name] = permute_axis_blocks(t, axis, p)
+    return archive.replace(updates), _coverage(desc, sizes, applied)
 
 
 def count_changed_fraction(
@@ -165,10 +150,10 @@ def count_changed_fraction(
 ) -> CoverageReport:
     """Coverage accounting without touching any weights.
 
-    Works from the archive's shapes or the descriptor's own shapes map, so
-    it also serves architectures whose archives are never materialized.
+    Validates against the archive's shapes or the descriptor's own shapes
+    map, so it also serves architectures whose archives are never materialized.
     """
-    sizes = _param_counts(desc, archive)
+    sizes = validate_descriptor(desc, archive)
     if site_ids is None:
         applied = list(desc.sites)
     else:

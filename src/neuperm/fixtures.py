@@ -33,6 +33,31 @@ def _uniform(seed: int, label: str, shape, lo: float, hi: float, dtype="float32"
     return tensor(vals, dtype)
 
 
+def _dense_chain(archive: ModelArchive, dims) -> tuple[ArchDescriptor, ToyNetwork]:
+    """Descriptor and relu-separated net of the dense chain fc1..fcK, fc{i}
+    mapping dims[i-1] -> dims[i]: site h{i} joins fc{i}'s rows, and its bias
+    wherever the archive has one, to fc{i+1}'s columns."""
+    k = len(dims) - 1
+
+    def params(i: int) -> dict[str, str]:
+        bias = f"fc{i}.bias"
+        return {"weight": f"fc{i}.weight", **({"bias": bias} if bias in archive.tensors else {})}
+
+    sites = tuple(
+        PermutableSite(
+            f"h{i}", "fc_pair", dims[i],
+            produce=tuple((name, 0) for name in params(i).values()),
+            consume=((f"fc{i + 1}.weight", 1),),
+        )
+        for i in range(1, k)
+    )
+    layers = [LayerSpec("dense", params(1))]
+    for i in range(2, k + 1):
+        layers += [LayerSpec("relu"), LayerSpec("dense", params(i))]
+    net = ToyNetwork(tuple(layers), "vector", (dims[0],))
+    return ArchDescriptor(sites=sites, total_params=archive.param_count), net
+
+
 # ------------------------------------------------------------- toy mlp
 
 def toy_mlp(seed: int = DEFAULT_SEEDS["mlp"]):
@@ -53,27 +78,7 @@ def toy_mlp(seed: int = DEFAULT_SEEDS["mlp"]):
                 seed, f"init/fc{i + 1}.bias", (fan_out,), 0.05
             )
     archive = ModelArchive(tensors, {"fixture": "toy-mlp"})
-    sites = tuple(
-        PermutableSite(
-            site_id=f"h{i}",
-            kind="fc_pair",
-            n=dims[i],
-            produce=((f"fc{i}.weight", 0), (f"fc{i}.bias", 0)),
-            consume=((f"fc{i + 1}.weight", 1),),
-        )
-        for i in (1, 2, 3)
-    )
-    desc = ArchDescriptor(sites=sites, total_params=archive.param_count)
-    layers = []
-    for i in range(1, 5):
-        params = {"weight": f"fc{i}.weight"}
-        if i < 4:
-            params["bias"] = f"fc{i}.bias"
-        layers.append(LayerSpec("dense", params))
-        if i < 4:
-            layers.append(LayerSpec("relu"))
-    net = ToyNetwork(tuple(layers), "vector", (8,))
-    return archive, desc, net
+    return archive, *_dense_chain(archive, dims)
 
 
 # ------------------------------------------------------------- toy cnn
@@ -239,22 +244,7 @@ def ss_host(
         for i in range(1, layers + 1)
     }
     archive = ModelArchive(tensors, {"fixture": f"ss-host-{width}x{layers}"})
-    sites = tuple(
-        PermutableSite(
-            f"h{i}", "fc_pair", width,
-            produce=((f"fc{i}.weight", 0),),
-            consume=((f"fc{i + 1}.weight", 1),),
-        )
-        for i in range(1, layers)
-    )
-    desc = ArchDescriptor(sites=sites, total_params=archive.param_count)
-    specs = []
-    for i in range(1, layers + 1):
-        specs.append(LayerSpec("dense", {"weight": f"fc{i}.weight"}))
-        if i < layers:
-            specs.append(LayerSpec("relu"))
-    net = ToyNetwork(tuple(specs), "vector", (width,))
-    return archive, desc, net
+    return archive, *_dense_chain(archive, [width] * (layers + 1))
 
 
 # ------------------------------------------- reference descriptors (shape-only)

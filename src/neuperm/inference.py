@@ -101,7 +101,11 @@ def network_to_dict(net: ToyNetwork) -> dict:
 
 
 def parse_network(text: str) -> ToyNetwork:
-    return network_from_dict(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except RecursionError as e:
+        raise ValueError("net sidecar JSON is nested too deeply") from e
+    return network_from_dict(doc)
 
 
 def load_network(path) -> ToyNetwork:

@@ -223,8 +223,6 @@ def _positions(total: int, count: int, seed: int) -> np.ndarray:
 
 # ---------------------------------------------------------- bit fields
 
-_UINT_FOR = {np.dtype(np.float32): np.uint32, np.dtype(np.float16): np.uint16}
-
 #: low mantissa bits an lsb attack may overwrite per parameter
 LSB_BITS = range(1, 9)
 
@@ -248,7 +246,7 @@ def _bit_slots(archive: ModelArchive, count: int, seed: int, method: str):
 def _raw_field(data: np.ndarray, width: int, top: bool):
     """Flat raw-word view of `data`, plus the shift and mask of its `width`-bit
     field: the low bits, or the top ones (the sign bit when width is 1)."""
-    raw = data.view(_UINT_FOR[data.dtype]).ravel()
+    raw = data.view(f"u{data.itemsize}").ravel()
     shift = raw.itemsize * 8 - width if top else 0
     return raw, shift, raw.dtype.type(((1 << width) - 1) << shift)
 

@@ -1,6 +1,7 @@
 """Immutable tensors and exact permutation primitives.
 
-Tensors carry float32 or float16 payloads in row-major order. Permutations
+Tensors carry float32 or float16 payloads (the ``DTYPES`` table, the one
+list of supported dtypes) in native byte order, row-major. Permutations
 move whole slices without touching their bits, so any permutation op is
 lossless on either dtype.
 
@@ -21,8 +22,8 @@ import numpy as np
 
 from .rng import SeededRng
 
-_NUMPY_DTYPES = {"float32": np.float32, "float16": np.float16}
-_DTYPE_NAMES = {np.dtype(np.float32): "float32", np.dtype(np.float16): "float16"}
+#: every dtype a Tensor may hold, by numpy name, with its safetensors tag
+DTYPES = {"float32": "F32", "float16": "F16"}
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,10 @@ class Tensor:
         arr = self.data
         if not isinstance(arr, np.ndarray):
             raise TypeError("Tensor wraps a numpy array")
-        if arr.dtype not in _DTYPE_NAMES:
-            raise ValueError(f"unsupported dtype {arr.dtype}; use float32 or float16")
+        if arr.dtype.name not in DTYPES or not arr.dtype.isnative:
+            raise ValueError(
+                f"unsupported dtype {arr.dtype}; use native-order {' or '.join(DTYPES)}"
+            )
         if arr.flags.writeable or not (arr.flags.c_contiguous and arr.flags.aligned):
             arr = np.array(arr, order="C")
             arr.setflags(write=False)
@@ -55,7 +58,7 @@ class Tensor:
 
     @property
     def dtype(self) -> str:
-        return _DTYPE_NAMES[self.data.dtype]
+        return self.data.dtype.name
 
     @property
     def size(self) -> int:
@@ -78,9 +81,9 @@ class Tensor:
 
 def tensor(values, dtype: str = "float32") -> Tensor:
     """Build a Tensor, rounding to the storage dtype (round-to-nearest-even)."""
-    if dtype not in _NUMPY_DTYPES:
+    if dtype not in DTYPES:
         raise ValueError(f"unsupported dtype {dtype!r}")
-    return Tensor.adopt(np.asarray(values).astype(_NUMPY_DTYPES[dtype], order="C"))
+    return Tensor.adopt(np.asarray(values).astype(dtype, order="C"))
 
 
 def is_permutation(p: np.ndarray, n: int) -> bool:
@@ -120,30 +123,20 @@ def fisher_yates(n: int, rng: SeededRng) -> np.ndarray:
     return np.asarray(a, dtype=np.int64)
 
 
-def permute_axis(t: Tensor, axis: int, p: np.ndarray) -> Tensor:
-    """Reorder slices along `axis`: out[..., i, ...] = in[..., p[i], ...]."""
-    n = t.shape[axis]
+def permute_axis_blocks(t: Tensor, axis: int, p: np.ndarray) -> Tensor:
+    """Cut `axis` into len(p) equal contiguous blocks; block i of the output
+    is block p[i] of the input.
+
+    With one slice per block (len(p) equal to the extent) this is the plain
+    slice permutation out[..., i, ...] = in[..., p[i], ...]; wider blocks
+    move whole kv groups of grouped-query attention.
+    """
+    shape = t.shape
+    extent, n = shape[axis], len(p)
+    if n == 0 or extent % n != 0:
+        raise ValueError(f"axis extent {extent} not divisible into {n} blocks")
     if not is_permutation(p, n):
         raise ValueError(f"not a permutation of length {n}")
-    return Tensor.adopt(np.take(t.data, np.asarray(p, dtype=np.int64), axis=axis))
-
-
-def permute_axis_blocks(t: Tensor, axis: int, p: np.ndarray, n_blocks: int) -> Tensor:
-    """Permute `axis` in n_blocks equal contiguous blocks.
-
-    Block size extent/n_blocks; with n_blocks == extent this is permute_axis.
-    Used for grouped-head attention where a permutation moves whole head
-    groups rather than single rows.
-    """
-    extent = t.shape[axis]
-    if n_blocks <= 0 or extent % n_blocks != 0:
-        raise ValueError(f"axis extent {extent} not divisible into {n_blocks} blocks")
-    if not is_permutation(p, n_blocks):
-        raise ValueError(f"not a permutation of length {n_blocks}")
-    block = extent // n_blocks
-    if block == 1:
-        return permute_axis(t, axis, p)
-    shape = t.shape
-    grouped = t.data.reshape(shape[:axis] + (n_blocks, block) + shape[axis + 1 :])
+    grouped = t.data.reshape(shape[:axis] + (n, extent // n) + shape[axis + 1 :])
     moved = np.take(grouped, np.asarray(p, dtype=np.int64), axis=axis)
     return Tensor.adopt(moved.reshape(shape))

@@ -221,6 +221,12 @@ def test_header_bad_json():
         parse_archive(struct.pack("<Q", len(raw)) + raw)
 
 
+def test_header_nested_too_deeply():
+    raw = b"[" * 200_000  # past the JSON parser's recursion limit
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_archive(struct.pack("<Q", len(raw)) + raw)
+
+
 def test_header_not_object():
     raw = b"[1,2]"
     with pytest.raises(ParseError, match="object"):

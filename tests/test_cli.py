@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -661,6 +662,34 @@ def test_malformed_sidecar_exit_1(ws, tmp_path, case):
     assert proc.returncode == 1, proc.stderr
     assert "error:" in proc.stderr and names in proc.stderr, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("role", ["archive", "desc", "net", "plan"])
+def test_deeply_nested_json_exit_1(ws, tmp_path, role):
+    """JSON nested past the parser's recursion limit, in any of the four JSON
+    inputs, ends in one error line and exit 1 with no output. The files are
+    raw text: json.dumps cannot build them."""
+    nested = "[" * 200_000
+    bad = tmp_path / f"{role}.json"
+    if role == "archive":
+        bad.write_bytes(struct.pack("<Q", len(nested)) + nested.encode())
+    else:
+        bad.write_text(nested)
+    out = tmp_path / "out"
+    sanitize = ["sanitize", "--input", ws["mlp"], "--output", out, "--disrupt", "none"]
+    argv = {
+        "archive": ["sanitize", "--input", bad, "--output", out, "--disrupt", "none"],
+        "desc": [*sanitize, "--descriptor", bad],
+        "net": [*sanitize, "--verify", "--net", bad],
+        "plan": ["evaluate", "--carrier", ws["mlp"], "--plan", bad,
+                 "--disrupt", "none", "--output", out],
+    }[role]
+    proc = _fresh_interpreter([sys.executable, "-m", "neuperm"], *argv, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error:") and "nested too deeply" in line, line
+    assert proc.stdout == ""
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -14,6 +15,7 @@ from neuperm.descriptor import (
     validate_descriptor,
 )
 from neuperm.errors import DescriptorError
+from neuperm.fixtures import llama32_1b_descriptor
 from neuperm.tensor import tensor
 
 import numpy as np
@@ -43,6 +45,20 @@ def test_valid_descriptor_passes():
     arch = _pair_archive()
     desc = ArchDescriptor(sites=(_pair_site(),), total_params=arch.param_count)
     validate_descriptor(desc, arch)  # no raise
+
+
+def test_validate_returns_named_tensor_sizes(all_bundles, small_host_bundle):
+    """Validation resolves the element count of every tensor a site names:
+    from the archive, or from the shapes map when there is none."""
+    for archive, desc, _ in [*all_bundles.values(), small_host_bundle]:
+        named = {name for site in desc.sites for name, _ in site.refs}
+        assert validate_descriptor(desc, archive) == {n: archive.tensors[n].size for n in named}
+    llama = llama32_1b_descriptor()
+    sizes = validate_descriptor(llama)
+    named = {name for site in llama.sites for name, _ in site.refs}
+    assert sizes == {n: math.prod(llama.shapes[n]) for n in named}
+    assert sizes["model.layers.3.mlp.down_proj.weight"] == 2048 * 8192
+    assert sum(sizes.values()) == 889_192_448  # the llama coverage golden
 
 
 def test_site_requires_produce():

@@ -129,7 +129,7 @@ def test_partial_fraction_targeting(mlp_bundle):
 
 def test_fraction_target_validation(mlp_bundle):
     _, desc, _ = mlp_bundle
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="fraction_target"):
         make_schedule(desc, 0, fraction_target=-0.5)
 
 

@@ -11,7 +11,6 @@ from neuperm.tensor import (
     fisher_yates,
     invert,
     is_permutation,
-    permute_axis,
     permute_axis_blocks,
     tensor,
 )
@@ -41,6 +40,12 @@ def test_tensor_rejects_other_dtypes():
         tensor([1.0], dtype="float64")
     with pytest.raises(TypeError):
         Tensor([1.0, 2.0])
+
+
+@pytest.mark.parametrize("dtype", [">f4", ">f2"])
+def test_tensor_rejects_non_native_byte_order(dtype):
+    with pytest.raises(ValueError, match="native"):
+        Tensor(np.array([1.0, 2.0], dtype=dtype))
 
 
 def test_tensor_copies_writable_input():
@@ -73,11 +78,11 @@ def test_adopt_freezes_without_copying():
 
 def test_permutations_freeze_their_output_without_copying():
     t = tensor(np.arange(12, dtype=np.float32).reshape(3, 4))
-    for out in (permute_axis(t, 1, np.array([3, 2, 1, 0])),
-                permute_axis_blocks(t, 1, np.array([1, 0]), 2)):
+    for out in (permute_axis_blocks(t, 1, np.array([3, 2, 1, 0])),
+                permute_axis_blocks(t, 1, np.array([1, 0]))):
         assert not out.data.flags.writeable and out.data.flags.c_contiguous
         assert not np.shares_memory(out.data, t.data)
-    assert permute_axis_blocks(t, 1, np.array([1, 0]), 2).data.tolist() == [
+    assert permute_axis_blocks(t, 1, np.array([1, 0])).data.tolist() == [
         [2.0, 3.0, 0.0, 1.0], [6.0, 7.0, 4.0, 5.0], [10.0, 11.0, 8.0, 9.0],
     ]
 
@@ -166,35 +171,40 @@ def test_fisher_yates_rejects_nonpositive():
 def test_permute_axis_semantics():
     t = tensor([[0.0, 1.0], [10.0, 11.0], [20.0, 21.0]])
     p = np.array([2, 0, 1])
-    out = permute_axis(t, 0, p)
+    out = permute_axis_blocks(t, 0, p)
     # out[i] = in[p[i]]
     assert out.data.tolist() == [[20.0, 21.0], [0.0, 1.0], [10.0, 11.0]]
-    cols = permute_axis(t, 1, np.array([1, 0]))
+    cols = permute_axis_blocks(t, 1, np.array([1, 0]))
     assert cols.data.tolist() == [[1.0, 0.0], [11.0, 10.0], [21.0, 20.0]]
 
 
 def test_permute_axis_rejects_bad_perm():
     t = tensor([[0.0, 1.0], [2.0, 3.0]])
     with pytest.raises(ValueError):
-        permute_axis(t, 0, np.array([0, 0]))
+        permute_axis_blocks(t, 0, np.array([0, 0]))
 
 
 def test_permute_axis_blocks_moves_whole_blocks():
     t = tensor(np.arange(8, dtype=np.float32))
-    out = permute_axis_blocks(t, 0, np.array([3, 2, 1, 0]), 4)  # blocks of 2
+    out = permute_axis_blocks(t, 0, np.array([3, 2, 1, 0]))  # blocks of 2
     assert out.data.tolist() == [6.0, 7.0, 4.0, 5.0, 2.0, 3.0, 0.0, 1.0]
 
 
 def test_permute_axis_blocks_block1_equals_plain():
-    t = tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
-    p = np.array([1, 0])
-    assert permute_axis_blocks(t, 0, p, 2).same_bits(permute_axis(t, 0, p))
+    """One slice per block is the plain slice permutation: np.take's result."""
+    t = tensor(SeededRng(3).gaussian_block(60).reshape(3, 4, 5))
+    for axis in range(3):
+        p = fisher_yates(t.shape[axis], SeededRng(axis))
+        want = np.take(t.data, p, axis=axis)
+        assert permute_axis_blocks(t, axis, p).same_bits(Tensor(want))
 
 
 def test_permute_axis_blocks_validates_divisibility():
     t = tensor(np.arange(6, dtype=np.float32))
     with pytest.raises(ValueError):
-        permute_axis_blocks(t, 0, np.array([0, 1, 2, 3]), 4)
+        permute_axis_blocks(t, 0, np.array([0, 1, 2, 3]))
+    with pytest.raises(ValueError):
+        permute_axis_blocks(t, 0, np.array([], dtype=np.int64))
 
 
 def test_permutation_preserves_bits_f16():
@@ -202,7 +212,7 @@ def test_permutation_preserves_bits_f16():
     vals = rng.gaussian_block(64).astype(np.float16).reshape(8, 8)
     t = Tensor(vals)
     p = fisher_yates(8, SeededRng(1))
-    out = permute_axis(t, 0, p)
+    out = permute_axis_blocks(t, 0, p)
     assert out.dtype == "float16"
     assert sorted(out.data.view(np.uint16).ravel().tolist()) == sorted(
         t.data.view(np.uint16).ravel().tolist()
@@ -224,7 +234,7 @@ def test_permute_then_inverse_is_identity(seed, n, cols):
     vals = SeededRng(seed).gaussian_block(n * cols).astype(np.float32).reshape(n, cols)
     t = Tensor(vals)
     p = fisher_yates(n, SeededRng(seed + 1))
-    back = permute_axis(permute_axis(t, 0, p), 0, invert(p))
+    back = permute_axis_blocks(permute_axis_blocks(t, 0, p), 0, invert(p))
     assert back.same_bits(t)
 
 
@@ -235,7 +245,7 @@ def test_block_permute_inverse_roundtrip(seed, block, n_blocks):
     vals = SeededRng(seed).gaussian_block(extent * 3).astype(np.float32).reshape(extent, 3)
     t = Tensor(vals)
     p = fisher_yates(n_blocks, SeededRng(seed ^ 0xABCD))
-    back = permute_axis_blocks(permute_axis_blocks(t, 0, p, n_blocks), 0, invert(p), n_blocks)
+    back = permute_axis_blocks(permute_axis_blocks(t, 0, p), 0, invert(p))
     assert back.same_bits(t)
 
 
