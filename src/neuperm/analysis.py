@@ -140,12 +140,14 @@ def simulate_extraction_game(
     word hitting the stored row — exact, without materializing permutations.
     A trial succeeds when read errors fit the decoder budget floor(delta*L).
 
-    Trials run in batches of about 2^16 words (512 KiB), which stay in cache.
-    The batches read one contiguous word stream, so the count does not depend
-    on the batch size unless a word is rejected: a rejected word is replaced
-    from the stream after its batch. No word is ever rejected when n is a
-    power of two, and for other n each word is rejected with probability
-    below n/2^64.
+    Words are drawn at most 2^16 (512 KiB) at a time, which stay in cache:
+    whole trials are batched up to that many words, and a longer trial is
+    drawn in chunks of 2^16 whose displaced counts are summed, so memory
+    does not grow with L. The draws read one contiguous word stream, so the
+    count does not depend on the draw size unless a word is rejected: a
+    rejected word is replaced from the stream after its draw. No word is
+    ever rejected when n is a power of two, and for other n each word is
+    rejected with probability below n/2^64.
     """
     if n < 1 or L < 1 or trials < 1:
         raise ValueError("n, L and trials must all be >= 1")
@@ -155,18 +157,21 @@ def simulate_extraction_game(
     span = ((1 << 64) // n) * n  # == 2**64 when n is a power of two: no rejection needed
     limit = np.uint64(span - 1) if span < (1 << 64) else None
     successes = 0
-    batch = max(1, min(trials, (1 << 16) // L))
+    draw = 1 << 16
+    batch = max(1, min(trials, draw // L))
     done = 0
     while done < trials:
         t = min(batch, trials - done)
-        words = rng.next_block(t * L)
-        if limit is not None:
-            bad = np.flatnonzero(words > limit)
-            while bad.size:  # astronomically rare for any n that fits in memory
-                words[bad] = rng.next_block(bad.size)
-                bad = bad[words[bad] > limit]
-        displaced = (words % np.uint64(n)).reshape(t, L) != 0
-        errors = displaced.sum(axis=1)
+        errors = np.zeros(t, dtype=np.int64)
+        for start in range(0, L, draw):  # more than one chunk only when t == 1
+            width = min(draw, L - start)
+            words = rng.next_block(t * width)
+            if limit is not None:
+                bad = np.flatnonzero(words > limit)
+                while bad.size:  # astronomically rare for any n that fits in memory
+                    words[bad] = rng.next_block(bad.size)
+                    bad = bad[words[bad] > limit]
+            errors += ((words % np.uint64(n)).reshape(t, width) != 0).sum(axis=1)
         successes += int(np.count_nonzero(errors <= budget))
         done += t
     return GameResult(n=n, L=L, delta=delta, trials=trials, successes=successes, bound=bound)

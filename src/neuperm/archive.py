@@ -60,9 +60,6 @@ class ModelArchive:
     def param_count(self) -> int:
         return sum(t.size for t in self.tensors.values())
 
-    def shape_of(self, name: str) -> tuple[int, ...]:
-        return self.tensors[name].shape
-
     def replace(self, updates: dict[str, Tensor]) -> "ModelArchive":
         """New archive with some tensors swapped out."""
         for name in updates:

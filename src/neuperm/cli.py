@@ -69,6 +69,9 @@ from .stego import (
 
 _F32_TOL = 1e-5
 _F16_TOL = 1e-3
+#: Bytes of float32 host vectors `evaluate` stacks for one ss chip sweep.
+#: More variants than fit are despread in groups of that size, one sweep each.
+_HOST_STACK_BYTES = 256 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -323,12 +326,13 @@ def cmd_evaluate(args, argv) -> int:
     seed = _resolve_seed(args)
     variants = _variant_specs(configs, args.trials, seed)
 
-    # ss variants share one chip sweep, so their host vectors are stacked and
-    # despread together; lsb and sign variants are read once disrupted
-    hosts = None
+    # ss variants share a chip sweep: their host vectors are stacked, up to
+    # _HOST_STACK_BYTES of them, and each full stack is despread in one sweep;
+    # lsb and sign variants are read once disrupted
     if plan.method == "ss":
         plan.check_host(archive)
-        hosts = np.empty((len(variants), plan.host_n), dtype=np.float32)
+        group = min(len(variants), max(1, _HOST_STACK_BYTES // (4 * plan.host_n)))
+        hosts = np.empty((group, plan.host_n), dtype=np.float32)
     extracted = []
     for i, (config, vseed) in enumerate(variants):
         variant, _ = apply_disruptor(archive, config, seed=vseed, descriptor=descriptor)
@@ -338,13 +342,13 @@ def cmd_evaluate(args, argv) -> int:
         elif plan.method == "sign":
             got = sign_extract(variant, plan.payload_len, seed=plan.seed, ecc=plan.ecc)
         else:
-            hosts[i] = host_vector(variant, plan.eligible)
+            hosts[i % group] = host_vector(variant, plan.eligible)
+            if i % group == group - 1 or i == len(variants) - 1:
+                for y in ss_despread_many(hosts[: i % group + 1], plan):
+                    got, reading = decode_correlations(y, plan)
+                    extracted.append((got, f"{reading.snr_db:.4f}"))
             continue
         extracted.append((got, ""))
-    if hosts is not None:
-        for y in ss_despread_many(hosts, plan):
-            got, reading = decode_correlations(y, plan)
-            extracted.append((got, f"{reading.snr_db:.4f}"))
     rows = [
         (config, snr, int(plan.matches(got)))
         for (config, _), (got, snr) in zip(variants, extracted)

@@ -15,13 +15,18 @@ refs are the k and v rows, in head_dim blocks.
 Descriptors normally validate against the archive they describe. A
 descriptor may instead embed a `shapes` map so coverage accounting works for
 architectures whose weights we never materialize.
+
+Each type checks its own fields when it is built, so a descriptor built in
+code meets the same rules as one read from JSON. The JSON form is the
+fields themselves, lists for tuples; `descriptor_from_dict` checks only the
+containers around them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .archive import ModelArchive
 from .errors import DescriptorError
@@ -38,12 +43,13 @@ class GqaMeta:
     head_dim: int
 
     def __post_init__(self):
-        if self.h_q < 1 or self.h_kv < 1 or self.head_dim < 1:
+        fields = (self.h_q, self.h_kv, self.head_dim)
+        if any(type(v) is not int for v in fields):  # bools are not counts
+            raise DescriptorError("gqa fields must be integers")
+        if min(fields) < 1:
             raise DescriptorError("gqa fields must be positive")
         if self.h_q % self.h_kv != 0:
-            raise DescriptorError(
-                f"h_q={self.h_q} must be a multiple of h_kv={self.h_kv}"
-            )
+            raise DescriptorError(f"h_q={self.h_q} must be a multiple of h_kv={self.h_kv}")
 
     @property
     def group_width(self) -> int:
@@ -61,26 +67,35 @@ class PermutableSite:
     gqa: GqaMeta | None = None
 
     def __post_init__(self):
-        if not self.site_id:
-            raise DescriptorError("site_id must be non-empty")
+        if not isinstance(self.site_id, str) or not self.site_id:
+            raise DescriptorError(f"site_id must be a non-empty string, got {self.site_id!r}")
+        where = f"site {self.site_id!r}"
         if self.kind not in SITE_KINDS:
-            raise DescriptorError(f"site {self.site_id!r}: unknown kind {self.kind!r}")
-        if self.n < 1:
-            raise DescriptorError(f"site {self.site_id!r}: n must be >= 1")
+            raise DescriptorError(f"{where}: unknown kind {self.kind!r}")
+        if type(self.n) is not int or self.n < 1:
+            raise DescriptorError(f"{where}: n must be an integer >= 1")
+        for role, refs in (("produce", self.produce), ("consume", self.consume)):
+            if type(refs) is not tuple:
+                raise DescriptorError(f"{where}: {role} must be a tuple of refs")
+            for ref in refs:
+                if not (
+                    type(ref) is tuple and len(ref) == 2
+                    and isinstance(ref[0], str) and type(ref[1]) is int
+                ):
+                    raise DescriptorError(
+                        f"{where}: {role} entries must be [name, axis], got {ref!r}"
+                    )
         if not self.produce:
-            raise DescriptorError(f"site {self.site_id!r}: produce refs required")
+            raise DescriptorError(f"{where}: produce refs required")
         if self.kind == "attn_gqa":
             if self.gqa is None:
-                raise DescriptorError(f"site {self.site_id!r}: attn_gqa needs gqa meta")
+                raise DescriptorError(f"{where}: attn_gqa needs gqa meta")
             if self.gqa.h_kv != self.n:
-                raise DescriptorError(
-                    f"site {self.site_id!r}: n={self.n} != h_kv={self.gqa.h_kv}"
-                )
+                raise DescriptorError(f"{where}: n={self.n} != h_kv={self.gqa.h_kv}")
         elif self.gqa is not None:
-            raise DescriptorError(f"site {self.site_id!r}: gqa meta only for attn_gqa")
-        refs = list(self.produce) + list(self.consume)
-        if len(set(refs)) != len(refs):
-            raise DescriptorError(f"site {self.site_id!r}: repeated tensor-axis ref")
+            raise DescriptorError(f"{where}: gqa meta only for attn_gqa")
+        if len(set(self.refs)) != len(self.refs):
+            raise DescriptorError(f"{where}: repeated tensor-axis ref")
 
     @property
     def refs(self) -> tuple[Ref, ...]:
@@ -98,8 +113,13 @@ class ArchDescriptor:
     notes: str = ""
 
     def __post_init__(self):
-        if self.total_params < 0:
-            raise DescriptorError("total_params must be >= 0")
+        if type(self.total_params) is not int or self.total_params < 0:
+            raise DescriptorError("total_params must be an integer >= 0")
+        for name, shape in (self.shapes or {}).items():
+            if type(shape) is not tuple or any(type(s) is not int or s < 0 for s in shape):
+                raise DescriptorError(f"shape for {name!r} must be a list of ints >= 0")
+        if not isinstance(self.notes, str):
+            raise DescriptorError("notes must be a string")
         ids = [s.site_id for s in self.sites]
         if len(set(ids)) != len(ids):
             raise DescriptorError("site_id values must be unique")
@@ -137,7 +157,7 @@ def validate_descriptor(
         if archive is not None:
             if name not in archive.tensors:
                 raise DescriptorError(f"descriptor references missing tensor {name!r}")
-            shapes[name] = archive.shape_of(name)
+            shapes[name] = archive.tensors[name].shape
         elif desc.shapes is not None and name in desc.shapes:
             shapes[name] = desc.shapes[name]
         else:
@@ -145,13 +165,12 @@ def validate_descriptor(
                 f"no shape known for {name!r} (no archive bound, not in shapes map)"
             )
     if archive is not None:
-        if self_consistent := desc.shapes:
-            for name, shape in self_consistent.items():
-                if name in archive.tensors and tuple(shape) != archive.shape_of(name):
-                    raise DescriptorError(
-                        f"shapes map disagrees with archive for {name!r}: "
-                        f"{tuple(shape)} vs {archive.shape_of(name)}"
-                    )
+        for name, shape in (desc.shapes or {}).items():
+            if name in archive.tensors and shape != archive.tensors[name].shape:
+                raise DescriptorError(
+                    f"shapes map disagrees with archive for {name!r}: "
+                    f"{shape} vs {archive.tensors[name].shape}"
+                )
         if desc.total_params != archive.param_count:
             raise DescriptorError(
                 f"total_params {desc.total_params} != archive parameter count "
@@ -191,117 +210,57 @@ def validate_descriptor(
     return {name: math.prod(shape) for name, shape in shapes.items()}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _parse_refs(site_id: str, role: str, raw) -> tuple[Ref, ...]:
+def _tuples(raw, site_id, role: str) -> tuple:
+    """A site's JSON ref list as a tuple, each list entry in it as a tuple:
+    the two levels the schema nests, and never deeper. None reads as []."""
     if raw is None:
         return ()
     if not isinstance(raw, list):
         raise DescriptorError(f"site {site_id!r}: {role} must be a list")
-    out = []
-    for item in raw:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not isinstance(item[0], str)
-            or not _is_int(item[1])
-        ):
-            raise DescriptorError(
-                f"site {site_id!r}: {role} entries must be [name, axis], got {item!r}"
-            )
-        out.append((item[0], item[1]))
-    return tuple(out)
+    return tuple(tuple(ref) if isinstance(ref, list) else ref for ref in raw)
 
 
 def descriptor_from_dict(doc: dict) -> ArchDescriptor:
+    """The descriptor a JSON document holds. Only the containers are checked
+    here; the types check every value in them."""
     if not isinstance(doc, dict):
         raise DescriptorError("descriptor must be a JSON object")
     if "sites" not in doc or "total_params" not in doc:
         raise DescriptorError("descriptor needs 'sites' and 'total_params'")
-    raw_sites = doc["sites"]
-    if not isinstance(raw_sites, list):
+    if not isinstance(doc["sites"], list):
         raise DescriptorError("'sites' must be a list")
-    total = doc["total_params"]
-    if not _is_int(total):
-        raise DescriptorError("'total_params' must be an integer")
     sites = []
-    for raw in raw_sites:
+    for raw in doc["sites"]:
         if not isinstance(raw, dict):
             raise DescriptorError("each site must be an object")
-        sid = raw.get("site_id")
-        if not isinstance(sid, str):
-            raise DescriptorError(f"site_id must be a string, got {sid!r}")
-        gqa = None
-        if raw.get("gqa") is not None:
-            g = raw["gqa"]
-            if not isinstance(g, dict) or {"h_q", "h_kv", "head_dim"} - g.keys():
+        sid, gqa = raw.get("site_id"), raw.get("gqa")
+        if gqa is not None:
+            if not isinstance(gqa, dict) or {"h_q", "h_kv", "head_dim"} - gqa.keys():
                 raise DescriptorError(f"site {sid!r}: gqa needs h_q, h_kv, head_dim")
-            if not all(_is_int(g[k]) for k in ("h_q", "h_kv", "head_dim")):
-                raise DescriptorError(f"site {sid!r}: gqa fields must be integers")
-            gqa = GqaMeta(g["h_q"], g["h_kv"], g["head_dim"])
-        n = raw.get("n")
-        if not _is_int(n):
-            raise DescriptorError(f"site {sid!r}: n must be an integer")
-        sites.append(
-            PermutableSite(
-                site_id=sid,
-                kind=raw.get("kind", ""),
-                n=n,
-                produce=_parse_refs(sid, "produce", raw.get("produce")),
-                consume=_parse_refs(sid, "consume", raw.get("consume")),
-                gqa=gqa,
-            )
-        )
-    shapes = None
-    if doc.get("shapes") is not None:
-        raw_shapes = doc["shapes"]
-        if not isinstance(raw_shapes, dict):
+            gqa = GqaMeta(gqa["h_q"], gqa["h_kv"], gqa["head_dim"])
+        sites.append(PermutableSite(
+            site_id=sid,
+            kind=raw.get("kind", ""),
+            n=raw.get("n"),
+            produce=_tuples(raw.get("produce"), sid, "produce"),
+            consume=_tuples(raw.get("consume"), sid, "consume"),
+            gqa=gqa,
+        ))
+    shapes = doc.get("shapes")
+    if shapes is not None:
+        if not isinstance(shapes, dict):
             raise DescriptorError("'shapes' must be an object")
-        shapes = {}
-        for name, shape in raw_shapes.items():
-            if not isinstance(shape, list) or not all(_is_int(s) and s >= 0 for s in shape):
-                raise DescriptorError(f"shape for {name!r} must be a list of ints")
-            shapes[name] = tuple(shape)
-    return ArchDescriptor(
-        sites=tuple(sites),
-        total_params=total,
-        shapes=shapes,
-        notes=str(doc.get("notes", "")),
-    )
+        shapes = {name: tuple(s) if isinstance(s, list) else s for name, s in shapes.items()}
+    return ArchDescriptor(tuple(sites), doc["total_params"], shapes, doc.get("notes", ""))
 
 
 def descriptor_to_dict(desc: ArchDescriptor) -> dict:
-    doc: dict = {
-        "sites": [
-            {
-                "site_id": s.site_id,
-                "kind": s.kind,
-                "n": s.n,
-                "produce": [[n, a] for n, a in s.produce],
-                "consume": [[n, a] for n, a in s.consume],
-                **(
-                    {
-                        "gqa": {
-                            "h_q": s.gqa.h_q,
-                            "h_kv": s.gqa.h_kv,
-                            "head_dim": s.gqa.head_dim,
-                        }
-                    }
-                    if s.gqa
-                    else {}
-                ),
-            }
-            for s in desc.sites
-        ],
-        "total_params": desc.total_params,
-    }
-    if desc.shapes is not None:
-        doc["shapes"] = {k: list(v) for k, v in desc.shapes.items()}
-    if desc.notes:
-        doc["notes"] = desc.notes
-    return doc
+    """The JSON form: the dataclass fields, lists for tuples, and no key for
+    an absent gqa, shapes map or notes."""
+    fields = asdict(
+        desc, dict_factory=lambda items: {k: v for k, v in items if v is not None and v != ""}
+    )
+    return json.loads(json.dumps(fields))  # the round trip turns tuples into lists
 
 
 def parse_descriptor(text: str, archive: ModelArchive | None = None) -> ArchDescriptor:

@@ -36,8 +36,8 @@ class DisruptorConfig:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown disruptor kind {self.kind!r}")
-        if self.kind == "noise" and self.value < 0:
-            raise ValueError("noise sigma must be >= 0")
+        if self.kind == "noise" and not 0.0 <= self.value < math.inf:
+            raise ValueError("noise sigma must be finite and >= 0")
         if self.kind == "prune" and not 0.0 <= self.value <= 1.0:
             raise ValueError("prune ratio must lie in [0, 1]")
         if self.kind == "neuperm" and not 0.0 < self.value <= 1.0:

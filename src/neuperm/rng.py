@@ -80,11 +80,7 @@ class SeededRng:
         """The next `count` outputs as a uint64 array (vectorized, same stream)."""
         if count < 0:
             raise ValueError("count must be >= 0")
-        if count == 0:
-            return np.empty(0, dtype=np.uint64)
-        steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GOLDEN)
-        out = np.uint64(self._state) + steps
-        _mix64_array(out, steps)  # the steps are spent: they serve as its scratch
+        out = words_at(self._state, np.arange(count, dtype=np.uint64))
         self._state = (self._state + count * GOLDEN) & MASK64
         return out
 

@@ -175,11 +175,14 @@ def test_game_deterministic():
         (5, 3, 0.34, 300_000, 3, 31073),
         (512, 1000, 1 / 7, 50_000, 4, 0),
         (7, 70_000, 0.8, 3, 5, 0),
+        (3, 200_000, 0.6665, 40, 1, 15),
     ],
 )
 def test_game_success_counts_frozen(n, L, delta, trials, seed, successes):
     # frozen when a batch held 2^23 words; at 2^16 words these runs span
-    # many batches, and L = 70000 plays one trial per batch
+    # many batches, and L = 70000 plays one trial per batch. The L = 200000
+    # count was frozen from whole-trial draws, so it checks that drawing a
+    # long trial in 2^16-word chunks changes no count
     g = simulate_extraction_game(n=n, L=L, delta=delta, trials=trials, seed=seed)
     assert g.successes == successes
 

@@ -14,6 +14,7 @@ import pytest
 from conftest import random_payload
 
 import neuperm
+from neuperm import cli
 from neuperm.archive import load_archive, save_archive
 from neuperm.cli import main
 from neuperm.descriptor import descriptor_to_dict
@@ -264,6 +265,20 @@ def test_sanitize_unknown_disruptor_exit_1(ws, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_sanitize_non_finite_noise_exit_1(ws, tmp_path, capsys, sigma):
+    """A NaN or infinite sigma would write an archive of NaN or inf parameters."""
+    out = tmp_path / "never.safetensors"
+    capsys.readouterr()
+    rc = run("sanitize", "--input", ws["mlp"], "--output", out, "--disrupt", f"noise:{sigma}")
+    captured = capsys.readouterr()
+    assert rc == 1
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: noise sigma must be finite"), line
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_sanitize_corrupt_archive_exit_1(ws, tmp_path, capsys):
     junk = tmp_path / "junk.safetensors"
     junk.write_bytes(b"\xff" * 64)
@@ -397,9 +412,9 @@ _FROZEN_EVALUATE = {
 }
 
 
-@pytest.mark.parametrize("method", sorted(_FROZEN_EVALUATE))
-def test_evaluate_csv_frozen(ws, tmp_path, capsys, method):
-    attack, ecc, seed, want = _FROZEN_EVALUATE[method]
+def _frozen_evaluate_digest(ws, tmp_path, method) -> str:
+    """sha256 of the CSV that the frozen attack and evaluate of `method` write."""
+    attack, ecc, seed, _ = _FROZEN_EVALUATE[method]
     carrier, plan, report = (tmp_path / n for n in ("carrier.safetensors", "plan.json", "r.csv"))
     assert run("attack", "--input", ws["host"], "--output", carrier, "--attack", attack,
                "--ecc", ecc, "--payload", ws["payload"], "--seed", seed, "--plan", plan) == 0
@@ -407,8 +422,69 @@ def test_evaluate_csv_frozen(ws, tmp_path, capsys, method):
                "--disrupt", "noise:0.0001", "--disrupt", "prune:0.05", "--disrupt", "neuperm:1",
                "--descriptor", ws["host.desc"], "--trials", "2", "--seed", "5",
                "--output", report) == 0
-    capsys.readouterr()
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == want
+    return hashlib.sha256(report.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("method", sorted(_FROZEN_EVALUATE))
+def test_evaluate_csv_frozen(ws, tmp_path, capsys, method):
+    assert _frozen_evaluate_digest(ws, tmp_path, method) == _FROZEN_EVALUATE[method][3]
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_evaluate_ss_groups_keep_frozen_csv(ws, tmp_path, capsys, monkeypatch, rows):
+    """With room for only `rows` host vectors, the six ss variants are
+    despread in groups, one chip sweep each, and the CSV bytes stay frozen."""
+    host_n = load_archive(ws["host"]).param_count
+    monkeypatch.setattr(cli, "_HOST_STACK_BYTES", rows * 4 * host_n)
+    assert _frozen_evaluate_digest(ws, tmp_path, "ss") == _FROZEN_EVALUATE["ss"][3]
+
+
+def _under_1gb(*argv, cwd):
+    """Run the CLI in a child process whose address space is capped at 1 GB.
+    The child runs on at most two CPUs with OpenBLAS at one thread, so the
+    cap bounds the command's arrays, not per-thread reservations."""
+    child = (
+        "import os, resource, sys\n"
+        "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+        "if hasattr(os, 'sched_setaffinity'):\n"
+        "    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from neuperm.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    return _fresh_interpreter([sys.executable, "-c", child], *argv, cwd=cwd)
+
+
+def test_evaluate_many_ss_variants_fit_1gb(tmp_path):
+    """400 variants of a 2^20-parameter carrier would be a 1.6 GB float32
+    stack; despread in budgeted groups they run in a 1 GB address space."""
+    pytest.importorskip("resource")
+    archive, desc, _ = ss_host()
+    host, desc_path = tmp_path / "host.safetensors", tmp_path / "host.desc.json"
+    save_archive(archive, host)
+    desc_path.write_text(json.dumps(descriptor_to_dict(desc)))
+    payload, carrier, plan, report = (
+        tmp_path / n for n in ("p.bin", "carrier.safetensors", "plan.json", "r.csv")
+    )
+    payload.write_bytes(random_payload(79, 4))  # 32 coded bits: each sweep is cheap
+    assert run("attack", "--input", host, "--output", carrier, "--attack", "ss:0.02",
+               "--payload", payload, "--seed", "3", "--plan", plan) == 0
+    proc = _under_1gb("evaluate", "--carrier", carrier, "--plan", plan,
+                      "--disrupt", "neuperm:1", "--descriptor", desc_path,
+                      "--trials", "400", "--seed", "1", "--output", report, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "evaluate 400 attempts, 0 extractions succeeded\n"
+    assert len(report.read_text().splitlines()) == 401
+
+
+def test_bound_simulate_long_trial_fits_1gb(tmp_path):
+    """A trial of 2*10^8 words would be a 1.6 GB draw; drawn in chunks it
+    runs in a 1 GB address space."""
+    pytest.importorskip("resource")
+    proc = _under_1gb("bound", "--site-sizes", "2", "--L", "200000000", "--simulate", "1",
+                      "--seed", "1", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "simulated 0/1 successes (rate 0)"
 
 
 @pytest.mark.parametrize("attack,extra", [
@@ -689,6 +765,25 @@ def test_deeply_nested_json_exit_1(ws, tmp_path, role):
     assert proc.returncode == 1, proc.stderr
     [line] = proc.stderr.splitlines()
     assert line.startswith("error:") and "nested too deeply" in line, line
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+def test_deep_list_inside_descriptor_refs_exit_1(ws, tmp_path):
+    """A list nested 900 deep inside `produce` parses as JSON; reading it as
+    refs goes two levels down and no further, so the command ends in one
+    error line, not a RecursionError."""
+    deep = "[" * 900 + "]" * 900
+    bad = tmp_path / "desc.json"
+    bad.write_text('{"sites": [{"site_id": "h1", "kind": "fc_pair", "n": 8, "produce": '
+                   + deep + '}], "total_params": 1}')
+    out = tmp_path / "out"
+    proc = _fresh_interpreter([sys.executable, "-m", "neuperm"], "sanitize", "--input", ws["mlp"],
+                              "--output", out, "--disrupt", "neuperm", "--descriptor", bad,
+                              cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: site 'h1': produce entries must be [name, axis]"), line[:200]
     assert proc.stdout == ""
     assert not out.exists()
 

@@ -257,6 +257,48 @@ def test_from_dict_malformed():
         )
 
 
+def _site(**fields):
+    return PermutableSite(**{
+        "site_id": "h", "kind": "fc_pair", "n": 2, "produce": (("w", 0),), "consume": (),
+        **fields,
+    })
+
+
+def _site_doc(site=None, **top):
+    doc = {"site_id": "h", "kind": "fc_pair", "n": 2, "produce": [["w", 0]], "consume": []}
+    return {"sites": [{**doc, **(site or {})}], "total_params": 4, **top}
+
+
+#: (the malformed value built in code, the same value in JSON, text the error carries)
+_MALFORMED = {
+    "n-bool": (lambda: _site(n=True), _site_doc({"n": True}), "n must"),
+    "n-float": (lambda: _site(n=2.5), _site_doc({"n": 2.5}), "n must"),
+    "site_id-int": (lambda: _site(site_id=5), _site_doc({"site_id": 5}), "site_id"),
+    "axis-str": (lambda: _site(consume=(("v", "1"),)), _site_doc({"consume": [["v", "1"]]}),
+                 "axis"),
+    "total_params-float": (lambda: ArchDescriptor((_site(),), total_params=1.5),
+                           _site_doc(total_params=1.5), "total_params"),
+    "gqa-field-float": (lambda: GqaMeta(h_q=8.0, h_kv=2, head_dim=4),
+                        _site_doc({"kind": "attn_gqa",
+                                   "gqa": {"h_q": 8.0, "h_kv": 2, "head_dim": 4}}),
+                        "gqa fields"),
+    "shape-dim-negative": (lambda: ArchDescriptor((_site(),), 4, shapes={"w": (-2, 2)}),
+                           _site_doc(shapes={"w": [-2, 2]}), "shape for 'w'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_fields_rejected_in_code_and_json(case):
+    """One set of rules: each value is refused when a descriptor is built in
+    code and when it is read from JSON, by the same check."""
+    build, doc, text = _MALFORMED[case]
+    assert descriptor_from_dict(_site_doc()) == ArchDescriptor((_site(),), 4)
+    with pytest.raises(DescriptorError, match=text):
+        build()
+    with pytest.raises(DescriptorError, match=text):
+        descriptor_from_dict(doc)
+
+
 def test_load_descriptor_from_file(tmp_path):
     doc = {
         "sites": [

@@ -22,7 +22,8 @@ def test_parse_disruptor_forms():
     assert parse_disruptor("neuperm:0.5") == DisruptorConfig("neuperm", 0.5)
     assert parse_disruptor("noise:0.001") == DisruptorConfig("noise", 0.001)
     assert parse_disruptor("prune:0.05") == DisruptorConfig("prune", 0.05)
-    for bad in ("", "bogus", "bogus:1", "noise", "noise:-1", "prune:2", "neuperm:0", "neuperm:1.5"):
+    for bad in ("", "bogus", "bogus:1", "noise", "noise:-1", "noise:nan", "noise:inf",
+                "prune:2", "neuperm:0", "neuperm:1.5"):
         with pytest.raises(ValueError):
             parse_disruptor(bad)
 
