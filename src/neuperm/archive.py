@@ -15,9 +15,12 @@ and ``parse_archive`` wraps each tensor as a view of that buffer; only a
 tensor whose offset does not suit its dtype's alignment is copied (by
 ``Tensor``), because numpy runs misaligned arrays through a slower non-BLAS
 loop that also rounds differently. Writing streams the
-header and then each tensor's bytes through one serializer, ``_serialize``;
-``save_archive`` hashes the bytes as they go to disk and returns the sha256,
-so a saved archive is never serialized or read again to name its digest.
+header and then each tensor's bytes through one serializer, ``_serialize``.
+``save_archive`` runs it twice at once over the same read-only arrays: into
+the file on the calling thread, and into sha256 on a helper thread
+(``sweep.background``). ``_serialize`` is deterministic, so the digest
+returned is that of the bytes written, and a saved archive is never read
+again to name it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError
+from .sweep import background
 from .tensor import DTYPES, Tensor
 
 _TAG_TO_NUMPY = {tag: np.dtype(name).newbyteorder("<") for name, tag in DTYPES.items()}
@@ -237,16 +241,12 @@ def load_archive(path) -> ModelArchive:
 
 
 def save_archive(archive: ModelArchive, path) -> str:
-    """Write the canonical bytes to ``path``; returns their sha256."""
-    digest = hashlib.sha256()
-
-    def sink(chunk) -> None:
-        fh.write(chunk)
-        digest.update(chunk)
-
-    with open(path, "wb") as fh:
-        _serialize(archive, sink)
-    return digest.hexdigest()
+    """Write the canonical bytes to ``path``; returns their sha256, hashed
+    on a helper thread while this one writes. A failed write raises once
+    the helper has stopped."""
+    with open(path, "wb") as fh, background(archive_digest, archive) as digest:
+        _serialize(archive, fh.write)
+    return digest()
 
 
 def archive_digest(archive: ModelArchive) -> str:

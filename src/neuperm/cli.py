@@ -66,6 +66,7 @@ from .stego import (
     ss_embed,
     decode_correlations,
 )
+from .sweep import background
 
 _F32_TOL = 1e-5
 _F16_TOL = 1e-3
@@ -205,15 +206,19 @@ def cmd_sanitize(args, argv) -> int:
     if args.probes < 1:
         raise ValueError("--probes must be >= 1")
     archive = load_archive(args.input)
-    inputs = {args.input: _source_digest(archive)}
-    config = parse_disruptor(args.disrupt)
-    descriptor = None
-    if args.descriptor:
-        descriptor = parse_descriptor(_read_input(args.descriptor, inputs), archive)
-    seed = _resolve_seed(args)
-    result, coverage = apply_disruptor(
-        archive, config, seed=seed, descriptor=descriptor
-    )
+    inputs = {}
+    # the input hash runs beside the parse and the rewrite, and is done
+    # before --verify, whose gemvs use every BLAS thread
+    with background(_source_digest, archive) as input_digest:
+        config = parse_disruptor(args.disrupt)
+        descriptor = None
+        if args.descriptor:
+            descriptor = parse_descriptor(_read_input(args.descriptor, inputs), archive)
+        seed = _resolve_seed(args)
+        result, coverage = apply_disruptor(
+            archive, config, seed=seed, descriptor=descriptor
+        )
+    inputs[args.input] = input_digest()
 
     deviation = None
     if args.verify:
@@ -265,26 +270,27 @@ def _parse_attack_spec(spec: str):
 
 def cmd_attack(args, argv) -> int:
     archive = load_archive(args.input)
-    with open(args.payload, "rb") as fh:
-        payload = fh.read()
-    if not payload:
-        raise ValueError("payload file is empty")
-    kind, param = _parse_attack_spec(args.attack)
-    ecc = parse_ecc(args.ecc)
-    seed = _resolve_seed(args)
+    with background(_source_digest, archive) as input_digest:
+        with open(args.payload, "rb") as fh:
+            payload = fh.read()
+        if not payload:
+            raise ValueError("payload file is empty")
+        kind, param = _parse_attack_spec(args.attack)
+        ecc = parse_ecc(args.ecc)
+        seed = _resolve_seed(args)
 
-    if kind == "ss":
-        plan = make_chip_plan(archive, payload, gamma=param, seed=seed, ecc=ecc)
-        carrier = ss_embed(archive, payload, plan)
-    else:
-        plan = AttackPlan.for_payload(kind, payload, seed=seed, ecc=ecc, bits_per_param=param)
-        if kind == "lsb":
-            carrier = lsb_embed(archive, payload, bits_per_param=param, seed=seed, ecc=ecc)
+        if kind == "ss":
+            plan = make_chip_plan(archive, payload, gamma=param, seed=seed, ecc=ecc)
+            carrier = ss_embed(archive, payload, plan)
         else:
-            carrier = sign_embed(archive, payload, seed=seed, ecc=ecc)
+            plan = AttackPlan.for_payload(kind, payload, seed=seed, ecc=ecc, bits_per_param=param)
+            if kind == "lsb":
+                carrier = lsb_embed(archive, payload, bits_per_param=param, seed=seed, ecc=ecc)
+            else:
+                carrier = sign_embed(archive, payload, seed=seed, ecc=ecc)
 
     details = {"attack": args.attack, "ecc": ecc.spec, "payload_sha256": plan.payload_sha256}
-    inputs = {args.input: _source_digest(archive), args.payload: plan.payload_sha256}
+    inputs = {args.input: input_digest(), args.payload: plan.payload_sha256}
     with _Outputs(args, argv, seed, inputs, details) as out:
         details["output_digest"] = out.archive(args.output, carrier)
         if args.plan:
@@ -311,48 +317,50 @@ def cmd_evaluate(args, argv) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     archive = load_archive(args.carrier)
-    inputs = {args.carrier: _source_digest(archive)}
-    try:
-        doc = json.loads(_read_input(args.plan, inputs))
-    except RecursionError as e:
-        raise ValueError("plan JSON is nested too deeply") from e
-    plan = AttackPlan.from_dict(doc)
-    configs = [parse_disruptor(s) for s in args.disrupt]
-    if not configs:
-        raise ValueError("at least one --disrupt is required")
-    descriptor = None
-    if args.descriptor:
-        descriptor = parse_descriptor(_read_input(args.descriptor, inputs), archive)
-    seed = _resolve_seed(args)
-    variants = _variant_specs(configs, args.trials, seed)
+    inputs = {}
+    with background(_source_digest, archive) as carrier_digest:
+        try:
+            doc = json.loads(_read_input(args.plan, inputs))
+        except RecursionError as e:
+            raise ValueError("plan JSON is nested too deeply") from e
+        plan = AttackPlan.from_dict(doc)
+        configs = [parse_disruptor(s) for s in args.disrupt]
+        if not configs:
+            raise ValueError("at least one --disrupt is required")
+        descriptor = None
+        if args.descriptor:
+            descriptor = parse_descriptor(_read_input(args.descriptor, inputs), archive)
+        seed = _resolve_seed(args)
+        variants = _variant_specs(configs, args.trials, seed)
 
-    # ss variants share a chip sweep: their host vectors are stacked, up to
-    # _HOST_STACK_BYTES of them, and each full stack is despread in one sweep;
-    # lsb and sign variants are read once disrupted
-    if plan.method == "ss":
-        plan.check_host(archive)
-        group = min(len(variants), max(1, _HOST_STACK_BYTES // (4 * plan.host_n)))
-        hosts = np.empty((group, plan.host_n), dtype=np.float32)
-    extracted = []
-    for i, (config, vseed) in enumerate(variants):
-        variant, _ = apply_disruptor(archive, config, seed=vseed, descriptor=descriptor)
-        if plan.method == "lsb":
-            got = lsb_extract(variant, plan.payload_len, bits_per_param=plan.bits_per_param,
-                              seed=plan.seed, ecc=plan.ecc)
-        elif plan.method == "sign":
-            got = sign_extract(variant, plan.payload_len, seed=plan.seed, ecc=plan.ecc)
-        else:
-            hosts[i % group] = host_vector(variant, plan.eligible)
-            if i % group == group - 1 or i == len(variants) - 1:
-                for y in ss_despread_many(hosts[: i % group + 1], plan):
-                    got, reading = decode_correlations(y, plan)
-                    extracted.append((got, f"{reading.snr_db:.4f}"))
-            continue
-        extracted.append((got, ""))
-    rows = [
-        (config, snr, int(plan.matches(got)))
-        for (config, _), (got, snr) in zip(variants, extracted)
-    ]
+        # ss variants share a chip sweep: their host vectors are stacked, up to
+        # _HOST_STACK_BYTES of them, and each full stack is despread in one sweep;
+        # lsb and sign variants are read once disrupted
+        if plan.method == "ss":
+            plan.check_host(archive)
+            group = min(len(variants), max(1, _HOST_STACK_BYTES // (4 * plan.host_n)))
+            hosts = np.empty((group, plan.host_n), dtype=np.float32)
+        extracted = []
+        for i, (config, vseed) in enumerate(variants):
+            variant, _ = apply_disruptor(archive, config, seed=vseed, descriptor=descriptor)
+            if plan.method == "lsb":
+                got = lsb_extract(variant, plan.payload_len, bits_per_param=plan.bits_per_param,
+                                  seed=plan.seed, ecc=plan.ecc)
+            elif plan.method == "sign":
+                got = sign_extract(variant, plan.payload_len, seed=plan.seed, ecc=plan.ecc)
+            else:
+                hosts[i % group] = host_vector(variant, plan.eligible)
+                if i % group == group - 1 or i == len(variants) - 1:
+                    for y in ss_despread_many(hosts[: i % group + 1], plan):
+                        got, reading = decode_correlations(y, plan)
+                        extracted.append((got, f"{reading.snr_db:.4f}"))
+                continue
+            extracted.append((got, ""))
+        rows = [
+            (config, snr, int(plan.matches(got)))
+            for (config, _), (got, snr) in zip(variants, extracted)
+        ]
+    inputs[args.carrier] = carrier_digest()
     successes = sum(ok for _, _, ok in rows)
 
     details = {"disrupt": [c.spec for c in configs], "trials": args.trials,
@@ -469,7 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L-np", type=int, dest="L_np", help="parameters a schedule moves")
     p.add_argument("--delta", type=float, help="correctable error fraction")
     p.add_argument("--ecc", help="derive delta from an ecc spec")
-    p.add_argument("--simulate", type=int, metavar="TRIALS")
+    p.add_argument("--simulate", type=int, metavar="TRIALS",
+                   help="check the bound by playing the extraction game TRIALS times; "
+                        "each trial draws L random words, so the time grows with "
+                        "L x TRIALS and nothing caps it (about 2.6 s per trial at "
+                        "L=2e8 on a 2-vCPU machine)")
     p.set_defaults(func=cmd_bound)
     return parser
 

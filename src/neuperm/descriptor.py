@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import asdict, dataclass
 
 from .archive import ModelArchive
@@ -34,6 +35,19 @@ from .errors import DescriptorError
 SITE_KINDS = ("fc_pair", "conv_block", "attn_gqa")
 
 Ref = tuple[str, int]
+
+#: longest quote of a malformed value in an error line
+_QUOTE_CHARS = 60
+_REPR = reprlib.Repr()
+_REPR.maxlevel, _REPR.maxstring = 3, _QUOTE_CHARS
+
+
+def _quote(value) -> str:
+    """A repr of ``value`` for an error line: nested containers are cut off
+    three levels down and the text at _QUOTE_CHARS characters, so a huge or
+    deeply nested value neither floods the line nor recurses."""
+    text = _REPR.repr(value)
+    return text if len(text) <= _QUOTE_CHARS else text[: _QUOTE_CHARS - 3] + "..."
 
 
 @dataclass(frozen=True)
@@ -68,10 +82,12 @@ class PermutableSite:
 
     def __post_init__(self):
         if not isinstance(self.site_id, str) or not self.site_id:
-            raise DescriptorError(f"site_id must be a non-empty string, got {self.site_id!r}")
-        where = f"site {self.site_id!r}"
+            raise DescriptorError(
+                f"site_id must be a non-empty string, got {_quote(self.site_id)}"
+            )
+        where = f"site {_quote(self.site_id)}"
         if self.kind not in SITE_KINDS:
-            raise DescriptorError(f"{where}: unknown kind {self.kind!r}")
+            raise DescriptorError(f"{where}: unknown kind {_quote(self.kind)}")
         if type(self.n) is not int or self.n < 1:
             raise DescriptorError(f"{where}: n must be an integer >= 1")
         for role, refs in (("produce", self.produce), ("consume", self.consume)):
@@ -83,7 +99,7 @@ class PermutableSite:
                     and isinstance(ref[0], str) and type(ref[1]) is int
                 ):
                     raise DescriptorError(
-                        f"{where}: {role} entries must be [name, axis], got {ref!r}"
+                        f"{where}: {role} entries must be [name, axis], got {_quote(ref)}"
                     )
         if not self.produce:
             raise DescriptorError(f"{where}: produce refs required")
@@ -216,7 +232,7 @@ def _tuples(raw, site_id, role: str) -> tuple:
     if raw is None:
         return ()
     if not isinstance(raw, list):
-        raise DescriptorError(f"site {site_id!r}: {role} must be a list")
+        raise DescriptorError(f"site {_quote(site_id)}: {role} must be a list")
     return tuple(tuple(ref) if isinstance(ref, list) else ref for ref in raw)
 
 
@@ -236,7 +252,7 @@ def descriptor_from_dict(doc: dict) -> ArchDescriptor:
         sid, gqa = raw.get("site_id"), raw.get("gqa")
         if gqa is not None:
             if not isinstance(gqa, dict) or {"h_q", "h_kv", "head_dim"} - gqa.keys():
-                raise DescriptorError(f"site {sid!r}: gqa needs h_q, h_kv, head_dim")
+                raise DescriptorError(f"site {_quote(sid)}: gqa needs h_q, h_kv, head_dim")
             gqa = GqaMeta(gqa["h_q"], gqa["h_kv"], gqa["head_dim"])
         sites.append(PermutableSite(
             site_id=sid,

@@ -1,4 +1,5 @@
-"""Ordered sweeps over independent items on every CPU the process may use.
+"""Helper threads: ordered sweeps over independent items on every CPU the
+process may use, and one background call beside the calling thread.
 
 ``run_ordered(produce, consume, items)`` calls ``consume(item,
 produce(item))`` for each item, in the order of ``items``. W threads, one
@@ -16,6 +17,13 @@ second BLAS thread per call only busy-waits against them; one thread also
 fixes the summation order, because for some shapes a threaded OpenBLAS gemv
 splits a sum between its threads, which makes its rounding depend on the
 CPU count.
+
+``background(fn, *args)`` runs one call on a helper thread for the length of
+a ``with`` block. ``sanitize``, ``attack`` and ``evaluate`` hash their input
+archive that way while they parse and rewrite it, and ``save_archive``
+hashes the bytes it writes while it writes them. sha256, ``np.take`` and
+file writes release the GIL, so the hash runs on another CPU beside that
+work. Unlike a sweep, it leaves the OpenBLAS thread count alone.
 """
 
 from __future__ import annotations
@@ -133,3 +141,36 @@ def run_ordered(produce, consume, items) -> None:
             t.join()
     if errors:
         raise errors[0]
+
+
+@contextlib.contextmanager
+def background(fn, *args):
+    """Run ``fn(*args)`` on a helper thread while the block runs.
+
+    Yields a callable that waits for the thread and returns ``fn``'s result
+    or raises its error, inside the block or after it. Leaving the block
+    waits for the thread too, also when the block raises, so the helper
+    never outlives it.
+    """
+    outcome = []
+
+    def run() -> None:
+        try:
+            outcome.append((fn(*args), None))
+        except BaseException as e:  # re-raised by result()
+            outcome.append((None, e))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+
+    def result():
+        thread.join()
+        value, error = outcome[0]
+        if error is not None:
+            raise error
+        return value
+
+    try:
+        yield result
+    finally:
+        thread.join()

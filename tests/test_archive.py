@@ -1,6 +1,8 @@
 import hashlib
 import json
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -100,6 +102,33 @@ def test_save_returns_digest_of_file_bytes(tmp_path):
     assert digest == hashlib.sha256(p.read_bytes()).hexdigest()
     assert digest == archive_digest(a) == hashlib.sha256(write_archive(a)).hexdigest()
     assert p.read_bytes() == write_archive(a)
+
+
+def _mib_archive() -> ModelArchive:
+    """Two tensors, 1 MiB each: more than one write and one sha256 update."""
+    return ModelArchive({
+        "a": tensor(np.arange(1 << 18, dtype=np.float32)),
+        "b": tensor(-np.arange(1 << 18, dtype=np.float32)),
+    })
+
+
+def test_save_leaves_no_helper_thread(tmp_path):
+    """save_archive hashes on a helper thread and has joined it on return."""
+    before = threading.active_count()
+    a = _mib_archive()
+    p = tmp_path / "m.safetensors"
+    assert save_archive(a, p) == hashlib.sha256(p.read_bytes()).hexdigest()
+    assert threading.active_count() == before
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="/dev/full is Linux's always-full device")
+def test_save_to_full_device_raises_and_leaves_no_helper_thread():
+    """A write that fails (ENOSPC) raises OSError once the hashing helper
+    has stopped."""
+    before = threading.active_count()
+    with pytest.raises(OSError):
+        save_archive(_mib_archive(), "/dev/full")
+    assert threading.active_count() == before
 
 
 # ------------------------------------------------------- aligned loading

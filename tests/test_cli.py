@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -245,6 +246,38 @@ def test_sanitize_verify_failure_exit_2_no_output(ws, tmp_path, capsys):
     assert rc == 2
     assert "outputs diverged" in captured.err
     assert not out.exists()
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_sanitize_leaves_no_helper_thread(ws, tmp_path, capsys):
+    """The input and output hashes run on helper threads. None is left once
+    main() returns, and the manifest holds the sha256 of each file on disk."""
+    before = threading.active_count()
+    out, manifest = tmp_path / "clean.safetensors", tmp_path / "run.json"
+    rc = run("sanitize", "--input", ws["host"], "--output", out, "--disrupt", "neuperm",
+             "--descriptor", ws["host.desc"], "--seed", "4", "--verify", "--net", ws["host.net"],
+             "--manifest", manifest)
+    assert rc == 0, capsys.readouterr().err
+    assert threading.active_count() == before
+    doc = json.loads(manifest.read_text())
+    assert doc["inputs"] == {str(p): _sha256(p) for p in (ws["host"], ws["host.desc"],
+                                                          ws["host.net"])}
+    assert doc["outputs"] == {str(out): _sha256(out)}
+
+
+def test_sanitize_verify_failure_leaves_no_helper_thread(ws, tmp_path, capsys):
+    """A --verify failure exits 2 after the input hash has been joined, and
+    writes neither the output nor the manifest."""
+    before = threading.active_count()
+    rc = run("sanitize", "--input", ws["host"], "--output", tmp_path / "never.safetensors",
+             "--disrupt", "noise:0.5", "--seed", "3", "--verify", "--net", ws["host.net"],
+             "--manifest", tmp_path / "run.json")
+    assert rc == 2 and "outputs diverged" in capsys.readouterr().err
+    assert threading.active_count() == before
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sanitize_missing_net_sidecar(ws, tmp_path, capsys):
@@ -785,6 +818,31 @@ def test_deep_list_inside_descriptor_refs_exit_1(ws, tmp_path):
     [line] = proc.stderr.splitlines()
     assert line.startswith("error: site 'h1': produce entries must be [name, axis]"), line[:200]
     assert proc.stdout == ""
+    assert not out.exists()
+
+
+_DEEP = "[" * 900 + "]" * 900
+
+
+@pytest.mark.parametrize("site", [
+    '"site_id": "h1", "kind": "fc_pair", "n": 8, "produce": ' + _DEEP,
+    '"site_id": ' + _DEEP + ', "kind": "fc_pair", "n": 8, "produce": [["w", 0]]',
+    '"site_id": "h1", "kind": "fc_pair", "n": 8, "produce": [["w", 0], ['
+    + ", ".join(["1"] * 5000) + "]]",
+    '"site_id": "' + "s" * 5000 + '", "kind": ' + _DEEP + ', "n": 8, "produce": [["w", 0]]',
+], ids=["deep-ref", "deep-site-id", "long-ref", "long-site-id-deep-kind"])
+def test_malformed_descriptor_error_line_is_short(ws, tmp_path, site):
+    """A huge or deeply nested value in a descriptor is quoted clipped: the
+    command still ends in one error line, under 200 characters."""
+    bad = tmp_path / "desc.json"
+    bad.write_text('{"sites": [{' + site + '}], "total_params": 1}')
+    out = tmp_path / "out"
+    proc = _fresh_interpreter([sys.executable, "-m", "neuperm"], "sanitize", "--input", ws["mlp"],
+                              "--output", out, "--disrupt", "neuperm", "--descriptor", bad,
+                              cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr[:500]
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ") and len(line) < 200, line[:300]
     assert not out.exists()
 
 

@@ -117,3 +117,48 @@ def test_look_ahead_is_bounded_while_an_item_is_held_up(monkeypatch, workers):
     _bounded(lambda: sweep.run_ordered(produce, lambda i, r: consumed.append(r), range(40)))
     assert held == {"others produced": bound}
     assert consumed == list(range(40))
+
+
+def test_background_returns_the_result_inside_and_after_the_block():
+    def body():
+        before = threading.active_count()
+        with sweep.background(lambda a, b: (a + b, threading.get_ident()), 2, 3) as result:
+            value, ident = result()
+        assert (value, ident != threading.get_ident()) == (5, True)
+        assert result() == (value, ident)
+        assert threading.active_count() == before
+
+    _bounded(body)
+
+
+def test_background_raises_the_helpers_error_from_result():
+    def fail():
+        raise KeyError("boom")
+
+    def body():
+        with sweep.background(fail) as result:
+            pass
+        with pytest.raises(KeyError, match="boom"):
+            result()
+
+    _bounded(body)
+
+
+def test_background_waits_for_the_helper_when_the_block_raises():
+    """Leaving the block by an error still joins the helper, so it never
+    outlives the block, and the block's error is the one raised."""
+    finished = []
+
+    def slow():
+        time.sleep(0.2)
+        finished.append(True)
+
+    def body():
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="block"):
+            with sweep.background(slow):
+                raise ValueError("block")
+        assert finished == [True]
+        assert threading.active_count() == before
+
+    _bounded(body)
