@@ -8,12 +8,12 @@ Subcommands:
   and write a plan file describing how to extract it again.
 * ``evaluate`` — replay extraction against disrupted variants of a carrier
   and write one CSV row per attempt.
-* ``bound``    — closed-form payload-survival bound, optionally checked by
-  Monte-Carlo simulation.
+* ``bound``    — closed-form payload-survival bound for the fixed-position
+  placement game, optionally checked by Monte-Carlo simulation.
 
-Exit codes: 0 success, 1 malformed input or usage, 2 verification failure,
-3 capacity violation, 4 bound refused (inapplicable hypothesis or a regime
-the rewrite cannot constrain). Every command takes ``--seed`` and
+A command exits 0 on success; otherwise it prints one ``error:`` line and
+exits with the ``exit_code`` of the error that ended it (see ``errors``),
+1 for usage errors. Every command takes ``--seed`` and
 ``--manifest``. A command that draws randomness (``bound`` only with
 ``--simulate``) takes its seed from os.urandom when ``--seed`` is omitted;
 either way the seed lands in the manifest, so any run can be replayed
@@ -43,17 +43,11 @@ from .analysis import (
 from .archive import archive_digest, load_archive, save_archive  # noqa: F401
 from .descriptor import load_descriptor, parse_descriptor  # noqa: F401
 from .disrupt import apply_disruptor, parse_disruptor
-from .errors import (
-    BoundInapplicableError,
-    CapacityError,
-    DescriptorError,
-    IneffectiveRegimeError,
-    ParseError,
-    VerificationError,
-)
+from .errors import VerificationError, read_json, split_spec
 from .inference import normalized_output_deviation, parse_network, random_inputs
 from .rng import derive_seed
 from .stego import (
+    ATTACK_KINDS,
     AttackPlan,
     host_vector,
     lsb_embed,
@@ -253,19 +247,7 @@ def cmd_sanitize(args, argv) -> int:
 # --------------------------------------------------------------- attack
 
 def _parse_attack_spec(spec: str):
-    kind, sep, arg = spec.strip().partition(":")
-    if kind == "sign":
-        if sep:
-            raise ValueError("sign attack takes no parameter")
-        return "sign", None
-    if kind == "lsb":
-        bpp = int(arg) if sep else 1
-        return "lsb", bpp
-    if kind == "ss":
-        if not sep:
-            raise ValueError("ss attack needs a gamma, e.g. ss:0.009")
-        return "ss", float(arg)
-    raise ValueError(f"unknown attack spec {spec!r}")
+    return split_spec(spec, ATTACK_KINDS, "attack spec")
 
 
 def cmd_attack(args, argv) -> int:
@@ -304,13 +286,8 @@ def cmd_attack(args, argv) -> int:
 def _variant_specs(configs, trials: int, seed: int):
     """(config, variant_seed) pairs; deterministic disruptors collapse to a
     single variant regardless of the trial count."""
-    out = []
-    for config in configs:
-        stochastic = config.kind in ("noise", "neuperm")
-        count = trials if stochastic else 1
-        for i in range(count):
-            out.append((config, derive_seed(seed, f"eval/{config.spec}/{i}")))
-    return out
+    return [(config, derive_seed(seed, f"eval/{config.spec}/{i}"))
+            for config in configs for i in range(trials if config.stochastic else 1)]
 
 
 def cmd_evaluate(args, argv) -> int:
@@ -319,11 +296,7 @@ def cmd_evaluate(args, argv) -> int:
     archive = load_archive(args.carrier)
     inputs = {}
     with background(_source_digest, archive) as carrier_digest:
-        try:
-            doc = json.loads(_read_input(args.plan, inputs))
-        except RecursionError as e:
-            raise ValueError("plan JSON is nested too deeply") from e
-        plan = AttackPlan.from_dict(doc)
+        plan = AttackPlan.from_dict(read_json(_read_input(args.plan, inputs), "plan"))
         configs = [parse_disruptor(s) for s in args.disrupt]
         if not configs:
             raise ValueError("at least one --disrupt is required")
@@ -468,7 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="CSV of attempts")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("bound", parents=[common], help="closed-form payload survival bound")
+    p = sub.add_parser("bound", parents=[common], help="closed-form payload survival bound",
+                       description="Closed-form upper bound on payload survival in the "
+                       "fixed-position placement game, where every displaced read is an error. "
+                       "Not a bound for real lsb or sign extractors: a 1-byte lsb:1 payload on "
+                       "toy_mlp came back in 0.55% of rewrites, against a bound of 5.95e-7.")
     p.add_argument("--d", type=float, help="worst per-bit survival probability")
     p.add_argument("--site-sizes", help="comma-separated site sizes (d = 1/min)")
     p.add_argument("--L", type=int, help="coded bits under permutation")
@@ -496,18 +473,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args, argv)
-    except CapacityError as e:
+    except (ValueError, VerificationError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (BoundInapplicableError, IneffectiveRegimeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except VerificationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ParseError, DescriptorError, ValueError, OSError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return getattr(e, "exit_code", 1)
 
 
 if __name__ == "__main__":

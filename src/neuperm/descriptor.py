@@ -26,28 +26,14 @@ from __future__ import annotations
 
 import json
 import math
-import reprlib
 from dataclasses import asdict, dataclass
 
 from .archive import ModelArchive
-from .errors import DescriptorError
+from .errors import DescriptorError, quote, read_json
 
 SITE_KINDS = ("fc_pair", "conv_block", "attn_gqa")
 
 Ref = tuple[str, int]
-
-#: longest quote of a malformed value in an error line
-_QUOTE_CHARS = 60
-_REPR = reprlib.Repr()
-_REPR.maxlevel, _REPR.maxstring = 3, _QUOTE_CHARS
-
-
-def _quote(value) -> str:
-    """A repr of ``value`` for an error line: nested containers are cut off
-    three levels down and the text at _QUOTE_CHARS characters, so a huge or
-    deeply nested value neither floods the line nor recurses."""
-    text = _REPR.repr(value)
-    return text if len(text) <= _QUOTE_CHARS else text[: _QUOTE_CHARS - 3] + "..."
 
 
 @dataclass(frozen=True)
@@ -83,11 +69,11 @@ class PermutableSite:
     def __post_init__(self):
         if not isinstance(self.site_id, str) or not self.site_id:
             raise DescriptorError(
-                f"site_id must be a non-empty string, got {_quote(self.site_id)}"
+                f"site_id must be a non-empty string, got {quote(self.site_id)}"
             )
-        where = f"site {_quote(self.site_id)}"
+        where = f"site {quote(self.site_id)}"
         if self.kind not in SITE_KINDS:
-            raise DescriptorError(f"{where}: unknown kind {_quote(self.kind)}")
+            raise DescriptorError(f"{where}: unknown kind {quote(self.kind)}")
         if type(self.n) is not int or self.n < 1:
             raise DescriptorError(f"{where}: n must be an integer >= 1")
         for role, refs in (("produce", self.produce), ("consume", self.consume)):
@@ -99,7 +85,7 @@ class PermutableSite:
                     and isinstance(ref[0], str) and type(ref[1]) is int
                 ):
                     raise DescriptorError(
-                        f"{where}: {role} entries must be [name, axis], got {_quote(ref)}"
+                        f"{where}: {role} entries must be [name, axis], got {quote(ref)}"
                     )
         if not self.produce:
             raise DescriptorError(f"{where}: produce refs required")
@@ -232,7 +218,7 @@ def _tuples(raw, site_id, role: str) -> tuple:
     if raw is None:
         return ()
     if not isinstance(raw, list):
-        raise DescriptorError(f"site {_quote(site_id)}: {role} must be a list")
+        raise DescriptorError(f"site {quote(site_id)}: {role} must be a list")
     return tuple(tuple(ref) if isinstance(ref, list) else ref for ref in raw)
 
 
@@ -252,7 +238,7 @@ def descriptor_from_dict(doc: dict) -> ArchDescriptor:
         sid, gqa = raw.get("site_id"), raw.get("gqa")
         if gqa is not None:
             if not isinstance(gqa, dict) or {"h_q", "h_kv", "head_dim"} - gqa.keys():
-                raise DescriptorError(f"site {_quote(sid)}: gqa needs h_q, h_kv, head_dim")
+                raise DescriptorError(f"site {quote(sid)}: gqa needs h_q, h_kv, head_dim")
             gqa = GqaMeta(gqa["h_q"], gqa["h_kv"], gqa["head_dim"])
         sites.append(PermutableSite(
             site_id=sid,
@@ -286,13 +272,7 @@ def parse_descriptor(text: str, archive: ModelArchive | None = None) -> ArchDesc
     the embedded shapes map is used when present, otherwise only structural
     checks run.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DescriptorError(f"descriptor is not valid JSON: {e.msg}") from e
-    except RecursionError as e:
-        raise DescriptorError("descriptor JSON is nested too deeply") from e
-    desc = descriptor_from_dict(doc)
+    desc = descriptor_from_dict(read_json(text, "descriptor", DescriptorError))
     if archive is not None or desc.shapes is not None:
         validate_descriptor(desc, archive)
     return desc

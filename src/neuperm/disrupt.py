@@ -22,10 +22,13 @@ import numpy as np
 from .archive import ModelArchive
 from .descriptor import ArchDescriptor
 from .engine import CoverageReport, apply_schedule, make_schedule
+from .errors import split_spec
 from .rng import SeededRng, derive_seed
 from .tensor import Tensor
 
-_KINDS = ("none", "noise", "prune", "neuperm")
+#: kind -> (value type, default), as errors.split_spec reads them
+_KINDS = {"none": (None, 0.0), "noise": (float, None), "prune": (float, None),
+          "neuperm": (float, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -49,23 +52,16 @@ class DisruptorConfig:
             return "none"
         return f"{self.kind}:{self.value:g}"
 
+    @property
+    def stochastic(self) -> bool:
+        """Whether the pass draws from its seed, so each seed gives a new variant."""
+        return self.kind in ("noise", "neuperm")
+
 
 def parse_disruptor(spec: str) -> DisruptorConfig:
     """Parse a spec string like "none", "noise:0.001", "prune:0.05",
     "neuperm" or "neuperm:0.6"."""
-    spec = spec.strip()
-    if spec == "none":
-        return DisruptorConfig("none")
-    if spec == "neuperm":
-        return DisruptorConfig("neuperm", 1.0)
-    kind, sep, arg = spec.partition(":")
-    if not sep or kind not in ("noise", "prune", "neuperm"):
-        raise ValueError(f"unknown disruptor spec {spec!r}")
-    try:
-        value = float(arg)
-    except ValueError:
-        raise ValueError(f"bad numeric argument in disruptor spec {spec!r}") from None
-    return DisruptorConfig(kind, value)
+    return DisruptorConfig(*split_spec(spec, _KINDS, "disruptor spec"))
 
 
 def add_gaussian_noise(archive: ModelArchive, sigma: float, seed: int) -> ModelArchive:

@@ -12,13 +12,13 @@ entry when the layer is built, and `forward` runs every kind the same way.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .archive import ModelArchive
+from .errors import quote, read_json
 
 _EPS_DEFAULT = 1e-5
 
@@ -34,7 +34,7 @@ class LayerSpec:
 
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _LAYERS:
-            raise ValueError(f"unknown layer kind {self.kind!r}")
+            raise ValueError(f"unknown layer kind {quote(self.kind)}")
         for role in _LAYERS[self.kind][0]:
             if not self.params.get(role):
                 raise ValueError(f"layer {self.kind} lacks required param {role!r}")
@@ -61,6 +61,8 @@ class ToyNetwork:
     def __post_init__(self):
         if self.input_kind not in ("vector", "image", "tokens"):
             raise ValueError(f"unknown input kind {self.input_kind!r}")
+        if self.input_kind == "tokens" and len(self.input_shape) != 1:
+            raise ValueError(f"a tokens input must be 1-d, got shape {quote(self.input_shape)}")
 
 
 def network_from_dict(doc: dict) -> ToyNetwork:
@@ -76,7 +78,7 @@ def network_from_dict(doc: dict) -> ToyNetwork:
     layers = []
     for raw in doc["layers"]:
         if not isinstance(raw, dict):
-            raise ValueError(f"net sidecar layer must be an object, got {raw!r}")
+            raise ValueError(f"net sidecar layer must be an object, got {quote(raw)}")
         params, hyper = raw.get("params", {}), raw.get("hyper", {})
         if not isinstance(params, dict) or not all(
             v is None or isinstance(v, str) for v in params.values()
@@ -101,11 +103,7 @@ def network_to_dict(net: ToyNetwork) -> dict:
 
 
 def parse_network(text: str) -> ToyNetwork:
-    try:
-        doc = json.loads(text)
-    except RecursionError as e:
-        raise ValueError("net sidecar JSON is nested too deeply") from e
-    return network_from_dict(doc)
+    return network_from_dict(read_json(text, "net sidecar"))
 
 
 def load_network(path) -> ToyNetwork:
@@ -226,13 +224,13 @@ def forward(net: ToyNetwork, archive: ModelArchive, x: np.ndarray) -> np.ndarray
     k = len(net.input_shape)
     if k and x.shape[-k:] != net.input_shape:
         raise ValueError(f"input shape {x.shape} does not end with {net.input_shape}")
-    for layer in net.layers:
+    for i, layer in enumerate(net.layers):
         required, optional, run = _LAYERS[layer.kind]
-        params = {
-            role: archive.tensors[name].f32()
-            for role in required + optional
-            if (name := layer.params.get(role))
-        }
+        names = {role: name for role in required + optional if (name := layer.params.get(role))}
+        if lacking := sorted(set(names.values()) - archive.tensors.keys()):
+            raise ValueError(f"layer {i} ({layer.kind}) names tensors the archive lacks: "
+                             f"{quote(lacking)}")
+        params = {role: archive.tensors[name].f32() for role, name in names.items()}
         x = run(x, params, layer.hyper).astype(np.float32)
     return x
 
@@ -269,9 +267,8 @@ def random_inputs(net: ToyNetwork, count: int, seed: int):
     for i in range(count):
         rng = SeededRng(derive_seed(seed, f"probe/{i}"))
         if net.input_kind == "tokens":
-            (t,) = net.input_shape
             # vocab bound is the embedding table's first dim, checked at lookup
-            ids = rng.bounded_block(np.full(t, _vocab_hint(net), dtype=np.int64))
+            ids = rng.bounded_block(np.full(net.input_shape, _vocab_hint(net), dtype=np.int64))
             out.append(ids.astype(np.int64))
         else:
             vals = rng.gaussian_block(math.prod(net.input_shape))

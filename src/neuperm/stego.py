@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .archive import ModelArchive
-from .errors import CapacityError
+from .errors import CapacityError, quote, split_spec
 from .rng import SeededRng, derive_seed, words_at
 from .tensor import Tensor
 
@@ -63,6 +63,10 @@ def bits_to_bytes(bits: np.ndarray) -> bytes:
 
 # ---------------------------------------------------------------- ecc
 
+#: ecc name -> (type of r, default r), as errors.split_spec reads them
+_ECC_KINDS = {"none": (None, 1), "repetition": (int, None), "hamming74": (None, 1)}
+
+
 @dataclass(frozen=True)
 class EccScheme:
     """Error-correcting code wrapper: none, repetition:r, or hamming74.
@@ -75,7 +79,7 @@ class EccScheme:
     r: int = 1
 
     def __post_init__(self):
-        if self.name not in ("none", "repetition", "hamming74"):
+        if self.name not in _ECC_KINDS:
             raise ValueError(f"unknown ecc scheme {self.name!r}")
         if self.name == "repetition":
             if self.r < 1 or self.r % 2 == 0:
@@ -143,18 +147,7 @@ class EccScheme:
 
 
 def parse_ecc(spec: str) -> EccScheme:
-    spec = spec.strip().lower()
-    if spec == "none":
-        return EccScheme("none")
-    if spec == "hamming74":
-        return EccScheme("hamming74")
-    if spec.startswith("repetition:"):
-        try:
-            r = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad repetition factor in {spec!r}") from None
-        return EccScheme("repetition", r)
-    raise ValueError(f"unknown ecc spec {spec!r}")
+    return EccScheme(*split_spec(spec.lower(), _ECC_KINDS, "ecc spec"))
 
 
 # ------------------------------------------------------- host indexing
@@ -374,6 +367,10 @@ def _plan_field(doc: dict, key: str, where: str):
     return value
 
 
+#: attack method -> (parameter type, default), as errors.split_spec reads them
+ATTACK_KINDS = {"lsb": (int, 1), "sign": (None, None), "ss": (float, None)}
+
+
 @dataclass(frozen=True)
 class AttackPlan:
     """Everything an extractor needs to find a payload in a carrier.
@@ -447,8 +444,9 @@ class AttackPlan:
         if not isinstance(doc, dict):
             raise ValueError("plan must be a JSON object")
         method = doc.get("method")
-        if method not in ("lsb", "sign", "ss"):
-            raise ValueError(f"plan method {method!r} is not one of lsb, sign, ss")
+        if not isinstance(method, str) or method not in ATTACK_KINDS:
+            raise ValueError(
+                f"plan method {quote(method)} is not one of {', '.join(ATTACK_KINDS)}")
         keys = ["seed", "ecc", "payload_sha256"]
         keys += ["payload_len"] if method != "ss" or "payload_len" in doc else []
         keys += ["bits_per_param"] if method == "lsb" else []

@@ -727,6 +727,15 @@ _MALFORMED_SIDECARS = {
         "layers": [{"kind": "embedding-lookup", "params": {"table": "fc1.weight"},
                     "hyper": {"vocab": 1e308}}],
     }, "'vocab'"),
+    "net-param-missing-tensor": ("net", {
+        "input": {"kind": "vector", "shape": [8]},
+        "layers": [{"kind": "dense", "params": {"weight": "nope"}}],
+    }, "layer 0 (dense) names tensors the archive lacks: ['nope']"),
+    "net-tokens-2d": ("net", {
+        "input": {"kind": "tokens", "shape": [2, 3]},
+        "layers": [{"kind": "embedding-lookup", "params": {"table": "fc1.weight"},
+                    "hyper": {"vocab": 4}}],
+    }, "tokens input must be 1-d"),
     "plan-payload_len-string": ("plan", {**_LSB_PLAN, "payload_len": "x"}, "payload_len"),
     "plan-is-a-list": ("plan", [_LSB_PLAN], "object"),
     "plan-bits_per_param-0": ("plan", {**_LSB_PLAN, "bits_per_param": 0}, "'bits_per_param'"),
@@ -799,6 +808,67 @@ def test_deeply_nested_json_exit_1(ws, tmp_path, role):
     [line] = proc.stderr.splitlines()
     assert line.startswith("error:") and "nested too deeply" in line, line
     assert proc.stdout == ""
+    assert not out.exists()
+
+
+def _sidecar_argv(ws, tmp_path, role, bad, out):
+    """A command that reads `bad` as its descriptor, net sidecar or plan;
+    with well-formed input each of them exits 0."""
+    if role == "plan":
+        carrier, plan = tmp_path / "carrier.safetensors", tmp_path / "plan.json"
+        assert run("attack", "--input", ws["mlp"], "--output", carrier, "--attack", "sign",
+                   "--payload", ws["payload"], "--seed", "9", "--plan", plan) == 0
+        return ["evaluate", "--carrier", carrier, "--plan", bad, "--disrupt", "neuperm",
+                "--descriptor", ws["mlp.desc"], "--seed", "5", "--output", out]
+    sanitize = ["sanitize", "--input", ws["mlp"], "--output", out, "--disrupt", "neuperm",
+                "--seed", "3", "--verify", "--net"]
+    if role == "desc":
+        return [*sanitize, ws["mlp.net"], "--descriptor", bad]
+    return [*sanitize, bad, "--descriptor", ws["mlp.desc"]]
+
+
+@pytest.mark.parametrize("role,key", [("desc", "sites"), ("net", "layers"), ("plan", "seed")])
+def test_repeated_key_exit_1(ws, tmp_path, capsys, role, key):
+    """An object that repeats a key is refused, not read with the last value
+    winning: a descriptor whose second "sites" is empty would otherwise move
+    nothing and still exit 0."""
+    bad, out = tmp_path / f"{role}.json", tmp_path / "out"
+    argv = _sidecar_argv(ws, tmp_path, role, bad, out)
+    good = (tmp_path / "plan.json") if role == "plan" else ws[f"mlp.{role}"]
+    text = good.read_text().rstrip()
+    bad.write_text(text[:-1] + f', "{key}": ' + ("2}" if key == "seed" else "[]}"))
+    capsys.readouterr()
+    assert run(*argv) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert f"repeats the key '{key}'" in line, line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("role,what", [("net", "net sidecar"), ("plan", "plan")])
+def test_non_json_sidecar_error_names_input(ws, tmp_path, capsys, role, what):
+    bad, out = tmp_path / f"{role}.json", tmp_path / "out"
+    argv = _sidecar_argv(ws, tmp_path, role, bad, out)
+    bad.write_text("{\n")
+    capsys.readouterr()
+    assert run(*argv) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {what} is not valid JSON: "), line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,spec,what", [
+    ("--attack", "lsb:abc", "attack spec"),
+    ("--attack", "ss:abc", "attack spec"),
+    ("--ecc", "repetition:x", "ecc spec"),
+])
+def test_bad_spec_value_quotes_spec(ws, tmp_path, capsys, flag, spec, what):
+    out = tmp_path / "never.safetensors"
+    argv = {"--attack": "lsb", "--ecc": "none", flag: spec}
+    rc = run("attack", "--input", ws["host"], "--output", out, "--payload", ws["payload"],
+             "--seed", "1", "--attack", argv["--attack"], "--ecc", argv["--ecc"])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert f"{what} '{spec}'" in line, line
     assert not out.exists()
 
 

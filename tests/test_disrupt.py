@@ -28,6 +28,11 @@ def test_parse_disruptor_forms():
             parse_disruptor(bad)
 
 
+def test_stochastic_kinds():
+    assert [parse_disruptor(s).stochastic for s in ("none", "noise:0.1", "prune:0.5",
+                                                     "neuperm")] == [False, True, False, True]
+
+
 def test_spec_roundtrip():
     for s in ("none", "noise:0.001", "prune:0.05", "neuperm:0.5"):
         assert parse_disruptor(s).spec == s
