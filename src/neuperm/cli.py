@@ -43,7 +43,7 @@ from .analysis import (
 from .archive import archive_digest, load_archive, save_archive  # noqa: F401
 from .descriptor import load_descriptor, parse_descriptor  # noqa: F401
 from .disrupt import apply_disruptor, parse_disruptor
-from .errors import VerificationError, read_json, split_spec
+from .errors import VerificationError, quote, read_json, split_spec
 from .inference import normalized_output_deviation, parse_network, random_inputs
 from .rng import derive_seed
 from .stego import (
@@ -82,13 +82,12 @@ def _source_digest(archive) -> str:
     return hashlib.sha256(archive.source).hexdigest()
 
 
-def _read_input(path, inputs: dict) -> str:
-    """The UTF-8 text of an input file, read once; the sha256 of its bytes
-    goes into `inputs`."""
+def _read_input(path, inputs: dict) -> bytes:
+    """The bytes of an input file, read once; their sha256 goes into `inputs`."""
     with open(path, "rb") as fh:
         data = fh.read()
     inputs[path] = hashlib.sha256(data).hexdigest()
-    return data.decode("utf-8")
+    return data
 
 
 def _resolve_seed(args) -> int:
@@ -353,9 +352,12 @@ def cmd_bound(args, argv) -> int:
         raise ValueError("--simulate must be >= 1")
     sizes = None
     if args.site_sizes:
-        sizes = [int(s) for s in args.site_sizes.split(",") if s.strip()]
+        try:
+            sizes = [int(s) for s in args.site_sizes.split(",") if s.strip()]
+        except ValueError:
+            sizes = []
         if not sizes or any(n < 1 for n in sizes):
-            raise ValueError("--site-sizes needs positive integers")
+            raise ValueError(f"--site-sizes needs positive integers, got {quote(args.site_sizes)}")
     if (args.d is None) == (sizes is None):
         raise ValueError("give exactly one of --d or --site-sizes")
     d = args.d if args.d is not None else d_from_site_sizes(sizes)

@@ -265,7 +265,7 @@ def descriptor_to_dict(desc: ArchDescriptor) -> dict:
     return json.loads(json.dumps(fields))  # the round trip turns tuples into lists
 
 
-def parse_descriptor(text: str, archive: ModelArchive | None = None) -> ArchDescriptor:
+def parse_descriptor(text: str | bytes, archive: ModelArchive | None = None) -> ArchDescriptor:
     """Parse descriptor JSON and validate it eagerly.
 
     With an archive the refs are checked against real shapes; without one
@@ -279,5 +279,5 @@ def parse_descriptor(text: str, archive: ModelArchive | None = None) -> ArchDesc
 
 
 def load_descriptor(path, archive: ModelArchive | None = None) -> ArchDescriptor:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return parse_descriptor(fh.read(), archive)

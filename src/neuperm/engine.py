@@ -17,7 +17,7 @@ from .archive import ModelArchive
 from .descriptor import ArchDescriptor, PermutableSite, validate_descriptor
 from .errors import DescriptorError
 from .rng import SeededRng, derive_seed
-from .tensor import Tensor, fisher_yates, is_permutation, permute_axis_blocks
+from .tensor import Tensor, fisher_yates, invert, is_permutation, permute_axis_blocks
 
 
 def site_seed(master_seed: int, site_id: str) -> int:
@@ -32,8 +32,6 @@ class PermutationSchedule:
     entries: dict[str, np.ndarray] = field(default_factory=dict)
 
     def inverse(self) -> "PermutationSchedule":
-        from .tensor import invert
-
         return PermutationSchedule(
             self.master_seed, {sid: invert(p) for sid, p in self.entries.items()}
         )

@@ -60,9 +60,10 @@ class IneffectiveRegimeError(ValueError):
     exit_code = 4
 
 
-def read_json(text: str, what: str, error=ValueError):
-    """The JSON document ``text``; text that is not JSON, JSON nested too
-    deeply, or an object that repeats a key raises ``error`` naming ``what``."""
+def read_json(text: str | bytes, what: str, error=ValueError):
+    """The JSON document ``text``, whose bytes are read as UTF-8; bytes that
+    are not UTF-8, text that is not JSON, JSON nested too deeply, or an
+    object that repeats a key raises ``error`` naming ``what``."""
     def unique(pairs):
         doc = {}
         for key, value in pairs:
@@ -71,6 +72,11 @@ def read_json(text: str, what: str, error=ValueError):
             doc[key] = value
         return doc
 
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise error(f"{what} is not UTF-8 text: {e.reason} at byte {e.start}") from None
     try:
         return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as e:

@@ -33,27 +33,31 @@ def _uniform(seed: int, label: str, shape, lo: float, hi: float, dtype="float32"
     return tensor(vals, dtype)
 
 
+def _site(site_id: str, kind: str, n: int, producers, consumer: LayerSpec) -> PermutableSite:
+    """Site whose n units are the rows (axis 0) of every param of the
+    `producers` layers, in their order, and the columns (axis 1) of the
+    `consumer` layer's weight."""
+    return PermutableSite(
+        site_id, kind, n,
+        produce=tuple((name, 0) for layer in producers for name in layer.params.values()),
+        consume=((consumer.params["weight"], 1),),
+    )
+
+
 def _dense_chain(archive: ModelArchive, dims) -> tuple[ArchDescriptor, ToyNetwork]:
     """Descriptor and relu-separated net of the dense chain fc1..fcK, fc{i}
     mapping dims[i-1] -> dims[i]: site h{i} joins fc{i}'s rows, and its bias
     wherever the archive has one, to fc{i+1}'s columns."""
-    k = len(dims) - 1
-
-    def params(i: int) -> dict[str, str]:
-        bias = f"fc{i}.bias"
-        return {"weight": f"fc{i}.weight", **({"bias": bias} if bias in archive.tensors else {})}
-
+    dense = []
+    for i in range(1, len(dims)):
+        params = {"weight": f"fc{i}.weight", "bias": f"fc{i}.bias"}
+        dense.append(LayerSpec("dense", {r: t for r, t in params.items() if t in archive.tensors}))
     sites = tuple(
-        PermutableSite(
-            f"h{i}", "fc_pair", dims[i],
-            produce=tuple((name, 0) for name in params(i).values()),
-            consume=((f"fc{i + 1}.weight", 1),),
-        )
-        for i in range(1, k)
+        _site(f"h{i}", "fc_pair", dims[i], [dense[i - 1]], dense[i]) for i in range(1, len(dense))
     )
-    layers = [LayerSpec("dense", params(1))]
-    for i in range(2, k + 1):
-        layers += [LayerSpec("relu"), LayerSpec("dense", params(i))]
+    layers = [dense[0]]
+    for layer in dense[1:]:
+        layers += [LayerSpec("relu"), layer]
     net = ToyNetwork(tuple(layers), "vector", (dims[0],))
     return ArchDescriptor(sites=sites, total_params=archive.param_count), net
 
@@ -92,66 +96,43 @@ def toy_cnn(seed: int = DEFAULT_SEEDS["cnn"]):
     """
     tensors: dict[str, Tensor] = {}
 
-    def conv(name: str, c_out: int, c_in: int):
-        tensors[f"{name}.weight"] = _gauss(
+    def conv(name: str, c_out: int, c_in: int) -> LayerSpec:
+        params = {"weight": f"{name}.weight", "bias": f"{name}.bias"}
+        tensors[params["weight"]] = _gauss(
             seed, f"init/{name}.weight", (c_out, c_in, 3, 3), (c_in * 9) ** -0.5
         )
-        tensors[f"{name}.bias"] = _gauss(seed, f"init/{name}.bias", (c_out,), 0.05)
+        tensors[params["bias"]] = _gauss(seed, f"init/{name}.bias", (c_out,), 0.05)
+        return LayerSpec("conv2d", params, {"padding": 1})
 
-    def bn(name: str, c: int):
-        tensors[f"{name}.gamma"] = _uniform(seed, f"init/{name}.gamma", (c,), 0.8, 1.2)
-        tensors[f"{name}.beta"] = _gauss(seed, f"init/{name}.beta", (c,), 0.05)
-        tensors[f"{name}.running_mean"] = _gauss(seed, f"init/{name}.mean", (c,), 0.1)
-        tensors[f"{name}.running_var"] = _uniform(seed, f"init/{name}.var", (c,), 0.5, 1.5)
+    def bn(name: str, c: int) -> LayerSpec:
+        params = {r: f"{name}.{r}" for r in ("gamma", "beta", "running_mean", "running_var")}
+        tensors[params["gamma"]] = _uniform(seed, f"init/{name}.gamma", (c,), 0.8, 1.2)
+        tensors[params["beta"]] = _gauss(seed, f"init/{name}.beta", (c,), 0.05)
+        tensors[params["running_mean"]] = _gauss(seed, f"init/{name}.mean", (c,), 0.1)
+        tensors[params["running_var"]] = _uniform(seed, f"init/{name}.var", (c,), 0.5, 1.5)
+        return LayerSpec("batchnorm2d", params)
 
-    conv("conv1", 6, 3)
-    bn("bn1", 6)
-    conv("conv2", 8, 6)
-    bn("bn2", 8)
-    conv("conv3", 8, 8)
+    conv1 = conv("conv1", 6, 3)
+    bn1 = bn("bn1", 6)
+    conv2 = conv("conv2", 8, 6)
+    bn2 = bn("bn2", 8)
+    conv3 = conv("conv3", 8, 8)
     tensors["fc.weight"] = _gauss(seed, "init/fc.weight", (4, 8), 8 ** -0.5)
+    fc = LayerSpec("dense", {"weight": "fc.weight"})
     archive = ModelArchive(tensors, {"fixture": "toy-cnn"})
-
-    def bn_refs(name: str):
-        return tuple((f"{name}.{f}", 0) for f in ("gamma", "beta", "running_mean", "running_var"))
-
     sites = (
-        PermutableSite(
-            "c1", "conv_block", 6,
-            produce=(("conv1.weight", 0), ("conv1.bias", 0)) + bn_refs("bn1"),
-            consume=(("conv2.weight", 1),),
-        ),
-        PermutableSite(
-            "c2", "conv_block", 8,
-            produce=(("conv2.weight", 0), ("conv2.bias", 0)) + bn_refs("bn2"),
-            consume=(("conv3.weight", 1),),
-        ),
-        PermutableSite(
-            "c3", "fc_pair", 8,
-            produce=(("conv3.weight", 0), ("conv3.bias", 0)),
-            consume=(("fc.weight", 1),),
-        ),
+        _site("c1", "conv_block", 6, [conv1, bn1], conv2),
+        _site("c2", "conv_block", 8, [conv2, bn2], conv3),
+        _site("c3", "fc_pair", 8, [conv3], fc),
     )
     desc = ArchDescriptor(sites=sites, total_params=archive.param_count)
+    relu = LayerSpec("relu")
     net = ToyNetwork(
         (
-            LayerSpec("conv2d", {"weight": "conv1.weight", "bias": "conv1.bias"}, {"padding": 1}),
-            LayerSpec("batchnorm2d", {
-                "gamma": "bn1.gamma", "beta": "bn1.beta",
-                "running_mean": "bn1.running_mean", "running_var": "bn1.running_var",
-            }),
-            LayerSpec("relu"),
-            LayerSpec("conv2d", {"weight": "conv2.weight", "bias": "conv2.bias"}, {"padding": 1}),
-            LayerSpec("batchnorm2d", {
-                "gamma": "bn2.gamma", "beta": "bn2.beta",
-                "running_mean": "bn2.running_mean", "running_var": "bn2.running_var",
-            }),
-            LayerSpec("relu"),
-            LayerSpec("maxpool2d", hyper={"kernel": 2}),
-            LayerSpec("conv2d", {"weight": "conv3.weight", "bias": "conv3.bias"}, {"padding": 1}),
-            LayerSpec("relu"),
-            LayerSpec("avgpool2d", hyper={"global": True}),
-            LayerSpec("dense", {"weight": "fc.weight"}),
+            conv1, bn1, relu,
+            conv2, bn2, relu, LayerSpec("maxpool2d", hyper={"kernel": 2}),
+            conv3, relu, LayerSpec("avgpool2d", hyper={"global": True}),
+            fc,
         ),
         "image",
         (3, 8, 8),
@@ -169,25 +150,43 @@ def toy_gqa(seed: int = DEFAULT_SEEDS["gqa"]):
     of 8, k/v rows in blocks of 4, output columns in blocks of 8).
     """
     d, vocab, hidden = 32, 32, 64
-    t16 = lambda label, shape, scale: _gauss(seed, label, shape, scale, "float16")
-    tensors = {
-        "emb.table": t16("init/emb", (vocab, d), 0.5),
-        "ln1.gamma": _uniform(seed, "init/ln1.g", (d,), 0.8, 1.2, "float16"),
-        "ln1.beta": t16("init/ln1.b", (d,), 0.05),
-        "attn.wq": t16("init/wq", (d, d), d ** -0.5),
-        "attn.wk": t16("init/wk", (16, d), d ** -0.5),
-        "attn.wv": t16("init/wv", (16, d), d ** -0.5),
-        "attn.wo": t16("init/wo", (d, d), d ** -0.5),
-        "ln2.gamma": _uniform(seed, "init/ln2.g", (d,), 0.8, 1.2, "float16"),
-        "ln2.beta": t16("init/ln2.b", (d,), 0.05),
-        "mlp.w1": t16("init/w1", (hidden, d), d ** -0.5),
-        "mlp.b1": t16("init/b1", (hidden,), 0.05),
-        "mlp.w2": t16("init/w2", (d, hidden), hidden ** -0.5),
-        "mlp.b2": t16("init/b2", (d,), 0.05),
-        "ln3.gamma": _uniform(seed, "init/ln3.g", (d,), 0.8, 1.2, "float16"),
-        "ln3.beta": t16("init/ln3.b", (d,), 0.05),
-        "head.weight": t16("init/head", (vocab, d), d ** -0.5),
-    }
+    tensors: dict[str, Tensor] = {}
+
+    def t16(name: str, label: str, shape, scale: float) -> str:
+        tensors[name] = _gauss(seed, f"init/{label}", shape, scale, "float16")
+        return name
+
+    def layernorm(i: int) -> LayerSpec:
+        gamma = f"ln{i}.gamma"
+        tensors[gamma] = _uniform(seed, f"init/ln{i}.g", (d,), 0.8, 1.2, "float16")
+        beta = t16(f"ln{i}.beta", f"ln{i}.b", (d,), 0.05)
+        return LayerSpec("layernorm", {"gamma": gamma, "beta": beta})
+
+    emb = LayerSpec(
+        "embedding-lookup", {"table": t16("emb.table", "emb", (vocab, d), 0.5)}, {"vocab": vocab}
+    )
+    ln1 = layernorm(1)
+    attn = LayerSpec(
+        "attention_gqa",
+        {
+            "wq": t16("attn.wq", "wq", (d, d), d ** -0.5),
+            "wk": t16("attn.wk", "wk", (16, d), d ** -0.5),
+            "wv": t16("attn.wv", "wv", (16, d), d ** -0.5),
+            "wo": t16("attn.wo", "wo", (d, d), d ** -0.5),
+        },
+        {"h_q": 8, "h_kv": 4, "head_dim": 4, "causal": True},
+    )
+    ln2 = layernorm(2)
+    up = LayerSpec("dense", {
+        "weight": t16("mlp.w1", "w1", (hidden, d), d ** -0.5),
+        "bias": t16("mlp.b1", "b1", (hidden,), 0.05),
+    })
+    down = LayerSpec("dense", {
+        "weight": t16("mlp.w2", "w2", (d, hidden), hidden ** -0.5),
+        "bias": t16("mlp.b2", "b2", (d,), 0.05),
+    })
+    ln3 = layernorm(3)
+    head = LayerSpec("dense", {"weight": t16("head.weight", "head", (vocab, d), d ** -0.5)})
     archive = ModelArchive(tensors, {"fixture": "toy-gqa"})
     sites = (
         PermutableSite(
@@ -196,32 +195,10 @@ def toy_gqa(seed: int = DEFAULT_SEEDS["gqa"]):
             consume=(("attn.wo", 1),),
             gqa=GqaMeta(h_q=8, h_kv=4, head_dim=4),
         ),
-        PermutableSite(
-            "mlp", "fc_pair", hidden,
-            produce=(("mlp.w1", 0), ("mlp.b1", 0)),
-            consume=(("mlp.w2", 1),),
-        ),
+        _site("mlp", "fc_pair", hidden, [up], down),
     )
     desc = ArchDescriptor(sites=sites, total_params=archive.param_count)
-    net = ToyNetwork(
-        (
-            LayerSpec("embedding-lookup", {"table": "emb.table"}, {"vocab": vocab}),
-            LayerSpec("layernorm", {"gamma": "ln1.gamma", "beta": "ln1.beta"}),
-            LayerSpec(
-                "attention_gqa",
-                {"wq": "attn.wq", "wk": "attn.wk", "wv": "attn.wv", "wo": "attn.wo"},
-                {"h_q": 8, "h_kv": 4, "head_dim": 4, "causal": True},
-            ),
-            LayerSpec("layernorm", {"gamma": "ln2.gamma", "beta": "ln2.beta"}),
-            LayerSpec("dense", {"weight": "mlp.w1", "bias": "mlp.b1"}),
-            LayerSpec("relu"),
-            LayerSpec("dense", {"weight": "mlp.w2", "bias": "mlp.b2"}),
-            LayerSpec("layernorm", {"gamma": "ln3.gamma", "beta": "ln3.beta"}),
-            LayerSpec("dense", {"weight": "head.weight"}),
-        ),
-        "tokens",
-        (6,),
-    )
+    net = ToyNetwork((emb, ln1, attn, ln2, up, LayerSpec("relu"), down, ln3, head), "tokens", (6,))
     return archive, desc, net
 
 
@@ -268,12 +245,10 @@ def vgg11_descriptor() -> ArchDescriptor:
     for i, (c_out, c_in) in enumerate(zip(channels, ins), start=1):
         shapes[f"features.conv{i}.weight"] = (c_out, c_in, 3, 3)
         shapes[f"features.conv{i}.bias"] = (c_out,)
-    shapes["classifier.fc1.weight"] = (4096, 25088)
-    shapes["classifier.fc1.bias"] = (4096,)
-    shapes["classifier.fc2.weight"] = (4096, 4096)
-    shapes["classifier.fc2.bias"] = (4096,)
-    shapes["classifier.fc3.weight"] = (1000, 4096)
-    shapes["classifier.fc3.bias"] = (1000,)
+    dense = [25088, 4096, 4096, 1000]
+    for i in range(1, 4):
+        shapes[f"classifier.fc{i}.weight"] = (dense[i], dense[i - 1])
+        shapes[f"classifier.fc{i}.bias"] = (dense[i],)
 
     sites = [
         PermutableSite(
@@ -283,20 +258,14 @@ def vgg11_descriptor() -> ArchDescriptor:
         )
         for i in range(1, 8)
     ]
-    sites.append(
+    sites += [
         PermutableSite(
-            "fc1_out", "fc_pair", 4096,
-            produce=(("classifier.fc1.weight", 0), ("classifier.fc1.bias", 0)),
-            consume=(("classifier.fc2.weight", 1),),
+            f"fc{i}_out", "fc_pair", dense[i],
+            produce=((f"classifier.fc{i}.weight", 0), (f"classifier.fc{i}.bias", 0)),
+            consume=((f"classifier.fc{i + 1}.weight", 1),),
         )
-    )
-    sites.append(
-        PermutableSite(
-            "fc2_out", "fc_pair", 4096,
-            produce=(("classifier.fc2.weight", 0), ("classifier.fc2.bias", 0)),
-            consume=(("classifier.fc3.weight", 1),),
-        )
-    )
+        for i in (1, 2)
+    ]
     return ArchDescriptor(
         sites=tuple(sites),
         total_params=VGG11_TOTAL_PARAMS,

@@ -6,8 +6,9 @@ never does). Networks are flat layer chains described by a JSON sidecar. The
 `attention_gqa` layer kind uses the tokens-as-rows layout.
 
 A layer kind is one `_LAYERS` entry: the param roles it requires, the ones
-it may take, and its arithmetic. `LayerSpec` checks a layer against its
-entry when the layer is built, and `forward` runs every kind the same way.
+it may take, the hyper-parameters it requires, and its arithmetic.
+`LayerSpec` checks a layer against its entry when the layer is built, and
+`forward` runs every kind the same way.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from .archive import ModelArchive
 from .errors import quote, read_json
+from .rng import SeededRng, derive_seed
 
 _EPS_DEFAULT = 1e-5
 
@@ -35,7 +37,8 @@ class LayerSpec:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _LAYERS:
             raise ValueError(f"unknown layer kind {quote(self.kind)}")
-        for role in _LAYERS[self.kind][0]:
+        roles, _, needs, _ = _LAYERS[self.kind]
+        for role in roles:
             if not self.params.get(role):
                 raise ValueError(f"layer {self.kind} lacks required param {role!r}")
         for key, low in _INT_HYPER_MIN.items():
@@ -44,6 +47,11 @@ class LayerSpec:
                 raise ValueError(
                     f"layer {self.kind}: {key!r} must be an integer >= {low}, got {v!r}"
                 )
+        for need in needs:
+            keys = need if isinstance(need, tuple) else (need,)
+            if not any(self.hyper.get(key) for key in keys):
+                raise ValueError(f"layer {self.kind} lacks required hyper "
+                                 + " or ".join(repr(key) for key in keys))
 
 
 @dataclass(frozen=True)
@@ -83,11 +91,11 @@ def network_from_dict(doc: dict) -> ToyNetwork:
         if not isinstance(params, dict) or not all(
             v is None or isinstance(v, str) for v in params.values()
         ):
-            raise ValueError(f"layer {raw.get('kind')!r}: params must map to tensor names")
+            raise ValueError(f"layer {quote(raw.get('kind'))}: params must map to tensor names")
         if not isinstance(hyper, dict) or not all(
             isinstance(v, (int, float)) for v in hyper.values()
         ):
-            raise ValueError(f"layer {raw.get('kind')!r}: hyper values must be numbers")
+            raise ValueError(f"layer {quote(raw.get('kind'))}: hyper values must be numbers")
         layers.append(LayerSpec(kind=raw.get("kind"), params=dict(params), hyper=dict(hyper)))
     return ToyNetwork(layers=tuple(layers), input_kind=inp.get("kind"), input_shape=tuple(shape))
 
@@ -102,12 +110,12 @@ def network_to_dict(net: ToyNetwork) -> dict:
     }
 
 
-def parse_network(text: str) -> ToyNetwork:
+def parse_network(text: str | bytes) -> ToyNetwork:
     return network_from_dict(read_json(text, "net sidecar"))
 
 
 def load_network(path) -> ToyNetwork:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return parse_network(fh.read())
 
 
@@ -201,17 +209,18 @@ def _attention(x, p, h):
     return _attention_gqa(x, wq, wk, wv, wo, h["h_q"], h["h_kv"], h["head_dim"], h.get("causal"))
 
 
-# kind -> (required param roles, optional param roles, (x, params, hyper) -> x)
+# kind -> (required param roles, optional param roles, required hyper keys,
+# (x, params, hyper) -> x); a tuple of hyper keys is met by any one of them
 _LAYERS = {
-    "dense": (("weight",), ("bias",), _dense),
-    "conv2d": (("weight",), ("bias",), _conv2d),
-    "batchnorm2d": (("gamma", "beta", "running_mean", "running_var"), (), _batchnorm2d),
-    "relu": ((), (), lambda x, p, h: np.maximum(x, 0.0)),
-    "maxpool2d": ((), (), lambda x, p, h: _pool2d(x, h, np.max)),
-    "avgpool2d": ((), (), _avgpool2d),
-    "attention_gqa": (("wq", "wk", "wv", "wo"), (), _attention),
-    "layernorm": (("gamma", "beta"), (), _layernorm),
-    "embedding-lookup": (("table",), (), _embedding),
+    "dense": (("weight",), ("bias",), (), _dense),
+    "conv2d": (("weight",), ("bias",), (), _conv2d),
+    "batchnorm2d": (("gamma", "beta", "running_mean", "running_var"), (), (), _batchnorm2d),
+    "relu": ((), (), (), lambda x, p, h: np.maximum(x, 0.0)),
+    "maxpool2d": ((), (), ("kernel",), lambda x, p, h: _pool2d(x, h, np.max)),
+    "avgpool2d": ((), (), (("kernel", "global"),), _avgpool2d),
+    "attention_gqa": (("wq", "wk", "wv", "wo"), (), ("h_q", "h_kv", "head_dim"), _attention),
+    "layernorm": (("gamma", "beta"), (), (), _layernorm),
+    "embedding-lookup": (("table",), (), (), _embedding),
 }
 
 
@@ -225,7 +234,7 @@ def forward(net: ToyNetwork, archive: ModelArchive, x: np.ndarray) -> np.ndarray
     if k and x.shape[-k:] != net.input_shape:
         raise ValueError(f"input shape {x.shape} does not end with {net.input_shape}")
     for i, layer in enumerate(net.layers):
-        required, optional, run = _LAYERS[layer.kind]
+        required, optional, _, run = _LAYERS[layer.kind]
         names = {role: name for role in required + optional if (name := layer.params.get(role))}
         if lacking := sorted(set(names.values()) - archive.tensors.keys()):
             raise ValueError(f"layer {i} ({layer.kind}) names tensors the archive lacks: "
@@ -261,8 +270,6 @@ def normalized_output_deviation(
 
 def random_inputs(net: ToyNetwork, count: int, seed: int):
     """Deterministic probe inputs matching the net's input contract."""
-    from .rng import SeededRng, derive_seed
-
     out = []
     for i in range(count):
         rng = SeededRng(derive_seed(seed, f"probe/{i}"))

@@ -14,6 +14,8 @@ import threading
 
 import numpy as np
 
+from .sweep import run_ordered
+
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -148,9 +150,6 @@ class SeededRng:
         """
         if count == 0:
             return np.empty(0, dtype=np.float64)
-        # imported here, so streams that draw no normals never load the sweep module
-        from .sweep import run_ordered
-
         pairs = (count + 1) // 2
         size = min(pairs, _GAUSS_PAIRS)
         state = self._state

@@ -45,6 +45,7 @@ import numpy as np
 from .archive import ModelArchive
 from .errors import CapacityError, quote, split_spec
 from .rng import SeededRng, derive_seed, words_at
+from .sweep import run_ordered
 from .tensor import Tensor
 
 # ---------------------------------------------------------------- bits
@@ -363,7 +364,7 @@ def _plan_field(doc: dict, key: str, where: str):
     ok, want = _PLAN_FIELDS[key]
     value = doc.get(key)
     if isinstance(value, bool) or not ok(value):
-        raise ValueError(f"{where} field {key!r} must be {want}, got {value!r}")
+        raise ValueError(f"{where} field {key!r} must be {want}, got {quote(value)}")
     return value
 
 
@@ -417,14 +418,14 @@ class AttackPlan:
         the host has SS_MIN_RATIO params per coded bit (CapacityError)."""
         missing = [n for n in self.eligible if n not in archive.tensors]
         if missing:
-            raise ValueError(f"ss plan names tensors the carrier lacks: {missing}")
+            raise ValueError(f"ss plan names tensors the carrier lacks: {quote(missing)}")
         held = host_size(archive, self.eligible)
         if held != self.host_n:
-            raise ValueError(f"ss plan host_n is {self.host_n} but its eligible tensors "
+            raise ValueError(f"ss plan host_n is {quote(self.host_n)} but its eligible tensors "
                              f"hold {held} params in the carrier")
         if self.host_n < SS_MIN_RATIO * self.coded_bits:
-            raise CapacityError(f"host has {self.host_n} params; {self.coded_bits} coded bits "
-                                f"need at least {SS_MIN_RATIO * self.coded_bits}")
+            raise CapacityError(f"host has {self.host_n} params; {quote(self.coded_bits)} coded "
+                                f"bits need at least {quote(SS_MIN_RATIO * self.coded_bits)}")
 
     def to_dict(self) -> dict:
         common = {"seed": self.seed, "ecc": self.ecc_spec, "payload_sha256": self.payload_sha256}
@@ -454,7 +455,7 @@ class AttackPlan:
         if method == "ss":
             ss = doc.get("ss")
             if not isinstance(ss, dict):
-                raise ValueError(f"plan field 'ss' must be a JSON object, got {ss!r}")
+                raise ValueError(f"plan field 'ss' must be a JSON object, got {quote(ss)}")
             inner = {key: _plan_field(ss, key, "ss plan") for key in (
                 "seed", "ecc", "payload_sha256", "payload_bits", "gamma", "eligible", "host_n")}
             inner.update(payload_len=inner.pop("payload_bits") // 8, gamma=float(inner["gamma"]),
@@ -462,7 +463,8 @@ class AttackPlan:
             for key, value in fields.items():
                 if value != inner[key]:
                     raise ValueError(
-                        f"plan field {key!r} is {value!r} but the ss plan says {inner[key]!r}")
+                        f"plan field {key!r} is {quote(value)} but the ss plan says "
+                        f"{quote(inner[key])}")
             fields = inner
         fields["ecc_spec"] = fields.pop("ecc")
         return cls(method, **fields)
@@ -572,7 +574,6 @@ def ss_embed(archive: ModelArchive, payload: bytes, plan: AttackPlan) -> ModelAr
     if out.size != plan.host_n:
         raise ValueError("archive host size does not match plan")
     width = _chunk_cols(coded.size)
-    from .sweep import run_ordered  # here, so commands that never sweep never load it
 
     def spread(s: int) -> np.ndarray:
         return _spread_block(plan, s, min(s + width, plan.host_n), coded)
@@ -596,7 +597,6 @@ def ss_despread_many(hosts: np.ndarray, plan: AttackPlan) -> np.ndarray:
     k = plan.coded_bits
     y = np.zeros((hosts.shape[0], k), dtype=np.float64)
     width = _chunk_cols(k)
-    from .sweep import run_ordered  # here, so commands that never sweep never load it
 
     def correlate(s: int) -> np.ndarray:
         e = min(s + width, plan.host_n)

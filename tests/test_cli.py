@@ -731,6 +731,18 @@ _MALFORMED_SIDECARS = {
         "input": {"kind": "vector", "shape": [8]},
         "layers": [{"kind": "dense", "params": {"weight": "nope"}}],
     }, "layer 0 (dense) names tensors the archive lacks: ['nope']"),
+    "net-maxpool-no-kernel": ("net", _image_net("maxpool2d"),
+                              "layer maxpool2d lacks required hyper 'kernel'"),
+    "net-avgpool-no-kernel": ("net", _image_net("avgpool2d", stride=1),
+                              "layer avgpool2d lacks required hyper 'kernel'"),
+    "net-avgpool-global-0-no-kernel": ("net", _image_net("avgpool2d", **{"global": 0}),
+                                       "layer avgpool2d lacks required hyper 'kernel'"),
+    "net-attention-no-h_q": ("net", {
+        "input": {"kind": "tokens", "shape": [2]},
+        "layers": [{"kind": "attention_gqa",
+                    "params": {role: "fc1.weight" for role in ("wq", "wk", "wv", "wo")},
+                    "hyper": {"h_kv": 1, "head_dim": 8}}],
+    }, "layer attention_gqa lacks required hyper 'h_q'"),
     "net-tokens-2d": ("net", {
         "input": {"kind": "tokens", "shape": [2, 3]},
         "layers": [{"kind": "embedding-lookup", "params": {"table": "fc1.weight"},
@@ -853,6 +865,46 @@ def test_non_json_sidecar_error_names_input(ws, tmp_path, capsys, role, what):
     assert run(*argv) == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: {what} is not valid JSON: "), line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("role,what", [
+    ("desc", "descriptor"), ("net", "net sidecar"), ("plan", "plan"),
+])
+def test_non_utf8_sidecar_error_names_input(ws, tmp_path, capsys, role, what):
+    bad, out = tmp_path / f"{role}.json", tmp_path / "out"
+    argv = _sidecar_argv(ws, tmp_path, role, bad, out)
+    bad.write_bytes(b"\xff\xfe{}")
+    capsys.readouterr()
+    assert run(*argv) == 1
+    got = capsys.readouterr()
+    [line] = got.err.splitlines()
+    assert line.startswith(f"error: {what} is not UTF-8 text: "), line
+    assert got.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("role,doc,code", [
+    ("plan", {**_LSB_PLAN, "seed": [0] * 5000}, 1),
+    ("plan", {**_ss_plan(), "ss": [0] * 5000}, 1),
+    ("plan", {**_ss_plan(), "payload_len": 10 ** 1000}, 1),
+    ("plan", _ss_plan(eligible=[f"t{i}" for i in range(5000)]), 1),
+    ("plan", _ss_plan(host_n=10 ** 1000), 1),
+    ("plan", _ss_plan(payload_bits=8 * 10 ** 1000), 3),
+    ("net", {"input": {"kind": "vector", "shape": [8]},
+             "layers": [{"kind": [0] * 5000, "params": {"weight": 1}}]}, 1),
+], ids=["long-field", "long-ss-block", "long-disagreement", "long-missing-tensors",
+        "long-host_n", "long-payload_bits", "long-net-kind"])
+def test_malformed_sidecar_error_line_is_short(ws, tmp_path, capsys, role, doc, code):
+    """A huge value in a plan or net sidecar is quoted clipped, as in a
+    descriptor: the command ends in one error line under 200 characters."""
+    bad, out = tmp_path / f"{role}.json", tmp_path / "out"
+    argv = _sidecar_argv(ws, tmp_path, role, bad, out)
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(*argv) == code
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and len(line) < 200, line[:300]
     assert not out.exists()
 
 
@@ -1067,6 +1119,15 @@ def test_bound_usage_conflicts_exit_1(capsys):
                "--ecc", "repetition:3") == 1
     assert run("bound", "--d", "0.5", "--L", "10", "--simulate", "100") == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("sizes", ["2,x", "2,0", "1e3", ","])
+def test_bound_bad_site_sizes_quotes_value(tmp_path, capsys, sizes):
+    manifest = tmp_path / "run.json"
+    assert run("bound", "--site-sizes", sizes, "--L", "8", "--manifest", manifest) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"error: --site-sizes needs positive integers, got '{sizes}'", line
+    assert not manifest.exists()
 
 
 # ------------------------------------------------------- repo consistency
