@@ -70,6 +70,21 @@ def golden_archive():
     return struct.pack("<Q", len(header)) + header + body
 
 
+def bounds():
+    """The three closed-form security bounds, evaluated at 60 digits."""
+    from mpmath import mp, mpf, exp, log
+
+    mp.dps = 60
+    d, L = mpf("0.99"), 1000
+    no_ecc = float(exp(L * log(d)))
+    d, delta, L = mpf("0.5"), mpf("0.1"), 100
+    ecc_a = float(d**L + exp(-2 * ((1 - delta) - d) ** 2 * L))
+    d, delta, L = mpf(1) / 10, mpf(1) / 3, 30
+    ecc_b = float(d**L + exp(-2 * ((1 - delta) - d) ** 2 * L))
+    return {"no-ecc d=0.99 L=1000": no_ecc, "ecc d=0.5 delta=0.1 L=100": ecc_a,
+            "ecc d=0.1 delta=1/3 L=30": ecc_b}
+
+
 def main():
     print("splitmix64 seed=0 first 5:", [hex(v) for v in splitmix_stream(0, 5)])
     print("splitmix64 seed=42 first 3:", [hex(v) for v in splitmix_stream(42, 3)])
@@ -86,17 +101,8 @@ def main():
     print("golden archive hex:", blob.hex())
 
     # closed-form security bounds at high precision
-    from mpmath import mp, mpf, exp, log
-
-    mp.dps = 60
-    d, L = mpf("0.99"), 1000
-    print("no-ecc d=0.99 L=1000:", float(exp(L * log(d))))
-    d, delta, L = mpf("0.5"), mpf("0.1"), 100
-    v = d**L + exp(-2 * ((1 - delta) - d) ** 2 * L)
-    print("ecc d=0.5 delta=0.1 L=100:", float(v))
-    d, delta, L = mpf(1) / 10, mpf(1) / 3, 30
-    v = d**L + exp(-2 * ((1 - delta) - d) ** 2 * L)
-    print("ecc d=0.1 delta=1/3 L=30:", float(v))
+    for label, value in bounds().items():
+        print(f"{label}:", value)
 
     # expected despread noise floor for the acceptance fixture
     N, K, gamma = 2**20, 3072, 0.009

@@ -262,13 +262,10 @@ def cmd_attack(args, argv) -> int:
 
         if kind == "ss":
             plan = make_chip_plan(archive, payload, gamma=param, seed=seed, ecc=ecc)
-            carrier = ss_embed(archive, payload, plan)
         else:
             plan = AttackPlan.for_payload(kind, payload, seed=seed, ecc=ecc, bits_per_param=param)
-            if kind == "lsb":
-                carrier = lsb_embed(archive, payload, bits_per_param=param, seed=seed, ecc=ecc)
-            else:
-                carrier = sign_embed(archive, payload, seed=seed, ecc=ecc)
+        embed = {"lsb": lsb_embed, "sign": sign_embed, "ss": ss_embed}[kind]
+        carrier = embed(archive, payload, plan)
 
     details = {"attack": args.attack, "ecc": ecc.spec, "payload_sha256": plan.payload_sha256}
     inputs = {args.input: input_digest(), args.payload: plan.payload_sha256}
@@ -316,10 +313,9 @@ def cmd_evaluate(args, argv) -> int:
         for i, (config, vseed) in enumerate(variants):
             variant, _ = apply_disruptor(archive, config, seed=vseed, descriptor=descriptor)
             if plan.method == "lsb":
-                got = lsb_extract(variant, plan.payload_len, bits_per_param=plan.bits_per_param,
-                                  seed=plan.seed, ecc=plan.ecc)
+                got = lsb_extract(variant, plan)
             elif plan.method == "sign":
-                got = sign_extract(variant, plan.payload_len, seed=plan.seed, ecc=plan.ecc)
+                got = sign_extract(variant, plan)
             else:
                 hosts[i % group] = host_vector(variant, plan.eligible)
                 if i % group == group - 1 or i == len(variants) - 1:
@@ -478,6 +474,9 @@ def main(argv=None) -> int:
     except (ValueError, VerificationError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return getattr(e, "exit_code", 1)
+    except MemoryError as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

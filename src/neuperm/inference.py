@@ -24,7 +24,8 @@ from .rng import SeededRng, derive_seed
 
 _EPS_DEFAULT = 1e-5
 
-# integer hyper-parameters and their smallest legal value
+# integer hyper-parameters and their smallest legal value; each must also
+# be below 2**63, so that it fits the int64 arrays built from it
 _INT_HYPER_MIN = dict(kernel=1, stride=1, padding=0, h_q=1, h_kv=1, head_dim=1, vocab=1)
 
 
@@ -43,10 +44,9 @@ class LayerSpec:
                 raise ValueError(f"layer {self.kind} lacks required param {role!r}")
         for key, low in _INT_HYPER_MIN.items():
             v = self.hyper.get(key, low)
-            if not isinstance(v, int) or isinstance(v, bool) or v < low:
-                raise ValueError(
-                    f"layer {self.kind}: {key!r} must be an integer >= {low}, got {v!r}"
-                )
+            if not isinstance(v, int) or isinstance(v, bool) or not low <= v < 1 << 63:
+                raise ValueError(f"layer {self.kind}: {key!r} must be an integer >= {low} "
+                                 f"and below 2**63, got {quote(v)}")
         for need in needs:
             keys = need if isinstance(need, tuple) else (need,)
             if not any(self.hyper.get(key) for key in keys):
@@ -144,10 +144,12 @@ def _conv2d(x, p, hyper):
     return np.ascontiguousarray(out.astype(np.float32))
 
 
-def _pool2d(x, hyper, reducer):
+def _pool2d(x, hyper, reducer, kind):
     kernel = hyper["kernel"]
     stride = hyper.get("stride", kernel)
     c, h, w = x.shape
+    if kernel > min(h, w):
+        raise ValueError(f"{kind} 'kernel' {kernel} is larger than the {h}x{w} feature map")
     oh = (h - kernel) // stride + 1
     ow = (w - kernel) // stride + 1
     windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(1, 2))
@@ -201,10 +203,19 @@ def _embedding(x, p, hyper):
 
 
 def _avgpool2d(x, p, hyper):
-    return x.mean(axis=(1, 2)) if hyper.get("global") else _pool2d(x, hyper, np.mean)
+    return x.mean(axis=(1, 2)) if hyper.get("global") else _pool2d(x, hyper, np.mean, "avgpool2d")
 
 
 def _attention(x, p, h):
+    if h["h_q"] % h["h_kv"]:
+        raise ValueError(f"attention_gqa 'h_q' {h['h_q']} is not a multiple of 'h_kv' {h['h_kv']}")
+    # wq, wk and wv hold one row per head dimension, wo one column
+    for role, axis, key in (("wq", 0, "h_q"), ("wk", 0, "h_kv"), ("wv", 0, "h_kv"),
+                            ("wo", 1, "h_q")):
+        shape, want = p[role].shape, h[key] * h["head_dim"]
+        if len(shape) != 2 or shape[axis] != want:
+            raise ValueError(f"attention_gqa {role} needs {want} {('rows', 'columns')[axis]} "
+                             f"({key!r} x 'head_dim'), got shape {shape}")
     wq, wk, wv, wo = p["wq"], p["wk"], p["wv"], p["wo"]
     return _attention_gqa(x, wq, wk, wv, wo, h["h_q"], h["h_kv"], h["head_dim"], h.get("causal"))
 
@@ -216,7 +227,7 @@ _LAYERS = {
     "conv2d": (("weight",), ("bias",), (), _conv2d),
     "batchnorm2d": (("gamma", "beta", "running_mean", "running_var"), (), (), _batchnorm2d),
     "relu": ((), (), (), lambda x, p, h: np.maximum(x, 0.0)),
-    "maxpool2d": ((), (), ("kernel",), lambda x, p, h: _pool2d(x, h, np.max)),
+    "maxpool2d": ((), (), ("kernel",), lambda x, p, h: _pool2d(x, h, np.max, "maxpool2d")),
     "avgpool2d": ((), (), (("kernel", "global"),), _avgpool2d),
     "attention_gqa": (("wq", "wk", "wv", "wo"), (), ("h_q", "h_kv", "head_dim"), _attention),
     "layernorm": (("gamma", "beta"), (), (), _layernorm),

@@ -192,7 +192,7 @@ def sample_positions(total: int, count: int, seed: int) -> np.ndarray:
     call; only the swaps run one by one.
     """
     if count > total:
-        raise CapacityError(f"need {count} positions but host has only {total}")
+        raise CapacityError(f"need {quote(count)} positions but host has only {quote(total)}")
     rng = SeededRng(seed)
     offsets = rng.bounded_block(np.arange(total, total - count, -1, dtype=np.int64))
     swaps: dict[int, int] = {}
@@ -221,20 +221,20 @@ def _positions(total: int, count: int, seed: int) -> np.ndarray:
 LSB_BITS = range(1, 9)
 
 
-def _bit_slots(archive: ModelArchive, count: int, seed: int, method: str):
-    """The `count` parameters a bit attack writes, yielded as per-tensor
-    (name, local_offsets, slot_idx) groups in eligible-name order."""
+def _bit_slots(archive: ModelArchive, plan: AttackPlan, count: int) -> list:
+    """The `count` parameters a bit attack writes, as per-tensor
+    (name, local_offsets, slot_idx) groups in eligible-name order. The
+    positions are drawn here, so a count beyond the host raises
+    CapacityError before a caller allocates anything for its slots."""
     names = eligible_names(archive)
     positions = _positions(host_size(archive, names), count,
-                           derive_seed(seed, f"{method}/positions"))
+                           derive_seed(plan.seed, f"{plan.method}/positions"))
     sizes = np.array([archive.tensors[n].size for n in names], dtype=np.int64)
     bounds = np.cumsum(sizes)
     owner = np.searchsorted(bounds, positions, side="right")
     local = positions - (bounds[owner] - sizes[owner])
-    for ti, name in enumerate(names):
-        mask = owner == ti
-        if mask.any():
-            yield name, local[mask], np.flatnonzero(mask)
+    return [(name, local[mask], np.flatnonzero(mask))
+            for ti, name in enumerate(names) if (mask := owner == ti).any()]
 
 
 def _raw_field(data: np.ndarray, width: int, top: bool):
@@ -245,18 +245,29 @@ def _raw_field(data: np.ndarray, width: int, top: bool):
     return raw, shift, raw.dtype.type(((1 << width) - 1) << shift)
 
 
-def _embed_bits(archive: ModelArchive, payload: bytes, ecc: EccScheme, *, method: str,
-                seed: int, width: int, top: bool) -> ModelArchive:
+def _bit_field(plan: AttackPlan, method: str) -> tuple[int, bool]:
+    """Width of the raw-word field a `method` plan writes, and whether it is
+    the top of the word: the low bits_per_param bits (lsb) or the sign bit."""
+    if plan.method != method:
+        raise ValueError(f"the {method} attack cannot read a {quote(plan.method)} plan")
+    return (plan.bits_per_param, False) if method == "lsb" else (1, True)
+
+
+def _embed_bits(archive: ModelArchive, payload: bytes, plan: AttackPlan,
+                method: str) -> ModelArchive:
     """Write the coded payload, `width` bits per sampled parameter, into one
     field of each parameter's raw word; only the tensors written are copied."""
-    coded = ecc.encode(bytes_to_bits(payload))
+    width, top = _bit_field(plan, method)
+    if not plan.matches(payload):
+        raise ValueError("payload does not match plan digest")
+    coded = plan.ecc.encode(bytes_to_bits(payload))
     slots = -(-coded.size // width)
     padded = np.zeros(slots * width, dtype=np.uint8)
     padded[: coded.size] = coded
     weights = 1 << np.arange(width - 1, -1, -1, dtype=np.uint32)
     values = (padded.reshape(slots, width).astype(np.uint32) * weights).sum(axis=1)
     updates = {}
-    for name, local, slot_idx in _bit_slots(archive, slots, seed, method):
+    for name, local, slot_idx in _bit_slots(archive, plan, slots):
         data = archive.tensors[name].data
         raw, shift, mask = _raw_field(data, width, top)
         raw = raw.copy()
@@ -265,72 +276,41 @@ def _embed_bits(archive: ModelArchive, payload: bytes, ecc: EccScheme, *, method
     return archive.replace(updates)
 
 
-def _extract_bits(archive: ModelArchive, payload_len: int, ecc: EccScheme, *, method: str,
-                  seed: int, width: int, top: bool) -> bytes:
+def _extract_bits(archive: ModelArchive, plan: AttackPlan, method: str) -> bytes:
     """Mirror of _embed_bits: reads the field through views of the stored data."""
-    coded_len = ecc.coded_len(payload_len * 8)
+    width, top = _bit_field(plan, method)
+    coded_len = plan.coded_bits
     slots = -(-coded_len // width)
+    groups = _bit_slots(archive, plan, slots)
     values = np.zeros(slots, dtype=np.uint32)
-    for name, local, slot_idx in _bit_slots(archive, slots, seed, method):
+    for name, local, slot_idx in groups:
         raw, shift, mask = _raw_field(archive.tensors[name].data, width, top)
         values[slot_idx] = (raw[local] & mask) >> shift
     shifts = np.arange(width - 1, -1, -1, dtype=np.uint32)
     bits = ((values[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
-    decoded = ecc.decode(bits[:coded_len])
-    return bits_to_bytes(decoded[: payload_len * 8])
+    decoded = plan.ecc.decode(bits[:coded_len])
+    return bits_to_bytes(decoded[: plan.payload_bits])
 
 
 # ------------------------------------------------------------ lsb, sign
 
-def lsb_embed(
-    archive: ModelArchive,
-    payload: bytes,
-    *,
-    bits_per_param: int,
-    seed: int,
-    ecc: EccScheme = EccScheme("none"),
-) -> ModelArchive:
+def lsb_embed(archive: ModelArchive, payload: bytes, plan: AttackPlan) -> ModelArchive:
     """Hide payload bits in the low mantissa bits of sampled parameters."""
-    if bits_per_param not in LSB_BITS:
-        raise ValueError("bits_per_param must be in 1..8")
-    return _embed_bits(archive, payload, ecc, method="lsb", seed=seed,
-                       width=bits_per_param, top=False)
+    return _embed_bits(archive, payload, plan, "lsb")
 
 
-def lsb_extract(
-    archive: ModelArchive,
-    payload_len: int,
-    *,
-    bits_per_param: int,
-    seed: int,
-    ecc: EccScheme = EccScheme("none"),
-) -> bytes:
-    """Mirror of lsb_embed; payload_len is the expected byte count."""
-    if bits_per_param not in LSB_BITS:
-        raise ValueError("bits_per_param must be in 1..8")
-    return _extract_bits(archive, payload_len, ecc, method="lsb", seed=seed,
-                         width=bits_per_param, top=False)
+def lsb_extract(archive: ModelArchive, plan: AttackPlan) -> bytes:
+    """Mirror of lsb_embed: the plan's payload_len bytes."""
+    return _extract_bits(archive, plan, "lsb")
 
 
-def sign_embed(
-    archive: ModelArchive,
-    payload: bytes,
-    *,
-    seed: int,
-    ecc: EccScheme = EccScheme("none"),
-) -> ModelArchive:
+def sign_embed(archive: ModelArchive, payload: bytes, plan: AttackPlan) -> ModelArchive:
     """Store one coded bit per sampled parameter: bit 1 -> negative sign."""
-    return _embed_bits(archive, payload, ecc, method="sign", seed=seed, width=1, top=True)
+    return _embed_bits(archive, payload, plan, "sign")
 
 
-def sign_extract(
-    archive: ModelArchive,
-    payload_len: int,
-    *,
-    seed: int,
-    ecc: EccScheme = EccScheme("none"),
-) -> bytes:
-    return _extract_bits(archive, payload_len, ecc, method="sign", seed=seed, width=1, top=True)
+def sign_extract(archive: ModelArchive, plan: AttackPlan) -> bytes:
+    return _extract_bits(archive, plan, "sign")
 
 
 # --------------------------------------------------------------- plans
@@ -391,6 +371,10 @@ class AttackPlan:
     gamma: float | None = None
     eligible: tuple[str, ...] = ()
     host_n: int | None = None
+
+    def __post_init__(self):
+        if self.method == "lsb" and self.bits_per_param not in LSB_BITS:
+            raise ValueError("bits_per_param must be in 1..8")
 
     @classmethod
     def for_payload(cls, method: str, payload: bytes, *, seed: int, ecc: EccScheme,

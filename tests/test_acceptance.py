@@ -29,7 +29,7 @@ from neuperm.errors import ParseError
 from neuperm.fixtures import llama32_1b_descriptor, ss_host, vgg11_descriptor
 from neuperm.inference import random_inputs, softmax
 from neuperm.rng import SeededRng, derive_seed
-from neuperm.stego import lsb_embed, lsb_extract, parse_ecc, sign_embed, sign_extract
+from neuperm.stego import AttackPlan, lsb_embed, lsb_extract, parse_ecc, sign_embed, sign_extract
 from neuperm.tensor import Tensor, fisher_yates
 
 SEED = 0xACCE97
@@ -166,20 +166,22 @@ def test_criterion_4_bit_embedding_elimination(big_host):
     payload = random_payload(derive_seed(SEED, "payload/bits"), 125)  # 1000 bits
     ecc = parse_ecc("none")
     embed_seed = derive_seed(SEED, "embed")
-    lsb_carrier = lsb_embed(archive, payload, bits_per_param=1, seed=embed_seed, ecc=ecc)
-    sign_carrier = sign_embed(archive, payload, seed=embed_seed, ecc=ecc)
-    assert lsb_extract(lsb_carrier, 125, bits_per_param=1, seed=embed_seed, ecc=ecc) == payload
-    assert sign_extract(sign_carrier, 125, seed=embed_seed, ecc=ecc) == payload
+    lsb_plan = AttackPlan.for_payload("lsb", payload, seed=embed_seed, ecc=ecc, bits_per_param=1)
+    sign_plan = AttackPlan.for_payload("sign", payload, seed=embed_seed, ecc=ecc)
+    lsb_carrier = lsb_embed(archive, payload, lsb_plan)
+    sign_carrier = sign_embed(archive, payload, sign_plan)
+    assert lsb_extract(lsb_carrier, lsb_plan) == payload
+    assert sign_extract(sign_carrier, sign_plan) == payload
 
     config = parse_disruptor("neuperm:1")
     hits = {"lsb": 0, "sign": 0}
     for i in range(100):
         sanitize_seed = derive_seed(SEED, f"sanitize/{i}")
         moved, _ = apply_disruptor(lsb_carrier, config, seed=sanitize_seed, descriptor=desc)
-        got = lsb_extract(moved, 125, bits_per_param=1, seed=embed_seed, ecc=ecc)
+        got = lsb_extract(moved, lsb_plan)
         hits["lsb"] += int(got == payload)
         moved, _ = apply_disruptor(sign_carrier, config, seed=sanitize_seed, descriptor=desc)
-        got = sign_extract(moved, 125, seed=embed_seed, ecc=ecc)
+        got = sign_extract(moved, sign_plan)
         hits["sign"] += int(got == payload)
 
     worked_bound = success_bound_no_ecc(0.99, 1000)

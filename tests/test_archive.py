@@ -293,6 +293,11 @@ def test_missing_fields():
         parse_archive(_mangle_header(doc, b"\x00" * 4))
 
 
+def test_entry_not_an_object():
+    with pytest.raises(ParseError, match="entry for 'w' must be an object"):
+        parse_archive(_mangle_header({"w": [0, 4]}, b"\x00" * 4))
+
+
 def test_inverted_offsets():
     doc = {"w": {"dtype": "F32", "shape": [1], "data_offsets": [4, 0]}}
     with pytest.raises(ParseError, match="inverted"):

@@ -19,7 +19,9 @@ from neuperm import cli
 from neuperm.archive import load_archive, save_archive
 from neuperm.cli import main
 from neuperm.descriptor import descriptor_to_dict
-from neuperm.fixtures import llama32_1b_descriptor, ss_host, toy_cnn, toy_mlp, vgg11_descriptor
+from neuperm.fixtures import (
+    llama32_1b_descriptor, ss_host, toy_cnn, toy_gqa, toy_mlp, vgg11_descriptor,
+)
 from neuperm.inference import network_to_dict
 
 _SRC = Path(neuperm.__file__).resolve().parents[1]
@@ -34,7 +36,8 @@ def ws(tmp_path_factory):
     """File-backed workspace: three models plus payload files, written once."""
     root = tmp_path_factory.mktemp("cliws")
     out = {"root": root}
-    models = (("mlp", toy_mlp()), ("cnn", toy_cnn()), ("host", ss_host(width=128, layers=3)))
+    models = (("mlp", toy_mlp()), ("cnn", toy_cnn()), ("gqa", toy_gqa()),
+              ("host", ss_host(width=128, layers=3)))
     for name, bundle in models:
         archive, desc, net = bundle
         save_archive(archive, root / f"{name}.safetensors")
@@ -591,6 +594,16 @@ def test_attack_bad_specs_exit_1(ws, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("spec", ["lsb:0", "lsb:9"])
+def test_attack_lsb_width_out_of_range_exit_1(ws, tmp_path, capsys, spec):
+    out, plan = tmp_path / "never.safetensors", tmp_path / "plan.json"
+    rc = run("attack", "--input", ws["mlp"], "--output", out, "--attack", spec,
+             "--payload", ws["payload"], "--seed", "1", "--plan", plan)
+    assert rc == 1
+    assert capsys.readouterr().err == "error: bits_per_param must be in 1..8\n"
+    assert not out.exists() and not plan.exists()
+
+
 def test_attack_empty_payload_exit_1(ws, tmp_path, capsys):
     empty = tmp_path / "empty.bin"
     empty.write_bytes(b"")
@@ -617,6 +630,57 @@ def test_evaluate_trials_below_one_exit_1(ws, tmp_path, capsys, trials):
     assert rc == 1
     assert "error: --trials must be >= 1" in captured.err
     assert not report.exists()
+
+
+def test_evaluate_without_disrupt_exit_1(ws, tmp_path, capsys):
+    carrier, plan, report = (tmp_path / n for n in ("carrier.safetensors", "plan.json", "r.csv"))
+    assert run("attack", "--input", ws["mlp"], "--output", carrier, "--attack", "sign",
+               "--payload", ws["payload"], "--seed", "9", "--plan", plan) == 0
+    capsys.readouterr()
+    assert run("evaluate", "--carrier", carrier, "--plan", plan, "--output", report) == 1
+    assert capsys.readouterr().err == "error: at least one --disrupt is required\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("method", ["lsb", "sign"])
+@pytest.mark.parametrize("payload_len", [10**11, 10**1000], ids=["1e11", "1e1000"])
+def test_evaluate_bit_plan_beyond_host_exit_3(ws, tmp_path, capsys, method, payload_len):
+    """A bit plan with more slots than its carrier has parameters fails the
+    capacity rule before anything is allocated for the slots, and the error
+    line quotes the slot count short."""
+    plan, report = tmp_path / "plan.json", tmp_path / "r.csv"
+    doc = {**_LSB_PLAN, "method": method, "payload_len": payload_len}
+    if method == "sign":
+        del doc["bits_per_param"]
+    plan.write_text(json.dumps(doc))
+    rc = run("evaluate", "--carrier", ws["mlp"], "--plan", plan, "--disrupt", "none",
+             "--seed", "5", "--output", report)
+    [line] = capsys.readouterr().err.splitlines()
+    assert rc == 3
+    assert line.startswith("error: need ") and line.endswith(" positions but host has only 450")
+    assert len(line) < 120, line
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("message,line", [
+    ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)",
+     "error: Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"),
+    ("", "error: out of memory"),
+], ids=["numpy", "bare"])
+def test_memory_error_exit_1_no_output(ws, tmp_path, capsys, monkeypatch, message, line):
+    """A step that runs out of memory, here the probe draw of --verify (a net
+    sidecar whose input shape is [100000, 100000] asks it for 74.5 GiB),
+    ends in one error line and exit 1 with no output."""
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "random_inputs", exhausted)
+    out = tmp_path / "never.safetensors"
+    rc = run("sanitize", "--input", ws["mlp"], "--output", out, "--disrupt", "none",
+             "--verify", "--net", ws["mlp.net"], "--seed", "1")
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("simulate", ["0", "-4"])
@@ -692,6 +756,23 @@ def test_two_outputs_at_one_path_exit_1(ws, tmp_path, capsys, command):
     assert list(work.iterdir()) == []
 
 
+def _gqa_net(wo="attn.wo", **hyper):
+    """The gqa fixture's net sidecar with its attention layer's wo tensor or
+    some of its hyper-parameters replaced."""
+    doc = network_to_dict(toy_gqa()[2])
+    for layer in doc["layers"]:
+        if layer["kind"] == "attention_gqa":
+            layer["params"]["wo"] = wo
+            layer["hyper"].update(hyper)
+    return doc
+
+
+def _gqa_site(**gqa):
+    """A descriptor holding one attn_gqa site with the given gqa object."""
+    return {"sites": [{"site_id": "attn", "kind": "attn_gqa", "n": 2, "produce": [["wq", 0]],
+                       "gqa": gqa}], "total_params": 450}
+
+
 def _image_net(kind, **hyper):
     """A one-layer image net sidecar; conv2d borrows the mlp's first weight."""
     params = {"weight": "fc1.weight"} if kind == "conv2d" else {}
@@ -709,6 +790,45 @@ _MALFORMED_SIDECARS = {
         }],
         "total_params": 450,
     }, "gqa"),
+    "descriptor-not-an-object": ("desc", [], "descriptor must be a JSON object"),
+    "descriptor-site-not-an-object": ("desc", {"sites": ["fc1"], "total_params": 450},
+                                      "each site must be an object"),
+    "descriptor-gqa-missing-key": ("desc", _gqa_site(h_q=8, h_kv=2),
+                                   "gqa needs h_q, h_kv, head_dim"),
+    "descriptor-gqa-field-0": ("desc", _gqa_site(h_q=8, h_kv=2, head_dim=0),
+                               "gqa fields must be positive"),
+    "descriptor-produce-not-a-list": ("desc", {
+        "sites": [{"site_id": "fc1", "kind": "fc_pair", "n": 32, "produce": "fc1.weight"}],
+        "total_params": 450,
+    }, "produce must be a list"),
+    "descriptor-shapes-not-an-object": ("desc", {"sites": [], "total_params": 450, "shapes": []},
+                                        "'shapes' must be an object"),
+    "descriptor-notes-not-a-string": ("desc", {"sites": [], "total_params": 450, "notes": 3},
+                                      "notes must be a string"),
+    "net-no-input": ("net", {"layers": []}, "needs an 'input' object"),
+    "net-layer-a-string": ("net", {"layers": ["dense"], "input": {"kind": "vector", "shape": [8]}},
+                           "net sidecar layer must be an object"),
+    "net-hyper-not-a-number": ("net", _image_net("maxpool2d", kernel="2"),
+                               "hyper values must be numbers"),
+    "net-maxpool-kernel-beyond-image": ("net", _image_net("maxpool2d", kernel=9),
+                                        "maxpool2d 'kernel' 9 is larger than the 4x4"),
+    "net-avgpool-kernel-beyond-image": ("net", _image_net("avgpool2d", kernel=5),
+                                        "avgpool2d 'kernel' 5 is larger than the 4x4"),
+    "net-attention-h_q-not-multiple": ("gqa-net", _gqa_net(h_q=7),
+                                       "attention_gqa 'h_q' 7 is not a multiple of 'h_kv' 4"),
+    "net-attention-h_q-rows": ("gqa-net", _gqa_net(h_q=4),
+                               "attention_gqa wq needs 16 rows ('h_q' x 'head_dim')"),
+    "net-attention-h_kv-rows": ("gqa-net", _gqa_net(h_kv=2),
+                                "attention_gqa wk needs 8 rows ('h_kv' x 'head_dim')"),
+    "net-attention-head_dim": ("gqa-net", _gqa_net(head_dim=8),
+                               "attention_gqa wq needs 64 rows ('h_q' x 'head_dim')"),
+    "net-attention-wo-columns": ("gqa-net", _gqa_net(wo="mlp.w2"),
+                                 "attention_gqa wo needs 32 columns ('h_q' x 'head_dim')"),
+    "net-vocab-beyond-int64": ("net", {
+        "input": {"kind": "tokens", "shape": [2]},
+        "layers": [{"kind": "embedding-lookup", "params": {"table": "fc1.weight"},
+                    "hyper": {"vocab": 10**30}}],
+    }, "'vocab' must be an integer >= 1"),
     "net-layers-string": ("net", {"layers": "dense", "input": {"kind": "vector", "shape": [8]}},
                           "layers"),
     "net-maxpool-kernel-0": ("net", _image_net("maxpool2d", kernel=0), "'kernel'"),
@@ -750,6 +870,8 @@ _MALFORMED_SIDECARS = {
     }, "tokens input must be 1-d"),
     "plan-payload_len-string": ("plan", {**_LSB_PLAN, "payload_len": "x"}, "payload_len"),
     "plan-is-a-list": ("plan", [_LSB_PLAN], "object"),
+    "plan-method-unknown": ("plan", {**_LSB_PLAN, "method": "xor"},
+                            "plan method 'xor' is not one of lsb, sign, ss"),
     "plan-bits_per_param-0": ("plan", {**_LSB_PLAN, "bits_per_param": 0}, "'bits_per_param'"),
     "plan-bits_per_param-9": ("plan", {**_LSB_PLAN, "bits_per_param": 9}, "'bits_per_param'"),
     "plan-bits_per_param-40": ("plan", {**_LSB_PLAN, "bits_per_param": 40}, "'bits_per_param'"),
@@ -784,6 +906,8 @@ def test_malformed_sidecar_exit_1(ws, tmp_path, case):
         "desc": [*sanitize, "--descriptor", bad],
         "net": [*sanitize, "--verify", "--net", bad],
         "cnn-net": ["sanitize", "--input", ws["cnn"], "--output", out, "--disrupt", "none",
+                    "--verify", "--net", bad],
+        "gqa-net": ["sanitize", "--input", ws["gqa"], "--output", out, "--disrupt", "none",
                     "--verify", "--net", bad],
         "plan": ["evaluate", "--carrier", ws["mlp"], "--plan", bad,
                  "--disrupt", "none", "--output", out],

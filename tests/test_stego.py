@@ -40,6 +40,15 @@ from neuperm.tensor import Tensor, tensor
 from conftest import random_payload
 
 
+def _lsb_plan(payload, bits_per_param, *, seed, ecc=parse_ecc("none")) -> AttackPlan:
+    return AttackPlan.for_payload("lsb", payload, seed=seed, ecc=ecc,
+                                  bits_per_param=bits_per_param)
+
+
+def _sign_plan(payload, *, seed, ecc=parse_ecc("none")) -> AttackPlan:
+    return AttackPlan.for_payload("sign", payload, seed=seed, ecc=ecc)
+
+
 # --------------------------------------------------------------- hosts
 
 def test_eligible_names_sorted_and_filtered():
@@ -116,12 +125,14 @@ def test_positions_drawn_once_per_seed(small_host_bundle, monkeypatch):
     monkeypatch.setattr(stego, "sample_positions", counting)
     _positions.cache_clear()
     payload = random_payload(1031, 32)
-    carrier = lsb_embed(archive, payload, bits_per_param=2, seed=41)
+    plan = _lsb_plan(payload, 2, seed=41)
+    carrier = lsb_embed(archive, payload, plan)
     for _ in range(3):
-        assert lsb_extract(carrier, 32, bits_per_param=2, seed=41) == payload
-    carrier = sign_embed(archive, payload, seed=41)
+        assert lsb_extract(carrier, plan) == payload
+    plan = _sign_plan(payload, seed=41)
+    carrier = sign_embed(archive, payload, plan)
     for _ in range(3):
-        assert sign_extract(carrier, 32, seed=41) == payload
+        assert sign_extract(carrier, plan) == payload
     assert len(calls) == 2  # one lsb draw, one sign draw
     _positions.cache_clear()
     cached = _positions(1000, 10, 3)
@@ -137,15 +148,16 @@ def test_lsb_roundtrip(small_host_bundle, bpp, spec):
     archive, _, _ = small_host_bundle
     payload = random_payload(1001, 64)
     ecc = parse_ecc(spec)
-    carrier = lsb_embed(archive, payload, bits_per_param=bpp, seed=17, ecc=ecc)
-    got = lsb_extract(carrier, len(payload), bits_per_param=bpp, seed=17, ecc=ecc)
+    plan = _lsb_plan(payload, bpp, seed=17, ecc=ecc)
+    carrier = lsb_embed(archive, payload, plan)
+    got = lsb_extract(carrier, plan)
     assert got == payload
 
 
 def test_lsb_perturbation_is_tiny(small_host_bundle):
     archive, _, _ = small_host_bundle
     payload = random_payload(1002, 64)
-    carrier = lsb_embed(archive, payload, bits_per_param=2, seed=3)
+    carrier = lsb_embed(archive, payload, _lsb_plan(payload, 2, seed=3))
     for name in archive.tensors:
         a = archive.tensors[name].f32()
         b = carrier.tensors[name].f32()
@@ -157,14 +169,14 @@ def test_lsb_perturbation_is_tiny(small_host_bundle):
 def test_lsb_wrong_seed_fails(small_host_bundle):
     archive, _, _ = small_host_bundle
     payload = random_payload(1003, 64)
-    carrier = lsb_embed(archive, payload, bits_per_param=1, seed=17)
-    assert lsb_extract(carrier, len(payload), bits_per_param=1, seed=18) != payload
+    carrier = lsb_embed(archive, payload, _lsb_plan(payload, 1, seed=17))
+    assert lsb_extract(carrier, _lsb_plan(payload, 1, seed=18)) != payload
 
 
 def test_lsb_untouched_outside_positions(small_host_bundle):
     archive, _, _ = small_host_bundle
     payload = random_payload(1004, 8)
-    carrier = lsb_embed(archive, payload, bits_per_param=1, seed=9)
+    carrier = lsb_embed(archive, payload, _lsb_plan(payload, 1, seed=9))
     names = eligible_names(archive)
     a = host_vector(archive, names).view(np.uint32)
     b = host_vector(carrier, names).view(np.uint32)
@@ -175,24 +187,26 @@ def test_lsb_untouched_outside_positions(small_host_bundle):
 def test_lsb_capacity_error(mlp_bundle):
     archive, _, _ = mlp_bundle  # 450 params
     with pytest.raises(CapacityError):
-        lsb_embed(archive, random_payload(1, 125), bits_per_param=1, seed=0)
+        payload = random_payload(1, 125)
+        lsb_embed(archive, payload, _lsb_plan(payload, 1, seed=0))
 
 
 def test_lsb_bpp_validation(mlp_bundle):
     archive, _, _ = mlp_bundle
     with pytest.raises(ValueError):
-        lsb_embed(archive, b"x", bits_per_param=0, seed=0)
+        lsb_embed(archive, b"x", _lsb_plan(b"x", 0, seed=0))
     with pytest.raises(ValueError):
-        lsb_embed(archive, b"x", bits_per_param=9, seed=0)
+        lsb_embed(archive, b"x", _lsb_plan(b"x", 9, seed=0))
     for bpp in (0, 9, 33, 40):
         with pytest.raises(ValueError, match="1..8"):
-            lsb_extract(archive, 1, bits_per_param=bpp, seed=0)
+            lsb_extract(archive, _lsb_plan(b"x", bpp, seed=0))
 
 
 def test_lsb_embed_carrier_frozen(small_host_bundle):
     archive, _, _ = small_host_bundle
     payload = random_payload(1030, 64)
-    carrier = lsb_embed(archive, payload, bits_per_param=2, seed=31, ecc=parse_ecc("hamming74"))
+    plan = _lsb_plan(payload, 2, seed=31, ecc=parse_ecc("hamming74"))
+    carrier = lsb_embed(archive, payload, plan)
     assert hashlib.sha256(write_archive(carrier)).hexdigest() == (
         "4a88986e32b0056f72bab9afb0c6426ee027e0f38e9b52ff7c7deebbebfd991f"
     )
@@ -205,14 +219,15 @@ def test_sign_roundtrip(small_host_bundle, spec):
     archive, _, _ = small_host_bundle
     payload = random_payload(1005, 32)
     ecc = parse_ecc(spec)
-    carrier = sign_embed(archive, payload, seed=4, ecc=ecc)
-    assert sign_extract(carrier, len(payload), seed=4, ecc=ecc) == payload
+    plan = _sign_plan(payload, seed=4, ecc=ecc)
+    carrier = sign_embed(archive, payload, plan)
+    assert sign_extract(carrier, plan) == payload
 
 
 def test_sign_changes_only_signs(small_host_bundle):
     archive, _, _ = small_host_bundle
     payload = random_payload(1006, 32)
-    carrier = sign_embed(archive, payload, seed=4)
+    carrier = sign_embed(archive, payload, _sign_plan(payload, seed=4))
     for name in archive.tensors:
         assert np.array_equal(
             np.abs(archive.tensors[name].f32()), np.abs(carrier.tensors[name].f32())
@@ -222,17 +237,36 @@ def test_sign_changes_only_signs(small_host_bundle):
 def test_sign_wrong_seed_fails(small_host_bundle):
     archive, _, _ = small_host_bundle
     payload = random_payload(1007, 32)
-    carrier = sign_embed(archive, payload, seed=4)
-    assert sign_extract(carrier, len(payload), seed=5) != payload
+    carrier = sign_embed(archive, payload, _sign_plan(payload, seed=4))
+    assert sign_extract(carrier, _sign_plan(payload, seed=5)) != payload
 
 
 def test_sign_embed_carrier_frozen(small_host_bundle):
     archive, _, _ = small_host_bundle
     payload = random_payload(1030, 64)
-    carrier = sign_embed(archive, payload, seed=32, ecc=parse_ecc("repetition:3"))
+    plan = _sign_plan(payload, seed=32, ecc=parse_ecc("repetition:3"))
+    carrier = sign_embed(archive, payload, plan)
     assert hashlib.sha256(write_archive(carrier)).hexdigest() == (
         "f677b296f7b1d07635972fd2b2a9b85c0ad2d9f7660af1552b83e97648ee3641"
     )
+
+
+@pytest.mark.parametrize("method", ["lsb", "sign"])
+def test_bit_attack_refuses_a_plan_it_does_not_match(small_host_bundle, method):
+    """Each bit embedder refuses a payload whose digest is not its plan's, as
+    ss_embed does, and neither bit attack reads another method's plan."""
+    archive, _, _ = small_host_bundle
+    payload = random_payload(1041, 16)
+    plans = {"lsb": _lsb_plan(payload, 2, seed=8), "sign": _sign_plan(payload, seed=8),
+             "ss": _plan(archive, payload)}
+    embed, extract = {"lsb": (lsb_embed, lsb_extract), "sign": (sign_embed, sign_extract)}[method]
+    with pytest.raises(ValueError, match="does not match plan digest"):
+        embed(archive, payload[::-1], plans[method])
+    for other in sorted(set(plans) - {method}):
+        with pytest.raises(ValueError, match=f"the {method} attack cannot read a '{other}' plan"):
+            embed(archive, payload, plans[other])
+        with pytest.raises(ValueError, match=f"the {method} attack cannot read a '{other}' plan"):
+            extract(archive, plans[other])
 
 
 # ---------------------------------------------------------- bit fields
@@ -262,11 +296,13 @@ def test_bit_attack_writes_only_its_field(gqa_bundle, host, attack):
     method, _, k = attack.partition(":")
     width = int(k or 1)
     if method == "lsb":
-        carrier = lsb_embed(archive, payload, bits_per_param=width, seed=8)
-        assert lsb_extract(carrier, len(payload), bits_per_param=width, seed=8) == payload
+        plan = _lsb_plan(payload, width, seed=8)
+        carrier = lsb_embed(archive, payload, plan)
+        assert lsb_extract(carrier, plan) == payload
     else:
-        carrier = sign_embed(archive, payload, seed=8)
-        assert sign_extract(carrier, len(payload), seed=8) == payload
+        plan = _sign_plan(payload, seed=8)
+        carrier = sign_embed(archive, payload, plan)
+        assert sign_extract(carrier, plan) == payload
     names = eligible_names(archive)
     assert set(names) == set(archive.tensors)
     sampled = sample_positions(host_size(archive, names), -(-len(payload) * 8 // width),
