@@ -8,35 +8,42 @@ gamma = 0.009: comfortably above the decode threshold (the predicted
 post-despread noise floor for K coded bits is sqrt((1 + gamma^2 (K-1)) / N),
 giving a ~8x amplitude margin) while staying more than two orders of
 magnitude below the unit weight scale.
+
+Exits 1 when no swept gamma decodes exactly, so a run at the committed gamma
+is a check.
 """
 
 import argparse
 import math
+import sys
 
 from neuperm.fixtures import ss_host
 from neuperm.rng import SeededRng
-from neuperm.stego import make_chip_plan, parse_ecc, ss_embed, ss_extract
+from neuperm.stego import AttackPlan, parse_ecc, ss_embed, ss_extract
 
 import numpy as np
 
 
 def attempt(host, payload, gamma, ecc, seed):
-    plan = make_chip_plan(host, payload, gamma=gamma, seed=seed, ecc=ecc)
+    plan = AttackPlan.for_payload("ss", payload, host, seed=seed, ecc=ecc, param=gamma)
     carrier = ss_embed(host, payload, plan)
-    got, reading = ss_extract(carrier, plan)
-    return got == payload, reading.snr_db, plan.coded_bits
+    got, snr_db = ss_extract(carrier, plan)
+    return got == payload, snr_db, plan.coded_bits
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--payload-bytes", type=int, default=128)
     ap.add_argument("--ecc", default="repetition:3")
     ap.add_argument("--seed", type=int, default=21)
     ap.add_argument("--sweep", default="0.0005,0.001,0.002,0.004,0.009,0.02")
     args = ap.parse_args()
+    if args.payload_bytes < 1:
+        ap.error("--payload-bytes must be >= 1")
 
     host, _, _ = ss_host()
-    payload = bytes(SeededRng(6).next_block(args.payload_bytes // 8).view(np.uint8))
+    words = SeededRng(6).next_block(-(-args.payload_bytes // 8))
+    payload = bytes(words.view(np.uint8))[: args.payload_bytes]
     ecc = parse_ecc(args.ecc)
 
     print(f"host: {host.param_count} params | payload {len(payload)}B | ecc {ecc.spec}")
@@ -59,7 +66,14 @@ def main() -> None:
             ok, snr, _ = attempt(host, payload, mid, ecc, args.seed)
             lo, hi = (lo, mid) if ok else (mid, hi)
         print(f"decode threshold ~ gamma={hi:.5f}")
+    if hi is None:
+        print("no swept gamma decoded exactly", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        sys.exit(main())
+    except ValueError as e:  # a malformed --sweep, or a payload or gamma the plan refuses
+        sys.exit(f"error: {e}")

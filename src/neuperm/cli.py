@@ -52,7 +52,6 @@ from .stego import (
     host_vector,
     lsb_embed,
     lsb_extract,
-    make_chip_plan,
     parse_ecc,
     sign_embed,
     sign_extract,
@@ -259,11 +258,7 @@ def cmd_attack(args, argv) -> int:
         kind, param = _parse_attack_spec(args.attack)
         ecc = parse_ecc(args.ecc)
         seed = _resolve_seed(args)
-
-        if kind == "ss":
-            plan = make_chip_plan(archive, payload, gamma=param, seed=seed, ecc=ecc)
-        else:
-            plan = AttackPlan.for_payload(kind, payload, seed=seed, ecc=ecc, bits_per_param=param)
+        plan = AttackPlan.for_payload(kind, payload, archive, seed=seed, ecc=ecc, param=param)
         embed = {"lsb": lsb_embed, "sign": sign_embed, "ss": ss_embed}[kind]
         carrier = embed(archive, payload, plan)
 
@@ -320,8 +315,8 @@ def cmd_evaluate(args, argv) -> int:
                 hosts[i % group] = host_vector(variant, plan.eligible)
                 if i % group == group - 1 or i == len(variants) - 1:
                     for y in ss_despread_many(hosts[: i % group + 1], plan):
-                        got, reading = decode_correlations(y, plan)
-                        extracted.append((got, f"{reading.snr_db:.4f}"))
+                        got, snr = decode_correlations(y, plan)
+                        extracted.append((got, f"{snr:.4f}"))
                 continue
             extracted.append((got, ""))
         rows = [

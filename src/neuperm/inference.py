@@ -52,6 +52,10 @@ class LayerSpec:
             if not any(self.hyper.get(key) for key in keys):
                 raise ValueError(f"layer {self.kind} lacks required hyper "
                                  + " or ".join(repr(key) for key in keys))
+        eps = self.hyper.get("eps", _EPS_DEFAULT)
+        if not (isinstance(eps, (int, float)) and 0 < eps < 1):
+            raise ValueError(f"layer {self.kind}: 'eps' must be a finite number in (0, 1), "
+                             f"got {quote(eps)}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,10 @@ class ToyNetwork:
             raise ValueError(f"unknown input kind {self.input_kind!r}")
         if self.input_kind == "tokens" and len(self.input_shape) != 1:
             raise ValueError(f"a tokens input must be 1-d, got shape {quote(self.input_shape)}")
+        if not all(type(s) is int and s >= 1 for s in self.input_shape) or (
+                math.prod(self.input_shape) >= 1 << 63):
+            raise ValueError(f"input shape entries must be integers >= 1 whose product is "
+                             f"below 2**63, got {quote(self.input_shape)}")
 
 
 def network_from_dict(doc: dict) -> ToyNetwork:
@@ -79,10 +87,8 @@ def network_from_dict(doc: dict) -> ToyNetwork:
         raise ValueError("net sidecar needs a 'layers' list")
     inp = doc.get("input")
     shape = inp.get("shape") if isinstance(inp, dict) else None
-    if not isinstance(shape, list) or not all(
-        isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in shape
-    ):
-        raise ValueError("net sidecar needs an 'input' object with a list-of-ints shape")
+    if not isinstance(shape, list):
+        raise ValueError("net sidecar needs an 'input' object with a list shape")
     layers = []
     for raw in doc["layers"]:
         if not isinstance(raw, dict):

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,38 +315,34 @@ def sign_extract(archive: ModelArchive, plan: AttackPlan) -> bytes:
 
 # --------------------------------------------------------------- plans
 
-def _is_ecc_spec(value) -> bool:
+def _is_ecc(value) -> bool:
     try:
-        return isinstance(value, str) and bool(parse_ecc(value))
+        return isinstance(value, EccScheme) or isinstance(value, str) and bool(parse_ecc(value))
     except ValueError:
         return False
 
 
-#: plan field -> (test its JSON value must pass, what the test asks for)
+#: plan field -> (test its value must pass, what the test asks for)
 _PLAN_FIELDS = {
     "seed": (lambda v: isinstance(v, int), "an integer"),
-    "ecc": (_is_ecc_spec, "an ecc spec (none, repetition:r or hamming74)"),
+    "ecc": (_is_ecc, "an ecc spec (none, repetition:r or hamming74)"),
     "payload_sha256": (lambda v: isinstance(v, str) and bool(re.fullmatch(r"[0-9a-f]{64}", v)),
                        "a sha256 hex digest"),
     "payload_len": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
     "bits_per_param": (lambda v: isinstance(v, int) and v in LSB_BITS, "an integer in 1..8"),
-    "gamma": (lambda v: isinstance(v, (int, float)) and math.isfinite(v) and v > 0,
+    "gamma": (lambda v: isinstance(v, (int, float)) and 0 < v <= sys.float_info.max,
               "a finite number > 0"),
-    "payload_bits": (lambda v: isinstance(v, int) and v > 0 and v % 8 == 0,
-                     "a positive multiple of 8"),
-    "eligible": (lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
+    "eligible": (lambda v: isinstance(v, (list, tuple)) and all(isinstance(n, str) for n in v),
                  "a list of tensor names"),
     "host_n": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
 }
 
-
-def _plan_field(doc: dict, key: str, where: str):
-    ok, want = _PLAN_FIELDS[key]
-    value = doc.get(key)
-    if isinstance(value, bool) or not ok(value):
-        raise ValueError(f"{where} field {key!r} must be {want}, got {quote(value)}")
-    return value
-
+#: attack method -> the fields its plans hold, in the order they are checked
+_PLAN_KEYS = {
+    "lsb": ("seed", "ecc", "payload_sha256", "payload_len", "bits_per_param"),
+    "sign": ("seed", "ecc", "payload_sha256", "payload_len"),
+    "ss": ("seed", "ecc", "payload_sha256", "payload_len", "gamma", "eligible", "host_n"),
+}
 
 #: attack method -> (parameter type, default), as errors.split_spec reads them
 ATTACK_KINDS = {"lsb": (int, 1), "sign": (None, None), "ss": (float, None)}
@@ -359,32 +355,52 @@ class AttackPlan:
     Every method records its seed, ecc and the payload's length and digest,
     never the payload itself. ``lsb`` adds ``bits_per_param``; ``ss`` adds
     ``gamma`` and the host it spreads over (``eligible`` tensors holding
-    ``host_n`` params).
+    ``host_n`` params). A plan checks its method's fields when it is built,
+    so a plan built in code meets the same rules as one read from JSON; its
+    JSON form is the method and those fields, at one level.
     """
 
     method: str
-    seed: int
-    ecc_spec: str
-    payload_sha256: str
-    payload_len: int
+    seed: int | None = None
+    ecc: EccScheme | None = None  # a spec string is parsed into its scheme
+    payload_sha256: str | None = None
+    payload_len: int | None = None
     bits_per_param: int | None = None
     gamma: float | None = None
     eligible: tuple[str, ...] = ()
     host_n: int | None = None
 
     def __post_init__(self):
-        if self.method == "lsb" and self.bits_per_param not in LSB_BITS:
-            raise ValueError("bits_per_param must be in 1..8")
+        if not isinstance(self.method, str) or self.method not in _PLAN_KEYS:
+            raise ValueError(
+                f"plan method {quote(self.method)} is not one of {', '.join(_PLAN_KEYS)}")
+        for key in _PLAN_KEYS[self.method]:
+            ok, want = _PLAN_FIELDS[key]
+            value = getattr(self, key)
+            if isinstance(value, bool) or not ok(value):
+                raise ValueError(f"plan field {key!r} must be {want}, got {quote(value)}")
+        if isinstance(self.ecc, str):
+            object.__setattr__(self, "ecc", parse_ecc(self.ecc))
+        object.__setattr__(self, "eligible", tuple(self.eligible))
 
     @classmethod
-    def for_payload(cls, method: str, payload: bytes, *, seed: int, ecc: EccScheme,
-                    **fields) -> "AttackPlan":
-        return cls(method, seed, ecc.spec, hashlib.sha256(payload).hexdigest(),
-                   len(payload), **fields)
-
-    @property
-    def ecc(self) -> EccScheme:
-        return parse_ecc(self.ecc_spec)
+    def for_payload(cls, method: str, payload: bytes, archive: ModelArchive, *, seed: int,
+                    ecc: EccScheme, param=None) -> "AttackPlan":
+        """The plan for hiding `payload` in `archive` by `method`; `param` is
+        lsb's bits_per_param or ss's gamma. An ss plan spreads over every
+        tensor of two or more dims, and raises CapacityError when they hold
+        too few params for its coded bits."""
+        fields = {}
+        if method == "lsb":
+            fields["bits_per_param"] = param
+        elif method == "ss":
+            names = eligible_names(archive, min_ndim=2)
+            fields.update(gamma=param, eligible=names, host_n=host_size(archive, names))
+        plan = cls(method, seed, ecc, hashlib.sha256(payload).hexdigest(), len(payload),
+                   **fields)
+        if method == "ss":
+            plan.check_host(archive)
+        return plan
 
     @property
     def payload_bits(self) -> int:
@@ -412,46 +428,21 @@ class AttackPlan:
                                 f"bits need at least {quote(SS_MIN_RATIO * self.coded_bits)}")
 
     def to_dict(self) -> dict:
-        common = {"seed": self.seed, "ecc": self.ecc_spec, "payload_sha256": self.payload_sha256}
-        doc = {"method": self.method, **common, "payload_len": self.payload_len}
-        if self.method == "lsb":
-            doc["bits_per_param"] = self.bits_per_param
-        elif self.method == "ss":
-            doc["ss"] = {**common, "gamma": self.gamma, "payload_bits": self.payload_bits,
-                         "eligible": list(self.eligible), "host_n": self.host_n}
+        doc = {key: getattr(self, key) for key in ("method", *_PLAN_KEYS[self.method])}
+        doc["ecc"] = self.ecc.spec
+        if self.method == "ss":
+            doc["eligible"] = list(self.eligible)
         return doc
 
     @classmethod
     def from_dict(cls, doc) -> "AttackPlan":
-        """Plan from its JSON form. A missing or malformed field, or a
-        top-level field that disagrees with its copy in an ss plan's ``ss``
-        object, raises ValueError naming it."""
+        """Plan from its JSON form; the plan checks the fields it is given,
+        so a missing or malformed one raises ValueError naming it."""
         if not isinstance(doc, dict):
             raise ValueError("plan must be a JSON object")
         method = doc.get("method")
-        if not isinstance(method, str) or method not in ATTACK_KINDS:
-            raise ValueError(
-                f"plan method {quote(method)} is not one of {', '.join(ATTACK_KINDS)}")
-        keys = ["seed", "ecc", "payload_sha256"]
-        keys += ["payload_len"] if method != "ss" or "payload_len" in doc else []
-        keys += ["bits_per_param"] if method == "lsb" else []
-        fields = {key: _plan_field(doc, key, "plan") for key in keys}
-        if method == "ss":
-            ss = doc.get("ss")
-            if not isinstance(ss, dict):
-                raise ValueError(f"plan field 'ss' must be a JSON object, got {quote(ss)}")
-            inner = {key: _plan_field(ss, key, "ss plan") for key in (
-                "seed", "ecc", "payload_sha256", "payload_bits", "gamma", "eligible", "host_n")}
-            inner.update(payload_len=inner.pop("payload_bits") // 8, gamma=float(inner["gamma"]),
-                         eligible=tuple(inner["eligible"]))
-            for key, value in fields.items():
-                if value != inner[key]:
-                    raise ValueError(
-                        f"plan field {key!r} is {quote(value)} but the ss plan says "
-                        f"{quote(inner[key])}")
-            fields = inner
-        fields["ecc_spec"] = fields.pop("ecc")
-        return cls(method, **fields)
+        keys = _PLAN_KEYS.get(method, ()) if isinstance(method, str) else ()
+        return cls(method, **{key: doc.get(key) for key in keys})
 
 
 # ------------------------------------------------------ spread spectrum
@@ -469,33 +460,6 @@ _CHIP_LUT = (
     np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
     .astype(np.float32) * 2.0 - 1.0
 )
-
-
-@dataclass(frozen=True)
-class SnrReading:
-    """Despread quality: signal mean/noise var over re-aligned correlations."""
-
-    snr_db: float
-    signal_mean: float
-    noise_var: float
-    coded_bits: int
-
-
-def make_chip_plan(
-    archive: ModelArchive,
-    payload: bytes,
-    *,
-    gamma: float,
-    seed: int,
-    ecc: EccScheme = EccScheme("none"),
-) -> AttackPlan:
-    names = eligible_names(archive, min_ndim=2)
-    plan = AttackPlan.for_payload("ss", payload, seed=seed, ecc=ecc, gamma=gamma,
-                                  eligible=names, host_n=host_size(archive, names))
-    # read back as evaluate will, so attack never writes a plan evaluate refuses
-    plan = AttackPlan.from_dict(plan.to_dict())
-    plan.check_host(archive)
-    return plan
 
 
 def _chip_words(plan: AttackPlan, start: int, stop: int, n_bits: int) -> np.ndarray:
@@ -591,7 +555,9 @@ def ss_despread_many(hosts: np.ndarray, plan: AttackPlan) -> np.ndarray:
     return y / plan.host_n
 
 
-def decode_correlations(y: np.ndarray, plan: AttackPlan) -> tuple[bytes, SnrReading]:
+def decode_correlations(y: np.ndarray, plan: AttackPlan) -> tuple[bytes, float]:
+    """The payload the correlations `y` decode to, and its despread SNR in dB:
+    signal mean squared over noise variance of the re-aligned correlations."""
     coded_hat = (y > 0).astype(np.uint8)
     decoded = plan.ecc.decode(coded_hat)[: plan.payload_bits]
     payload = bits_to_bytes(decoded)
@@ -604,10 +570,10 @@ def decode_correlations(y: np.ndarray, plan: AttackPlan) -> tuple[bytes, SnrRead
         snr = float("inf") if mean != 0.0 else float("-inf")
     else:
         snr = 10.0 * float(np.log10(mean * mean / var)) if mean != 0.0 else float("-inf")
-    return payload, SnrReading(snr, mean, var, int(y.size))
+    return payload, snr
 
 
-def ss_extract(archive: ModelArchive, plan: AttackPlan) -> tuple[bytes, SnrReading]:
+def ss_extract(archive: ModelArchive, plan: AttackPlan) -> tuple[bytes, float]:
     vec = host_vector(archive, plan.eligible)
     y = ss_despread_many(vec[None, :], plan)[0]
     return decode_correlations(y, plan)

@@ -166,8 +166,8 @@ def test_criterion_4_bit_embedding_elimination(big_host):
     payload = random_payload(derive_seed(SEED, "payload/bits"), 125)  # 1000 bits
     ecc = parse_ecc("none")
     embed_seed = derive_seed(SEED, "embed")
-    lsb_plan = AttackPlan.for_payload("lsb", payload, seed=embed_seed, ecc=ecc, bits_per_param=1)
-    sign_plan = AttackPlan.for_payload("sign", payload, seed=embed_seed, ecc=ecc)
+    lsb_plan = AttackPlan.for_payload("lsb", payload, archive, seed=embed_seed, ecc=ecc, param=1)
+    sign_plan = AttackPlan.for_payload("sign", payload, archive, seed=embed_seed, ecc=ecc)
     lsb_carrier = lsb_embed(archive, payload, lsb_plan)
     sign_carrier = sign_embed(archive, payload, sign_plan)
     assert lsb_extract(lsb_carrier, lsb_plan) == payload

@@ -408,7 +408,7 @@ def test_attack_ss_then_evaluate(ws, tmp_path, capsys):
     capsys.readouterr()
     assert rc == 0
     doc = json.loads(plan.read_text())
-    assert doc["method"] == "ss" and doc["ss"]["gamma"] == 0.02
+    assert doc["method"] == "ss" and doc["gamma"] == 0.02
 
     report = tmp_path / "report.csv"
     rc = run(
@@ -524,7 +524,7 @@ def test_bound_simulate_long_trial_fits_1gb(tmp_path):
 
 
 @pytest.mark.parametrize("attack,extra", [
-    ("lsb:2", {"bits_per_param"}), ("sign", set()), ("ss:0.02", {"ss"}),
+    ("lsb:2", {"bits_per_param"}), ("sign", set()), ("ss:0.02", {"gamma", "eligible", "host_n"}),
 ])
 def test_attack_plan_holds_no_payload(ws, tmp_path, capsys, attack, extra):
     plan = tmp_path / "plan.json"
@@ -551,7 +551,6 @@ def test_evaluate_ss_plan_beyond_host_exit_3(ws, tmp_path, capsys):
                "--plan", plan) == 0
     doc = json.loads(plan.read_text())
     doc["payload_len"] = 10**12
-    doc["ss"]["payload_bits"] = 8 * 10**12
     plan.write_text(json.dumps(doc))
     capsys.readouterr()
     rc = run("evaluate", "--carrier", carrier, "--plan", plan, "--disrupt", "none",
@@ -600,7 +599,8 @@ def test_attack_lsb_width_out_of_range_exit_1(ws, tmp_path, capsys, spec):
     rc = run("attack", "--input", ws["mlp"], "--output", out, "--attack", spec,
              "--payload", ws["payload"], "--seed", "1", "--plan", plan)
     assert rc == 1
-    assert capsys.readouterr().err == "error: bits_per_param must be in 1..8\n"
+    assert capsys.readouterr().err == (
+        f"error: plan field 'bits_per_param' must be an integer in 1..8, got {spec[4:]}\n")
     assert not out.exists() and not plan.exists()
 
 
@@ -702,19 +702,18 @@ _LSB_PLAN = {
     "payload_len": 16, "bits_per_param": 1,
 }
 
-#: an ss plan whose chip plan matches the mlp carrier's two largest weights
+#: an ss plan whose host is the mlp carrier's two largest weights
 _SS_FIELDS = {
-    "seed": 1, "gamma": 0.009, "payload_bits": 8, "ecc": "none",
-    "eligible": ["fc1.weight", "fc2.weight"], "host_n": 320, "payload_sha256": "0" * 64,
+    "method": "ss", "seed": 1, "ecc": "none", "payload_sha256": "0" * 64, "payload_len": 1,
+    "gamma": 0.009, "eligible": ["fc1.weight", "fc2.weight"], "host_n": 320,
 }
 
 _DROP = object()
 
 
 def _ss_plan(**fields):
-    """The plan above with some ss fields replaced, or removed by _DROP."""
-    ss = {k: v for k, v in {**_SS_FIELDS, **fields}.items() if v is not _DROP}
-    return {"method": "ss", "seed": 1, "ecc": "none", "payload_sha256": "0" * 64, "ss": ss}
+    """The plan above with some fields replaced, or removed by _DROP."""
+    return {k: v for k, v in {**_SS_FIELDS, **fields}.items() if v is not _DROP}
 
 
 def test_sanitize_verify_nan_outputs_exit_2(ws, tmp_path):
@@ -771,6 +770,21 @@ def _gqa_site(**gqa):
     """A descriptor holding one attn_gqa site with the given gqa object."""
     return {"sites": [{"site_id": "attn", "kind": "attn_gqa", "n": 2, "produce": [["wq", 0]],
                        "gqa": gqa}], "total_params": 450}
+
+
+def _gqa_norms(eps):
+    """The gqa fixture's net sidecar with `eps` on every layernorm."""
+    doc = network_to_dict(toy_gqa()[2])
+    for layer in doc["layers"]:
+        if layer["kind"] == "layernorm":
+            layer["hyper"]["eps"] = eps
+    return doc
+
+
+def _vector_net(shape):
+    """A one-dense-layer net sidecar whose vector input has the given shape."""
+    return {"input": {"kind": "vector", "shape": shape},
+            "layers": [{"kind": "dense", "params": {"weight": "fc1.weight"}}]}
 
 
 def _image_net(kind, **hyper):
@@ -863,6 +877,18 @@ _MALFORMED_SIDECARS = {
                     "params": {role: "fc1.weight" for role in ("wq", "wk", "wv", "wo")},
                     "hyper": {"h_kv": 1, "head_dim": 8}}],
     }, "layer attention_gqa lacks required hyper 'h_q'"),
+    "net-layernorm-eps-infinity": ("gqa-net", _gqa_norms(float("inf")),
+                                   "layer layernorm: 'eps' must be a finite number in (0, 1)"),
+    "net-layernorm-eps-1e30": ("gqa-net", _gqa_norms(1e30), "layer layernorm: 'eps'"),
+    "net-layernorm-eps-negative": ("gqa-net", _gqa_norms(-1), "layer layernorm: 'eps'"),
+    "net-batchnorm-eps-0": ("cnn-net", {
+        "input": {"kind": "image", "shape": [6, 8, 8]},
+        "layers": [{"kind": "batchnorm2d", "hyper": {"eps": 0}, "params": {
+            role: f"bn1.{role}" for role in ("gamma", "beta", "running_mean", "running_var")}}],
+    }, "layer batchnorm2d: 'eps'"),
+    "net-input-shape-0": ("net", _vector_net([0, 8]), "input shape"),
+    "net-input-shape-2**63": ("net", _vector_net([2 ** 63]), "input shape"),
+    "net-input-shape-product-2**64": ("net", _vector_net([2 ** 32, 2 ** 32]), "input shape"),
     "net-tokens-2d": ("net", {
         "input": {"kind": "tokens", "shape": [2, 3]},
         "layers": [{"kind": "embedding-lookup", "params": {"table": "fc1.weight"},
@@ -879,7 +905,8 @@ _MALFORMED_SIDECARS = {
     "ss-seed-bool": ("plan", _ss_plan(seed=True), "'seed'"),
     "ss-gamma-zero": ("plan", _ss_plan(gamma=0), "'gamma'"),
     "ss-gamma-string": ("plan", _ss_plan(gamma="0.009"), "'gamma'"),
-    "ss-payload_bits-not-bytes": ("plan", _ss_plan(payload_bits=12), "'payload_bits'"),
+    "ss-gamma-beyond-float": ("plan", _ss_plan(gamma=10 ** 400), "'gamma'"),
+    "ss-payload_len-missing": ("plan", _ss_plan(payload_len=_DROP), "'payload_len'"),
     "ss-ecc-unknown": ("plan", _ss_plan(ecc="golay"), "'ecc'"),
     "ss-eligible-string": ("plan", _ss_plan(eligible="fc1.weight"), "'eligible'"),
     "ss-eligible-not-in-carrier": ("plan", _ss_plan(eligible=["fc1.weight", "wq"]), "'wq'"),
@@ -887,16 +914,17 @@ _MALFORMED_SIDECARS = {
     "ss-host_n-zero": ("plan", _ss_plan(host_n=0), "'host_n'"),
     "ss-host_n-mismatch": ("plan", _ss_plan(host_n=321), "host_n"),
     "ss-sha256-not-hex": ("plan", _ss_plan(payload_sha256="z" * 64), "'payload_sha256'"),
-    "ss-block-a-list": ("plan", {**_ss_plan(), "ss": [_SS_FIELDS]}, "'ss'"),
-    "ss-seed-disagrees": ("plan", _ss_plan(seed=2), "'seed'"),
-    "ss-ecc-disagrees": ("plan", _ss_plan(ecc="hamming74"), "'ecc'"),
-    "ss-sha256-disagrees": ("plan", _ss_plan(payload_sha256="f" * 64), "'payload_sha256'"),
-    "ss-payload_len-disagrees": ("plan", {**_ss_plan(), "payload_len": 2}, "'payload_len'"),
+    # the nested form older versions wrote: gamma and the host inside an "ss" object
+    "ss-nested-form": ("plan", {
+        "method": "ss", "seed": 1, "ecc": "none", "payload_sha256": "0" * 64, "payload_len": 1,
+        "ss": {"seed": 1, "ecc": "none", "payload_sha256": "0" * 64, "payload_bits": 8,
+               "gamma": 0.009, "eligible": ["fc1.weight", "fc2.weight"], "host_n": 320},
+    }, "plan field 'gamma' must be a finite number > 0, got None"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED_SIDECARS))
-def test_malformed_sidecar_exit_1(ws, tmp_path, case):
+def test_malformed_sidecar_exit_1(ws, tmp_path, capsys, case):
     role, doc, names = _MALFORMED_SIDECARS[case]
     bad = tmp_path / f"{role}.json"
     bad.write_text(json.dumps(doc))
@@ -912,10 +940,11 @@ def test_malformed_sidecar_exit_1(ws, tmp_path, case):
         "plan": ["evaluate", "--carrier", ws["mlp"], "--plan", bad,
                  "--disrupt", "none", "--output", out],
     }[role]
-    proc = _fresh_interpreter([sys.executable, "-m", "neuperm"], *argv, cwd=tmp_path)
-    assert proc.returncode == 1, proc.stderr
-    assert "error:" in proc.stderr and names in proc.stderr, proc.stderr
-    assert "Traceback" not in proc.stderr
+    rc = run(*argv)
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert "error:" in err and names in err, err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -1010,15 +1039,13 @@ def test_non_utf8_sidecar_error_names_input(ws, tmp_path, capsys, role, what):
 
 @pytest.mark.parametrize("role,doc,code", [
     ("plan", {**_LSB_PLAN, "seed": [0] * 5000}, 1),
-    ("plan", {**_ss_plan(), "ss": [0] * 5000}, 1),
-    ("plan", {**_ss_plan(), "payload_len": 10 ** 1000}, 1),
     ("plan", _ss_plan(eligible=[f"t{i}" for i in range(5000)]), 1),
     ("plan", _ss_plan(host_n=10 ** 1000), 1),
-    ("plan", _ss_plan(payload_bits=8 * 10 ** 1000), 3),
+    ("plan", _ss_plan(payload_len=10 ** 1000), 3),
     ("net", {"input": {"kind": "vector", "shape": [8]},
              "layers": [{"kind": [0] * 5000, "params": {"weight": 1}}]}, 1),
-], ids=["long-field", "long-ss-block", "long-disagreement", "long-missing-tensors",
-        "long-host_n", "long-payload_bits", "long-net-kind"])
+], ids=["long-field", "long-missing-tensors", "long-host_n", "long-payload_bits",
+        "long-net-kind"])
 def test_malformed_sidecar_error_line_is_short(ws, tmp_path, capsys, role, doc, code):
     """A huge value in a plan or net sidecar is quoted clipped, as in a
     descriptor: the command ends in one error line under 200 characters."""

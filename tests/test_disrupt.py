@@ -10,7 +10,7 @@ from neuperm.disrupt import (
     prune_magnitude,
 )
 from neuperm.fixtures import ss_host
-from neuperm.stego import host_vector, make_chip_plan, parse_ecc, ss_despread_many, ss_embed
+from neuperm.stego import AttackPlan, host_vector, parse_ecc, ss_despread_many, ss_embed
 from neuperm.tensor import tensor
 
 from conftest import random_payload
@@ -122,9 +122,8 @@ def test_snr_degrades_monotonically_with_noise():
     despread SNR falls as added noise grows, and sigma = 0.1 drowns it."""
     archive, _, _ = ss_host(width=256, layers=4, weight_sigma=0.02)
     payload = random_payload(2030, 16)
-    plan = make_chip_plan(
-        archive, payload, gamma=1e-4, seed=51, ecc=parse_ecc("repetition:3")
-    )
+    plan = AttackPlan.for_payload("ss", payload, archive, seed=51,
+                                  ecc=parse_ecc("repetition:3"), param=1e-4)
     carrier = ss_embed(archive, payload, plan)
     sigmas = [0.0, 1e-4, 1e-3, 1e-2, 1e-1]
     hosts = []
@@ -134,7 +133,7 @@ def test_snr_degrades_monotonically_with_noise():
     ys = ss_despread_many(np.stack(hosts), plan)
     from neuperm.stego import decode_correlations
 
-    snrs = [decode_correlations(y, plan)[1].snr_db for y in ys]
+    snrs = [decode_correlations(y, plan)[1] for y in ys]
     assert snrs[0] > 0
     assert all(a >= b - 0.8 for a, b in zip(snrs, snrs[1:])), snrs  # monotone-ish
     assert snrs[-1] < 0  # sigma 5x the weight scale: payload unreadable
@@ -146,7 +145,8 @@ def test_prune_kills_when_aggressive(small_host_bundle):
     """Pruning most parameters wipes enough chips to break extraction."""
     archive, _, _ = small_host_bundle
     payload = random_payload(2031, 16)
-    plan = make_chip_plan(archive, payload, gamma=0.02, seed=52, ecc=parse_ecc("repetition:3"))
+    plan = AttackPlan.for_payload("ss", payload, archive, seed=52,
+                                  ecc=parse_ecc("repetition:3"), param=0.02)
     carrier = ss_embed(archive, payload, plan)
     from neuperm.stego import ss_extract
 

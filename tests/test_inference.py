@@ -179,7 +179,7 @@ def test_batchnorm_formula():
             LayerSpec(
                 "batchnorm2d",
                 {"gamma": "g", "beta": "be", "running_mean": "mu", "running_var": "var"},
-                {"eps": 0.0},
+                {"eps": 1e-12},
             ),
         ),
         input_kind="image",
@@ -191,7 +191,7 @@ def test_batchnorm_formula():
 
 def test_layernorm_zero_mean_unit_var():
     arch = ModelArchive({"g": tensor([1.0] * 4), "b": tensor([0.0] * 4)})
-    net = _dense_net([LayerSpec("layernorm", {"gamma": "g", "beta": "b"}, {"eps": 0.0})])
+    net = _dense_net([LayerSpec("layernorm", {"gamma": "g", "beta": "b"}, {"eps": 1e-12})])
     out = forward(net, arch, np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float32))
     assert abs(out.mean()) < 1e-6
     assert abs(out.std() - 1.0) < 1e-6

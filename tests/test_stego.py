@@ -25,7 +25,6 @@ from neuperm.stego import (
     host_vector,
     lsb_embed,
     lsb_extract,
-    make_chip_plan,
     parse_ecc,
     sample_positions,
     scatter_host,
@@ -40,13 +39,13 @@ from neuperm.tensor import Tensor, tensor
 from conftest import random_payload
 
 
-def _lsb_plan(payload, bits_per_param, *, seed, ecc=parse_ecc("none")) -> AttackPlan:
-    return AttackPlan.for_payload("lsb", payload, seed=seed, ecc=ecc,
-                                  bits_per_param=bits_per_param)
+def _lsb_plan(archive, payload, bits_per_param, *, seed, ecc=parse_ecc("none")) -> AttackPlan:
+    return AttackPlan.for_payload("lsb", payload, archive, seed=seed, ecc=ecc,
+                                  param=bits_per_param)
 
 
-def _sign_plan(payload, *, seed, ecc=parse_ecc("none")) -> AttackPlan:
-    return AttackPlan.for_payload("sign", payload, seed=seed, ecc=ecc)
+def _sign_plan(archive, payload, *, seed, ecc=parse_ecc("none")) -> AttackPlan:
+    return AttackPlan.for_payload("sign", payload, archive, seed=seed, ecc=ecc)
 
 
 # --------------------------------------------------------------- hosts
@@ -125,11 +124,11 @@ def test_positions_drawn_once_per_seed(small_host_bundle, monkeypatch):
     monkeypatch.setattr(stego, "sample_positions", counting)
     _positions.cache_clear()
     payload = random_payload(1031, 32)
-    plan = _lsb_plan(payload, 2, seed=41)
+    plan = _lsb_plan(archive, payload, 2, seed=41)
     carrier = lsb_embed(archive, payload, plan)
     for _ in range(3):
         assert lsb_extract(carrier, plan) == payload
-    plan = _sign_plan(payload, seed=41)
+    plan = _sign_plan(archive, payload, seed=41)
     carrier = sign_embed(archive, payload, plan)
     for _ in range(3):
         assert sign_extract(carrier, plan) == payload
@@ -148,7 +147,7 @@ def test_lsb_roundtrip(small_host_bundle, bpp, spec):
     archive, _, _ = small_host_bundle
     payload = random_payload(1001, 64)
     ecc = parse_ecc(spec)
-    plan = _lsb_plan(payload, bpp, seed=17, ecc=ecc)
+    plan = _lsb_plan(archive, payload, bpp, seed=17, ecc=ecc)
     carrier = lsb_embed(archive, payload, plan)
     got = lsb_extract(carrier, plan)
     assert got == payload
@@ -157,7 +156,7 @@ def test_lsb_roundtrip(small_host_bundle, bpp, spec):
 def test_lsb_perturbation_is_tiny(small_host_bundle):
     archive, _, _ = small_host_bundle
     payload = random_payload(1002, 64)
-    carrier = lsb_embed(archive, payload, _lsb_plan(payload, 2, seed=3))
+    carrier = lsb_embed(archive, payload, _lsb_plan(archive, payload, 2, seed=3))
     for name in archive.tensors:
         a = archive.tensors[name].f32()
         b = carrier.tensors[name].f32()
@@ -169,14 +168,14 @@ def test_lsb_perturbation_is_tiny(small_host_bundle):
 def test_lsb_wrong_seed_fails(small_host_bundle):
     archive, _, _ = small_host_bundle
     payload = random_payload(1003, 64)
-    carrier = lsb_embed(archive, payload, _lsb_plan(payload, 1, seed=17))
-    assert lsb_extract(carrier, _lsb_plan(payload, 1, seed=18)) != payload
+    carrier = lsb_embed(archive, payload, _lsb_plan(archive, payload, 1, seed=17))
+    assert lsb_extract(carrier, _lsb_plan(archive, payload, 1, seed=18)) != payload
 
 
 def test_lsb_untouched_outside_positions(small_host_bundle):
     archive, _, _ = small_host_bundle
     payload = random_payload(1004, 8)
-    carrier = lsb_embed(archive, payload, _lsb_plan(payload, 1, seed=9))
+    carrier = lsb_embed(archive, payload, _lsb_plan(archive, payload, 1, seed=9))
     names = eligible_names(archive)
     a = host_vector(archive, names).view(np.uint32)
     b = host_vector(carrier, names).view(np.uint32)
@@ -188,24 +187,24 @@ def test_lsb_capacity_error(mlp_bundle):
     archive, _, _ = mlp_bundle  # 450 params
     with pytest.raises(CapacityError):
         payload = random_payload(1, 125)
-        lsb_embed(archive, payload, _lsb_plan(payload, 1, seed=0))
+        lsb_embed(archive, payload, _lsb_plan(archive, payload, 1, seed=0))
 
 
 def test_lsb_bpp_validation(mlp_bundle):
     archive, _, _ = mlp_bundle
     with pytest.raises(ValueError):
-        lsb_embed(archive, b"x", _lsb_plan(b"x", 0, seed=0))
+        lsb_embed(archive, b"x", _lsb_plan(archive, b"x", 0, seed=0))
     with pytest.raises(ValueError):
-        lsb_embed(archive, b"x", _lsb_plan(b"x", 9, seed=0))
+        lsb_embed(archive, b"x", _lsb_plan(archive, b"x", 9, seed=0))
     for bpp in (0, 9, 33, 40):
         with pytest.raises(ValueError, match="1..8"):
-            lsb_extract(archive, _lsb_plan(b"x", bpp, seed=0))
+            lsb_extract(archive, _lsb_plan(archive, b"x", bpp, seed=0))
 
 
 def test_lsb_embed_carrier_frozen(small_host_bundle):
     archive, _, _ = small_host_bundle
     payload = random_payload(1030, 64)
-    plan = _lsb_plan(payload, 2, seed=31, ecc=parse_ecc("hamming74"))
+    plan = _lsb_plan(archive, payload, 2, seed=31, ecc=parse_ecc("hamming74"))
     carrier = lsb_embed(archive, payload, plan)
     assert hashlib.sha256(write_archive(carrier)).hexdigest() == (
         "4a88986e32b0056f72bab9afb0c6426ee027e0f38e9b52ff7c7deebbebfd991f"
@@ -219,7 +218,7 @@ def test_sign_roundtrip(small_host_bundle, spec):
     archive, _, _ = small_host_bundle
     payload = random_payload(1005, 32)
     ecc = parse_ecc(spec)
-    plan = _sign_plan(payload, seed=4, ecc=ecc)
+    plan = _sign_plan(archive, payload, seed=4, ecc=ecc)
     carrier = sign_embed(archive, payload, plan)
     assert sign_extract(carrier, plan) == payload
 
@@ -227,7 +226,7 @@ def test_sign_roundtrip(small_host_bundle, spec):
 def test_sign_changes_only_signs(small_host_bundle):
     archive, _, _ = small_host_bundle
     payload = random_payload(1006, 32)
-    carrier = sign_embed(archive, payload, _sign_plan(payload, seed=4))
+    carrier = sign_embed(archive, payload, _sign_plan(archive, payload, seed=4))
     for name in archive.tensors:
         assert np.array_equal(
             np.abs(archive.tensors[name].f32()), np.abs(carrier.tensors[name].f32())
@@ -237,14 +236,14 @@ def test_sign_changes_only_signs(small_host_bundle):
 def test_sign_wrong_seed_fails(small_host_bundle):
     archive, _, _ = small_host_bundle
     payload = random_payload(1007, 32)
-    carrier = sign_embed(archive, payload, _sign_plan(payload, seed=4))
-    assert sign_extract(carrier, _sign_plan(payload, seed=5)) != payload
+    carrier = sign_embed(archive, payload, _sign_plan(archive, payload, seed=4))
+    assert sign_extract(carrier, _sign_plan(archive, payload, seed=5)) != payload
 
 
 def test_sign_embed_carrier_frozen(small_host_bundle):
     archive, _, _ = small_host_bundle
     payload = random_payload(1030, 64)
-    plan = _sign_plan(payload, seed=32, ecc=parse_ecc("repetition:3"))
+    plan = _sign_plan(archive, payload, seed=32, ecc=parse_ecc("repetition:3"))
     carrier = sign_embed(archive, payload, plan)
     assert hashlib.sha256(write_archive(carrier)).hexdigest() == (
         "f677b296f7b1d07635972fd2b2a9b85c0ad2d9f7660af1552b83e97648ee3641"
@@ -257,8 +256,8 @@ def test_bit_attack_refuses_a_plan_it_does_not_match(small_host_bundle, method):
     ss_embed does, and neither bit attack reads another method's plan."""
     archive, _, _ = small_host_bundle
     payload = random_payload(1041, 16)
-    plans = {"lsb": _lsb_plan(payload, 2, seed=8), "sign": _sign_plan(payload, seed=8),
-             "ss": _plan(archive, payload)}
+    plans = {"lsb": _lsb_plan(archive, payload, 2, seed=8),
+             "sign": _sign_plan(archive, payload, seed=8), "ss": _plan(archive, payload)}
     embed, extract = {"lsb": (lsb_embed, lsb_extract), "sign": (sign_embed, sign_extract)}[method]
     with pytest.raises(ValueError, match="does not match plan digest"):
         embed(archive, payload[::-1], plans[method])
@@ -296,11 +295,11 @@ def test_bit_attack_writes_only_its_field(gqa_bundle, host, attack):
     method, _, k = attack.partition(":")
     width = int(k or 1)
     if method == "lsb":
-        plan = _lsb_plan(payload, width, seed=8)
+        plan = _lsb_plan(archive, payload, width, seed=8)
         carrier = lsb_embed(archive, payload, plan)
         assert lsb_extract(carrier, plan) == payload
     else:
-        plan = _sign_plan(payload, seed=8)
+        plan = _sign_plan(archive, payload, seed=8)
         carrier = sign_embed(archive, payload, plan)
         assert sign_extract(carrier, plan) == payload
     names = eligible_names(archive)
@@ -327,7 +326,8 @@ def test_bit_attack_writes_only_its_field(gqa_bundle, host, attack):
 # ------------------------------------------------------ spread spectrum
 
 def _plan(archive, payload, gamma=0.02, seed=40, spec="repetition:3"):
-    return make_chip_plan(archive, payload, gamma=gamma, seed=seed, ecc=parse_ecc(spec))
+    return AttackPlan.for_payload("ss", payload, archive, seed=seed, ecc=parse_ecc(spec),
+                                  param=gamma)
 
 
 def test_chip_block_properties(small_host_bundle):
@@ -482,7 +482,7 @@ def test_spread_block_equals_float_product(n_bits):
     copy chip column 0, so that column sums to n_bits: at 65537 it overflows
     a uint16 count."""
     host_n = 3 * 64 + 17
-    plan = AttackPlan("ss", 41, "none", "0" * 64, 1, host_n=host_n)
+    plan = AttackPlan("ss", 41, "none", "0" * 64, 1, gamma=1, eligible=("w",), host_n=host_n)
     coded = (_chip_block(plan, 0, 1, n_bits)[:, 0] > 0).astype(np.uint8)
     b = coded.astype(np.float32) * 2.0 - 1.0
     for s in range(0, host_n, 64):
@@ -587,11 +587,10 @@ def test_ss_roundtrip_small_host(small_host_bundle):
     payload = random_payload(1011, 16)
     plan = _plan(archive, payload)
     carrier = ss_embed(archive, payload, plan)
-    got, reading = ss_extract(carrier, plan)
+    got, snr_db = ss_extract(carrier, plan)
     assert got == payload
     assert plan.matches(got)
-    assert reading.snr_db > 0
-    assert reading.coded_bits == plan.coded_bits
+    assert snr_db > 0
 
 
 def test_ss_perturbation_magnitude(small_host_bundle):
@@ -617,8 +616,8 @@ def test_ss_perturbation_magnitude(small_host_bundle):
 def test_ss_never_embedded_negative_snr(small_host_bundle):
     archive, _, _ = small_host_bundle
     plan = _plan(archive, random_payload(1013, 16))
-    got, reading = ss_extract(archive, plan)
-    assert got != plan and reading.snr_db < 0
+    got, snr_db = ss_extract(archive, plan)
+    assert got != plan and snr_db < 0
 
 
 def test_ss_capacity_error(mlp_bundle):
@@ -666,13 +665,13 @@ def test_ss_despread_many_matches_single(small_host_bundle):
     names = plan.eligible
     hosts = np.stack([host_vector(carrier, names), host_vector(archive, names)])
     ys = ss_despread_many(hosts, plan)
-    got0, r0 = decode_correlations(ys[0], plan)
-    got1, r1 = decode_correlations(ys[1], plan)
-    assert got0 == payload and r0.snr_db > 0
-    assert got1 != payload and r1.snr_db < 0
+    got0, snr0 = decode_correlations(ys[0], plan)
+    got1, snr1 = decode_correlations(ys[1], plan)
+    assert got0 == payload and snr0 > 0
+    assert got1 != payload and snr1 < 0
     # single-archive path must agree exactly
-    direct, rd = ss_extract(carrier, plan)
-    assert direct == got0 and rd.snr_db == pytest.approx(r0.snr_db)
+    direct, snr_direct = ss_extract(carrier, plan)
+    assert direct == got0 and snr_direct == pytest.approx(snr0)
 
 
 def test_chip_plan_dict_roundtrip(small_host_bundle):
@@ -681,26 +680,30 @@ def test_chip_plan_dict_roundtrip(small_host_bundle):
     ecc = parse_ecc("repetition:3")
     plans = {
         "ss": _plan(archive, payload),
-        "lsb": AttackPlan.for_payload("lsb", payload, seed=40, ecc=ecc, bits_per_param=3),
-        "sign": AttackPlan.for_payload("sign", payload, seed=40, ecc=ecc),
+        "lsb": _lsb_plan(archive, payload, 3, seed=40, ecc=ecc),
+        "sign": _sign_plan(archive, payload, seed=40, ecc=ecc),
     }
     for method, plan in plans.items():
         assert plan.method == method
         back = AttackPlan.from_dict(plan.to_dict())
         assert back == plan
-        assert back.ecc.spec == plan.ecc_spec
+        assert back.ecc == plan.ecc == ecc
         assert back.matches(payload) and not back.matches(payload[::-1])
-    assert plans["ss"].to_dict()["ss"]["payload_bits"] == 128
+    assert plans["ss"].to_dict() == {
+        "method": "ss", "seed": 40, "ecc": "repetition:3",
+        "payload_sha256": hashlib.sha256(payload).hexdigest(), "payload_len": 16,
+        "gamma": 0.02, "eligible": list(plans["ss"].eligible), "host_n": plans["ss"].host_n,
+    }
 
 
 def test_snr_guard_on_constant_correlations():
     plan_like = AttackPlan(
-        "ss", seed=1, ecc_spec="none", payload_sha256="0" * 64, payload_len=1,
+        "ss", seed=1, ecc="none", payload_sha256="0" * 64, payload_len=1,
         gamma=0.5, eligible=("w",), host_n=4096,
     )
     y = np.full(8, 0.25)
-    _, reading = decode_correlations(y, plan_like)
-    assert math.isinf(reading.snr_db) and reading.snr_db > 0
+    _, snr_db = decode_correlations(y, plan_like)
+    assert math.isinf(snr_db) and snr_db > 0
 
 
 @given(st.integers(1, 28), st.integers(0, 2**32))
