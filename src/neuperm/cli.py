@@ -99,6 +99,16 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Re-raise an OSError about the staged file of output `path` as one
+    naming `path`, the file the user asked for."""
+    try:
+        yield
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from None
+
+
 class _Outputs:
     """Every file one command writes, from its temporary name to the manifest.
 
@@ -144,7 +154,8 @@ class _Outputs:
                 stamp = datetime.now(timezone.utc).isoformat()
                 self._write(self.manifest, _json_text({**self.doc, "timestamp_utc": stamp}))
             for path, tmp in self.staged.items():
-                os.replace(tmp, path)
+                with _naming(path):
+                    os.replace(tmp, path)
                 moved.append(path)
         except BaseException:
             for path in moved:
@@ -166,7 +177,8 @@ class _Outputs:
             raise ValueError(f"{path} is named for two outputs")
         head, tail = os.path.split(os.path.abspath(path))
         tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
-        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        with _naming(path):
+            os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
         self.staged[path] = tmp
         return tmp
 
@@ -351,6 +363,8 @@ def cmd_bound(args, argv) -> int:
             raise ValueError(f"--site-sizes needs positive integers, got {quote(args.site_sizes)}")
     if (args.d is None) == (sizes is None):
         raise ValueError("give exactly one of --d or --site-sizes")
+    if args.simulate is not None and sizes is None:
+        raise ValueError("--simulate needs --site-sizes for the game geometry")
     d = args.d if args.d is not None else d_from_site_sizes(sizes)
 
     if args.L is not None:
@@ -372,15 +386,12 @@ def cmd_bound(args, argv) -> int:
         delta = 0.0
 
     bound = success_bound(d, delta, L)
-    print(f"success_bound {bound:.6e} (d={d:g}, delta={delta:g}, L={L})")
-
+    lines = [f"success_bound {bound:.6e} (d={d:g}, delta={delta:g}, L={L})"]
     details = {"d": d, "delta": delta, "L": L, "bound": bound}
     if args.simulate is not None:
-        if sizes is None:
-            raise ValueError("--simulate needs --site-sizes for the game geometry")
         seed = _resolve_seed(args)
         result = simulate_extraction_game(min(sizes), L, delta, args.simulate, seed)
-        print(
+        lines.append(
             f"simulated {result.successes}/{result.trials} successes "
             f"(rate {result.rate:.6g})"
         )
@@ -389,6 +400,7 @@ def cmd_bound(args, argv) -> int:
              "empirical": result.rate}
         )
     _Outputs(args, argv, details.get("seed"), {}, details).commit()
+    print("\n".join(lines))
     return 0
 
 

@@ -132,13 +132,37 @@ def softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
+def _image(x, kind):
+    """The (C, H, W) shape of `x`, the input of a `kind` layer."""
+    if x.ndim != 3:
+        raise ValueError(f"{kind} needs a (C, H, W) input, got shape {x.shape}")
+    return x.shape
+
+
+def _misfit(kind, role, w, x):
+    """`w`, the `role` param of a `kind` layer, does not fit its input `x`."""
+    return ValueError(f"{kind} {role!r} of shape {w.shape} does not fit an input of shape "
+                      f"{x.shape}")
+
+
+def _check_shape(kind, p, role, want):
+    """Raise unless the `role` param of a `kind` layer has shape `want`."""
+    if p[role].shape != want:
+        raise ValueError(f"{kind} {role!r} needs shape {want}, got {p[role].shape}")
+
+
 def _conv2d(x, p, hyper):
     w, stride, padding = p["weight"], hyper.get("stride", 1), hyper.get("padding", 0)
+    c, h, width = _image(x, "conv2d")
     if w.ndim != 4:
-        raise ValueError(f"a conv weight must be 4-d, got shape {w.shape}")
+        raise ValueError(f"conv2d 'weight' must be 4-d, got shape {w.shape}")
     k = w.shape[2]
+    if w.shape[1] != c or w.shape[3] != k or k > min(h, width) + 2 * padding:
+        raise _misfit("conv2d", "weight", w, x)
     if padding >= k:
         raise ValueError(f"conv2d 'padding' {padding} must be below the kernel size {k}")
+    if "bias" in p:
+        _check_shape("conv2d", p, "bias", w.shape[:1])
     if padding:
         x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
     windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
@@ -153,7 +177,7 @@ def _conv2d(x, p, hyper):
 def _pool2d(x, hyper, reducer, kind):
     kernel = hyper["kernel"]
     stride = hyper.get("stride", kernel)
-    c, h, w = x.shape
+    c, h, w = _image(x, kind)
     if kernel > min(h, w):
         raise ValueError(f"{kind} 'kernel' {kernel} is larger than the {h}x{w} feature map")
     oh = (h - kernel) // stride + 1
@@ -182,11 +206,19 @@ def _attention_gqa(x, wq, wk, wv, wo, h_q, h_kv, head_dim, causal):
 
 
 def _dense(x, p, hyper):
-    x = x @ p["weight"].T
+    w = p["weight"]
+    if w.ndim != 2 or w.shape[1:] != x.shape[-1:]:
+        raise _misfit("dense", "weight", w, x)
+    if "bias" in p:
+        _check_shape("dense", p, "bias", w.shape[:1])
+    x = x @ w.T
     return x + p["bias"] if "bias" in p else x
 
 
 def _batchnorm2d(x, p, hyper):
+    channels = _image(x, "batchnorm2d")[:1]
+    for role in p:
+        _check_shape("batchnorm2d", p, role, channels)
     gamma, beta, mean, var = (
         p[role][:, None, None] for role in ("gamma", "beta", "running_mean", "running_var")
     )
@@ -195,6 +227,8 @@ def _batchnorm2d(x, p, hyper):
 
 
 def _layernorm(x, p, hyper):
+    for role in p:
+        _check_shape("layernorm", p, role, x.shape[-1:])
     eps = np.float32(hyper.get("eps", _EPS_DEFAULT))
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
@@ -203,13 +237,24 @@ def _layernorm(x, p, hyper):
 
 def _embedding(x, p, hyper):
     table = p["table"]
-    if np.any(x < 0) or np.any(x >= table.shape[0]):
-        raise ValueError("token id out of range")
+    if x.dtype != np.int64:
+        raise ValueError(f"embedding-lookup needs a tokens input, got {x.dtype} values")
+    if table.ndim != 2:
+        raise ValueError(f"embedding-lookup 'table' must be 2-d, got shape {table.shape}")
+    rows = len(table)
+    if hyper.get("vocab", rows) > rows:
+        raise ValueError(f"embedding-lookup 'vocab' {hyper['vocab']} exceeds the {rows} rows "
+                         f"of its 'table'")
+    if np.any(x < 0) or np.any(x >= rows):
+        raise ValueError(f"embedding-lookup token id out of range for its {rows}-row 'table'")
     return table[x]
 
 
 def _avgpool2d(x, p, hyper):
-    return x.mean(axis=(1, 2)) if hyper.get("global") else _pool2d(x, hyper, np.mean, "avgpool2d")
+    if not hyper.get("global"):
+        return _pool2d(x, hyper, np.mean, "avgpool2d")
+    _image(x, "avgpool2d")
+    return x.mean(axis=(1, 2))
 
 
 def _attention(x, p, h):
@@ -222,6 +267,11 @@ def _attention(x, p, h):
         if len(shape) != 2 or shape[axis] != want:
             raise ValueError(f"attention_gqa {role} needs {want} {('rows', 'columns')[axis]} "
                              f"({key!r} x 'head_dim'), got shape {shape}")
+    if x.ndim != 2:
+        raise ValueError(f"attention_gqa needs a (tokens, width) input, got shape {x.shape}")
+    for role in ("wq", "wk", "wv"):
+        if p[role].shape[1] != x.shape[1]:
+            raise _misfit("attention_gqa", role, p[role], x)
     wq, wk, wv, wo = p["wq"], p["wk"], p["wv"], p["wo"]
     return _attention_gqa(x, wq, wk, wv, wo, h["h_q"], h["h_kv"], h["head_dim"], h.get("causal"))
 

@@ -1,12 +1,19 @@
 import csv
+import json
 import math
+import os
+import re
+import threading
 
 import numpy as np
 import pytest
 
 from neuperm.analysis import simulate_extraction_game
+from neuperm.archive import save_archive
+from neuperm.cli import main
+from neuperm.descriptor import descriptor_to_dict
 from neuperm.fixtures import ss_host, toy_cnn, toy_gqa, toy_mlp
-from neuperm.inference import forward, softmax
+from neuperm.inference import forward, network_to_dict, softmax
 from neuperm.rng import derive_seed
 
 
@@ -34,6 +41,74 @@ def small_host_bundle():
 @pytest.fixture(scope="session")
 def all_bundles(mlp_bundle, cnn_bundle, gqa_bundle):
     return {"mlp": mlp_bundle, "cnn": cnn_bundle, "gqa": gqa_bundle}
+
+
+@pytest.fixture(scope="session")
+def ws(tmp_path_factory):
+    """File-backed workspace, written once: the mlp, cnn, gqa and a 49k-param
+    host as archives with their descriptors and net sidecars, two payloads,
+    and lsb and sign carriers of the mlp and an ss carrier of the host, each
+    with its plan. Keys are file stems: "mlp", "mlp.desc", "sign.plan"."""
+    root = tmp_path_factory.mktemp("cliws")
+    out = {}
+    models = (("mlp", toy_mlp()), ("cnn", toy_cnn()), ("gqa", toy_gqa()),
+              ("host", ss_host(width=128, layers=3)))
+    for name, (archive, desc, net) in models:
+        out[name] = root / f"{name}.safetensors"
+        out[f"{name}.desc"] = root / f"{name}.desc.json"
+        out[f"{name}.net"] = root / f"{name}.net.json"
+        save_archive(archive, out[name])
+        out[f"{name}.desc"].write_text(json.dumps(descriptor_to_dict(desc)))
+        out[f"{name}.net"].write_text(json.dumps(network_to_dict(net)))
+    out["payload"] = root / "payload16.bin"
+    out["payload"].write_bytes(random_payload(77, 16))
+    out["big_payload"] = root / "payload125.bin"
+    out["big_payload"].write_bytes(random_payload(78, 125))
+    for name, host, attack in (("lsb", "mlp", ["lsb:2", "--ecc", "hamming74"]),
+                               ("sign", "mlp", ["sign"]),
+                               ("ss", "host", ["ss:0.02", "--ecc", "repetition:3"])):
+        out[f"{name}.carrier"] = root / f"{name}.safetensors"
+        out[f"{name}.plan"] = root / f"{name}.plan.json"
+        argv = ["attack", "--input", out[host], "--output", out[f"{name}.carrier"],
+                "--payload", out["payload"], "--seed", "9", "--plan", out[f"{name}.plan"],
+                "--attack", *attack]
+        assert main([str(a) for a in argv]) == 0
+    return out
+
+
+#: how a refusal's one stderr line starts: ``error:``, or the argument
+#: parser's ``neuperm:`` or ``neuperm <command>:`` before it
+_ERROR_LINE = re.compile(r"(neuperm( [a-z]+)?: )?error: ")
+
+
+def refusal(argv, work, capsys) -> tuple[int, str]:
+    """Run ``neuperm argv`` in process from the empty directory `work` and
+    return its exit code and, when that is not 0, its error line.
+
+    The oracle for every refusal: a command that fails prints nothing on
+    stdout and exactly one stderr line, under 200 characters, that starts
+    as `_ERROR_LINE` says and quotes no traceback and no staging name, and
+    leaves `work` empty. No command leaves a helper thread behind.
+    """
+    assert list(work.iterdir()) == []
+    threads = threading.active_count()
+    capsys.readouterr()
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        code = main([str(a) for a in argv])
+    finally:
+        os.chdir(cwd)
+    got = capsys.readouterr()
+    assert threading.active_count() == threads
+    if code == 0:
+        return 0, ""
+    assert got.out == "", got.out
+    [line] = got.err.splitlines()
+    assert _ERROR_LINE.match(line) and len(line) < 200, line[:300]
+    assert "Traceback" not in line and ".tmp" not in line, line
+    assert list(work.iterdir()) == []
+    return code, line
 
 
 def random_payload(seed: int, nbytes: int) -> bytes:

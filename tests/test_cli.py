@@ -12,7 +12,7 @@ import threading
 from pathlib import Path
 
 import pytest
-from conftest import random_payload
+from conftest import random_payload, refusal
 
 import neuperm
 from neuperm import cli
@@ -29,30 +29,6 @@ _SRC = Path(neuperm.__file__).resolve().parents[1]
 MANIFEST_KEYS = {
     "argv", "command", "details", "inputs", "outputs", "seed", "timestamp_utc", "tool",
 }
-
-
-@pytest.fixture(scope="module")
-def ws(tmp_path_factory):
-    """File-backed workspace: three models plus payload files, written once."""
-    root = tmp_path_factory.mktemp("cliws")
-    out = {"root": root}
-    models = (("mlp", toy_mlp()), ("cnn", toy_cnn()), ("gqa", toy_gqa()),
-              ("host", ss_host(width=128, layers=3)))
-    for name, bundle in models:
-        archive, desc, net = bundle
-        save_archive(archive, root / f"{name}.safetensors")
-        (root / f"{name}.desc.json").write_text(json.dumps(descriptor_to_dict(desc)))
-        (root / f"{name}.net.json").write_text(json.dumps(network_to_dict(net)))
-        out[name] = root / f"{name}.safetensors"
-        out[f"{name}.desc"] = root / f"{name}.desc.json"
-        out[f"{name}.net"] = root / f"{name}.net.json"
-    payload = root / "payload16.bin"
-    payload.write_bytes(random_payload(77, 16))
-    out["payload"] = payload
-    big = root / "payload125.bin"
-    big.write_bytes(random_payload(78, 125))
-    out["big_payload"] = big
-    return out
 
 
 def run(*argv) -> int:
@@ -221,36 +197,6 @@ def test_sanitize_none_is_byte_identity(ws, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("probes", ["0", "-2"])
-def test_sanitize_probes_below_one_exit_1(ws, tmp_path, capsys, probes):
-    out = tmp_path / "clean.safetensors"
-    manifest = tmp_path / "run.json"
-    rc = run(
-        "sanitize", "--input", ws["mlp"], "--output", out,
-        "--disrupt", "neuperm", "--descriptor", ws["mlp.desc"],
-        "--seed", "31", "--verify", "--net", ws["mlp.net"],
-        "--probes", probes, "--manifest", manifest,
-    )
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert "error: --probes must be >= 1" in captured.err
-    assert "verified" not in captured.out
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_sanitize_verify_failure_exit_2_no_output(ws, tmp_path, capsys):
-    out = tmp_path / "never.safetensors"
-    rc = run(
-        "sanitize", "--input", ws["mlp"], "--output", out,
-        "--disrupt", "noise:0.5", "--seed", "3",
-        "--verify", "--net", ws["mlp.net"],
-    )
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert "outputs diverged" in captured.err
-    assert not out.exists()
-
-
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -269,67 +215,6 @@ def test_sanitize_leaves_no_helper_thread(ws, tmp_path, capsys):
     assert doc["inputs"] == {str(p): _sha256(p) for p in (ws["host"], ws["host.desc"],
                                                           ws["host.net"])}
     assert doc["outputs"] == {str(out): _sha256(out)}
-
-
-def test_sanitize_verify_failure_leaves_no_helper_thread(ws, tmp_path, capsys):
-    """A --verify failure exits 2 after the input hash has been joined, and
-    writes neither the output nor the manifest."""
-    before = threading.active_count()
-    rc = run("sanitize", "--input", ws["host"], "--output", tmp_path / "never.safetensors",
-             "--disrupt", "noise:0.5", "--seed", "3", "--verify", "--net", ws["host.net"],
-             "--manifest", tmp_path / "run.json")
-    assert rc == 2 and "outputs diverged" in capsys.readouterr().err
-    assert threading.active_count() == before
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_sanitize_missing_net_sidecar(ws, tmp_path, capsys):
-    rc = run(
-        "sanitize", "--input", ws["mlp"], "--output", tmp_path / "o.safetensors",
-        "--disrupt", "none", "--verify",
-    )
-    captured = capsys.readouterr()
-    assert rc == 1 and "no net sidecar" in captured.err
-
-
-def test_sanitize_unknown_disruptor_exit_1(ws, tmp_path, capsys):
-    out = tmp_path / "never.safetensors"
-    rc = run("sanitize", "--input", ws["mlp"], "--output", out, "--disrupt", "bogus:1")
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert "unknown disruptor spec" in captured.err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("sigma", ["nan", "inf"])
-def test_sanitize_non_finite_noise_exit_1(ws, tmp_path, capsys, sigma):
-    """A NaN or infinite sigma would write an archive of NaN or inf parameters."""
-    out = tmp_path / "never.safetensors"
-    capsys.readouterr()
-    rc = run("sanitize", "--input", ws["mlp"], "--output", out, "--disrupt", f"noise:{sigma}")
-    captured = capsys.readouterr()
-    assert rc == 1
-    [line] = captured.err.splitlines()
-    assert line.startswith("error: noise sigma must be finite"), line
-    assert captured.out == ""
-    assert not out.exists()
-
-
-def test_sanitize_corrupt_archive_exit_1(ws, tmp_path, capsys):
-    junk = tmp_path / "junk.safetensors"
-    junk.write_bytes(b"\xff" * 64)
-    out = tmp_path / "never.safetensors"
-    rc = run("sanitize", "--input", junk, "--output", out, "--disrupt", "none")
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert "error:" in captured.err
-    assert not out.exists()
-
-
-def test_usage_error_exit_1(capsys):
-    assert run("sanitize", "--output", "x") == 1
-    assert run("frobnicate") == 1
-    capsys.readouterr()
 
 
 # --------------------------------------------------------------- attack
@@ -542,161 +427,6 @@ def test_attack_plan_holds_no_payload(ws, tmp_path, capsys, attack, extra):
     assert doc["payload_len"] == len(payload)
 
 
-def test_evaluate_ss_plan_beyond_host_exit_3(ws, tmp_path, capsys):
-    """A plan with more coded bits than its host can carry fails the same
-    capacity rule as `attack`, before anything is allocated for it."""
-    carrier, plan, report = (tmp_path / n for n in ("carrier.safetensors", "plan.json", "r.csv"))
-    assert run("attack", "--input", ws["host"], "--output", carrier, "--attack", "ss:0.02",
-               "--ecc", "repetition:3", "--payload", ws["payload"], "--seed", "13",
-               "--plan", plan) == 0
-    doc = json.loads(plan.read_text())
-    doc["payload_len"] = 10**12
-    plan.write_text(json.dumps(doc))
-    capsys.readouterr()
-    rc = run("evaluate", "--carrier", carrier, "--plan", plan, "--disrupt", "none",
-             "--seed", "5", "--output", report)
-    captured = capsys.readouterr()
-    assert rc == 3
-    assert "coded bits need at least" in captured.err
-    assert not report.exists()
-
-
-def test_attack_capacity_exit_3_no_output(ws, tmp_path, capsys):
-    out = tmp_path / "never.safetensors"
-    rc = run(
-        "attack", "--input", ws["mlp"], "--output", out,
-        "--attack", "lsb", "--payload", ws["big_payload"], "--seed", "1",
-    )
-    captured = capsys.readouterr()
-    assert rc == 3
-    assert "need 1000 positions but host has only 450" in captured.err
-    assert not out.exists()
-
-
-def test_attack_bad_specs_exit_1(ws, tmp_path, capsys):
-    out = tmp_path / "never.safetensors"
-    for spec in ("warp:3", "ss", "sign:2"):
-        rc = run("attack", "--input", ws["mlp"], "--output", out,
-                 "--attack", spec, "--payload", ws["payload"], "--seed", "1")
-        assert rc == 1, spec
-        assert not out.exists()
-    # a gamma the plan reader refuses is refused before anything is embedded
-    for spec in ("ss:0", "ss:-0.01", "ss:nan", "ss:inf"):
-        rc = run("attack", "--input", ws["host"], "--output", out,
-                 "--attack", spec, "--payload", ws["payload"], "--seed", "1")
-        assert rc == 1, spec
-        assert not out.exists()
-    rc = run("attack", "--input", ws["mlp"], "--output", out,
-             "--attack", "lsb", "--payload", ws["payload"],
-             "--ecc", "repetition:2", "--seed", "1")
-    assert rc == 1
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("spec", ["lsb:0", "lsb:9"])
-def test_attack_lsb_width_out_of_range_exit_1(ws, tmp_path, capsys, spec):
-    out, plan = tmp_path / "never.safetensors", tmp_path / "plan.json"
-    rc = run("attack", "--input", ws["mlp"], "--output", out, "--attack", spec,
-             "--payload", ws["payload"], "--seed", "1", "--plan", plan)
-    assert rc == 1
-    assert capsys.readouterr().err == (
-        f"error: plan field 'bits_per_param' must be an integer in 1..8, got {spec[4:]}\n")
-    assert not out.exists() and not plan.exists()
-
-
-def test_attack_empty_payload_exit_1(ws, tmp_path, capsys):
-    empty = tmp_path / "empty.bin"
-    empty.write_bytes(b"")
-    rc = run("attack", "--input", ws["mlp"], "--output", tmp_path / "o.safetensors",
-             "--attack", "lsb", "--payload", empty, "--seed", "1")
-    captured = capsys.readouterr()
-    assert rc == 1 and "payload file is empty" in captured.err
-
-
-@pytest.mark.parametrize("trials", ["0", "-3"])
-def test_evaluate_trials_below_one_exit_1(ws, tmp_path, capsys, trials):
-    carrier = tmp_path / "carrier.safetensors"
-    plan = tmp_path / "plan.json"
-    assert run(
-        "attack", "--input", ws["mlp"], "--output", carrier,
-        "--attack", "sign", "--payload", ws["payload"], "--seed", "9", "--plan", plan,
-    ) == 0
-    report = tmp_path / "report.csv"
-    rc = run(
-        "evaluate", "--carrier", carrier, "--plan", plan, "--disrupt", "neuperm:1",
-        "--descriptor", ws["mlp.desc"], "--trials", trials, "--seed", "5", "--output", report,
-    )
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert "error: --trials must be >= 1" in captured.err
-    assert not report.exists()
-
-
-def test_evaluate_without_disrupt_exit_1(ws, tmp_path, capsys):
-    carrier, plan, report = (tmp_path / n for n in ("carrier.safetensors", "plan.json", "r.csv"))
-    assert run("attack", "--input", ws["mlp"], "--output", carrier, "--attack", "sign",
-               "--payload", ws["payload"], "--seed", "9", "--plan", plan) == 0
-    capsys.readouterr()
-    assert run("evaluate", "--carrier", carrier, "--plan", plan, "--output", report) == 1
-    assert capsys.readouterr().err == "error: at least one --disrupt is required\n"
-    assert not report.exists()
-
-
-@pytest.mark.parametrize("method", ["lsb", "sign"])
-@pytest.mark.parametrize("payload_len", [10**11, 10**1000], ids=["1e11", "1e1000"])
-def test_evaluate_bit_plan_beyond_host_exit_3(ws, tmp_path, capsys, method, payload_len):
-    """A bit plan with more slots than its carrier has parameters fails the
-    capacity rule before anything is allocated for the slots, and the error
-    line quotes the slot count short."""
-    plan, report = tmp_path / "plan.json", tmp_path / "r.csv"
-    doc = {**_LSB_PLAN, "method": method, "payload_len": payload_len}
-    if method == "sign":
-        del doc["bits_per_param"]
-    plan.write_text(json.dumps(doc))
-    rc = run("evaluate", "--carrier", ws["mlp"], "--plan", plan, "--disrupt", "none",
-             "--seed", "5", "--output", report)
-    [line] = capsys.readouterr().err.splitlines()
-    assert rc == 3
-    assert line.startswith("error: need ") and line.endswith(" positions but host has only 450")
-    assert len(line) < 120, line
-    assert not report.exists()
-
-
-@pytest.mark.parametrize("message,line", [
-    ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)",
-     "error: Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"),
-    ("", "error: out of memory"),
-], ids=["numpy", "bare"])
-def test_memory_error_exit_1_no_output(ws, tmp_path, capsys, monkeypatch, message, line):
-    """A step that runs out of memory, here the probe draw of --verify (a net
-    sidecar whose input shape is [100000, 100000] asks it for 74.5 GiB),
-    ends in one error line and exit 1 with no output."""
-    def exhausted(*args):
-        raise MemoryError(message)
-
-    monkeypatch.setattr(cli, "random_inputs", exhausted)
-    out = tmp_path / "never.safetensors"
-    rc = run("sanitize", "--input", ws["mlp"], "--output", out, "--disrupt", "none",
-             "--verify", "--net", ws["mlp.net"], "--seed", "1")
-    assert rc == 1
-    assert capsys.readouterr().err.splitlines() == [line]
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("simulate", ["0", "-4"])
-def test_bound_simulate_below_one_exit_1(tmp_path, capsys, simulate):
-    manifest = tmp_path / "bound.json"
-    rc = run(
-        "bound", "--site-sizes", "2", "--L", "8",
-        "--simulate", simulate, "--seed", "11", "--manifest", manifest,
-    )
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert "error: --simulate must be >= 1" in captured.err
-    assert "simulated" not in captured.out
-    assert not manifest.exists()
-
-
 _LSB_PLAN = {
     "method": "lsb", "seed": 1, "ecc": "none", "payload_sha256": "0" * 64,
     "payload_len": 16, "bits_per_param": 1,
@@ -716,21 +446,449 @@ def _ss_plan(**fields):
     return {k: v for k, v in {**_SS_FIELDS, **fields}.items() if v is not _DROP}
 
 
-def test_sanitize_verify_nan_outputs_exit_2(ws, tmp_path):
-    """noise:1.0 turns a batchnorm running_var negative, so every rewritten
-    output is NaN; verification fails instead of reading that as deviation 0,
-    and the error line is all it prints (no numpy warning)."""
-    out = tmp_path / "never.safetensors"
-    proc = _fresh_interpreter(
-        [sys.executable, "-m", "neuperm"], "sanitize", "--input", ws["cnn"], "--output", out,
-        "--disrupt", "noise:1.0", "--seed", "1", "--verify", "--net", ws["cnn.net"],
-        cwd=tmp_path,
-    )
-    assert proc.returncode == 2
-    [line] = proc.stderr.splitlines()
-    assert line.startswith("error: outputs diverged: max normalized deviation nan"), line
-    assert proc.stdout == ""
-    assert not out.exists()
+# ------------------------------------------------------------- refusals
+
+def _r(argv: str, code: int, text: str, **files):
+    """One refusal: the command, the exit code it must end with, and the text
+    of its error line. In `argv`, @name is an input: a file the row writes
+    from `files` (JSON unless text or bytes, or made from `ws` by a
+    callable), else a `ws` file; any other path lies in the work directory.
+    A `text` that starts as an error line does must be the whole line."""
+    return argv.split(), code, text, files
+
+
+def _reads(role: str, model: str = "mlp") -> str:
+    """A command that reads @bad as its desc(riptor), net (sidecar) or plan;
+    with well-formed input each of them exits 0."""
+    if role == "plan":
+        return ("evaluate --carrier @sign.carrier --plan @bad --disrupt neuperm "
+                "--descriptor @mlp.desc --seed 5 --output out")
+    sidecars = {"desc": f"--descriptor @bad --net @{model}.net",
+                "net": f"--descriptor @{model}.desc --net @bad"}[role]
+    return f"sanitize --input @{model} --output out --disrupt neuperm --seed 3 --verify {sidecars}"
+
+
+def _bad(role: str, doc, text: str, model: str = "mlp", code: int = 1):
+    """The refusal of `doc` as the `role` input of `_reads(role, model)`."""
+    return _r(_reads(role, model), code, text, bad=doc)
+
+
+def _repeated(role: str, key: str, value: str):
+    """The refusal of a well-formed `role` input whose object ends by giving
+    `key` a second time, as `value`."""
+    stem = {"desc": "mlp.desc", "net": "mlp.net", "plan": "sign.plan"}[role]
+    return _bad(role, lambda ws: ws[stem].read_text().rstrip()[:-1] + f', "{key}": {value}}}',
+                f"repeats the key '{key}'")
+
+
+def _fixture_net(fixture, edits=None, **inputs) -> dict:
+    """The net sidecar of a toy fixture with `edits`, {layer index: {key:
+    value}}, applied (a string value names the tensor of a param role, a
+    number is a hyper-parameter) and `inputs` put in its input object."""
+    doc = network_to_dict(fixture()[2])
+    for i, fields in (edits or {}).items():
+        for key, value in fields.items():
+            doc["layers"][i]["params" if isinstance(value, str) else "hyper"][key] = value
+    doc["input"].update(inputs)
+    return doc
+
+
+def _one_layer(kind: str, shape: list, layer: str, params=None, **hyper) -> dict:
+    """A net sidecar of one `layer` on an input of the given kind and shape."""
+    return {"input": {"kind": kind, "shape": shape},
+            "layers": [{"kind": layer, "params": params or {}, "hyper": hyper}]}
+
+
+def _image_net(layer: str, **hyper) -> dict:
+    """One layer on a 1x4x4 image; conv2d borrows the mlp's first weight."""
+    params = {"weight": "fc1.weight"} if layer == "conv2d" else None
+    return _one_layer("image", [1, 4, 4], layer, params, **hyper)
+
+
+def _gqa_site(**gqa):
+    """A descriptor holding one attn_gqa site with the given gqa object."""
+    return {"sites": [{"site_id": "attn", "kind": "attn_gqa", "n": 2, "produce": [["wq", 0]],
+                       "gqa": gqa}], "total_params": 450}
+
+
+_TABLE = {"table": "fc1.weight"}
+_GQA_NORMS = (1, 3, 7)  # layer indices of the gqa's three layernorms
+_BN1 = {role: f"bn1.{role}" for role in ("gamma", "beta", "running_mean", "running_var")}
+_SIDE = "--manifest missing/side.json"
+_NO_SIDE = "error: [Errno 2] No such file or directory: 'missing/side.json'"
+
+#: Every refusal that argv and input files alone bring about, each checked
+#: in process by the one oracle, `refusal`. A key is the id its case runs
+#: as, `test_name[case]`, or `test_name` for rows that run in turn under one
+#: id; the ids are those the cases had as test functions of their own. A
+#: value is one row or a list of rows.
+_REFUSALS = {
+    **{f"test_sanitize_probes_below_one_exit_1[{n}]": _r(
+        "sanitize --input @mlp --output clean --disrupt neuperm --descriptor @mlp.desc "
+        f"--seed 31 --verify --net @mlp.net --probes {n} --manifest run.json", 1,
+        "error: --probes must be >= 1") for n in ("0", "-2")},
+    "test_sanitize_verify_failure_exit_2_no_output": _r(
+        "sanitize --input @mlp --output never --disrupt noise:0.5 --seed 3 --verify "
+        "--net @mlp.net", 2, "outputs diverged"),
+    # the input hash is joined before --verify fails
+    "test_sanitize_verify_failure_leaves_no_helper_thread": _r(
+        "sanitize --input @host --output never --disrupt noise:0.5 --seed 3 --verify "
+        "--net @host.net --manifest run.json", 2, "outputs diverged"),
+    "test_sanitize_missing_net_sidecar": _r(
+        "sanitize --input @mlp --output o --disrupt none --verify", 1, "no net sidecar at"),
+    "test_sanitize_unknown_disruptor_exit_1": _r(
+        "sanitize --input @mlp --output never --disrupt bogus:1", 1,
+        "error: unknown disruptor spec 'bogus:1'"),
+    # a NaN or infinite sigma would write an archive of NaN or inf parameters
+    **{f"test_sanitize_non_finite_noise_exit_1[{sigma}]": _r(
+        f"sanitize --input @mlp --output never --disrupt noise:{sigma}", 1,
+        "error: noise sigma must be finite and >= 0") for sigma in ("nan", "inf")},
+    "test_sanitize_corrupt_archive_exit_1": _r(
+        "sanitize --input @junk --output never --disrupt none", 1,
+        "error: header length 18446744073709551615 is implausibly large (at byte 0)",
+        junk=b"\xff" * 64),
+    "test_usage_error_exit_1": [
+        _r("sanitize --output x", 1, "neuperm sanitize: error: the following arguments are "
+           "required: --input, --disrupt"),
+        _r("frobnicate", 1, "invalid choice: 'frobnicate'"),
+    ],
+    "test_attack_capacity_exit_3_no_output": _r(
+        "attack --input @mlp --output never --attack lsb --payload @big_payload --seed 1", 3,
+        "error: need 1000 positions but host has only 450"),
+    "test_attack_bad_specs_exit_1": [
+        *(_r(f"attack --input @mlp --output never --attack {spec} --payload @payload --seed 1",
+             1, text) for spec, text in (
+            ("warp:3", "error: unknown attack spec 'warp:3'"),
+            ("ss", "error: attack spec 'ss' needs a value"),
+            ("sign:2", "error: attack spec 'sign:2' takes no value"),
+        )),
+        # a gamma the plan refuses is refused before anything is embedded
+        *(_r(f"attack --input @host --output never --attack ss:{gamma} --payload @payload "
+             f"--seed 1", 1, f"error: plan field 'gamma' must be a finite number > 0, got {got}")
+          for gamma, got in (("0", "0.0"), ("-0.01", "-0.01"), ("nan", "nan"), ("inf", "inf"))),
+        _r("attack --input @mlp --output never --attack lsb --payload @payload "
+           "--ecc repetition:2 --seed 1", 1, "error: repetition factor must be odd and >= 1"),
+    ],
+    **{f"test_attack_lsb_width_out_of_range_exit_1[lsb:{w}]": _r(
+        f"attack --input @mlp --output never --attack lsb:{w} --payload @payload --seed 1 "
+        "--plan plan.json", 1,
+        f"error: plan field 'bits_per_param' must be an integer in 1..8, got {w}")
+       for w in (0, 9)},
+    "test_attack_empty_payload_exit_1": _r(
+        "attack --input @mlp --output o --attack lsb --payload @empty --seed 1", 1,
+        "error: payload file is empty", empty=b""),
+    **{f"test_bad_spec_value_quotes_spec[{flag}-{spec}-{what}]": _r(
+        f"attack --input @host --output never --payload @payload --seed 1 --attack lsb "
+        f"--ecc none {flag} {spec}", 1, f"error: bad value in {what} '{spec}'")
+       for flag, spec, what in (("--attack", "lsb:abc", "attack spec"),
+                                ("--attack", "ss:abc", "attack spec"),
+                                ("--ecc", "repetition:x", "ecc spec"))},
+    **{f"test_evaluate_trials_below_one_exit_1[{n}]": _r(
+        "evaluate --carrier @sign.carrier --plan @sign.plan --disrupt neuperm:1 "
+        f"--descriptor @mlp.desc --trials {n} --seed 5 --output report.csv", 1,
+        "error: --trials must be >= 1") for n in ("0", "-3")},
+    "test_evaluate_without_disrupt_exit_1": _r(
+        "evaluate --carrier @sign.carrier --plan @sign.plan --output r.csv", 1,
+        "error: at least one --disrupt is required"),
+    # more coded bits than the host can carry fail the capacity rule of
+    # `attack`, before anything is allocated for them
+    "test_evaluate_ss_plan_beyond_host_exit_3": _r(
+        "evaluate --carrier @ss.carrier --plan @plan --disrupt none --seed 5 --output r.csv", 3,
+        "coded bits need at least",
+        plan=lambda ws: {**json.loads(ws["ss.plan"].read_text()), "payload_len": 10**12}),
+    # the slot count is quoted short
+    **{f"test_evaluate_bit_plan_beyond_host_exit_3[{size}-{method}]": _bad(
+        "plan", {**_LSB_PLAN, "method": method, "payload_len": n},
+        f"error: need {need} positions but host has only 450", code=3)
+       for size, n, need in (("1e11", 10**11, "800000000000"),
+                             ("1e1000", 10**1000, "800000000000000000...0000000000000000000"))
+       for method in ("lsb", "sign")},
+    **{f"test_bound_simulate_below_one_exit_1[{n}]": _r(
+        f"bound --site-sizes 2 --L 8 --simulate {n} --seed 11 --manifest bound.json", 1,
+        "error: --simulate must be >= 1") for n in ("0", "-4")},
+    "test_bound_inapplicable_exit_4": _r(
+        "bound --d 0.5 --delta 0.6 --L 100", 4,
+        "error: bound needs d < 1 - delta, got d=0.5 vs 1-delta=0.4"),
+    "test_bound_ineffective_exit_4": _r(
+        "bound --d 0.5 --L-prime 100 --L-total 1200 --L-np 900", 4, "NeuPerm-ineffective"),
+    "test_bound_usage_conflicts_exit_1": [
+        _r("bound --L 10", 1, "error: give exactly one of --d or --site-sizes"),
+        _r("bound --d 0.5 --site-sizes 4 --L 10", 1,
+           "error: give exactly one of --d or --site-sizes"),
+        _r("bound --d 0.5 --L 10 --L-prime 5", 1,
+           "error: --L conflicts with --L-prime/--L-total/--L-np"),
+        _r("bound --d 0.5 --L 10 --delta 0.1 --ecc repetition:3", 1,
+           "error: --delta conflicts with --ecc"),
+        # checked before the bound is printed
+        _r("bound --d 0.5 --L 10 --simulate 100", 1,
+           "error: --simulate needs --site-sizes for the game geometry"),
+    ],
+    **{f"test_bound_bad_site_sizes_quotes_value[{sizes}]": _r(
+        f"bound --site-sizes {sizes} --L 8 --manifest run.json", 1,
+        f"error: --site-sizes needs positive integers, got '{sizes}'")
+       for sizes in ("2,x", "2,0", "1e3", ",")},
+    # the main output is staged first; the plan or manifest after it cannot
+    # be written, and the line names it as the user did
+    "test_unwritable_side_output_leaves_no_file[attack]": _r(
+        "attack --input @mlp --output carrier --attack sign --payload @payload --seed 9 "
+        "--plan missing/side.json", 1, _NO_SIDE),
+    "test_unwritable_side_output_leaves_no_file[sanitize]": _r(
+        "sanitize --input @mlp --output clean --disrupt neuperm --descriptor @mlp.desc "
+        f"--seed 3 {_SIDE}", 1, _NO_SIDE),
+    "test_unwritable_side_output_leaves_no_file[evaluate]": _r(
+        "evaluate --carrier @sign.carrier --plan @sign.plan --disrupt none --seed 5 "
+        f"--output report.csv {_SIDE}", 1, _NO_SIDE),
+    # the bound is printed only once its manifest is written
+    "test_unwritable_side_output_leaves_no_file[bound]": _r(
+        f"bound --site-sizes 2 --L 8 --simulate 50 --seed 11 {_SIDE}", 1, _NO_SIDE),
+    "test_unwritable_side_output_leaves_no_file[output-is-a-directory]": _r(
+        "sanitize --input @mlp --output . --disrupt none", 1, ": '.'"),
+    **{f"test_repeated_key_exit_1[{role}-{key}]": _repeated(role, key, value)
+       for role, key, value in (("desc", "sites", "[]"), ("net", "layers", "[]"),
+                                ("plan", "seed", "2"))},
+    **{f"test_non_json_sidecar_error_names_input[{role}-{what}]": _bad(
+        role, "{\n", f"error: {what} is not valid JSON: Expecting property name enclosed in "
+        "double quotes: line 2 column 1 (char 2)") for role, what in (("net", "net sidecar"),
+                                                                   ("plan", "plan"))},
+    **{f"test_non_utf8_sidecar_error_names_input[{role}-{what}]": _bad(
+        role, b"\xff\xfe{}", f"error: {what} is not UTF-8 text: invalid start byte at byte 0")
+       for role, what in (("desc", "descriptor"), ("net", "net sidecar"), ("plan", "plan"))},
+    # a huge value is quoted clipped, so the line stays under 200 characters
+    "test_malformed_sidecar_error_line_is_short[long-field]": _bad(
+        "plan", {**_LSB_PLAN, "seed": [0] * 5000},
+        "error: plan field 'seed' must be an integer, got [0, 0, 0, 0, 0, 0, ...]"),
+    "test_malformed_sidecar_error_line_is_short[long-missing-tensors]": _bad(
+        "plan", _ss_plan(eligible=[f"t{i}" for i in range(5000)]),
+        "error: ss plan names tensors the carrier lacks: "
+        "['t0', 't1', 't2', 't3', 't4', 't5', ...]"),
+    "test_malformed_sidecar_error_line_is_short[long-host_n]": _bad(
+        "plan", _ss_plan(host_n=10 ** 1000),
+        "error: ss plan host_n is 100000000000000000...0000000000000000000 but its eligible "
+        "tensors hold 320 params in the carrier"),
+    "test_malformed_sidecar_error_line_is_short[long-payload_bits]": _bad(
+        "plan", _ss_plan(payload_len=10 ** 1000),
+        "error: host has 320 params; 800000000000000000...0000000000000000000 coded bits need "
+        "at least 512000000000000000...0000000000000000000", code=3),
+    "test_malformed_sidecar_error_line_is_short[long-net-kind]": _bad(
+        "net", {"input": {"kind": "vector", "shape": [8]},
+                "layers": [{"kind": [0] * 5000, "params": {"weight": 1}}]},
+        "error: layer [0, 0, 0, 0, 0, 0, ...]: params must map to tensor names"),
+    **{f"test_malformed_sidecar_exit_1[{case}]": row for case, row in {
+        # sidecars that once escaped as a traceback or an error naming no field
+        "descriptor-gqa-h_q-string": _bad("desc", _gqa_site(h_q="8", h_kv=2, head_dim=4), "gqa"),
+        "descriptor-not-an-object": _bad("desc", [], "descriptor must be a JSON object"),
+        "descriptor-site-not-an-object": _bad("desc", {"sites": ["fc1"], "total_params": 450},
+                                              "each site must be an object"),
+        "descriptor-gqa-missing-key": _bad("desc", _gqa_site(h_q=8, h_kv=2),
+                                           "gqa needs h_q, h_kv, head_dim"),
+        "descriptor-gqa-field-0": _bad("desc", _gqa_site(h_q=8, h_kv=2, head_dim=0),
+                                       "gqa fields must be positive"),
+        "descriptor-produce-not-a-list": _bad("desc", {
+            "sites": [{"site_id": "fc1", "kind": "fc_pair", "n": 32, "produce": "fc1.weight"}],
+            "total_params": 450}, "produce must be a list"),
+        "descriptor-shapes-not-an-object": _bad(
+            "desc", {"sites": [], "total_params": 450, "shapes": []}, "'shapes' must be an object"),
+        "descriptor-notes-not-a-string": _bad(
+            "desc", {"sites": [], "total_params": 450, "notes": 3}, "notes must be a string"),
+        "net-no-input": _bad("net", {"layers": []}, "needs an 'input' object"),
+        "net-layer-a-string": _bad(
+            "net", {"layers": ["dense"], "input": {"kind": "vector", "shape": [8]}},
+            "net sidecar layer must be an object"),
+        "net-hyper-not-a-number": _bad("net", _image_net("maxpool2d", kernel="2"),
+                                       "hyper values must be numbers"),
+        "net-maxpool-kernel-beyond-image": _bad("net", _image_net("maxpool2d", kernel=9),
+                                                "maxpool2d 'kernel' 9 is larger than the 4x4"),
+        "net-avgpool-kernel-beyond-image": _bad("net", _image_net("avgpool2d", kernel=5),
+                                                "avgpool2d 'kernel' 5 is larger than the 4x4"),
+        "net-attention-h_q-not-multiple": _bad(
+            "net", _fixture_net(toy_gqa, {2: {"h_q": 7}}),
+            "attention_gqa 'h_q' 7 is not a multiple of 'h_kv' 4", "gqa"),
+        "net-attention-h_q-rows": _bad(
+            "net", _fixture_net(toy_gqa, {2: {"h_q": 4}}),
+            "attention_gqa wq needs 16 rows ('h_q' x 'head_dim')", "gqa"),
+        "net-attention-h_kv-rows": _bad(
+            "net", _fixture_net(toy_gqa, {2: {"h_kv": 2}}),
+            "attention_gqa wk needs 8 rows ('h_kv' x 'head_dim')", "gqa"),
+        "net-attention-head_dim": _bad(
+            "net", _fixture_net(toy_gqa, {2: {"head_dim": 8}}),
+            "attention_gqa wq needs 64 rows ('h_q' x 'head_dim')", "gqa"),
+        "net-attention-wo-columns": _bad(
+            "net", _fixture_net(toy_gqa, {2: {"wo": "mlp.w2"}}),
+            "attention_gqa wo needs 32 columns ('h_q' x 'head_dim')", "gqa"),
+        "net-vocab-beyond-int64": _bad(
+            "net", _one_layer("tokens", [2], "embedding-lookup", _TABLE, vocab=10**30),
+            "'vocab' must be an integer >= 1"),
+        "net-layers-string": _bad(
+            "net", {"layers": "dense", "input": {"kind": "vector", "shape": [8]}}, "layers"),
+        "net-maxpool-kernel-0": _bad("net", _image_net("maxpool2d", kernel=0), "'kernel'"),
+        "net-avgpool-stride-0": _bad("net", _image_net("avgpool2d", kernel=2, stride=0),
+                                     "'stride'"),
+        "net-maxpool-stride-negative": _bad(
+            "net", _image_net("maxpool2d", kernel=2, stride=-1), "'stride'"),
+        "net-conv-padding-negative": _bad("net", _image_net("conv2d", padding=-1), "'padding'"),
+        "net-conv-weight-2d": _bad("net", _image_net("conv2d"), "4-d"),
+        "net-conv-padding-huge": _bad(
+            "net", _one_layer("image", [3, 8, 8], "conv2d", {"weight": "conv1.weight"},
+                              padding=1000000), "'padding'", "cnn"),
+        "net-vocab-huge": _bad(
+            "net", _one_layer("tokens", [2], "embedding-lookup", _TABLE, vocab=1e308), "'vocab'"),
+        "net-param-missing-tensor": _bad(
+            "net", _one_layer("vector", [8], "dense", {"weight": "nope"}),
+            "layer 0 (dense) names tensors the archive lacks: ['nope']"),
+        "net-maxpool-no-kernel": _bad("net", _image_net("maxpool2d"),
+                                      "layer maxpool2d lacks required hyper 'kernel'"),
+        "net-avgpool-no-kernel": _bad("net", _image_net("avgpool2d", stride=1),
+                                      "layer avgpool2d lacks required hyper 'kernel'"),
+        "net-avgpool-global-0-no-kernel": _bad("net", _image_net("avgpool2d", **{"global": 0}),
+                                               "layer avgpool2d lacks required hyper 'kernel'"),
+        "net-attention-no-h_q": _bad(
+            "net", _one_layer("tokens", [2], "attention_gqa",
+                              {role: "fc1.weight" for role in ("wq", "wk", "wv", "wo")},
+                              h_kv=1, head_dim=8),
+            "layer attention_gqa lacks required hyper 'h_q'"),
+        "net-layernorm-eps-infinity": _bad(
+            "net", _fixture_net(toy_gqa, {i: {"eps": float("inf")} for i in _GQA_NORMS}),
+            "layer layernorm: 'eps' must be a finite number in (0, 1)", "gqa"),
+        "net-layernorm-eps-1e30": _bad(
+            "net", _fixture_net(toy_gqa, {i: {"eps": 1e30} for i in _GQA_NORMS}),
+            "layer layernorm: 'eps'", "gqa"),
+        "net-layernorm-eps-negative": _bad(
+            "net", _fixture_net(toy_gqa, {i: {"eps": -1} for i in _GQA_NORMS}),
+            "layer layernorm: 'eps'", "gqa"),
+        "net-batchnorm-eps-0": _bad(
+            "net", _one_layer("image", [6, 8, 8], "batchnorm2d", _BN1, eps=0),
+            "layer batchnorm2d: 'eps'", "cnn"),
+        "net-input-shape-0": _bad(
+            "net", _one_layer("vector", [0, 8], "dense", {"weight": "fc1.weight"}),
+            "input shape"),
+        "net-input-shape-2**63": _bad(
+            "net", _one_layer("vector", [2 ** 63], "dense", {"weight": "fc1.weight"}),
+            "input shape"),
+        "net-input-shape-product-2**64": _bad(
+            "net", _one_layer("vector", [2 ** 32, 2 ** 32], "dense", {"weight": "fc1.weight"}),
+            "input shape"),
+        "net-tokens-2d": _bad(
+            "net", _one_layer("tokens", [2, 3], "embedding-lookup", _TABLE, vocab=4),
+            "tokens input must be 1-d"),
+        # each layer kind names itself and the param that does not fit its input
+        "net-maxpool-on-vector": _bad(
+            "net", _one_layer("vector", [8], "maxpool2d", kernel=2),
+            "error: maxpool2d needs a (C, H, W) input, got shape (8,)"),
+        "net-dense-weight-misfit": _bad(
+            "net", _fixture_net(toy_mlp, {2: {"weight": "fc1.weight"}}),
+            "error: dense 'weight' of shape (16, 8) does not fit an input of shape (16,)"),
+        "net-dense-bias-misfit": _bad(
+            "net", _fixture_net(toy_mlp, {0: {"bias": "fc2.bias"}}),
+            "error: dense 'bias' needs shape (16,), got (12,)"),
+        "net-layernorm-gamma-misfit": _bad(
+            "net", _fixture_net(toy_gqa, {1: {"gamma": "mlp.b1"}}),
+            "error: layernorm 'gamma' needs shape (32,), got (64,)", "gqa"),
+        "net-batchnorm-gamma-misfit": _bad(
+            "net", _fixture_net(toy_cnn, {1: {"gamma": "bn2.gamma"}}),
+            "error: batchnorm2d 'gamma' needs shape (6,), got (8,)", "cnn"),
+        "net-conv-weight-misfit": _bad(
+            "net", _fixture_net(toy_cnn, {3: {"weight": "conv1.weight"}}),
+            "error: conv2d 'weight' of shape (6, 3, 3, 3) does not fit an input of shape "
+            "(6, 8, 8)", "cnn"),
+        "net-image-2d": _bad(
+            "net", _fixture_net(toy_cnn, shape=[8, 8]),
+            "error: conv2d needs a (C, H, W) input, got shape (8, 8)", "cnn"),
+        "net-embedding-on-vector": _bad(
+            "net", _one_layer("vector", [8], "embedding-lookup", _TABLE, vocab=4),
+            "error: embedding-lookup needs a tokens input, got float32 values"),
+        "net-vocab-beyond-table": _bad(
+            "net", _fixture_net(toy_gqa, {0: {"vocab": 1000}}),
+            "error: embedding-lookup 'vocab' 1000 exceeds the 32 rows of its 'table'", "gqa"),
+        "plan-payload_len-string": _bad("plan", {**_LSB_PLAN, "payload_len": "x"}, "payload_len"),
+        "plan-is-a-list": _bad("plan", [_LSB_PLAN], "object"),
+        "plan-method-unknown": _bad("plan", {**_LSB_PLAN, "method": "xor"},
+                                    "plan method 'xor' is not one of lsb, sign, ss"),
+        **{f"plan-bits_per_param-{n}": _bad("plan", {**_LSB_PLAN, "bits_per_param": n},
+                                            "'bits_per_param'") for n in (0, 9, 40)},
+        "ss-seed-null": _bad("plan", _ss_plan(seed=None), "'seed'"),
+        "ss-seed-bool": _bad("plan", _ss_plan(seed=True), "'seed'"),
+        "ss-gamma-zero": _bad("plan", _ss_plan(gamma=0), "'gamma'"),
+        "ss-gamma-string": _bad("plan", _ss_plan(gamma="0.009"), "'gamma'"),
+        "ss-gamma-beyond-float": _bad("plan", _ss_plan(gamma=10 ** 400), "'gamma'"),
+        "ss-payload_len-missing": _bad("plan", _ss_plan(payload_len=_DROP), "'payload_len'"),
+        "ss-ecc-unknown": _bad("plan", _ss_plan(ecc="golay"), "'ecc'"),
+        "ss-eligible-string": _bad("plan", _ss_plan(eligible="fc1.weight"), "'eligible'"),
+        "ss-eligible-not-in-carrier": _bad("plan", _ss_plan(eligible=["fc1.weight", "wq"]),
+                                           "'wq'"),
+        "ss-host_n-missing": _bad("plan", _ss_plan(host_n=_DROP), "'host_n'"),
+        "ss-host_n-zero": _bad("plan", _ss_plan(host_n=0), "'host_n'"),
+        "ss-host_n-mismatch": _bad("plan", _ss_plan(host_n=321), "host_n"),
+        "ss-sha256-not-hex": _bad("plan", _ss_plan(payload_sha256="z" * 64), "'payload_sha256'"),
+        # the nested form older versions wrote: gamma and the host inside an "ss" object
+        "ss-nested-form": _bad("plan", {
+            "method": "ss", "seed": 1, "ecc": "none", "payload_sha256": "0" * 64,
+            "payload_len": 1,
+            "ss": {"seed": 1, "ecc": "none", "payload_sha256": "0" * 64, "payload_bits": 8,
+                   "gamma": 0.009, "eligible": ["fc1.weight", "fc2.weight"], "host_n": 320},
+        }, "error: plan field 'gamma' must be a finite number > 0, got None"),
+    }.items()},
+}
+
+
+def _check_refusals(ws, tmp_path, capsys, rows):
+    """Write each row's input files, run the row through `refusal` in a
+    fresh work directory beside them and check its exit code and line."""
+    for i, (argv, code, text, files) in enumerate(rows):
+        inputs, work = tmp_path / f"in{i}", tmp_path / f"work{i}"
+        inputs.mkdir()
+        work.mkdir()
+        paths = dict(ws)
+        for name, content in files.items():
+            content = content(ws) if callable(content) else content
+            if not isinstance(content, (str, bytes)):
+                content = json.dumps(content)
+            paths[name] = inputs / name
+            paths[name].write_bytes(content.encode() if isinstance(content, str) else content)
+        got, line = refusal([paths[a[1:]] if a[0] == "@" else a for a in argv], work, capsys)
+        assert got == code, line
+        whole = text.startswith(("error:", "neuperm"))
+        assert line == text if whole else text in line, line
+
+
+def _refusal_test(cases: dict):
+    """A test that runs its cases' rows through `refusal`, parametrized by
+    case unless its one case has no id."""
+    if list(cases) == [""]:
+        def test(ws, tmp_path, capsys):
+            _check_refusals(ws, tmp_path, capsys, cases[""])
+        return test
+
+    @pytest.mark.parametrize("rows", list(cases.values()), ids=list(cases))
+    def test(ws, tmp_path, capsys, rows):
+        _check_refusals(ws, tmp_path, capsys, rows)
+    return test
+
+
+_CASES = {}
+for _id, _rows in _REFUSALS.items():
+    _name, _, _case = _id.partition("[")
+    _CASES.setdefault(_name, {})[_case[:-1]] = _rows if isinstance(_rows, list) else [_rows]
+globals().update((_name, _refusal_test(_cases)) for _name, _cases in _CASES.items())
+
+
+# ---------------------------------------- refusals beyond argv and files
+
+@pytest.mark.parametrize("message,line", [
+    ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)",
+     "error: Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"),
+    ("", "error: out of memory"),
+], ids=["numpy", "bare"])
+def test_memory_error_exit_1_no_output(ws, tmp_path, capsys, monkeypatch, message, line):
+    """A step that runs out of memory, here the probe draw of --verify (a net
+    sidecar whose input shape is [100000, 100000] asks it for 74.5 GiB),
+    ends in one error line and exit 1 with no output."""
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "random_inputs", exhausted)
+    argv = ["sanitize", "--input", ws["mlp"], "--output", "never.safetensors", "--disrupt",
+            "none", "--verify", "--net", ws["mlp.net"], "--seed", "1"]
+    assert refusal(argv, tmp_path, capsys) == (1, line)
 
 
 @pytest.mark.parametrize("command", ["attack-plan", "sanitize-manifest"])
@@ -749,403 +907,8 @@ def test_two_outputs_at_one_path_exit_1(ws, tmp_path, capsys, command):
                               "--disrupt", "neuperm", "--descriptor", ws["mlp.desc"],
                               "--seed", "3", "--manifest", alias],
     }[command]
-    capsys.readouterr()
-    assert run(*argv) == 1
-    assert "named for two outputs" in capsys.readouterr().err
-    assert list(work.iterdir()) == []
-
-
-def _gqa_net(wo="attn.wo", **hyper):
-    """The gqa fixture's net sidecar with its attention layer's wo tensor or
-    some of its hyper-parameters replaced."""
-    doc = network_to_dict(toy_gqa()[2])
-    for layer in doc["layers"]:
-        if layer["kind"] == "attention_gqa":
-            layer["params"]["wo"] = wo
-            layer["hyper"].update(hyper)
-    return doc
-
-
-def _gqa_site(**gqa):
-    """A descriptor holding one attn_gqa site with the given gqa object."""
-    return {"sites": [{"site_id": "attn", "kind": "attn_gqa", "n": 2, "produce": [["wq", 0]],
-                       "gqa": gqa}], "total_params": 450}
-
-
-def _gqa_norms(eps):
-    """The gqa fixture's net sidecar with `eps` on every layernorm."""
-    doc = network_to_dict(toy_gqa()[2])
-    for layer in doc["layers"]:
-        if layer["kind"] == "layernorm":
-            layer["hyper"]["eps"] = eps
-    return doc
-
-
-def _vector_net(shape):
-    """A one-dense-layer net sidecar whose vector input has the given shape."""
-    return {"input": {"kind": "vector", "shape": shape},
-            "layers": [{"kind": "dense", "params": {"weight": "fc1.weight"}}]}
-
-
-def _image_net(kind, **hyper):
-    """A one-layer image net sidecar; conv2d borrows the mlp's first weight."""
-    params = {"weight": "fc1.weight"} if kind == "conv2d" else {}
-    return {"input": {"kind": "image", "shape": [1, 4, 4]},
-            "layers": [{"kind": kind, "params": params, "hyper": hyper}]}
-
-
-#: (file the case writes, its JSON, text the error line must carry) for
-#: sidecars that once escaped as a traceback or an error naming no field
-_MALFORMED_SIDECARS = {
-    "descriptor-gqa-h_q-string": ("desc", {
-        "sites": [{
-            "site_id": "attn", "kind": "attn_gqa", "n": 2, "produce": [["wq", 0]],
-            "gqa": {"h_q": "8", "h_kv": 2, "head_dim": 4},
-        }],
-        "total_params": 450,
-    }, "gqa"),
-    "descriptor-not-an-object": ("desc", [], "descriptor must be a JSON object"),
-    "descriptor-site-not-an-object": ("desc", {"sites": ["fc1"], "total_params": 450},
-                                      "each site must be an object"),
-    "descriptor-gqa-missing-key": ("desc", _gqa_site(h_q=8, h_kv=2),
-                                   "gqa needs h_q, h_kv, head_dim"),
-    "descriptor-gqa-field-0": ("desc", _gqa_site(h_q=8, h_kv=2, head_dim=0),
-                               "gqa fields must be positive"),
-    "descriptor-produce-not-a-list": ("desc", {
-        "sites": [{"site_id": "fc1", "kind": "fc_pair", "n": 32, "produce": "fc1.weight"}],
-        "total_params": 450,
-    }, "produce must be a list"),
-    "descriptor-shapes-not-an-object": ("desc", {"sites": [], "total_params": 450, "shapes": []},
-                                        "'shapes' must be an object"),
-    "descriptor-notes-not-a-string": ("desc", {"sites": [], "total_params": 450, "notes": 3},
-                                      "notes must be a string"),
-    "net-no-input": ("net", {"layers": []}, "needs an 'input' object"),
-    "net-layer-a-string": ("net", {"layers": ["dense"], "input": {"kind": "vector", "shape": [8]}},
-                           "net sidecar layer must be an object"),
-    "net-hyper-not-a-number": ("net", _image_net("maxpool2d", kernel="2"),
-                               "hyper values must be numbers"),
-    "net-maxpool-kernel-beyond-image": ("net", _image_net("maxpool2d", kernel=9),
-                                        "maxpool2d 'kernel' 9 is larger than the 4x4"),
-    "net-avgpool-kernel-beyond-image": ("net", _image_net("avgpool2d", kernel=5),
-                                        "avgpool2d 'kernel' 5 is larger than the 4x4"),
-    "net-attention-h_q-not-multiple": ("gqa-net", _gqa_net(h_q=7),
-                                       "attention_gqa 'h_q' 7 is not a multiple of 'h_kv' 4"),
-    "net-attention-h_q-rows": ("gqa-net", _gqa_net(h_q=4),
-                               "attention_gqa wq needs 16 rows ('h_q' x 'head_dim')"),
-    "net-attention-h_kv-rows": ("gqa-net", _gqa_net(h_kv=2),
-                                "attention_gqa wk needs 8 rows ('h_kv' x 'head_dim')"),
-    "net-attention-head_dim": ("gqa-net", _gqa_net(head_dim=8),
-                               "attention_gqa wq needs 64 rows ('h_q' x 'head_dim')"),
-    "net-attention-wo-columns": ("gqa-net", _gqa_net(wo="mlp.w2"),
-                                 "attention_gqa wo needs 32 columns ('h_q' x 'head_dim')"),
-    "net-vocab-beyond-int64": ("net", {
-        "input": {"kind": "tokens", "shape": [2]},
-        "layers": [{"kind": "embedding-lookup", "params": {"table": "fc1.weight"},
-                    "hyper": {"vocab": 10**30}}],
-    }, "'vocab' must be an integer >= 1"),
-    "net-layers-string": ("net", {"layers": "dense", "input": {"kind": "vector", "shape": [8]}},
-                          "layers"),
-    "net-maxpool-kernel-0": ("net", _image_net("maxpool2d", kernel=0), "'kernel'"),
-    "net-avgpool-stride-0": ("net", _image_net("avgpool2d", kernel=2, stride=0), "'stride'"),
-    "net-maxpool-stride-negative": ("net", _image_net("maxpool2d", kernel=2, stride=-1),
-                                    "'stride'"),
-    "net-conv-padding-negative": ("net", _image_net("conv2d", padding=-1), "'padding'"),
-    "net-conv-weight-2d": ("net", _image_net("conv2d"), "4-d"),
-    "net-conv-padding-huge": ("cnn-net", {
-        "input": {"kind": "image", "shape": [3, 8, 8]},
-        "layers": [{"kind": "conv2d", "params": {"weight": "conv1.weight"},
-                    "hyper": {"padding": 1000000}}],
-    }, "'padding'"),
-    "net-vocab-huge": ("net", {
-        "input": {"kind": "tokens", "shape": [2]},
-        "layers": [{"kind": "embedding-lookup", "params": {"table": "fc1.weight"},
-                    "hyper": {"vocab": 1e308}}],
-    }, "'vocab'"),
-    "net-param-missing-tensor": ("net", {
-        "input": {"kind": "vector", "shape": [8]},
-        "layers": [{"kind": "dense", "params": {"weight": "nope"}}],
-    }, "layer 0 (dense) names tensors the archive lacks: ['nope']"),
-    "net-maxpool-no-kernel": ("net", _image_net("maxpool2d"),
-                              "layer maxpool2d lacks required hyper 'kernel'"),
-    "net-avgpool-no-kernel": ("net", _image_net("avgpool2d", stride=1),
-                              "layer avgpool2d lacks required hyper 'kernel'"),
-    "net-avgpool-global-0-no-kernel": ("net", _image_net("avgpool2d", **{"global": 0}),
-                                       "layer avgpool2d lacks required hyper 'kernel'"),
-    "net-attention-no-h_q": ("net", {
-        "input": {"kind": "tokens", "shape": [2]},
-        "layers": [{"kind": "attention_gqa",
-                    "params": {role: "fc1.weight" for role in ("wq", "wk", "wv", "wo")},
-                    "hyper": {"h_kv": 1, "head_dim": 8}}],
-    }, "layer attention_gqa lacks required hyper 'h_q'"),
-    "net-layernorm-eps-infinity": ("gqa-net", _gqa_norms(float("inf")),
-                                   "layer layernorm: 'eps' must be a finite number in (0, 1)"),
-    "net-layernorm-eps-1e30": ("gqa-net", _gqa_norms(1e30), "layer layernorm: 'eps'"),
-    "net-layernorm-eps-negative": ("gqa-net", _gqa_norms(-1), "layer layernorm: 'eps'"),
-    "net-batchnorm-eps-0": ("cnn-net", {
-        "input": {"kind": "image", "shape": [6, 8, 8]},
-        "layers": [{"kind": "batchnorm2d", "hyper": {"eps": 0}, "params": {
-            role: f"bn1.{role}" for role in ("gamma", "beta", "running_mean", "running_var")}}],
-    }, "layer batchnorm2d: 'eps'"),
-    "net-input-shape-0": ("net", _vector_net([0, 8]), "input shape"),
-    "net-input-shape-2**63": ("net", _vector_net([2 ** 63]), "input shape"),
-    "net-input-shape-product-2**64": ("net", _vector_net([2 ** 32, 2 ** 32]), "input shape"),
-    "net-tokens-2d": ("net", {
-        "input": {"kind": "tokens", "shape": [2, 3]},
-        "layers": [{"kind": "embedding-lookup", "params": {"table": "fc1.weight"},
-                    "hyper": {"vocab": 4}}],
-    }, "tokens input must be 1-d"),
-    "plan-payload_len-string": ("plan", {**_LSB_PLAN, "payload_len": "x"}, "payload_len"),
-    "plan-is-a-list": ("plan", [_LSB_PLAN], "object"),
-    "plan-method-unknown": ("plan", {**_LSB_PLAN, "method": "xor"},
-                            "plan method 'xor' is not one of lsb, sign, ss"),
-    "plan-bits_per_param-0": ("plan", {**_LSB_PLAN, "bits_per_param": 0}, "'bits_per_param'"),
-    "plan-bits_per_param-9": ("plan", {**_LSB_PLAN, "bits_per_param": 9}, "'bits_per_param'"),
-    "plan-bits_per_param-40": ("plan", {**_LSB_PLAN, "bits_per_param": 40}, "'bits_per_param'"),
-    "ss-seed-null": ("plan", _ss_plan(seed=None), "'seed'"),
-    "ss-seed-bool": ("plan", _ss_plan(seed=True), "'seed'"),
-    "ss-gamma-zero": ("plan", _ss_plan(gamma=0), "'gamma'"),
-    "ss-gamma-string": ("plan", _ss_plan(gamma="0.009"), "'gamma'"),
-    "ss-gamma-beyond-float": ("plan", _ss_plan(gamma=10 ** 400), "'gamma'"),
-    "ss-payload_len-missing": ("plan", _ss_plan(payload_len=_DROP), "'payload_len'"),
-    "ss-ecc-unknown": ("plan", _ss_plan(ecc="golay"), "'ecc'"),
-    "ss-eligible-string": ("plan", _ss_plan(eligible="fc1.weight"), "'eligible'"),
-    "ss-eligible-not-in-carrier": ("plan", _ss_plan(eligible=["fc1.weight", "wq"]), "'wq'"),
-    "ss-host_n-missing": ("plan", _ss_plan(host_n=_DROP), "'host_n'"),
-    "ss-host_n-zero": ("plan", _ss_plan(host_n=0), "'host_n'"),
-    "ss-host_n-mismatch": ("plan", _ss_plan(host_n=321), "host_n"),
-    "ss-sha256-not-hex": ("plan", _ss_plan(payload_sha256="z" * 64), "'payload_sha256'"),
-    # the nested form older versions wrote: gamma and the host inside an "ss" object
-    "ss-nested-form": ("plan", {
-        "method": "ss", "seed": 1, "ecc": "none", "payload_sha256": "0" * 64, "payload_len": 1,
-        "ss": {"seed": 1, "ecc": "none", "payload_sha256": "0" * 64, "payload_bits": 8,
-               "gamma": 0.009, "eligible": ["fc1.weight", "fc2.weight"], "host_n": 320},
-    }, "plan field 'gamma' must be a finite number > 0, got None"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_MALFORMED_SIDECARS))
-def test_malformed_sidecar_exit_1(ws, tmp_path, capsys, case):
-    role, doc, names = _MALFORMED_SIDECARS[case]
-    bad = tmp_path / f"{role}.json"
-    bad.write_text(json.dumps(doc))
-    out = tmp_path / "out"
-    sanitize = ["sanitize", "--input", ws["mlp"], "--output", out, "--disrupt", "none"]
-    argv = {
-        "desc": [*sanitize, "--descriptor", bad],
-        "net": [*sanitize, "--verify", "--net", bad],
-        "cnn-net": ["sanitize", "--input", ws["cnn"], "--output", out, "--disrupt", "none",
-                    "--verify", "--net", bad],
-        "gqa-net": ["sanitize", "--input", ws["gqa"], "--output", out, "--disrupt", "none",
-                    "--verify", "--net", bad],
-        "plan": ["evaluate", "--carrier", ws["mlp"], "--plan", bad,
-                 "--disrupt", "none", "--output", out],
-    }[role]
-    rc = run(*argv)
-    err = capsys.readouterr().err
-    assert rc == 1, err
-    assert "error:" in err and names in err, err
-    assert "Traceback" not in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("role", ["archive", "desc", "net", "plan"])
-def test_deeply_nested_json_exit_1(ws, tmp_path, role):
-    """JSON nested past the parser's recursion limit, in any of the four JSON
-    inputs, ends in one error line and exit 1 with no output. The files are
-    raw text: json.dumps cannot build them."""
-    nested = "[" * 200_000
-    bad = tmp_path / f"{role}.json"
-    if role == "archive":
-        bad.write_bytes(struct.pack("<Q", len(nested)) + nested.encode())
-    else:
-        bad.write_text(nested)
-    out = tmp_path / "out"
-    sanitize = ["sanitize", "--input", ws["mlp"], "--output", out, "--disrupt", "none"]
-    argv = {
-        "archive": ["sanitize", "--input", bad, "--output", out, "--disrupt", "none"],
-        "desc": [*sanitize, "--descriptor", bad],
-        "net": [*sanitize, "--verify", "--net", bad],
-        "plan": ["evaluate", "--carrier", ws["mlp"], "--plan", bad,
-                 "--disrupt", "none", "--output", out],
-    }[role]
-    proc = _fresh_interpreter([sys.executable, "-m", "neuperm"], *argv, cwd=tmp_path)
-    assert proc.returncode == 1, proc.stderr
-    [line] = proc.stderr.splitlines()
-    assert line.startswith("error:") and "nested too deeply" in line, line
-    assert proc.stdout == ""
-    assert not out.exists()
-
-
-def _sidecar_argv(ws, tmp_path, role, bad, out):
-    """A command that reads `bad` as its descriptor, net sidecar or plan;
-    with well-formed input each of them exits 0."""
-    if role == "plan":
-        carrier, plan = tmp_path / "carrier.safetensors", tmp_path / "plan.json"
-        assert run("attack", "--input", ws["mlp"], "--output", carrier, "--attack", "sign",
-                   "--payload", ws["payload"], "--seed", "9", "--plan", plan) == 0
-        return ["evaluate", "--carrier", carrier, "--plan", bad, "--disrupt", "neuperm",
-                "--descriptor", ws["mlp.desc"], "--seed", "5", "--output", out]
-    sanitize = ["sanitize", "--input", ws["mlp"], "--output", out, "--disrupt", "neuperm",
-                "--seed", "3", "--verify", "--net"]
-    if role == "desc":
-        return [*sanitize, ws["mlp.net"], "--descriptor", bad]
-    return [*sanitize, bad, "--descriptor", ws["mlp.desc"]]
-
-
-@pytest.mark.parametrize("role,key", [("desc", "sites"), ("net", "layers"), ("plan", "seed")])
-def test_repeated_key_exit_1(ws, tmp_path, capsys, role, key):
-    """An object that repeats a key is refused, not read with the last value
-    winning: a descriptor whose second "sites" is empty would otherwise move
-    nothing and still exit 0."""
-    bad, out = tmp_path / f"{role}.json", tmp_path / "out"
-    argv = _sidecar_argv(ws, tmp_path, role, bad, out)
-    good = (tmp_path / "plan.json") if role == "plan" else ws[f"mlp.{role}"]
-    text = good.read_text().rstrip()
-    bad.write_text(text[:-1] + f', "{key}": ' + ("2}" if key == "seed" else "[]}"))
-    capsys.readouterr()
-    assert run(*argv) == 1
-    [line] = capsys.readouterr().err.splitlines()
-    assert f"repeats the key '{key}'" in line, line
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("role,what", [("net", "net sidecar"), ("plan", "plan")])
-def test_non_json_sidecar_error_names_input(ws, tmp_path, capsys, role, what):
-    bad, out = tmp_path / f"{role}.json", tmp_path / "out"
-    argv = _sidecar_argv(ws, tmp_path, role, bad, out)
-    bad.write_text("{\n")
-    capsys.readouterr()
-    assert run(*argv) == 1
-    [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith(f"error: {what} is not valid JSON: "), line
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("role,what", [
-    ("desc", "descriptor"), ("net", "net sidecar"), ("plan", "plan"),
-])
-def test_non_utf8_sidecar_error_names_input(ws, tmp_path, capsys, role, what):
-    bad, out = tmp_path / f"{role}.json", tmp_path / "out"
-    argv = _sidecar_argv(ws, tmp_path, role, bad, out)
-    bad.write_bytes(b"\xff\xfe{}")
-    capsys.readouterr()
-    assert run(*argv) == 1
-    got = capsys.readouterr()
-    [line] = got.err.splitlines()
-    assert line.startswith(f"error: {what} is not UTF-8 text: "), line
-    assert got.out == ""
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("role,doc,code", [
-    ("plan", {**_LSB_PLAN, "seed": [0] * 5000}, 1),
-    ("plan", _ss_plan(eligible=[f"t{i}" for i in range(5000)]), 1),
-    ("plan", _ss_plan(host_n=10 ** 1000), 1),
-    ("plan", _ss_plan(payload_len=10 ** 1000), 3),
-    ("net", {"input": {"kind": "vector", "shape": [8]},
-             "layers": [{"kind": [0] * 5000, "params": {"weight": 1}}]}, 1),
-], ids=["long-field", "long-missing-tensors", "long-host_n", "long-payload_bits",
-        "long-net-kind"])
-def test_malformed_sidecar_error_line_is_short(ws, tmp_path, capsys, role, doc, code):
-    """A huge value in a plan or net sidecar is quoted clipped, as in a
-    descriptor: the command ends in one error line under 200 characters."""
-    bad, out = tmp_path / f"{role}.json", tmp_path / "out"
-    argv = _sidecar_argv(ws, tmp_path, role, bad, out)
-    bad.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert run(*argv) == code
-    [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: ") and len(line) < 200, line[:300]
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("flag,spec,what", [
-    ("--attack", "lsb:abc", "attack spec"),
-    ("--attack", "ss:abc", "attack spec"),
-    ("--ecc", "repetition:x", "ecc spec"),
-])
-def test_bad_spec_value_quotes_spec(ws, tmp_path, capsys, flag, spec, what):
-    out = tmp_path / "never.safetensors"
-    argv = {"--attack": "lsb", "--ecc": "none", flag: spec}
-    rc = run("attack", "--input", ws["host"], "--output", out, "--payload", ws["payload"],
-             "--seed", "1", "--attack", argv["--attack"], "--ecc", argv["--ecc"])
-    assert rc == 1
-    [line] = capsys.readouterr().err.splitlines()
-    assert f"{what} '{spec}'" in line, line
-    assert not out.exists()
-
-
-def test_deep_list_inside_descriptor_refs_exit_1(ws, tmp_path):
-    """A list nested 900 deep inside `produce` parses as JSON; reading it as
-    refs goes two levels down and no further, so the command ends in one
-    error line, not a RecursionError."""
-    deep = "[" * 900 + "]" * 900
-    bad = tmp_path / "desc.json"
-    bad.write_text('{"sites": [{"site_id": "h1", "kind": "fc_pair", "n": 8, "produce": '
-                   + deep + '}], "total_params": 1}')
-    out = tmp_path / "out"
-    proc = _fresh_interpreter([sys.executable, "-m", "neuperm"], "sanitize", "--input", ws["mlp"],
-                              "--output", out, "--disrupt", "neuperm", "--descriptor", bad,
-                              cwd=tmp_path)
-    assert proc.returncode == 1, proc.stderr
-    [line] = proc.stderr.splitlines()
-    assert line.startswith("error: site 'h1': produce entries must be [name, axis]"), line[:200]
-    assert proc.stdout == ""
-    assert not out.exists()
-
-
-_DEEP = "[" * 900 + "]" * 900
-
-
-@pytest.mark.parametrize("site", [
-    '"site_id": "h1", "kind": "fc_pair", "n": 8, "produce": ' + _DEEP,
-    '"site_id": ' + _DEEP + ', "kind": "fc_pair", "n": 8, "produce": [["w", 0]]',
-    '"site_id": "h1", "kind": "fc_pair", "n": 8, "produce": [["w", 0], ['
-    + ", ".join(["1"] * 5000) + "]]",
-    '"site_id": "' + "s" * 5000 + '", "kind": ' + _DEEP + ', "n": 8, "produce": [["w", 0]]',
-], ids=["deep-ref", "deep-site-id", "long-ref", "long-site-id-deep-kind"])
-def test_malformed_descriptor_error_line_is_short(ws, tmp_path, site):
-    """A huge or deeply nested value in a descriptor is quoted clipped: the
-    command still ends in one error line, under 200 characters."""
-    bad = tmp_path / "desc.json"
-    bad.write_text('{"sites": [{' + site + '}], "total_params": 1}')
-    out = tmp_path / "out"
-    proc = _fresh_interpreter([sys.executable, "-m", "neuperm"], "sanitize", "--input", ws["mlp"],
-                              "--output", out, "--disrupt", "neuperm", "--descriptor", bad,
-                              cwd=tmp_path)
-    assert proc.returncode == 1, proc.stderr[:500]
-    [line] = proc.stderr.splitlines()
-    assert line.startswith("error: ") and len(line) < 200, line[:300]
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["attack", "sanitize", "evaluate", "bound"])
-def test_unwritable_side_output_leaves_no_file(ws, tmp_path, capsys, command):
-    """The main output is written first; the plan or manifest after it cannot
-    be, so the command fails and its target directory stays empty."""
-    work = tmp_path / "work"
-    work.mkdir()
-    carrier, plan = tmp_path / "carrier.safetensors", tmp_path / "plan.json"
-    assert run("attack", "--input", ws["mlp"], "--output", carrier, "--attack", "sign",
-               "--payload", ws["payload"], "--seed", "9", "--plan", plan) == 0
-    unwritable = tmp_path / "missing" / "side.json"
-    argv = {
-        "attack": ["attack", "--input", ws["mlp"], "--output", work / "carrier.safetensors",
-                   "--attack", "sign", "--payload", ws["payload"], "--seed", "9",
-                   "--plan", unwritable],
-        "sanitize": ["sanitize", "--input", ws["mlp"], "--output", work / "clean.safetensors",
-                     "--disrupt", "neuperm", "--descriptor", ws["mlp.desc"], "--seed", "3",
-                     "--manifest", unwritable],
-        "evaluate": ["evaluate", "--carrier", carrier, "--plan", plan, "--disrupt", "none",
-                     "--seed", "5", "--output", work / "report.csv", "--manifest", unwritable],
-        "bound": ["bound", "--site-sizes", "2", "--L", "8", "--simulate", "50", "--seed", "11",
-                  "--manifest", unwritable],
-    }[command]
-    capsys.readouterr()
-    assert run(*argv) == 1
-    assert "error:" in capsys.readouterr().err
-    assert list(work.iterdir()) == []
-    assert not unwritable.parent.exists()
+    code, line = refusal(argv, work, capsys)
+    assert code == 1 and "named for two outputs" in line, line
 
 
 @pytest.mark.parametrize("command", ["attack", "evaluate"])
@@ -1153,17 +916,9 @@ def test_sweep_helper_error_exit_1_no_output(ws, tmp_path, capsys, monkeypatch, 
     """A chip block that fails on a sweep helper thread ends the command with
     exit 1 and an error line, writes none of its outputs, and leaves the
     BLAS thread count as it found it."""
-    import threading
-
     import neuperm.stego as stego
     import neuperm.sweep as sweep
 
-    work = tmp_path / "work"
-    work.mkdir()
-    carrier, plan = tmp_path / "carrier.safetensors", tmp_path / "plan.json"
-    assert run("attack", "--input", ws["host"], "--output", carrier, "--attack", "ss:0.02",
-               "--ecc", "repetition:3", "--payload", ws["payload"], "--seed", "13",
-               "--plan", plan) == 0
     caller = threading.get_ident()
     real = stego._chip_words
 
@@ -1177,19 +932,87 @@ def test_sweep_helper_error_exit_1_no_output(ws, tmp_path, capsys, monkeypatch, 
     blas = sweep._blas_thread_calls()
     prior = blas[0]() if blas else None
     argv = {
-        "attack": ["attack", "--input", ws["host"], "--output", work / "carrier.safetensors",
+        "attack": ["attack", "--input", ws["host"], "--output", "carrier.safetensors",
                    "--attack", "ss:0.02", "--ecc", "repetition:3", "--payload", ws["payload"],
-                   "--seed", "13", "--plan", work / "plan.json", "--manifest", work / "run.json"],
-        "evaluate": ["evaluate", "--carrier", carrier, "--plan", plan, "--disrupt", "none",
-                     "--disrupt", "neuperm:1", "--descriptor", ws["host.desc"], "--seed", "5",
-                     "--output", work / "report.csv", "--manifest", work / "run.json"],
+                   "--seed", "13", "--plan", "plan.json", "--manifest", "run.json"],
+        "evaluate": ["evaluate", "--carrier", ws["ss.carrier"], "--plan", ws["ss.plan"],
+                     "--disrupt", "none", "--disrupt", "neuperm:1", "--descriptor",
+                     ws["host.desc"], "--seed", "5", "--output", "report.csv",
+                     "--manifest", "run.json"],
     }[command]
-    capsys.readouterr()
-    assert run(*argv) == 1
-    assert "error: chip block failed on a helper" in capsys.readouterr().err
-    assert list(work.iterdir()) == []
+    assert refusal(argv, tmp_path, capsys) == (1, "error: chip block failed on a helper")
     if blas:
         assert blas[0]() == prior
+
+
+def _fresh_refusal(tmp_path, *argv, code=1) -> str:
+    """The error line of `python -m neuperm argv`, run in a new process from
+    an empty work directory: as `refusal` asks, the command prints nothing on
+    stdout and one short line on stderr, and leaves the directory empty."""
+    work = tmp_path / "work"
+    work.mkdir()
+    proc = _fresh_interpreter([sys.executable, "-m", "neuperm"], *argv, cwd=work)
+    assert proc.returncode == code, proc.stderr[-2000:]
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ") and len(line) < 200, line[:300]
+    assert proc.stdout == "" and list(work.iterdir()) == []
+    return line
+
+
+def test_sanitize_verify_nan_outputs_exit_2(ws, tmp_path):
+    """noise:1.0 turns a batchnorm running_var negative, so every rewritten
+    output is NaN; verification fails instead of reading that as deviation 0,
+    and the error line is all it prints (no numpy warning)."""
+    line = _fresh_refusal(tmp_path, "sanitize", "--input", ws["cnn"], "--output", "never",
+                          "--disrupt", "noise:1.0", "--seed", "1", "--verify", "--net",
+                          ws["cnn.net"], code=2)
+    assert line.startswith("error: outputs diverged: max normalized deviation nan"), line
+
+
+@pytest.mark.parametrize("role", ["archive", "desc", "net", "plan"])
+def test_deeply_nested_json_exit_1(ws, tmp_path, role):
+    """JSON nested past the parser's recursion limit, in any of the four JSON
+    inputs, ends in one error line and exit 1 with no output. The files are
+    raw text: json.dumps cannot build them."""
+    nested = "[" * 200_000
+    bad = tmp_path / f"{role}.json"
+    if role == "archive":
+        bad.write_bytes(struct.pack("<Q", len(nested)) + nested.encode())
+    else:
+        bad.write_text(nested)
+    sanitize = ["sanitize", "--input", ws["mlp"], "--output", "out", "--disrupt", "none"]
+    argv = {
+        "archive": ["sanitize", "--input", bad, "--output", "out", "--disrupt", "none"],
+        "desc": [*sanitize, "--descriptor", bad],
+        "net": [*sanitize, "--verify", "--net", bad],
+        "plan": ["evaluate", "--carrier", ws["mlp"], "--plan", bad,
+                 "--disrupt", "none", "--output", "out"],
+    }[role]
+    assert "nested too deeply" in _fresh_refusal(tmp_path, *argv)
+
+
+_DEEP = "[" * 900 + "]" * 900
+
+
+@pytest.mark.parametrize("site,start", [
+    ('"site_id": "h1", "kind": "fc_pair", "n": 8, "produce": ' + _DEEP,
+     "error: site 'h1': produce entries must be [name, axis]"),
+    ('"site_id": ' + _DEEP + ', "kind": "fc_pair", "n": 8, "produce": [["w", 0]]', "error: "),
+    ('"site_id": "h1", "kind": "fc_pair", "n": 8, "produce": [["w", 0], ['
+     + ", ".join(["1"] * 5000) + "]]", "error: "),
+    ('"site_id": "' + "s" * 5000 + '", "kind": ' + _DEEP + ', "n": 8, "produce": [["w", 0]]',
+     "error: "),
+], ids=["deep-ref", "deep-site-id", "long-ref", "long-site-id-deep-kind"])
+def test_malformed_descriptor_error_line_is_short(ws, tmp_path, site, start):
+    """A huge or deeply nested value in a descriptor is quoted clipped: the
+    command still ends in one error line, under 200 characters. A list 900
+    deep inside `produce` parses as JSON; reading it as refs goes two levels
+    down and no further, so it is not a RecursionError."""
+    bad = tmp_path / "desc.json"
+    bad.write_text('{"sites": [{' + site + '}], "total_params": 1}')
+    line = _fresh_refusal(tmp_path, "sanitize", "--input", ws["mlp"], "--output", "out",
+                          "--disrupt", "neuperm", "--descriptor", bad)
+    assert line.startswith(start), line
 
 
 def test_attack_ss_without_sched_getaffinity(ws, tmp_path, capsys, monkeypatch):
@@ -1246,39 +1069,6 @@ def test_bound_simulate(tmp_path, capsys):
     doc = json.loads(manifest.read_text())
     assert doc["details"]["trials"] == 2000
     assert 0 <= doc["details"]["successes"] <= 40  # exact rate 2^-8; ~8 expected
-
-
-def test_bound_inapplicable_exit_4(capsys):
-    rc = run("bound", "--d", "0.5", "--delta", "0.6", "--L", "100")
-    captured = capsys.readouterr()
-    assert rc == 4 and "error:" in captured.err
-
-
-def test_bound_ineffective_exit_4(capsys):
-    rc = run("bound", "--d", "0.5", "--L-prime", "100",
-             "--L-total", "1200", "--L-np", "900")
-    captured = capsys.readouterr()
-    assert rc == 4
-    assert "NeuPerm-ineffective" in captured.err
-
-
-def test_bound_usage_conflicts_exit_1(capsys):
-    assert run("bound", "--L", "10") == 1  # neither d nor sizes
-    assert run("bound", "--d", "0.5", "--site-sizes", "4", "--L", "10") == 1
-    assert run("bound", "--d", "0.5", "--L", "10", "--L-prime", "5") == 1
-    assert run("bound", "--d", "0.5", "--L", "10", "--delta", "0.1",
-               "--ecc", "repetition:3") == 1
-    assert run("bound", "--d", "0.5", "--L", "10", "--simulate", "100") == 1
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("sizes", ["2,x", "2,0", "1e3", ","])
-def test_bound_bad_site_sizes_quotes_value(tmp_path, capsys, sizes):
-    manifest = tmp_path / "run.json"
-    assert run("bound", "--site-sizes", sizes, "--L", "8", "--manifest", manifest) == 1
-    [line] = capsys.readouterr().err.splitlines()
-    assert line == f"error: --site-sizes needs positive integers, got '{sizes}'", line
-    assert not manifest.exists()
 
 
 # ------------------------------------------------------- repo consistency
