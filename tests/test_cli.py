@@ -994,25 +994,32 @@ def test_deeply_nested_json_exit_1(ws, tmp_path, role):
 _DEEP = "[" * 900 + "]" * 900
 
 
-@pytest.mark.parametrize("site,start", [
-    ('"site_id": "h1", "kind": "fc_pair", "n": 8, "produce": ' + _DEEP,
-     "error: site 'h1': produce entries must be [name, axis]"),
-    ('"site_id": ' + _DEEP + ', "kind": "fc_pair", "n": 8, "produce": [["w", 0]]', "error: "),
-    ('"site_id": "h1", "kind": "fc_pair", "n": 8, "produce": [["w", 0], ['
-     + ", ".join(["1"] * 5000) + "]]", "error: "),
-    ('"site_id": "' + "s" * 5000 + '", "kind": ' + _DEEP + ', "n": 8, "produce": [["w", 0]]',
-     "error: "),
-], ids=["deep-ref", "deep-site-id", "long-ref", "long-site-id-deep-kind"])
-def test_malformed_descriptor_error_line_is_short(ws, tmp_path, site, start):
-    """A huge or deeply nested value in a descriptor is quoted clipped: the
-    command still ends in one error line, under 200 characters. A list 900
-    deep inside `produce` parses as JSON; reading it as refs goes two levels
-    down and no further, so it is not a RecursionError."""
+def test_deep_list_inside_descriptor_refs_exit_1(ws, tmp_path):
+    """A list nested 900 deep inside `produce` parses as JSON; reading it as
+    refs goes two levels down and no further, so the command ends in one
+    error line, not a RecursionError."""
     bad = tmp_path / "desc.json"
-    bad.write_text('{"sites": [{' + site + '}], "total_params": 1}')
+    bad.write_text('{"sites": [{"site_id": "h1", "kind": "fc_pair", "n": 8, "produce": '
+                   + _DEEP + '}], "total_params": 1}')
     line = _fresh_refusal(tmp_path, "sanitize", "--input", ws["mlp"], "--output", "out",
                           "--disrupt", "neuperm", "--descriptor", bad)
-    assert line.startswith(start), line
+    assert line.startswith("error: site 'h1': produce entries must be [name, axis]"), line
+
+
+@pytest.mark.parametrize("site", [
+    '"site_id": "h1", "kind": "fc_pair", "n": 8, "produce": ' + _DEEP,
+    '"site_id": ' + _DEEP + ', "kind": "fc_pair", "n": 8, "produce": [["w", 0]]',
+    '"site_id": "h1", "kind": "fc_pair", "n": 8, "produce": [["w", 0], ['
+    + ", ".join(["1"] * 5000) + "]]",
+    '"site_id": "' + "s" * 5000 + '", "kind": ' + _DEEP + ', "n": 8, "produce": [["w", 0]]',
+], ids=["deep-ref", "deep-site-id", "long-ref", "long-site-id-deep-kind"])
+def test_malformed_descriptor_error_line_is_short(ws, tmp_path, site):
+    """A huge or deeply nested value in a descriptor is quoted clipped: the
+    command still ends in one error line, under 200 characters."""
+    bad = tmp_path / "desc.json"
+    bad.write_text('{"sites": [{' + site + '}], "total_params": 1}')
+    _fresh_refusal(tmp_path, "sanitize", "--input", ws["mlp"], "--output", "out",
+                   "--disrupt", "neuperm", "--descriptor", bad)
 
 
 def test_attack_ss_without_sched_getaffinity(ws, tmp_path, capsys, monkeypatch):
