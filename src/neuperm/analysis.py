@@ -27,12 +27,14 @@ forms can be checked empirically.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundInapplicableError, IneffectiveRegimeError
-from .rng import SeededRng
+from .rng import GOLDEN, MASK64, SeededRng, _mix64_array
+from .sweep import run_ordered
 
 
 def fixed_point_prob(n: int) -> float:
@@ -140,38 +142,98 @@ def simulate_extraction_game(
     word hitting the stored row — exact, without materializing permutations.
     A trial succeeds when read errors fit the decoder budget floor(delta*L).
 
-    Words are drawn at most 2^16 (512 KiB) at a time, which stay in cache:
-    whole trials are batched up to that many words, and a longer trial is
-    drawn in chunks of 2^16 whose displaced counts are summed, so memory
-    does not grow with L. The draws read one contiguous word stream, so the
-    count does not depend on the draw size unless a word is rejected: a
-    rejected word is replaced from the stream after its draw. No word is
-    ever rejected when n is a power of two, and for other n each word is
-    rejected with probability below n/2^64.
+    The words form one contiguous stream, read in batches of at most 2^16
+    (512 KiB): whole trials are batched up to that many words, and a longer
+    trial is drawn in chunks of 2^16 whose displaced counts are summed, so
+    memory does not grow with L. The batches run through
+    ``sweep.run_ordered``: each thread builds a batch's words from their
+    stream positions in its own scratch, reduces them with ``& (n-1)`` when
+    n is a power of two and with ``%`` otherwise, and counts each trial's
+    fixed points; the counts are added in batch order. A rejected word is
+    replaced from the stream after its batch, which moves every later batch
+    along the stream, so the consumer redraws, one at a time at its true
+    offset, a batch that holds a rejected word and every batch after it.
+    The count is therefore that of one serial pass at any worker count. No
+    word is ever rejected when n is a power of two, and for other n each
+    word is rejected with probability below n/2^64.
     """
     if n < 1 or L < 1 or trials < 1:
         raise ValueError("n, L and trials must all be >= 1")
     bound = success_bound(1.0 / n, delta, L)
-    rng = SeededRng(seed)
-    budget = math.floor(delta * L)
     span = ((1 << 64) // n) * n  # == 2**64 when n is a power of two: no rejection needed
     limit = np.uint64(span - 1) if span < (1 << 64) else None
-    successes = 0
-    draw = 1 << 16
-    batch = max(1, min(trials, draw // L))
-    done = 0
-    while done < trials:
-        t = min(batch, trials - done)
-        errors = np.zeros(t, dtype=np.int64)
-        for start in range(0, L, draw):  # more than one chunk only when t == 1
-            width = min(draw, L - start)
-            words = rng.next_block(t * width)
-            if limit is not None:
-                bad = np.flatnonzero(words > limit)
-                while bad.size:  # astronomically rare for any n that fits in memory
-                    words[bad] = rng.next_block(bad.size)
-                    bad = bad[words[bad] > limit]
-            errors += ((words % np.uint64(n)).reshape(t, width) != 0).sum(axis=1)
-        successes += int(np.count_nonzero(errors <= budget))
-        done += t
+    successes = _play_game(n, L, math.floor(delta * L), trials, SeededRng(seed).seed, limit)
     return GameResult(n=n, L=L, delta=delta, trials=trials, successes=successes, bound=bound)
+
+
+def _play_game(n: int, L: int, budget: int, trials: int, state: int, limit) -> int:
+    """Successes of `trials` games on the word stream that follows `state`,
+    a word above `limit` being rejected; `limit` is None when none are, and
+    then n is a power of two."""
+    draw = 1 << 16
+    if L <= draw:  # item i holds `batch` whole trials
+        batch, chunks = max(1, min(trials, draw // L)), 1
+        items = range(-(-trials // batch))
+    else:  # item i holds chunk i % chunks of trial i // chunks
+        batch, chunks = 1, -(-L // draw)
+        items = range(trials * chunks)
+    steps = np.arange(1, min(draw, batch * L) + 1, dtype=np.uint64)
+    steps *= np.uint64(GOLDEN)
+    local = threading.local()
+
+    def geometry(i: int) -> tuple[int, int, int]:
+        """Trials, words per trial and first word of item i, as if nothing
+        before it were rejected."""
+        if chunks == 1:
+            t = min(batch, trials - i * batch)
+            return t, L, i * batch * L
+        start = (i % chunks) * draw
+        return 1, min(draw, L - start), (i // chunks) * L + start
+
+    def stream(offset: int, size: int) -> np.ndarray:
+        """Stream words [offset, offset + size) in this thread's scratch."""
+        if not hasattr(local, "scratch"):  # this thread's, for all its items
+            local.scratch = np.empty((2, steps.size), np.uint64)
+        words, tmp = local.scratch[:, :size]
+        np.add(steps[:size], np.uint64((state + offset * GOLDEN) & MASK64), out=words)
+        return _mix64_array(words, tmp)
+
+    def errors(words: np.ndarray, t: int, width: int) -> np.ndarray:
+        """Each trial's displaced bits, the words reduced in place."""
+        if limit is None:
+            np.bitwise_and(words, np.uint64(n - 1), out=words)
+        else:
+            np.remainder(words, np.uint64(n), out=words)
+        hits = np.flatnonzero(words == 0) // width
+        return width - np.bincount(hits, minlength=t)
+
+    def play(i: int):
+        t, width, offset = geometry(i)
+        words = stream(offset, t * width)
+        if limit is not None and words.max() > limit:
+            return None  # consume draws it again at its true offset
+        return errors(words, t, width)
+
+    shift = 0  # words drawn to replace rejected ones so far
+    running = None  # the current trials' errors over their chunks so far
+    successes = 0
+
+    def consume(i: int, errs) -> None:
+        nonlocal shift, running, successes
+        if errs is None or shift:
+            t, width, offset = geometry(i)
+            words = stream(offset + shift, t * width).copy()
+            end = offset + shift + t * width  # where the replacement words start
+            bad = np.flatnonzero(words > limit)
+            while bad.size:  # a replacement word may be rejected too
+                words[bad] = stream(end, bad.size)
+                end += bad.size
+                bad = bad[words[bad] > limit]
+            shift = end - offset - t * width
+            errs = errors(words, t, width)
+        running = errs if i % chunks == 0 else running + errs
+        if i % chunks == chunks - 1:
+            successes += int(np.count_nonzero(running <= budget))
+
+    run_ordered(play, consume, items)
+    return successes

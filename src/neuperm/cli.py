@@ -311,7 +311,8 @@ def cmd_evaluate(args, argv) -> int:
 
         # ss variants share a chip sweep: their host vectors are stacked, up to
         # _HOST_STACK_BYTES of them, and each full stack is despread in one sweep;
-        # lsb and sign variants are read once disrupted
+        # lsb and sign variants are read once disrupted. Each variant is let go
+        # once read, before the next is drawn or a stack is despread
         if plan.method == "ss":
             plan.check_host(archive)
             group = min(len(variants), max(1, _HOST_STACK_BYTES // (4 * plan.host_n)))
@@ -319,18 +320,17 @@ def cmd_evaluate(args, argv) -> int:
         extracted = []
         for i, (config, vseed) in enumerate(variants):
             variant, _ = apply_disruptor(archive, config, seed=vseed, descriptor=descriptor)
-            if plan.method == "lsb":
-                got = lsb_extract(variant, plan)
-            elif plan.method == "sign":
-                got = sign_extract(variant, plan)
-            else:
-                hosts[i % group] = host_vector(variant, plan.eligible)
-                if i % group == group - 1 or i == len(variants) - 1:
-                    for y in ss_despread_many(hosts[: i % group + 1], plan):
-                        got, snr = decode_correlations(y, plan)
-                        extracted.append((got, f"{snr:.4f}"))
+            if plan.method != "ss":
+                extract = lsb_extract if plan.method == "lsb" else sign_extract
+                extracted.append((extract(variant, plan), ""))
+                del variant
                 continue
-            extracted.append((got, ""))
+            hosts[i % group] = host_vector(variant, plan.eligible)
+            del variant
+            if i % group == group - 1 or i == len(variants) - 1:
+                for y in ss_despread_many(hosts[: i % group + 1], plan):
+                    got, snr = decode_correlations(y, plan)
+                    extracted.append((got, f"{snr:.4f}"))
         rows = [
             (config, snr, int(plan.matches(got)))
             for (config, _), (got, snr) in zip(variants, extracted)
@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--simulate", type=int, metavar="TRIALS",
                    help="check the bound by playing the extraction game TRIALS times; "
                         "each trial draws L random words, so the time grows with "
-                        "L x TRIALS and nothing caps it (about 2.6 s per trial at "
+                        "L x TRIALS and nothing caps it (about 1 s per trial at "
                         "L=2e8 on a 2-vCPU machine)")
     p.set_defaults(func=cmd_bound)
     return parser

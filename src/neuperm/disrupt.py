@@ -79,8 +79,10 @@ def add_gaussian_noise(archive: ModelArchive, sigma: float, seed: int) -> ModelA
 def prune_magnitude(archive: ModelArchive, ratio: float) -> ModelArchive:
     """Zero floor(ratio * size) smallest-|w| entries of each tensor.
 
-    Ties break toward the earlier flat index (stable sort), so the result
-    is fully deterministic.
+    Ties break toward the earlier flat index and NaN magnitudes rank last,
+    as in a stable sort of |w|, so the result is fully deterministic. One
+    partition finds the k-th smallest magnitude; every entry below it is
+    zeroed, then the first of its ties in flat order until k are.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError("prune ratio must lie in [0, 1]")
@@ -91,8 +93,15 @@ def prune_magnitude(archive: ModelArchive, ratio: float) -> ModelArchive:
         if k == 0:
             continue
         flat = t.data.copy().ravel()
-        order = np.argsort(np.abs(flat), kind="stable")
-        flat[order[:k]] = flat.dtype.type(0)
+        mag = np.abs(flat)
+        kth = np.partition(mag, k - 1)[k - 1]
+        if np.isnan(kth):  # NaN ranks after every number, which are all below it
+            ties = np.isnan(mag)
+            below = ~ties
+        else:
+            below, ties = mag < kth, mag == kth
+        flat[below] = 0
+        flat[np.flatnonzero(ties)[: k - np.count_nonzero(below)]] = 0
         updates[name] = Tensor.adopt(flat.reshape(t.shape))
     return archive.replace(updates)
 

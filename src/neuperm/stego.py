@@ -186,33 +186,39 @@ def scatter_host(archive: ModelArchive, names, vec: np.ndarray) -> ModelArchive:
 def sample_positions(total: int, count: int, seed: int) -> np.ndarray:
     """`count` distinct positions in [0, total), uniform, in draw order.
 
-    Partial Fisher-Yates over a virtual identity array; only displaced
-    entries are materialised, so sampling stays O(count) in memory. The
-    offsets (moduli total, total-1, ...) come from one `bounded_block`
-    call; only the swaps run one by one.
+    Partial Fisher-Yates over a virtual identity array. Step i swaps slot i
+    with slot j_i = i + offset_i, the offsets (moduli total, total-1, ...)
+    coming from one `bounded_block` call, and takes the value slot j_i
+    holds. That is j_i itself unless an earlier step swapped into j_i; then
+    it is the value the last such step p found in its own slot p, which is
+    found the same way. A stable sort of the j_i gives each step both links,
+    the last earlier step into its target and into its own slot, and
+    pointer jumping follows the chains: no per-step Python loop and no
+    array of size `total`.
     """
     if count > total:
         raise CapacityError(f"need {quote(count)} positions but host has only {quote(total)}")
     rng = SeededRng(seed)
     offsets = rng.bounded_block(np.arange(total, total - count, -1, dtype=np.int64))
-    swaps: dict[int, int] = {}
-    out = []
-    for i, j in enumerate((offsets.astype(np.int64) + np.arange(count)).tolist()):
-        out.append(swaps.get(j, j))
-        swaps[j] = swaps.get(i, i)
-    return np.asarray(out, dtype=np.int64)
-
-
-@functools.lru_cache(maxsize=8)
-def _positions(total: int, count: int, seed: int) -> np.ndarray:
-    """`sample_positions`, drawn once per (total, count, seed) and read-only.
-
-    Disruptors never change tensor shapes, so every variant of a carrier
-    reads the same positions; embed and extract share them through here.
-    """
-    positions = sample_positions(total, count, seed)
-    positions.setflags(write=False)
-    return positions
+    steps = np.arange(count, dtype=np.int64)
+    j = offsets.astype(np.int64) + steps
+    order = np.argsort(j, kind="stable")
+    sorted_j = j[order]
+    # prev[i]: the last step before i that swapped into slot j_i, or -1
+    prev = np.full(count, -1, dtype=np.int64)
+    same = sorted_j[1:] == sorted_j[:-1]
+    prev[order[1:][same]] = order[:-1][same]
+    # link[p]: the last step at or before p that swapped into slot p, or p
+    # itself. Step p itself only when j_p = p, and then no later step swaps
+    # into slot p, so no chain reads link[p]
+    at = np.searchsorted(sorted_j, steps, side="right") - 1
+    link = np.where((at >= 0) & (sorted_j[at] == steps), order[at], steps)
+    while True:  # pointer jumping: link[p] becomes the first step of p's chain
+        nxt = link[link]
+        if np.array_equal(nxt, link):
+            break
+        link = nxt
+    return np.where(prev >= 0, link[prev], j)
 
 
 # ---------------------------------------------------------- bit fields
@@ -221,20 +227,40 @@ def _positions(total: int, count: int, seed: int) -> np.ndarray:
 LSB_BITS = range(1, 9)
 
 
-def _bit_slots(archive: ModelArchive, plan: AttackPlan, count: int) -> list:
-    """The `count` parameters a bit attack writes, as per-tensor
-    (name, local_offsets, slot_idx) groups in eligible-name order. The
-    positions are drawn here, so a count beyond the host raises
-    CapacityError before a caller allocates anything for its slots."""
-    names = eligible_names(archive)
-    positions = _positions(host_size(archive, names), count,
-                           derive_seed(plan.seed, f"{plan.method}/positions"))
-    sizes = np.array([archive.tensors[n].size for n in names], dtype=np.int64)
+@functools.lru_cache(maxsize=8)
+def _slot_groups(names: tuple, sizes: tuple, count: int, seed: int) -> tuple:
+    """The `count` parameters a bit attack writes in a host of `names`
+    holding `sizes` params: read-only (name, local_offsets, slot_idx)
+    groups, one per tensor written, in name order.
+
+    Disruptors never change tensor shapes, so every variant of a carrier
+    has the same groups; embed and extract share them through here, and
+    `sample_positions` runs once per (total, count, seed).
+    """
+    positions = sample_positions(sum(sizes), count, seed)
+    sizes = np.array(sizes, dtype=np.int64)
     bounds = np.cumsum(sizes)
     owner = np.searchsorted(bounds, positions, side="right")
     local = positions - (bounds[owner] - sizes[owner])
-    return [(name, local[mask], np.flatnonzero(mask))
-            for ti, name in enumerate(names) if (mask := owner == ti).any()]
+    groups = []
+    for ti, name in enumerate(names):
+        mask = owner == ti
+        if mask.any():
+            offsets, slot_idx = local[mask], np.flatnonzero(mask)
+            offsets.setflags(write=False)
+            slot_idx.setflags(write=False)
+            groups.append((name, offsets, slot_idx))
+    return tuple(groups)
+
+
+def _bit_slots(archive: ModelArchive, plan: AttackPlan, count: int) -> tuple:
+    """The `count` parameters a bit attack writes, as `_slot_groups` gives
+    them for the archive's eligible tensors. The positions are drawn here,
+    so a count beyond the host raises CapacityError before a caller
+    allocates anything for its slots."""
+    names = eligible_names(archive)
+    return _slot_groups(names, tuple(archive.tensors[n].size for n in names), count,
+                        derive_seed(plan.seed, f"{plan.method}/positions"))
 
 
 def _raw_field(data: np.ndarray, width: int, top: bool):

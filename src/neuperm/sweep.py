@@ -8,8 +8,8 @@ the next item, produce it, and consume every result that is next in order,
 one consume at a time. A sweep whose ``consume`` is the only place results
 meet therefore computes the same bytes at any W; so does one whose
 ``produce`` writes its own disjoint slice of a shared output array. The
-spread-spectrum chip sweeps in ``stego`` and the blocked Gaussian draws in
-``rng`` use it.
+spread-spectrum chip sweeps in ``stego``, the blocked Gaussian draws in
+``rng`` and the extraction game in ``analysis`` use it.
 
 While a sweep runs, numpy's OpenBLAS is held at one thread and then set back
 to its previous count. The sweep threads make their own BLAS calls, so a

@@ -1,5 +1,6 @@
 import csv
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import run_game_grid, write_grid_csv
 
+import neuperm.sweep as sweep
 from neuperm.analysis import (
     GameResult,
+    _play_game,
     d_from_site_sizes,
     effective_protected_bits,
     fixed_point_prob,
@@ -19,6 +22,7 @@ from neuperm.analysis import (
     success_bound_no_ecc,
 )
 from neuperm.errors import BoundInapplicableError, IneffectiveRegimeError
+from neuperm.rng import SeededRng
 
 # High-precision reference values recomputed by scripts/oracle_goldens.py.
 GOLDEN_NO_ECC = 4.317124741065825e-05  # d=0.99, L=1000
@@ -185,6 +189,84 @@ def test_game_success_counts_frozen(n, L, delta, trials, seed, successes):
     # long trial in 2^16-word chunks changes no count
     g = simulate_extraction_game(n=n, L=L, delta=delta, trials=trials, seed=seed)
     assert g.successes == successes
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize(
+    "n, L, delta, trials, seed, successes",
+    [
+        (512, 1, 0.0, 300_000, 11, 617),
+        (512, 2, 0.5, 300_000, 12, 1170),
+        (512, 1000, 1 / 7, 50_000, 1, 0),
+        (3, 5, 0.4, 300_000, 16, 62690),
+        (3, 30, 1 / 3, 100_000, 13, 20),
+        (6, 7, 0.5, 250_000, 18, 4511),
+        (3, 200_000, 0.6665, 1, 1, 1),
+        (3, 70_000, 0.6665, 9, 17, 2),
+        (2**63 + 1, 10, 0.5, 20_000, 14, 0),
+        (2**63 + 1, 70_000, 0.5, 3, 19, 0),
+    ],
+)
+def test_game_counts_at_any_worker_count(monkeypatch, workers, n, L, delta, trials, seed,
+                                         successes):
+    # counts frozen from the serial loop over the batches. n = 2**63 + 1
+    # rejects about half of all words, so every batch is drawn again in order;
+    # the L = 200000 and 70000 trials span several 2^16-word chunks
+    monkeypatch.setattr(sweep, "workers", lambda: workers)
+    g = simulate_extraction_game(n=n, L=L, delta=delta, trials=trials, seed=seed)
+    assert g.successes == successes
+
+
+def _serial_game(n, L, budget, trials, seed, limit):
+    """The game as one thread plays it: 2^16-word batches, each rejected word
+    replaced from the stream right after its batch's words."""
+    rng = SeededRng(seed)
+    draw = 1 << 16
+    batch = max(1, min(trials, draw // L))
+    successes = done = 0
+    while done < trials:
+        t = min(batch, trials - done)
+        errors = np.zeros(t, dtype=np.int64)
+        for start in range(0, L, draw):
+            width = min(draw, L - start)
+            words = rng.next_block(t * width)
+            bad = np.flatnonzero(words > limit)
+            while bad.size:
+                words[bad] = rng.next_block(bad.size)
+                bad = bad[words[bad] > limit]
+            errors += ((words % np.uint64(n)).reshape(t, width) != 0).sum(axis=1)
+        successes += int(np.count_nonzero(errors <= budget))
+        done += t
+    return successes
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("limit", [2**63 - 1, 2**64 - 2**46 - 1])
+@pytest.mark.parametrize("L, budget, trials", [(5, 2, 200_000), (1000, 667, 300),
+                                               (70_000, 46_667, 4)])
+def test_game_redraws_rejected_batches_in_order(monkeypatch, workers, limit, L, budget,
+                                                trials):
+    # fixed points as common as at n = 3, with half of all words rejected, or
+    # 1 in 2^18, so that some batches hold none: every batch after the first
+    # rejection is drawn again at its true offset
+    monkeypatch.setattr(sweep, "workers", lambda: workers)
+    limit = np.uint64(limit)
+    want = _serial_game(3, L, budget, trials, 21, limit)
+    assert want > 0
+    assert _play_game(3, L, budget, trials, 21, limit) == want
+
+
+def test_game_counts_under_fast_thread_switching(monkeypatch):
+    # more threads than CPUs, switching as often as the interpreter allows
+    monkeypatch.setattr(sweep, "workers", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert simulate_extraction_game(3, 5, 0.4, 300_000, 16).successes == 62690
+        limit = np.uint64(2**64 - 2**46 - 1)
+        assert _play_game(3, 5, 2, 200_000, 21, limit) == _serial_game(3, 5, 2, 200_000, 21, limit)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_game_result_rate():

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from neuperm.archive import ModelArchive
 from neuperm.disrupt import (
@@ -59,6 +63,35 @@ def test_prune_extremes(mlp_bundle):
     dead = prune_magnitude(archive, 1.0)
     for t in dead.tensors.values():
         assert not np.any(t.f32())
+
+
+def _prune_reference(flat: np.ndarray, ratio: float) -> np.ndarray:
+    """Zero the floor(ratio * size) first entries of a stable sort of |w|."""
+    out = flat.copy()
+    out[np.argsort(np.abs(flat), kind="stable")[: math.floor(ratio * flat.size)]] = 0
+    return out
+
+
+_PRUNE_VALUES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, 65504.0,
+                                 math.inf, -math.inf, math.nan, -math.nan])
+
+
+@given(
+    st.sampled_from([np.float32, np.float16]),
+    st.lists(st.one_of(_PRUNE_VALUES, st.floats(-4, 4, width=16)), min_size=1, max_size=60),
+    st.one_of(st.sampled_from([0.0, 0.5, 0.9, 1.0]), st.floats(0.0, 1.0)),
+)
+@example(np.float32, [math.nan, 1.0, -math.nan, 0.0, -0.0, math.inf], 5 / 6)
+@example(np.float16, [-math.nan, 2.0, math.nan, -2.0, -math.inf], 1.0)
+@settings(max_examples=300, deadline=None)
+def test_prune_matches_stable_sort(dtype, values, ratio):
+    # ties, +/-0, +/-inf and NaN of either sign, at ratios across [0, 1]; a
+    # NaN k-th magnitude prunes every number and the first NaNs
+    flat = np.array(values, dtype=dtype)
+    pruned = prune_magnitude(ModelArchive({"w": tensor(flat, flat.dtype.name)}), ratio)
+    out = pruned.tensors["w"].data
+    assert out.dtype == dtype
+    assert out.tobytes() == _prune_reference(flat, ratio).tobytes()
 
 
 def test_noise_statistics(small_host_bundle):

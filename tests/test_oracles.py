@@ -8,6 +8,7 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from neuperm.analysis import success_bound_ecc, success_bound_no_ecc
@@ -40,6 +41,24 @@ def test_fisher_yates(oracle, n, seed):
 
 def test_sample_positions(oracle):
     assert sample_positions(2**20, 98304, 7).tolist() == oracle.sample_positions(2**20, 98304, 7)
+
+
+@pytest.mark.parametrize("total", range(1, 65))
+def test_sample_positions_grid(oracle, total):
+    # every count from none to the whole host, where swap chains run longest
+    for count in range(total + 1):
+        for seed in (0, total):
+            got = sample_positions(total, count, seed)
+            assert got.dtype == np.int64
+            assert got.tolist() == oracle.sample_positions(total, count, seed), (count, seed)
+
+
+@pytest.mark.parametrize("total,count", [(2**62 + 3, 9), (2**63 - 1, 2)])
+def test_sample_positions_huge_host(oracle, total, count):
+    # targets near the int64 limit; about 1 word in 4 is rejected at 2**62 + 3
+    for seed in range(4):
+        assert sample_positions(total, count, seed).tolist() == oracle.sample_positions(
+            total, count, seed)
 
 
 def test_golden_archive(oracle):

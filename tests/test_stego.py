@@ -15,9 +15,9 @@ from neuperm.rng import SeededRng, derive_seed, words_at
 from neuperm.stego import (
     SS_MIN_RATIO,
     AttackPlan,
-    _positions,
     _chip_block,
     _chunk_cols,
+    _slot_groups,
     _spread_block,
     decode_correlations,
     eligible_names,
@@ -122,7 +122,7 @@ def test_positions_drawn_once_per_seed(small_host_bundle, monkeypatch):
         return sample_positions(total, count, seed)
 
     monkeypatch.setattr(stego, "sample_positions", counting)
-    _positions.cache_clear()
+    _slot_groups.cache_clear()
     payload = random_payload(1031, 32)
     plan = _lsb_plan(archive, payload, 2, seed=41)
     carrier = lsb_embed(archive, payload, plan)
@@ -133,10 +133,11 @@ def test_positions_drawn_once_per_seed(small_host_bundle, monkeypatch):
     for _ in range(3):
         assert sign_extract(carrier, plan) == payload
     assert len(calls) == 2  # one lsb draw, one sign draw
-    _positions.cache_clear()
-    cached = _positions(1000, 10, 3)
-    assert not cached.flags.writeable
-    assert np.array_equal(cached, sample_positions(1000, 10, 3))
+    _slot_groups.cache_clear()
+    ((name, local, slot_idx),) = _slot_groups(("w",), (1000,), 10, 3)
+    assert name == "w" and not local.flags.writeable and not slot_idx.flags.writeable
+    assert np.array_equal(local, sample_positions(1000, 10, 3))
+    assert slot_idx.tolist() == list(range(10))
 
 
 # ----------------------------------------------------------------- lsb
