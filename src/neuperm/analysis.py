@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundInapplicableError, IneffectiveRegimeError
-from .rng import GOLDEN, MASK64, SeededRng, _mix64_array
+from .rng import GOLDEN, MASK64, _mix64_array
 from .sweep import run_ordered
 
 
@@ -162,7 +162,7 @@ def simulate_extraction_game(
     bound = success_bound(1.0 / n, delta, L)
     span = ((1 << 64) // n) * n  # == 2**64 when n is a power of two: no rejection needed
     limit = np.uint64(span - 1) if span < (1 << 64) else None
-    successes = _play_game(n, L, math.floor(delta * L), trials, SeededRng(seed).seed, limit)
+    successes = _play_game(n, L, math.floor(delta * L), trials, seed & MASK64, limit)
     return GameResult(n=n, L=L, delta=delta, trials=trials, successes=successes, bound=bound)
 
 
