@@ -9,18 +9,23 @@ whitespace, sorted keys) and pack payloads contiguously in name order, so
 equal archives serialize to identical bytes. The parser is stricter than it
 needs to be for our own files on purpose: it is the fuzz target.
 
-Loading copies nothing per tensor. ``load_archive`` reads the file once into
-a read-only buffer placed so that the payload starts on a 64-byte boundary,
+An archive is read in one of two ways, both through one header validator,
+``_read_header``. ``load_archive`` reads the whole file once into a
+read-only buffer placed so that the payload starts on a 64-byte boundary,
 and ``parse_archive`` wraps each tensor as a view of that buffer; only a
 tensor whose offset does not suit its dtype's alignment is copied (by
 ``Tensor``), because numpy runs misaligned arrays through a slower non-BLAS
-loop that also rounds differently. Writing streams the
-header and then each tensor's bytes through one serializer, ``_serialize``.
-``save_archive`` runs it twice at once over the same read-only arrays: into
-the file on the calling thread, and into sha256 on a helper thread
-(``sweep.background``). ``_serialize`` is deterministic, so the digest
-returned is that of the bytes written, and a saved archive is never read
-again to name it.
+loop that also rounds differently. ``ArchiveReader`` keeps the file open,
+checks its header, and reads one tensor at a time into a buffer of its own,
+so a rewrite can stream a model it never holds whole.
+
+Everything that writes an archive goes through one canonical writer,
+``_emit``, over any archive-like object: ``metadata``, a ``layout`` of
+``TensorSpec`` by name, and ``read(name)``. It reads each tensor just
+before its bytes go out and lets it go right after. ``save_archive`` writes
+each chunk to the file while a helper thread (``sweep.background``) feeds
+the same chunk to sha256, so the digest returned is that of the bytes
+written, and a saved archive is never read again to name it.
 """
 
 from __future__ import annotations
@@ -30,7 +35,10 @@ import json
 import math
 import os
 import struct
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +51,22 @@ _METADATA_KEY = "__metadata__"
 
 # json header larger than this is rejected before allocation
 _MAX_HEADER = 256 * 1024 * 1024
-# load_archive starts the payload on a multiple of this many bytes
+# every tensor buffer a reader fills, and load_archive's payload, start on a
+# multiple of this many bytes
 _PAYLOAD_ALIGN = 64
+# bytes ArchiveReader.digest reads at a time
+_HASH_CHUNK = 4 << 20
+
+
+class TensorSpec(NamedTuple):
+    """A tensor's dtype name and shape: what the header says of it."""
+
+    dtype: str
+    shape: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
 
 
 @dataclass
@@ -53,7 +75,7 @@ class ModelArchive:
 
     ``source`` is the read-only file content ``load_archive`` parsed, so a
     caller can hash its input without reading the file again; it is None
-    for an archive built any other way, ``replace`` included.
+    for an archive built any other way, ``replace`` and ``map`` included.
     """
 
     tensors: dict[str, Tensor] = field(default_factory=dict)
@@ -64,6 +86,16 @@ class ModelArchive:
     def param_count(self) -> int:
         return sum(t.size for t in self.tensors.values())
 
+    @property
+    def layout(self) -> dict[str, TensorSpec]:
+        return {name: TensorSpec(t.dtype, t.shape) for name, t in self.tensors.items()}
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.tensors
+
+    def read(self, name: str) -> Tensor:
+        return self.tensors[name]
+
     def replace(self, updates: dict[str, Tensor]) -> "ModelArchive":
         """New archive with some tensors swapped out."""
         for name in updates:
@@ -72,6 +104,11 @@ class ModelArchive:
         merged = dict(self.tensors)
         merged.update(updates)
         return ModelArchive(merged, dict(self.metadata))
+
+    def map(self, rewrite) -> "ModelArchive":
+        """New archive holding ``rewrite(name, tensor)`` for every tensor."""
+        return ModelArchive({name: rewrite(name, t) for name, t in self.tensors.items()},
+                            dict(self.metadata))
 
     def same_bits(self, other: "ModelArchive") -> bool:
         if set(self.tensors) != set(other.tensors) or self.metadata != other.metadata:
@@ -90,24 +127,20 @@ def _dup_check(pairs):
     return out
 
 
-def parse_archive(buf) -> ModelArchive:
-    """Decode container bytes. Every malformation raises ParseError.
-
-    ``buf`` is any bytes-like object; tensors are views of it where their
-    data is aligned and ``buf`` is read-only, and copies otherwise.
-    """
-    buf = memoryview(buf).cast("B")
-    if len(buf) < 8:
+def _read_header(head, size: int):
+    """Check the header of a ``size``-byte file whose first bytes, the length
+    prefix and the header at least, are ``head``. Every malformation raises
+    ParseError. Returns (payload start, metadata, {name: (numpy dtype,
+    shape, begin, end)}) with payload-relative offsets."""
+    if size < 8:
         raise ParseError("file shorter than the 8-byte header-length prefix", 0)
-    (header_len,) = struct.unpack_from("<Q", buf, 0)
+    (header_len,) = struct.unpack_from("<Q", head, 0)
     if header_len > _MAX_HEADER:
         raise ParseError(f"header length {header_len} is implausibly large", 0)
-    if 8 + header_len > len(buf):
-        raise ParseError(
-            f"header length {header_len} overruns the file ({len(buf)} bytes)", 0
-        )
+    if 8 + header_len > size:
+        raise ParseError(f"header length {header_len} overruns the file ({size} bytes)", 0)
     try:
-        text = bytes(buf[8 : 8 + header_len]).decode("utf-8")
+        text = bytes(head[8 : 8 + header_len]).decode("utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(f"header is not valid UTF-8: {e.reason}", 8 + e.start) from e
     try:
@@ -121,11 +154,9 @@ def parse_archive(buf) -> ModelArchive:
     if not isinstance(header, dict):
         raise ParseError("header JSON must be an object", 8)
 
-    payload = buf[8 + header_len :]
+    start, payload_len = 8 + header_len, size - 8 - header_len
     metadata: dict[str, str] = {}
-    tensors: dict[str, Tensor] = {}
-    spans: list[tuple[int, int, str]] = []
-
+    entries = {}
     for name, entry in header.items():
         if name == _METADATA_KEY:
             if not isinstance(entry, dict) or not all(
@@ -159,11 +190,11 @@ def parse_archive(buf) -> ModelArchive:
         begin, end = offs
         if begin < 0 or end < begin:
             raise ParseError(f"tensor {name!r} offsets [{begin}, {end}) are inverted", 8)
-        if end > len(payload):
+        if end > payload_len:
             raise ParseError(
                 f"tensor {name!r} offsets [{begin}, {end}) overrun the payload "
-                f"({len(payload)} bytes)",
-                8 + header_len + begin,
+                f"({payload_len} bytes)",
+                start + begin,
             )
         dt = _TAG_TO_NUMPY[tag]
         count = math.prod(shape)
@@ -171,48 +202,188 @@ def parse_archive(buf) -> ModelArchive:
             raise ParseError(
                 f"tensor {name!r}: {end - begin} bytes but shape {shape} "
                 f"needs {count * dt.itemsize}",
-                8 + header_len + begin,
+                start + begin,
             )
-        spans.append((begin, end, name))
-        arr = np.frombuffer(payload, dtype=dt, count=count, offset=begin).reshape(shape)
-        tensors[name] = Tensor(arr)
+        entries[name] = (dt, tuple(shape), begin, end)
 
-    spans.sort()
+    spans = sorted((begin, end, name) for name, (_, _, begin, end) in entries.items())
     for (b1, e1, n1), (b2, e2, n2) in zip(spans, spans[1:]):
         if b2 < e1:
             raise ParseError(
                 f"tensors {n1!r} and {n2!r} overlap: [{b1}, {e1}) vs [{b2}, {e2})",
-                8 + header_len + b2,
+                start + b2,
             )
+    return start, metadata, entries
+
+
+def parse_archive(buf) -> ModelArchive:
+    """Decode container bytes. Every malformation raises ParseError.
+
+    ``buf`` is any bytes-like object; tensors are views of it where their
+    data is aligned and ``buf`` is read-only, and copies otherwise.
+    """
+    buf = memoryview(buf).cast("B")
+    start, metadata, entries = _read_header(buf, len(buf))
+    payload = buf[start:]
+    tensors = {
+        name: Tensor(np.frombuffer(payload, dtype=dt, count=math.prod(shape), offset=begin)
+                     .reshape(shape))
+        for name, (dt, shape, begin, _) in entries.items()
+    }
     return ModelArchive(tensors, metadata)
 
 
-def _serialize(archive: ModelArchive, sink) -> None:
-    """Feed the canonical bytes to ``sink``: the length prefix and header as
-    one bytes chunk, then each tensor's payload as a uint8 view of its data."""
-    names = sorted(archive.tensors)
+def _fill(fh, buf) -> int:
+    """Read from ``fh``'s position into ``buf`` until it is full or the file
+    ends; returns the number of bytes read."""
+    filled = 0
+    with memoryview(buf) as view:
+        while filled < len(view):
+            got = fh.readinto(view[filled:])
+            if not got:
+                break
+            filled += got
+    return filled
+
+
+class ArchiveReader:
+    """An archive file held open and read one tensor at a time.
+
+    Opening reads only the length prefix and the header, and checks them as
+    ``parse_archive`` does, so a malformed file is refused before any tensor
+    is read. ``metadata``, ``layout`` and ``param_count`` come from the
+    header. ``read(name)`` reads one tensor into a 64-byte-aligned buffer of
+    its own; ``digest()`` hashes the whole file in order. Both read through
+    the one file handle under a lock, so a helper thread may hash the file
+    while the caller reads tensors, and the file is opened once. A ``with``
+    block closes it.
+    """
+
+    def __init__(self, path):
+        self._fh = open(path, "rb", buffering=0)
+        self._lock = threading.Lock()
+        try:
+            size = os.fstat(self._fh.fileno()).st_size
+            head = bytearray(8)
+            header_len = int.from_bytes(head[: _fill(self._fh, head)], "little")
+            # a header length _read_header refuses is not read
+            if header_len <= min(_MAX_HEADER, size - 8):
+                head += bytearray(header_len)
+                _fill(self._fh, memoryview(head)[8:])
+            self._start, self.metadata, self._entries = _read_header(head, size)
+        except BaseException:
+            self._fh.close()
+            raise
+        self.layout = {name: TensorSpec(dt.name, shape)
+                       for name, (dt, shape, _, _) in self._entries.items()}
+
+    @property
+    def param_count(self) -> int:
+        return sum(spec.size for spec in self.layout.values())
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.layout
+
+    def read(self, name: str) -> Tensor:
+        """Tensor ``name``, read from the file now. A file that ends before
+        the tensor does raises ParseError naming it."""
+        dt, shape, begin, end = self._entries[name]
+        raw = np.empty(end - begin + _PAYLOAD_ALIGN, dtype=np.uint8)
+        first = -raw.ctypes.data % _PAYLOAD_ALIGN
+        data = raw[first : first + end - begin]
+        got = self._read_at(data, self._start + begin)
+        if got < data.size:
+            raise ParseError(f"tensor {name!r} is cut short: the file ends {got} bytes into "
+                             f"its {data.size}", self._start + begin + got)
+        return Tensor.adopt(data.view(dt).reshape(shape))
+
+    def map(self, rewrite) -> "_Rewritten":
+        """This file as an archive whose tensors are ``rewrite(name,
+        tensor)``, each read and rewritten when it is asked for."""
+        return _Rewritten(self, rewrite)
+
+    def digest(self) -> str:
+        """sha256 of the whole file."""
+        hasher = hashlib.sha256()
+        chunk, offset = bytearray(_HASH_CHUNK), 0
+        with memoryview(chunk) as view:
+            while got := self._read_at(view, offset):
+                hasher.update(view[:got])
+                offset += got
+        return hasher.hexdigest()
+
+    def _read_at(self, buf, offset: int) -> int:
+        with self._lock:
+            self._fh.seek(offset)
+            return _fill(self._fh, buf)
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+@dataclass(frozen=True)
+class _Rewritten:
+    """``ArchiveReader.map``: the reader's archive, each tensor rewritten as it is read."""
+
+    reader: ArchiveReader
+    rewrite: Callable[[str, Tensor], Tensor]
+
+    @property
+    def metadata(self) -> dict[str, str]:
+        return self.reader.metadata
+
+    @property
+    def layout(self) -> dict[str, TensorSpec]:
+        return self.reader.layout
+
+    def read(self, name: str) -> Tensor:
+        return self.rewrite(name, self.reader.read(name))
+
+
+def _payload(name: str, t: Tensor, spec: TensorSpec):
+    """The bytes of ``t`` as a uint8 view, once it is checked against the
+    spec the header was written from."""
+    if (t.dtype, t.shape) != spec:
+        raise ValueError(f"tensor {name!r} is {t.dtype} {t.shape}, but the header says "
+                         f"{spec.dtype} {spec.shape}")
+    return t.data.reshape(-1).view(np.uint8)
+
+
+def _emit(archive, sink) -> None:
+    """Feed the canonical bytes of ``archive`` to ``sink``: the length prefix
+    and header as one bytes chunk, then each tensor's payload as a uint8
+    view of its data, read from ``archive`` in name order."""
+    layout = archive.layout
+    names = sorted(layout)
     header: dict[str, object] = {}
     if archive.metadata:
         header[_METADATA_KEY] = dict(archive.metadata)
     cursor = 0
     for name in names:
-        t = archive.tensors[name]
+        spec = layout[name]
+        nbytes = spec.size * np.dtype(spec.dtype).itemsize
         header[name] = {
-            "dtype": DTYPES[t.dtype],
-            "shape": list(t.shape),
-            "data_offsets": [cursor, cursor + t.data.nbytes],
+            "dtype": DTYPES[spec.dtype],
+            "shape": list(spec.shape),
+            "data_offsets": [cursor, cursor + nbytes],
         }
-        cursor += t.data.nbytes
+        cursor += nbytes
     text = json.dumps(header, separators=(",", ":"), sort_keys=True).encode("utf-8")
     sink(struct.pack("<Q", len(text)) + text)
     for name in names:
-        sink(archive.tensors[name].data.reshape(-1).view(np.uint8))
+        sink(_payload(name, archive.read(name), layout[name]))
 
 
 def write_archive(archive: ModelArchive) -> bytes:
     """Canonical serialization (stable bytes for equal archives)."""
     chunks: list = []
-    _serialize(archive, chunks.append)
+    _emit(archive, chunks.append)
     return b"".join(chunks)
 
 
@@ -226,13 +397,7 @@ def load_archive(path) -> ModelArchive:
         raw = np.empty(size + 2 * _PAYLOAD_ALIGN, dtype=np.uint8)
         start += -raw.ctypes.data % _PAYLOAD_ALIGN
         fh.seek(0)
-        filled = 0
-        with memoryview(raw[start : start + size]) as view:
-            while filled < size:
-                got = fh.readinto(view[filled:])
-                if not got:
-                    break
-                filled += got
+        filled = _fill(fh, raw[start : start + size])
     raw.setflags(write=False)
     content = raw[start : start + filled]
     archive = parse_archive(content)
@@ -240,17 +405,23 @@ def load_archive(path) -> ModelArchive:
     return archive
 
 
-def save_archive(archive: ModelArchive, path) -> str:
-    """Write the canonical bytes to ``path``; returns their sha256, hashed
-    on a helper thread while this one writes. A failed write raises once
-    the helper has stopped."""
-    with open(path, "wb") as fh, background(archive_digest, archive) as digest:
-        _serialize(archive, fh.write)
-    return digest()
+def save_archive(archive, path) -> str:
+    """Write the canonical bytes of ``archive`` (a ModelArchive, or anything
+    with its ``metadata``, ``layout`` and ``read``) to ``path``; returns
+    their sha256. Each chunk is hashed on a helper thread while this one
+    writes it. A failed write raises once the helper has stopped."""
+    hasher = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def write(chunk) -> None:
+            with background(hasher.update, chunk):
+                fh.write(chunk)
+
+        _emit(archive, write)
+    return hasher.hexdigest()
 
 
 def archive_digest(archive: ModelArchive) -> str:
     """sha256 of the canonical serialization."""
-    digest = hashlib.sha256()
-    _serialize(archive, digest.update)
-    return digest.hexdigest()
+    hasher = hashlib.sha256()
+    _emit(archive, hasher.update)
+    return hasher.hexdigest()

@@ -2,8 +2,12 @@
 
 Subcommands:
 
-* ``sanitize`` — rewrite a weight file with a disruptor, optionally
-  verifying function preservation against the model's net sidecar first.
+* ``sanitize`` — rewrite a weight file with a disruptor, one tensor at a
+  time: each is read, rewritten, written and let go before the next, so
+  the model is never held in memory whole. ``--verify`` then checks that
+  the function is preserved, against the model's net sidecar, reading the
+  input and the staged output one layer at a time before the output is
+  committed.
 * ``attack``   — embed a payload file into a weight file (lsb / sign / ss)
   and write a plan file describing how to extract it again.
 * ``evaluate`` — replay extraction against disrupted variants of a carrier
@@ -40,11 +44,16 @@ from .analysis import (
 )
 # archive_digest and load_descriptor are unused here but stay importable as
 # neuperm.cli.archive_digest and neuperm.cli.load_descriptor, names perfbench/tracer.py wraps
-from .archive import archive_digest, load_archive, save_archive  # noqa: F401
+from .archive import ArchiveReader, archive_digest, load_archive, save_archive  # noqa: F401
 from .descriptor import load_descriptor, parse_descriptor  # noqa: F401
-from .disrupt import apply_disruptor, parse_disruptor
+from .disrupt import apply_disruptor, parse_disruptor, tensor_rewrite
 from .errors import VerificationError, quote, read_json, split_spec
-from .inference import normalized_output_deviation, parse_network, random_inputs
+from .inference import (
+    check_params,
+    normalized_output_deviation,
+    parse_network,
+    random_inputs,
+)
 from .rng import derive_seed
 from .stego import (
     ATTACK_KINDS,
@@ -113,12 +122,13 @@ class _Outputs:
     """Every file one command writes, from its temporary name to the manifest.
 
     ``archive`` and ``text`` write an output under a temporary name beside
-    its target and record the sha256 of the bytes written. ``commit`` (or a
-    ``with`` block that ends normally) writes the manifest last, when
-    ``--manifest`` asked for one, listing every output, then moves every
-    staged file onto its target. When the block raises, or a write or move
-    fails, the staged files and any already moved are deleted, so a failed
-    command leaves no output file. ``details`` is recorded as it stands at
+    its target and record the sha256 of the bytes written; ``staged`` maps
+    each target to that name until the commit. ``commit`` (or a ``with``
+    block that ends normally) writes the manifest last, when ``--manifest``
+    asked for one, listing every output, then moves every staged file onto
+    its target. When the block raises, or a write or move fails, the staged
+    files and any already moved are deleted, so a failed command leaves no
+    output file. ``inputs`` and ``details`` are recorded as they stand at
     commit time.
     """
 
@@ -126,7 +136,7 @@ class _Outputs:
         self.manifest = args.manifest
         self.doc = {
             "tool": "neuperm", "command": args.command, "argv": list(argv), "seed": seed,
-            "inputs": dict(inputs), "outputs": {}, "details": details,
+            "inputs": inputs, "outputs": {}, "details": details,
         }
         self.staged: dict[str, str] = {}
 
@@ -140,6 +150,7 @@ class _Outputs:
             self._discard()
 
     def archive(self, path, archive) -> str:
+        """Stage ``archive``, which ``save_archive`` takes, at ``path``."""
         digest = save_archive(archive, self._stage(path))
         self.doc["outputs"][str(path)] = digest
         return digest
@@ -191,17 +202,16 @@ class _Outputs:
 
 # ------------------------------------------------------------- sanitize
 
-def _verify_preserved(net, original, rewritten, seed: int, probes: int) -> float:
-    tol = _F16_TOL if any(t.dtype == "float16" for t in original.tensors.values()) else _F32_TOL
-    inputs = random_inputs(net, probes, derive_seed(seed, "verify/probes"))
+def _verify_preserved(net, original, rewritten, probes) -> float:
+    tol = _F16_TOL if any(s.dtype == "float16" for s in original.layout.values()) else _F32_TOL
     # a rewrite that breaks the model may overflow or take the root of a
     # negative variance; the deviation reads NaN and the error line says so
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        dev = normalized_output_deviation(net, original, rewritten, inputs)
+        dev = normalized_output_deviation(net, original, rewritten, probes)
     if not dev <= tol:  # a NaN deviation fails too
         raise VerificationError(
             f"outputs diverged: max normalized deviation {dev:.3e} exceeds "
-            f"{tol:.0e} over {probes} probes"
+            f"{tol:.0e} over {len(probes)} probes"
         )
     return dev
 
@@ -209,42 +219,44 @@ def _verify_preserved(net, original, rewritten, seed: int, probes: int) -> float
 def cmd_sanitize(args, argv) -> int:
     if args.probes < 1:
         raise ValueError("--probes must be >= 1")
-    archive = load_archive(args.input)
-    inputs = {}
-    # the input hash runs beside the parse and the rewrite, and is done
-    # before --verify, whose gemvs use every BLAS thread
-    with background(_source_digest, archive) as input_digest:
-        config = parse_disruptor(args.disrupt)
+    config = parse_disruptor(args.disrupt)
+    seed = _resolve_seed(args)
+    inputs, details = {}, {"disrupt": config.spec}
+    # the input is closed before the outputs are committed, so --output may name it
+    with _Outputs(args, argv, seed, inputs, details) as out, ArchiveReader(args.input) as source:
+        # the header, the descriptor and the net sidecar are read and checked,
+        # and the probes drawn, before the first tensor is read
         descriptor = None
         if args.descriptor:
-            descriptor = parse_descriptor(_read_input(args.descriptor, inputs), archive)
-        seed = _resolve_seed(args)
-        result, coverage = apply_disruptor(
-            archive, config, seed=seed, descriptor=descriptor
-        )
-    inputs[args.input] = input_digest()
-
-    deviation = None
-    if args.verify:
-        net_path = args.net or args.input + ".net.json"
-        if not os.path.exists(net_path):
-            raise ValueError(f"no net sidecar at {net_path}")
-        net = parse_network(_read_input(net_path, inputs))
-        deviation = _verify_preserved(net, archive, result, seed, args.probes)
-
-    details = {"disrupt": config.spec}
-    if coverage is not None:
-        details["coverage"] = {
-            "total_params": coverage.total_params,
-            "changed_params": coverage.changed_params,
-            "fraction": coverage.fraction,
-            "percent": coverage.percent,
-            "applied_sites": list(coverage.applied_sites),
-        }
-    if deviation is not None:
-        details["verify_max_deviation"] = deviation
-    with _Outputs(args, argv, seed, inputs, details) as out:
-        details["output_digest"] = out.archive(args.output, result)
+            descriptor = parse_descriptor(_read_input(args.descriptor, inputs), source)
+        net = None
+        if args.verify:
+            net_path = args.net or args.input + ".net.json"
+            if not os.path.exists(net_path):
+                raise ValueError(f"no net sidecar at {net_path}")
+            net = parse_network(_read_input(net_path, inputs))
+            check_params(net, source)
+            probes = random_inputs(net, args.probes, derive_seed(seed, "verify/probes"))
+        rewrite, coverage = tensor_rewrite(config, source, seed=seed, descriptor=descriptor)
+        if coverage is not None:
+            details["coverage"] = {
+                "total_params": coverage.total_params,
+                "changed_params": coverage.changed_params,
+                "fraction": coverage.fraction,
+                "percent": coverage.percent,
+                "applied_sites": list(coverage.applied_sites),
+            }
+        # one tensor at a time is read, rewritten and written; the input hash
+        # runs beside that and is done before --verify, whose gemvs use every
+        # BLAS thread
+        with background(source.digest) as input_digest:
+            details["output_digest"] = out.archive(args.output, source.map(rewrite))
+            inputs[args.input] = input_digest()
+        if net is not None:
+            # the bytes about to be committed, against the input
+            with ArchiveReader(out.staged[str(args.output)]) as result:
+                details["verify_max_deviation"] = _verify_preserved(net, source, result, probes)
+    deviation = details.get("verify_max_deviation")
     line = f"sanitize {config.spec} seed={seed}"
     if coverage is not None:
         line += f" coverage={coverage.percent:.2f}%"

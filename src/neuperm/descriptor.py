@@ -12,9 +12,11 @@ first `produce` ref is the q rows and every `consume` ref the o columns,
 both in group-width blocks ((h_q/h_kv)*head_dim); the other `produce`
 refs are the k and v rows, in head_dim blocks.
 
-Descriptors normally validate against the archive they describe. A
-descriptor may instead embed a `shapes` map so coverage accounting works for
-architectures whose weights we never materialize.
+Descriptors normally validate against the archive they describe, from its
+`layout` alone: an archive in memory and an `ArchiveReader` that has read
+only the header validate the same way. A descriptor may instead embed a
+`shapes` map so coverage accounting works for architectures whose weights
+we never materialize.
 
 Each type checks its own fields when it is built, so a descriptor built in
 code meets the same rules as one read from JSON. The JSON form is the
@@ -28,7 +30,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from .archive import ModelArchive
+from .archive import ArchiveReader, ModelArchive
 from .errors import DescriptorError, quote, read_json
 
 SITE_KINDS = ("fc_pair", "conv_block", "attn_gqa")
@@ -143,7 +145,7 @@ class ArchDescriptor:
 
 
 def validate_descriptor(
-    desc: ArchDescriptor, archive: ModelArchive | None = None
+    desc: ArchDescriptor, archive: ModelArchive | ArchiveReader | None = None
 ) -> dict[str, int]:
     """Eager checks: refs resolve and every axis extent fits its site.
 
@@ -154,12 +156,13 @@ def validate_descriptor(
     from the archive's shapes, or from the shapes map when there is no
     archive: the sizes coverage accounting and site selection use.
     """
+    layout = archive.layout if archive is not None else {}
     shapes: dict[str, tuple[int, ...]] = {}
     for name in sorted({name for site in desc.sites for name, _ in site.refs}):
         if archive is not None:
-            if name not in archive.tensors:
+            if name not in layout:
                 raise DescriptorError(f"descriptor references missing tensor {name!r}")
-            shapes[name] = archive.tensors[name].shape
+            shapes[name] = layout[name].shape
         elif desc.shapes is not None and name in desc.shapes:
             shapes[name] = desc.shapes[name]
         else:
@@ -168,10 +171,10 @@ def validate_descriptor(
             )
     if archive is not None:
         for name, shape in (desc.shapes or {}).items():
-            if name in archive.tensors and shape != archive.tensors[name].shape:
+            if name in layout and shape != layout[name].shape:
                 raise DescriptorError(
                     f"shapes map disagrees with archive for {name!r}: "
-                    f"{shape} vs {archive.tensors[name].shape}"
+                    f"{shape} vs {layout[name].shape}"
                 )
         if desc.total_params != archive.param_count:
             raise DescriptorError(
@@ -265,7 +268,9 @@ def descriptor_to_dict(desc: ArchDescriptor) -> dict:
     return json.loads(json.dumps(fields))  # the round trip turns tuples into lists
 
 
-def parse_descriptor(text: str | bytes, archive: ModelArchive | None = None) -> ArchDescriptor:
+def parse_descriptor(
+    text: str | bytes, archive: ModelArchive | ArchiveReader | None = None
+) -> ArchDescriptor:
     """Parse descriptor JSON and validate it eagerly.
 
     With an archive the refs are checked against real shapes; without one

@@ -10,18 +10,27 @@ Three families, one dispatcher:
 
 Noise and pruning change what the model computes; the permutation pass does
 not, which is the whole point of preferring it.
+
+Each disruptor is one rewrite per tensor (``tensor_rewrite``):
+``apply_disruptor`` maps it over an archive in memory for ``evaluate``,
+and ``sanitize`` streams it over a file one tensor at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .archive import ModelArchive
+from .archive import ArchiveReader, ModelArchive
 from .descriptor import ArchDescriptor
-from .engine import CoverageReport, apply_schedule, make_schedule
+# apply_schedule is unused here but stays importable as neuperm.disrupt.apply_schedule,
+# a name perfbench/tracer.py wraps
+from .engine import (  # noqa: F401
+    CoverageReport, Rewrite, apply_schedule, make_schedule, schedule_rewrite,
+)
 from .errors import split_spec
 from .rng import SeededRng, derive_seed
 from .tensor import Tensor
@@ -64,16 +73,35 @@ def parse_disruptor(spec: str) -> DisruptorConfig:
     return DisruptorConfig(*split_spec(spec, _KINDS, "disruptor spec"))
 
 
+def _noise(sigma: float, seed: int, name: str, t: Tensor) -> Tensor:
+    """w' = w + sigma * g, g ~ N(0,1) from the substream keyed by ``name``."""
+    rng = SeededRng(derive_seed(seed, f"noise/{name}"))
+    g = rng.gaussian_block(t.size).astype(np.float32).reshape(t.shape)
+    vals = t.f32() + np.float32(sigma) * g
+    return Tensor.adopt(vals.astype(t.dtype, copy=False))
+
+
+def _prune(ratio: float, name: str, t: Tensor) -> Tensor:
+    """Zero the floor(ratio * size) smallest-|w| entries (see prune_magnitude)."""
+    k = math.floor(ratio * t.size)
+    if k == 0:
+        return t
+    flat = t.data.copy().ravel()
+    mag = np.abs(flat)
+    kth = np.partition(mag, k - 1)[k - 1]
+    if np.isnan(kth):  # NaN ranks after every number, which are all below it
+        ties = np.isnan(mag)
+        below = ~ties
+    else:
+        below, ties = mag < kth, mag == kth
+    flat[below] = 0
+    flat[np.flatnonzero(ties)[: k - np.count_nonzero(below)]] = 0
+    return Tensor.adopt(flat.reshape(t.shape))
+
+
 def add_gaussian_noise(archive: ModelArchive, sigma: float, seed: int) -> ModelArchive:
     """w' = w + sigma * g, g ~ N(0,1), per-tensor substreams keyed by name."""
-    updates = {}
-    for name in sorted(archive.tensors):
-        t = archive.tensors[name]
-        rng = SeededRng(derive_seed(seed, f"noise/{name}"))
-        g = rng.gaussian_block(t.size).astype(np.float32).reshape(t.shape)
-        vals = t.f32() + np.float32(sigma) * g
-        updates[name] = Tensor.adopt(vals.astype(t.dtype, copy=False))
-    return archive.replace(updates)
+    return archive.map(functools.partial(_noise, sigma, seed))
 
 
 def prune_magnitude(archive: ModelArchive, ratio: float) -> ModelArchive:
@@ -86,24 +114,33 @@ def prune_magnitude(archive: ModelArchive, ratio: float) -> ModelArchive:
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError("prune ratio must lie in [0, 1]")
-    updates = {}
-    for name in sorted(archive.tensors):
-        t = archive.tensors[name]
-        k = math.floor(ratio * t.size)
-        if k == 0:
-            continue
-        flat = t.data.copy().ravel()
-        mag = np.abs(flat)
-        kth = np.partition(mag, k - 1)[k - 1]
-        if np.isnan(kth):  # NaN ranks after every number, which are all below it
-            ties = np.isnan(mag)
-            below = ~ties
-        else:
-            below, ties = mag < kth, mag == kth
-        flat[below] = 0
-        flat[np.flatnonzero(ties)[: k - np.count_nonzero(below)]] = 0
-        updates[name] = Tensor.adopt(flat.reshape(t.shape))
-    return archive.replace(updates)
+    return archive.map(functools.partial(_prune, ratio))
+
+
+def tensor_rewrite(
+    config: DisruptorConfig,
+    archive: ModelArchive | ArchiveReader,
+    *,
+    seed: int = 0,
+    descriptor: ArchDescriptor | None = None,
+) -> tuple[Rewrite, CoverageReport | None]:
+    """One disruptor as one rewrite per tensor, ``rewrite(name, tensor)``,
+    plus, for the permutation pass, its coverage report (None for the
+    others). Each tensor's rewrite depends only on its name and bytes, so
+    it may run on each tensor in turn as a file is streamed. ``archive`` (an
+    archive or an ``ArchiveReader``) supplies the layout the permutation
+    pass draws its schedule for; no tensor is read here.
+    """
+    if config.kind == "none":
+        return (lambda name, t: t), None
+    if config.kind == "noise":
+        return functools.partial(_noise, config.value, seed), None
+    if config.kind == "prune":
+        return functools.partial(_prune, config.value), None
+    if descriptor is None:
+        raise ValueError("the permutation pass needs an architecture descriptor")
+    schedule = make_schedule(descriptor, seed, fraction_target=config.value, archive=archive)
+    return schedule_rewrite(archive, descriptor, schedule)
 
 
 def apply_disruptor(
@@ -113,15 +150,8 @@ def apply_disruptor(
     seed: int = 0,
     descriptor: ArchDescriptor | None = None,
 ) -> tuple[ModelArchive, CoverageReport | None]:
-    """Run one disruptor; returns the new archive and, for the permutation
-    pass, its coverage report (None for the others)."""
-    if config.kind == "none":
-        return archive, None
-    if config.kind == "noise":
-        return add_gaussian_noise(archive, config.value, seed), None
-    if config.kind == "prune":
-        return prune_magnitude(archive, config.value), None
-    if descriptor is None:
-        raise ValueError("the permutation pass needs an architecture descriptor")
-    schedule = make_schedule(descriptor, seed, fraction_target=config.value, archive=archive)
-    return apply_schedule(archive, descriptor, schedule)
+    """Run one disruptor over an archive in memory: ``tensor_rewrite``
+    mapped over every tensor. Returns the new archive and, for the
+    permutation pass, its coverage report (None for the others)."""
+    rewrite, coverage = tensor_rewrite(config, archive, seed=seed, descriptor=descriptor)
+    return archive.map(rewrite), coverage

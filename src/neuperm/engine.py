@@ -5,19 +5,28 @@ ref of a site is rewritten with the same index array p
 (out[..., i, ...] = in[..., p[i], ...]), which preserves the function: a
 producer's axis-0 reorder is compensated by reordering each consumer's
 contraction axis with the same p.
+
+A schedule is applied as one rewrite per tensor (``schedule_rewrite``), so
+``sanitize`` can rewrite a file one tensor at a time; ``apply_schedule``
+maps that rewrite over an archive in memory.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .archive import ModelArchive
+from .archive import ArchiveReader, ModelArchive
 from .descriptor import ArchDescriptor, PermutableSite, validate_descriptor
 from .errors import DescriptorError
 from .rng import SeededRng, derive_seed
 from .tensor import Tensor, fisher_yates, invert, is_permutation, permute_axis_blocks
+
+
+#: a rewrite of one tensor, given its name: what a disruptor does to each tensor
+Rewrite = Callable[[str, Tensor], Tensor]
 
 
 def site_seed(master_seed: int, site_id: str) -> int:
@@ -77,7 +86,7 @@ def make_schedule(
     desc: ArchDescriptor,
     master_seed: int,
     fraction_target: float | None = None,
-    archive: ModelArchive | None = None,
+    archive: ModelArchive | ArchiveReader | None = None,
 ) -> PermutationSchedule:
     """Draw one permutation per selected site.
 
@@ -119,12 +128,19 @@ def _select_sites(
     return [s for s in desc.sites if s.site_id in chosen_ids]
 
 
-def apply_schedule(
-    archive: ModelArchive, desc: ArchDescriptor, schedule: PermutationSchedule
-) -> tuple[ModelArchive, CoverageReport]:
-    """Rewrite the archive under the schedule. Unscheduled tensors pass through."""
+def schedule_rewrite(
+    archive: ModelArchive | ArchiveReader, desc: ArchDescriptor, schedule: PermutationSchedule
+) -> tuple[Rewrite, CoverageReport]:
+    """The schedule as one rewrite per tensor, ``rewrite(name, tensor)``,
+    and its coverage report. ``archive`` (an archive or an ``ArchiveReader``)
+    supplies only the layout the descriptor is checked against.
+
+    A tensor takes the moves of every ref that names it, in descriptor
+    order, which gives the bytes of rewriting site by site; a tensor no
+    scheduled site names passes through as it is.
+    """
     sizes = validate_descriptor(desc, archive)
-    updates: dict[str, Tensor] = {}
+    moves: dict[str, list[tuple[int, np.ndarray]]] = {}
     applied: list[PermutableSite] = []
     for site in desc.sites:
         p = schedule.entries.get(site.site_id)
@@ -136,9 +152,22 @@ def apply_schedule(
             )
         applied.append(site)
         for name, axis in site.refs:
-            t = updates.get(name, archive.tensors[name])
-            updates[name] = permute_axis_blocks(t, axis, p)
-    return archive.replace(updates), _coverage(desc, sizes, applied)
+            moves.setdefault(name, []).append((axis, p))
+
+    def rewrite(name: str, t: Tensor) -> Tensor:
+        for axis, p in moves.get(name, ()):
+            t = permute_axis_blocks(t, axis, p)
+        return t
+
+    return rewrite, _coverage(desc, sizes, applied)
+
+
+def apply_schedule(
+    archive: ModelArchive, desc: ArchDescriptor, schedule: PermutationSchedule
+) -> tuple[ModelArchive, CoverageReport]:
+    """Rewrite the archive under the schedule. Unscheduled tensors pass through."""
+    rewrite, coverage = schedule_rewrite(archive, desc, schedule)
+    return archive.map(rewrite), coverage
 
 
 def count_changed_fraction(

@@ -9,6 +9,12 @@ A layer kind is one `_LAYERS` entry: the param roles it requires, the ones
 it may take, the hyper-parameters it requires, and its arithmetic.
 `LayerSpec` checks a layer against its entry when the layer is built, and
 `forward` runs every kind the same way.
+
+Params are looked up by name (`name in archive`, `archive.read(name)`), so
+the chain runs over an archive in memory or an `ArchiveReader` alike. `normalized_output_deviation`,
+the check behind `sanitize --verify`, runs its probes layer-major and holds
+one layer's params of each model at a time; `check_params` finds a net that
+names a missing tensor from the archive's layout alone.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .archive import ModelArchive
+from .archive import ArchiveReader, ModelArchive
 from .errors import quote, read_json
 from .rng import SeededRng, derive_seed
 
@@ -291,30 +297,50 @@ _LAYERS = {
 }
 
 
-def forward(net: ToyNetwork, archive: ModelArchive, x: np.ndarray) -> np.ndarray:
-    """Run one sample through the chain in float32."""
-    if net.input_kind == "tokens":
-        x = np.asarray(x, dtype=np.int64)
-    else:
-        x = np.asarray(x, dtype=np.float32)
+def _as_input(net: ToyNetwork, x) -> np.ndarray:
+    """One sample as the first layer reads it, checked against the net's input shape."""
+    x = np.asarray(x, dtype=np.int64 if net.input_kind == "tokens" else np.float32)
     k = len(net.input_shape)
     if k and x.shape[-k:] != net.input_shape:
         raise ValueError(f"input shape {x.shape} does not end with {net.input_shape}")
+    return x
+
+
+def _param_names(net: ToyNetwork, i: int, archive) -> dict[str, str]:
+    """{role: tensor name} of layer i; raises if ``archive`` lacks one."""
+    layer = net.layers[i]
+    required, optional, _, _ = _LAYERS[layer.kind]
+    names = {role: name for role in required + optional if (name := layer.params.get(role))}
+    if lacking := {name for name in names.values() if name not in archive}:
+        raise ValueError(f"layer {i} ({layer.kind}) names tensors the archive lacks: "
+                         f"{quote(sorted(lacking))}")
+    return names
+
+
+def check_params(net: ToyNetwork, archive: ModelArchive | ArchiveReader) -> None:
+    """Raise, as ``forward`` would, if a layer names a tensor ``archive``
+    lacks; reads no tensor, so it may check a file from its header alone."""
+    for i in range(len(net.layers)):
+        _param_names(net, i, archive)
+
+
+def _params(net: ToyNetwork, i: int, archive) -> dict[str, np.ndarray]:
+    """Layer i's params in float32, read from ``archive`` now."""
+    return {role: archive.read(name).f32() for role, name in _param_names(net, i, archive).items()}
+
+
+def forward(net: ToyNetwork, archive: ModelArchive | ArchiveReader, x: np.ndarray) -> np.ndarray:
+    """Run one sample through the chain in float32."""
+    x = _as_input(net, x)
     for i, layer in enumerate(net.layers):
-        required, optional, _, run = _LAYERS[layer.kind]
-        names = {role: name for role in required + optional if (name := layer.params.get(role))}
-        if lacking := sorted(set(names.values()) - archive.tensors.keys()):
-            raise ValueError(f"layer {i} ({layer.kind}) names tensors the archive lacks: "
-                             f"{quote(lacking)}")
-        params = {role: archive.tensors[name].f32() for role, name in names.items()}
-        x = run(x, params, layer.hyper).astype(np.float32)
+        x = _LAYERS[layer.kind][3](x, _params(net, i, archive), layer.hyper).astype(np.float32)
     return x
 
 
 def normalized_output_deviation(
     net: ToyNetwork,
-    a: ModelArchive,
-    b: ModelArchive,
+    a: ModelArchive | ArchiveReader,
+    b: ModelArchive | ArchiveReader,
     inputs,
 ) -> float:
     """Largest per-probe |forward(a) - forward(b)| / max(1, |forward(a)|).
@@ -324,14 +350,26 @@ def normalized_output_deviation(
     unit scale, where float32 reassociation noise alone scales with the
     outputs; for unit-scale outputs it coincides with the absolute form.
     A NaN deviation on any probe makes the result NaN.
+
+    The probes run layer-major: each layer's params are read from ``a`` and
+    from ``b`` (archives or ``ArchiveReader``s), every probe goes through
+    that layer, and the params are let go before the next layer is read, so
+    one layer's weights of each side are held at a time. Each probe meets
+    the same arithmetic as in ``forward``, one sample at a time.
     """
+    ya = [_as_input(net, x) for x in inputs]
+    yb = list(ya)
+    for i, layer in enumerate(net.layers):
+        pa, pb = _params(net, i, a), _params(net, i, b)
+        run = _LAYERS[layer.kind][3]
+        ya = [run(x, pa, layer.hyper).astype(np.float32) for x in ya]
+        yb = [run(x, pb, layer.hyper).astype(np.float32) for x in yb]
+        del pa, pb
     worst = 0.0
-    for x in inputs:
-        ya = forward(net, a, x)
-        yb = forward(net, b, x)
-        scale = max(1.0, float(np.max(np.abs(ya))))
+    for oa, ob in zip(ya, yb):
+        scale = max(1.0, float(np.max(np.abs(oa))))
         # np.maximum keeps a NaN, where max() would drop it
-        worst = float(np.maximum(worst, float(np.max(np.abs(ya - yb))) / scale))
+        worst = float(np.maximum(worst, float(np.max(np.abs(oa - ob))) / scale))
     return worst
 
 

@@ -19,11 +19,13 @@ splits a sum between its threads, which makes its rounding depend on the
 CPU count.
 
 ``background(fn, *args)`` runs one call on a helper thread for the length of
-a ``with`` block. ``sanitize``, ``attack`` and ``evaluate`` hash their input
-archive that way while they parse and rewrite it, and ``save_archive``
-hashes the bytes it writes while it writes them. sha256, ``np.take`` and
-file writes release the GIL, so the hash runs on another CPU beside that
-work. Unlike a sweep, it leaves the OpenBLAS thread count alone.
+a ``with`` block. ``attack`` and ``evaluate`` hash their input archive that
+way while they parse and use it; ``sanitize`` hashes its input file that way
+while it streams the rewrite, reading the file through the same handle as
+the tensors; and ``save_archive`` hashes each chunk it writes while it
+writes it. sha256, file reads and writes and ``np.take`` release the GIL, so
+the hash runs on another CPU beside that work. Unlike a sweep, it leaves the
+OpenBLAS thread count alone.
 """
 
 from __future__ import annotations

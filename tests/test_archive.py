@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import struct
 import sys
 import threading
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neuperm.archive import (
+    ArchiveReader,
     ModelArchive,
     archive_digest,
     load_archive,
@@ -370,6 +372,24 @@ def test_thousand_roundtrips():
         assert parse_archive(write_archive(a)).same_bits(a), f"seed {seed}"
 
 
+def _mutated(raw: bytes, rng: SeededRng) -> bytes:
+    """`raw` with one byte flipped, its tail cut, garbage inserted or a span
+    deleted, as `rng` picks."""
+    buf = bytearray(raw)
+    op = rng.bounded(4)
+    if op == 0 and buf:  # flip a byte
+        buf[rng.bounded(len(buf))] ^= 1 + rng.bounded(255)
+    elif op == 1 and buf:  # truncate
+        del buf[rng.bounded(len(buf)) :]
+    elif op == 2:  # insert garbage
+        pos = rng.bounded(len(buf) + 1)
+        buf[pos:pos] = bytes([rng.bounded(256) for _ in range(1 + rng.bounded(4))])
+    elif buf:  # delete a span
+        pos = rng.bounded(len(buf))
+        del buf[pos : pos + 1 + rng.bounded(4)]
+    return bytes(buf)
+
+
 def test_mutation_fuzz_only_typed_errors():
     """Byte-level corruption may fail, but only ever with ParseError."""
     base = write_archive(_random_archive(77))
@@ -377,20 +397,8 @@ def test_mutation_fuzz_only_typed_errors():
     corpora = [base, golden]
     rng = SeededRng(0xF022)
     for trial in range(10_000):
-        buf = bytearray(corpora[trial % len(corpora)])
-        op = rng.bounded(4)
-        if op == 0 and buf:  # flip a byte
-            buf[rng.bounded(len(buf))] ^= 1 + rng.bounded(255)
-        elif op == 1 and buf:  # truncate
-            del buf[rng.bounded(len(buf)) :]
-        elif op == 2:  # insert garbage
-            pos = rng.bounded(len(buf) + 1)
-            buf[pos:pos] = bytes([rng.bounded(256) for _ in range(1 + rng.bounded(4))])
-        elif buf:  # delete a span
-            pos = rng.bounded(len(buf))
-            del buf[pos : pos + 1 + rng.bounded(4)]
         try:
-            parse_archive(bytes(buf))
+            parse_archive(_mutated(corpora[trial % len(corpora)], rng))
         except ParseError:
             pass  # the only acceptable failure type
 
@@ -400,3 +408,95 @@ def test_mutation_fuzz_only_typed_errors():
 def test_roundtrip_property(seed):
     a = _random_archive(seed)
     assert parse_archive(write_archive(a)).same_bits(a)
+
+
+# ------------------------------------------------------- streamed reading
+
+def test_reader_agrees_with_parse_on_mutated_files(tmp_path):
+    """ArchiveReader checks a file's header with parse_archive's validator:
+    on a corrupted file both refuse it with the same error, or both give the
+    same metadata, layout and tensor bits. The reader's digest is the
+    file's sha256."""
+    corpora = [write_archive(_random_archive(77)), bytes.fromhex(GOLDEN_ARCHIVE_HEX)]
+    rng = SeededRng(0x5EAD)
+    path = tmp_path / "m.safetensors"
+    accepted = 0
+    for trial in range(2000):
+        raw = _mutated(corpora[trial % len(corpora)], rng)
+        path.write_bytes(raw)
+        try:
+            want = parse_archive(raw)
+        except ParseError as e:
+            with pytest.raises(ParseError) as got:
+                ArchiveReader(path).close()
+            assert str(got.value) == str(e), raw
+            continue
+        with ArchiveReader(path) as reader:
+            assert reader.metadata == want.metadata and reader.layout == want.layout
+            assert reader.param_count == want.param_count
+            read = ModelArchive({name: reader.read(name) for name in reader.layout},
+                                reader.metadata)
+            assert read.same_bits(want), raw
+            assert reader.digest() == hashlib.sha256(raw).hexdigest()
+        accepted += 1
+    assert accepted > 100
+
+
+def test_reader_reads_aligned_read_only_tensors(tmp_path):
+    """Each tensor comes back in a 64-byte-aligned, read-only buffer of its
+    own, also where the file stores it misaligned; a big file is hashed in
+    several chunks."""
+    archive, _ = _misaligned_archive()
+    archive = archive.replace({"d": tensor(np.arange(3 << 20, dtype=np.float32) / 7)})
+    path = tmp_path / "m.safetensors"
+    digest = save_archive(archive, path)
+    with ArchiveReader(path) as reader:
+        for name, want in archive.tensors.items():
+            got = reader.read(name)
+            assert got.data.ctypes.data % 64 == 0 and not got.data.flags.writeable
+            assert got.same_bits(want), name
+        assert reader.digest() == digest
+
+
+def test_reader_refuses_a_tensor_cut_short(tmp_path):
+    """A file that shrinks after its header was read gives a ParseError
+    naming the tensor that was cut short, at the byte where the file ends."""
+    archive = _mib_archive()
+    path = tmp_path / "m.safetensors"
+    save_archive(archive, path)
+    size = path.stat().st_size
+    with ArchiveReader(path) as reader:
+        os.truncate(path, size - 12)
+        assert reader.read("a").same_bits(archive.tensors["a"])
+        with pytest.raises(ParseError, match=r"^tensor 'b' is cut short: the file ends "
+                           rf"1048564 bytes into its 1048576 \(at byte {size - 12}\)$"):
+            reader.read("b")
+
+
+def test_reader_shared_by_threads(tmp_path):
+    """Threads that hash the file and read tensors through one reader at
+    once, switching every microsecond, each get the file's digest and every
+    tensor's bits: the lock keeps each seek with its read."""
+    archive = _mib_archive()
+    path = tmp_path / "m.safetensors"
+    digest = save_archive(archive, path)
+    results, interval = [], sys.getswitchinterval()
+
+    def work(reader, i):
+        if i % 2:
+            results.append(reader.digest() == digest)
+        else:
+            results.append(all(reader.read(n).same_bits(t) for n, t in archive.tensors.items()))
+
+    sys.setswitchinterval(1e-6)
+    try:
+        with ArchiveReader(path) as reader:
+            threads = [threading.Thread(target=work, args=(reader, i)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [True] * 6

@@ -11,18 +11,24 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import random_payload, refusal
 
 import neuperm
 from neuperm import cli
-from neuperm.archive import load_archive, save_archive
-from neuperm.cli import main
-from neuperm.descriptor import descriptor_to_dict
-from neuperm.fixtures import (
-    llama32_1b_descriptor, ss_host, toy_cnn, toy_gqa, toy_mlp, vgg11_descriptor,
+from neuperm.archive import (
+    ArchiveReader, ModelArchive, archive_digest, load_archive, save_archive, write_archive,
 )
-from neuperm.inference import network_to_dict
+from neuperm.cli import main
+from neuperm.descriptor import descriptor_to_dict, parse_descriptor
+from neuperm.disrupt import apply_disruptor, parse_disruptor
+from neuperm.fixtures import (
+    _dense_chain, llama32_1b_descriptor, ss_host, toy_cnn, toy_gqa, toy_mlp, vgg11_descriptor,
+)
+from neuperm.inference import forward, network_to_dict, parse_network, random_inputs
+from neuperm.rng import derive_seed
+from neuperm.tensor import DTYPES, Tensor
 
 _SRC = Path(neuperm.__file__).resolve().parents[1]
 
@@ -201,6 +207,155 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _scrambled(archive) -> bytes:
+    """The bytes of `archive` with its tensors stored in reverse name order,
+    three bytes of gap after each, and one more metadata entry."""
+    header = {"__metadata__": {**archive.metadata, "layout": "scrambled"}}
+    chunks, cursor = [], 0
+    for name in sorted(archive.tensors, reverse=True):
+        t = archive.tensors[name]
+        data = t.data.tobytes()
+        header[name] = {"dtype": DTYPES[t.dtype], "shape": list(t.shape),
+                        "data_offsets": [cursor, cursor + len(data)]}
+        chunks.append(data + b"\x07" * 3)
+        cursor += len(data) + 3
+    text = json.dumps(header).encode()
+    return struct.pack("<Q", len(text)) + text + b"".join(chunks)
+
+
+def _deviation(net, a, b, probes) -> float:
+    """normalized_output_deviation as it ran before verification streamed:
+    every layer of one probe through `forward`, then the next probe."""
+    worst = 0.0
+    for x in probes:
+        ya, yb = forward(net, a, x), forward(net, b, x)
+        scale = max(1.0, float(np.max(np.abs(ya))))
+        worst = float(np.maximum(worst, float(np.max(np.abs(ya - yb))) / scale))
+    return worst
+
+
+@pytest.mark.parametrize("layout", ["canonical", "scrambled", "output-is-input"])
+@pytest.mark.parametrize("spec", ["none", "noise:1e-4", "prune:0.05", "neuperm", "neuperm:0.6"])
+@pytest.mark.parametrize("model", ["mlp", "cnn", "gqa"])
+def test_streamed_sanitize_equals_the_in_memory_rewrite(ws, tmp_path, capsys, model, spec,
+                                                       layout):
+    """sanitize streams one tensor at a time, and writes the canonical bytes of
+    apply_disruptor over the whole archive in memory. Its manifest holds the
+    coverage, the inputs' and output's digests and the verify deviation
+    computed in memory, bit for bit; a rewrite that fails verification exits
+    2 with that deviation and leaves the input as it was. The input may store
+    its tensors out of name order with gaps, or be overwritten by the output."""
+    raw = ws[model].read_bytes()
+    if layout == "scrambled":
+        raw = _scrambled(load_archive(ws[model]))
+    src = tmp_path / "in.safetensors"
+    src.write_bytes(raw)
+    original = load_archive(src)
+    desc_path, net_path = ws[f"{model}.desc"], ws[f"{model}.net"]
+    net = parse_network(net_path.read_bytes())
+    want, coverage = apply_disruptor(original, parse_disruptor(spec), seed=31,
+                                     descriptor=parse_descriptor(desc_path.read_bytes(), original))
+    dev = _deviation(net, original, want, random_inputs(net, 20, derive_seed(31, "verify/probes")))
+    out = src if layout == "output-is-input" else tmp_path / "out.safetensors"
+    manifest = tmp_path / "run.json"
+    argv = ["sanitize", "--input", src, "--output", out, "--disrupt", spec,
+            "--descriptor", desc_path, "--seed", "31", "--manifest", manifest]
+    verify = ["--verify", "--net", net_path]
+    passes = dev <= (1e-3 if model == "gqa" else 1e-5)
+    if not passes:
+        assert run(*argv, *verify) == 2
+        assert f"max normalized deviation {dev:.3e} exceeds" in capsys.readouterr().err
+        assert src.read_bytes() == raw and not manifest.exists()
+        verify = []
+    assert run(*argv, *verify) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    assert out.read_bytes() == write_archive(want)
+    doc = json.loads(manifest.read_text())
+    details = doc["details"]
+    assert details.get("verify_max_deviation") == (dev if passes else None)
+    assert details.get("coverage") == (None if coverage is None else {
+        "total_params": coverage.total_params, "changed_params": coverage.changed_params,
+        "fraction": coverage.fraction, "percent": coverage.percent,
+        "applied_sites": list(coverage.applied_sites)})
+    inputs = {str(src): hashlib.sha256(raw).hexdigest(), str(desc_path): _sha256(desc_path)}
+    if passes:
+        inputs[str(net_path)] = _sha256(net_path)
+    assert doc["inputs"] == inputs
+    digest = archive_digest(want)
+    assert doc["outputs"] == {str(out): digest} and details["output_digest"] == digest
+
+
+def _reads_nothing(monkeypatch):
+    """Record every tensor read, input hash and staged output from here on."""
+    seen = []
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def recorded(*args):
+            seen.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, recorded)
+
+    spy(ArchiveReader, "read")
+    spy(ArchiveReader, "digest")
+    spy(cli._Outputs, "_stage")
+    return seen
+
+
+@pytest.mark.parametrize("sidecars,text", [
+    ("--descriptor @mlp.desc --verify", "error: no net sidecar at "),
+    ("--descriptor @mlp.desc --verify --net @bad", "error: net sidecar is not valid JSON"),
+    ("--descriptor @mlp.desc --verify --net @bad_net",
+     "error: layer 0 (dense) names tensors the archive lacks: ['nope']"),
+    ("--descriptor @bad --verify --net @mlp.net", "error: descriptor is not valid JSON"),
+    ("--descriptor @bad_desc", "error: total_params 7 != archive parameter count 450"),
+    ("", "error: the permutation pass needs an architecture descriptor"),
+], ids=["net-missing", "net-not-json", "net-names-missing-tensor", "desc-not-json",
+        "desc-misfit", "desc-missing"])
+def test_sanitize_refuses_bad_sidecars_before_reading_a_tensor(ws, tmp_path, capsys,
+                                                               monkeypatch, sidecars, text):
+    """A missing or malformed net sidecar or descriptor is refused from the
+    archive header alone: no tensor is read, the input is not hashed, and no
+    output is staged."""
+    files = {"bad": "{", "bad_net": json.dumps(_one_layer("vector", [8], "dense",
+                                                          {"weight": "nope"})),
+             "bad_desc": json.dumps({"sites": [], "total_params": 7})}
+    paths = dict(ws)
+    for name, content in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(content)
+    work = tmp_path / "work"
+    work.mkdir()
+    seen = _reads_nothing(monkeypatch)
+    argv = ["sanitize", "--input", ws["mlp"], "--output", "out", "--disrupt", "neuperm",
+            "--seed", "3", *(paths[a[1:]] if a[0] == "@" else a for a in sidecars.split())]
+    code, line = refusal(argv, work, capsys)
+    assert code == 1 and line.startswith(text), line
+    assert seen == []
+
+
+def test_sanitize_refuses_an_input_cut_short(ws, tmp_path, capsys, monkeypatch):
+    """An input that shrinks after its header was read ends sanitize with
+    exit 1 and an error naming the tensor cut short; nothing is written."""
+    src = tmp_path / "in.safetensors"
+    shutil.copy(ws["mlp"], src)
+    last = sorted(load_archive(src).tensors)[-1]  # stored last, as canonical files are
+    real = cli.tensor_rewrite
+
+    def shrinking(*args, **kwargs):
+        os.truncate(src, src.stat().st_size - 4)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "tensor_rewrite", shrinking)
+    work = tmp_path / "work"
+    work.mkdir()
+    code, line = refusal(["sanitize", "--input", src, "--output", "out", "--disrupt", "none",
+                          "--manifest", "run.json"], work, capsys)
+    assert code == 1 and line.startswith(f"error: tensor {last!r} is cut short: "), line
+
+
 def test_sanitize_leaves_no_helper_thread(ws, tmp_path, capsys):
     """The input and output hashes run on helper threads. None is left once
     main() returns, and the manifest holds the sha256 of each file on disk."""
@@ -374,6 +529,51 @@ def _under_1gb(*argv, cwd):
         "sys.exit(main(sys.argv[1:]))\n"
     )
     return _fresh_interpreter([sys.executable, "-c", child], *argv, cwd=cwd)
+
+
+def _within(allowance: int, *argv, cwd):
+    """Run the CLI in a child process whose address space may grow by
+    `allowance` bytes once neuperm.cli is imported. The child runs on at
+    most two CPUs with OpenBLAS at one thread and one malloc arena
+    (MALLOC_ARENA_MAX=1), so the cap bounds the command's arrays, not
+    per-thread reservations."""
+    child = (
+        "import os, resource, sys\n"
+        "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+        "if hasattr(os, 'sched_setaffinity'):\n"
+        "    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
+        "from neuperm.cli import main\n"
+        "with open('/proc/self/statm') as fh:\n"
+        "    cap = int(fh.read().split()[0]) * os.sysconf('SC_PAGE_SIZE') + int(sys.argv[1])\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "sys.exit(main(sys.argv[2:]))\n"
+    )
+    env = {**os.environ, "MALLOC_ARENA_MAX": "1"}
+    return _fresh_interpreter([sys.executable, "-c", child], allowance, *argv, cwd=cwd, env=env)
+
+
+def test_sanitize_verify_holds_one_copy_of_the_model(tmp_path):
+    """sanitize --verify on a 128 MiB host of eight 16 MiB weights, in an
+    address space that may grow by 1.5 times the host: two copies of the
+    model do not fit, one tensor at a time does."""
+    pytest.importorskip("resource")
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("the cap is sized from /proc/self/statm")
+    width, layers = 2048, 8
+    rng = np.random.default_rng(24)
+    archive = ModelArchive({f"fc{i}.weight": Tensor.adopt(
+        rng.standard_normal((width, width), dtype=np.float32)) for i in range(1, layers + 1)})
+    desc, net = _dense_chain(archive, [width] * (layers + 1))
+    host = tmp_path / "host.safetensors"
+    save_archive(archive, host)
+    (tmp_path / "host.desc.json").write_text(json.dumps(descriptor_to_dict(desc)))
+    (tmp_path / "host.safetensors.net.json").write_text(json.dumps(network_to_dict(net)))
+    proc = _within(3 * host.stat().st_size // 2, "sanitize", "--input", host, "--output",
+                   "clean.safetensors", "--disrupt", "neuperm", "--descriptor", "host.desc.json",
+                   "--seed", "5", "--verify", "--probes", "4", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith("sanitize neuperm:1 seed=5 coverage=100.00% verified(")
+    assert (tmp_path / "clean.safetensors").stat().st_size == host.stat().st_size
 
 
 def test_evaluate_many_ss_variants_fit_1gb(tmp_path):
@@ -1122,9 +1322,10 @@ def _declared_entry_point(pyproject: Path) -> tuple[str, str]:
     return module, attr
 
 
-def _fresh_interpreter(cmd, *argv, cwd):
-    """Run `cmd argv...` in a new process with this package's src/ first on PYTHONPATH."""
-    env = dict(os.environ)
+def _fresh_interpreter(cmd, *argv, cwd, env=None):
+    """Run `cmd argv...` in a new process, in `env` (by default this one's),
+    with this package's src/ first on PYTHONPATH."""
+    env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(_SRC), env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [*cmd, *map(str, argv)], capture_output=True, text=True, timeout=60, env=env, cwd=cwd,
