@@ -21,11 +21,16 @@ so a rewrite can stream a model it never holds whole.
 
 Everything that writes an archive goes through one canonical writer,
 ``_emit``, over any archive-like object: ``metadata``, a ``layout`` of
-``TensorSpec`` by name, and ``read(name)``. It reads each tensor just
-before its bytes go out and lets it go right after. ``save_archive`` writes
-each chunk to the file while a helper thread (``sweep.background``) feeds
-the same chunk to sha256, so the digest returned is that of the bytes
-written, and a saved archive is never read again to name it.
+``TensorSpec`` by name, and ``blocks(name)``, the tensor as a run of row
+blocks (one block, itself, for a ``ModelArchive``; the rewrite's blocks for
+``ArchiveReader.map``). Blocks are checked against the header as they go
+out and let go right after, so one tensor and a few blocks are held at a
+time. ``save_archive`` writes each block to the file while one helper
+thread (``sweep.feeding``) feeds the same block to sha256, at most two
+blocks behind; a block over 1 MiB, such as a whole tensor, is hashed in
+full before the next is produced, so it is let go before the next is read.
+The digest returned is that of the bytes written, and a saved archive is
+never read again to name it.
 """
 
 from __future__ import annotations
@@ -36,14 +41,14 @@ import math
 import os
 import struct
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParseError
-from .sweep import background
+from .sweep import feeding
 from .tensor import DTYPES, Tensor
 
 _TAG_TO_NUMPY = {tag: np.dtype(name).newbyteorder("<") for name, tag in DTYPES.items()}
@@ -56,6 +61,10 @@ _MAX_HEADER = 256 * 1024 * 1024
 _PAYLOAD_ALIGN = 64
 # bytes ArchiveReader.digest reads at a time
 _HASH_CHUNK = 4 << 20
+# largest block save_archive's hashing helper may still hold while the next
+# block is produced; a larger one, such as a whole tensor, is let go first.
+# The permutation pass's row blocks (engine._BLOCK_BYTES) are no larger.
+_LAG_BYTES = 1 << 20
 
 
 class TensorSpec(NamedTuple):
@@ -96,6 +105,9 @@ class ModelArchive:
     def read(self, name: str) -> Tensor:
         return self.tensors[name]
 
+    def blocks(self, name: str) -> tuple[np.ndarray]:
+        return (self.tensors[name].data,)
+
     def replace(self, updates: dict[str, Tensor]) -> "ModelArchive":
         """New archive with some tensors swapped out."""
         for name in updates:
@@ -106,9 +118,12 @@ class ModelArchive:
         return ModelArchive(merged, dict(self.metadata))
 
     def map(self, rewrite) -> "ModelArchive":
-        """New archive holding ``rewrite(name, tensor)`` for every tensor."""
-        return ModelArchive({name: rewrite(name, t) for name, t in self.tensors.items()},
-                            dict(self.metadata))
+        """New archive holding, for every tensor, the rows of the blocks
+        ``rewrite(name, tensor)`` yields (see ``engine.Rewrite``)."""
+        return ModelArchive(
+            {name: _assemble(name, rewrite(name, t), TensorSpec(t.dtype, t.shape))
+             for name, t in self.tensors.items()},
+            dict(self.metadata))
 
     def same_bits(self, other: "ModelArchive") -> bool:
         if set(self.tensors) != set(other.tensors) or self.metadata != other.metadata:
@@ -298,8 +313,9 @@ class ArchiveReader:
         return Tensor.adopt(data.view(dt).reshape(shape))
 
     def map(self, rewrite) -> "_Rewritten":
-        """This file as an archive whose tensors are ``rewrite(name,
-        tensor)``, each read and rewritten when it is asked for."""
+        """This file as an archive whose tensors come as the row blocks of
+        ``rewrite(name, tensor)``, each read and rewritten when its blocks
+        are asked for."""
         return _Rewritten(self, rewrite)
 
     def digest(self) -> str:
@@ -332,7 +348,7 @@ class _Rewritten:
     """``ArchiveReader.map``: the reader's archive, each tensor rewritten as it is read."""
 
     reader: ArchiveReader
-    rewrite: Callable[[str, Tensor], Tensor]
+    rewrite: Callable[[str, Tensor], Iterable[np.ndarray]]
 
     @property
     def metadata(self) -> dict[str, str]:
@@ -342,23 +358,47 @@ class _Rewritten:
     def layout(self) -> dict[str, TensorSpec]:
         return self.reader.layout
 
-    def read(self, name: str) -> Tensor:
+    def blocks(self, name: str) -> Iterable[np.ndarray]:
         return self.rewrite(name, self.reader.read(name))
 
 
-def _payload(name: str, t: Tensor, spec: TensorSpec):
-    """The bytes of ``t`` as a uint8 view, once it is checked against the
-    spec the header was written from."""
-    if (t.dtype, t.shape) != spec:
-        raise ValueError(f"tensor {name!r} is {t.dtype} {t.shape}, but the header says "
-                         f"{spec.dtype} {spec.shape}")
-    return t.data.reshape(-1).view(np.uint8)
+def _checked(name: str, blocks: Iterable[np.ndarray], spec: TensorSpec) -> Iterator[np.ndarray]:
+    """``blocks``, the row blocks of tensor ``name``, each checked against
+    the spec the header was written from: its dtype and trailing shape as
+    it comes, the rows of all of them once they end (a 0-d tensor is one
+    row)."""
+    want, rows = spec.shape[0] if spec.shape else 1, 0
+    for block in blocks:
+        rows += len(block) if block.ndim else 1
+        if (block.dtype != np.dtype(spec.dtype) or block.shape[1:] != spec.shape[1:]
+                or block.ndim != len(spec.shape) or rows > want):
+            raise ValueError(f"tensor {name!r}: a block of {block.dtype} {block.shape} does "
+                             f"not fit the header's {spec.dtype} {spec.shape}")
+        yield block
+    if rows != want:
+        raise ValueError(f"tensor {name!r}: its blocks hold {rows} of the {want} rows of the "
+                         f"header's {spec.dtype} {spec.shape}")
+
+
+def _assemble(name: str, blocks: Iterable[np.ndarray], spec: TensorSpec) -> Tensor:
+    """The tensor whose rows ``blocks`` hold: a block that is the whole
+    tensor is adopted as it is, others are copied into one array."""
+    out, rows = None, 0
+    for block in _checked(name, blocks, spec):
+        if block.shape == spec.shape:  # the whole tensor; _checked refuses more rows
+            out = block
+            continue
+        if out is None:
+            out = np.empty(spec.shape, block.dtype)
+        out[rows : rows + len(block)] = block
+        rows += len(block)
+    return Tensor.adopt(np.empty(spec.shape, spec.dtype) if out is None else out)
 
 
 def _emit(archive, sink) -> None:
     """Feed the canonical bytes of ``archive`` to ``sink``: the length prefix
-    and header as one bytes chunk, then each tensor's payload as a uint8
-    view of its data, read from ``archive`` in name order."""
+    and header as one bytes chunk, then each tensor's row blocks as uint8
+    views, from ``archive.blocks`` in name order."""
     layout = archive.layout
     names = sorted(layout)
     header: dict[str, object] = {}
@@ -377,7 +417,9 @@ def _emit(archive, sink) -> None:
     text = json.dumps(header, separators=(",", ":"), sort_keys=True).encode("utf-8")
     sink(struct.pack("<Q", len(text)) + text)
     for name in names:
-        sink(_payload(name, archive.read(name), layout[name]))
+        for block in _checked(name, archive.blocks(name), layout[name]):
+            sink(block.reshape(-1).view(np.uint8))
+        block = None  # the last block may be the whole tensor: it goes before the next read
 
 
 def write_archive(archive: ModelArchive) -> bytes:
@@ -407,14 +449,18 @@ def load_archive(path) -> ModelArchive:
 
 def save_archive(archive, path) -> str:
     """Write the canonical bytes of ``archive`` (a ModelArchive, or anything
-    with its ``metadata``, ``layout`` and ``read``) to ``path``; returns
-    their sha256. Each chunk is hashed on a helper thread while this one
-    writes it. A failed write raises once the helper has stopped."""
+    with its ``metadata``, ``layout`` and ``blocks``) to ``path``; returns
+    their sha256. One helper thread hashes each block while this thread
+    writes it and produces the next; a block larger than _LAG_BYTES is
+    hashed in full before the next is produced. A failed write or hash
+    raises once the helper has stopped."""
     hasher = hashlib.sha256()
-    with open(path, "wb") as fh:
+    with open(path, "wb") as fh, feeding(hasher.update) as hashing:
         def write(chunk) -> None:
-            with background(hasher.update, chunk):
-                fh.write(chunk)
+            hashing.put(chunk)
+            fh.write(chunk)
+            if len(chunk) > _LAG_BYTES:
+                hashing.join()
 
         _emit(archive, write)
     return hasher.hexdigest()

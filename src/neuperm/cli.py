@@ -3,11 +3,11 @@
 Subcommands:
 
 * ``sanitize`` — rewrite a weight file with a disruptor, one tensor at a
-  time: each is read, rewritten, written and let go before the next, so
-  the model is never held in memory whole. ``--verify`` then checks that
-  the function is preserved, against the model's net sidecar, reading the
-  input and the staged output one layer at a time before the output is
-  committed.
+  time: each is read, then rewritten and written in row blocks, and let go
+  before the next, so about one tensor is held in memory at a time.
+  ``--verify`` then checks that the function is preserved, against the
+  model's net sidecar, reading one layer at a time of the input and then
+  of the staged output before the output is committed.
 * ``attack``   — embed a payload file into a weight file (lsb / sign / ss)
   and write a plan file describing how to extract it again.
 * ``evaluate`` — replay extraction against disrupted variants of a carrier
@@ -246,9 +246,9 @@ def cmd_sanitize(args, argv) -> int:
                 "percent": coverage.percent,
                 "applied_sites": list(coverage.applied_sites),
             }
-        # one tensor at a time is read, rewritten and written; the input hash
-        # runs beside that and is done before --verify, whose gemvs use every
-        # BLAS thread
+        # one tensor at a time is read, then rewritten and written in row
+        # blocks; the input hash runs beside that and is done before --verify,
+        # whose gemvs use every BLAS thread
         with background(source.digest) as input_digest:
             details["output_digest"] = out.archive(args.output, source.map(rewrite))
             inputs[args.input] = input_digest()

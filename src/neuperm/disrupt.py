@@ -11,9 +11,11 @@ Three families, one dispatcher:
 Noise and pruning change what the model computes; the permutation pass does
 not, which is the whole point of preferring it.
 
-Each disruptor is one rewrite per tensor (``tensor_rewrite``):
-``apply_disruptor`` maps it over an archive in memory for ``evaluate``,
-and ``sanitize`` streams it over a file one tensor at a time.
+Each disruptor is one rewrite per tensor (``tensor_rewrite``), which yields
+the rewritten tensor as row blocks: the permutation pass in blocks of about
+1 MiB, the others as one block. ``apply_disruptor`` maps it over an archive
+in memory for ``evaluate``, and ``sanitize`` streams it over a file one
+tensor at a time, writing each block as it comes.
 """
 
 from __future__ import annotations
@@ -73,19 +75,21 @@ def parse_disruptor(spec: str) -> DisruptorConfig:
     return DisruptorConfig(*split_spec(spec, _KINDS, "disruptor spec"))
 
 
-def _noise(sigma: float, seed: int, name: str, t: Tensor) -> Tensor:
-    """w' = w + sigma * g, g ~ N(0,1) from the substream keyed by ``name``."""
+def _noise(sigma: float, seed: int, name: str, t: Tensor) -> tuple[np.ndarray]:
+    """w' = w + sigma * g, g ~ N(0,1) from the substream keyed by ``name``;
+    one block."""
     rng = SeededRng(derive_seed(seed, f"noise/{name}"))
     g = rng.gaussian_block(t.size).astype(np.float32).reshape(t.shape)
     vals = t.f32() + np.float32(sigma) * g
-    return Tensor.adopt(vals.astype(t.dtype, copy=False))
+    return (vals.astype(t.dtype, copy=False),)
 
 
-def _prune(ratio: float, name: str, t: Tensor) -> Tensor:
-    """Zero the floor(ratio * size) smallest-|w| entries (see prune_magnitude)."""
+def _prune(ratio: float, name: str, t: Tensor) -> tuple[np.ndarray]:
+    """Zero the floor(ratio * size) smallest-|w| entries (see
+    prune_magnitude); one block."""
     k = math.floor(ratio * t.size)
     if k == 0:
-        return t
+        return (t.data,)
     flat = t.data.copy().ravel()
     mag = np.abs(flat)
     kth = np.partition(mag, k - 1)[k - 1]
@@ -96,7 +100,7 @@ def _prune(ratio: float, name: str, t: Tensor) -> Tensor:
         below, ties = mag < kth, mag == kth
     flat[below] = 0
     flat[np.flatnonzero(ties)[: k - np.count_nonzero(below)]] = 0
-    return Tensor.adopt(flat.reshape(t.shape))
+    return (flat.reshape(t.shape),)
 
 
 def add_gaussian_noise(archive: ModelArchive, sigma: float, seed: int) -> ModelArchive:
@@ -125,6 +129,7 @@ def tensor_rewrite(
     descriptor: ArchDescriptor | None = None,
 ) -> tuple[Rewrite, CoverageReport | None]:
     """One disruptor as one rewrite per tensor, ``rewrite(name, tensor)``,
+    which yields the rewritten tensor as row blocks (see ``engine.Rewrite``),
     plus, for the permutation pass, its coverage report (None for the
     others). Each tensor's rewrite depends only on its name and bytes, so
     it may run on each tensor in turn as a file is streamed. ``archive`` (an
@@ -132,7 +137,7 @@ def tensor_rewrite(
     pass draws its schedule for; no tensor is read here.
     """
     if config.kind == "none":
-        return (lambda name, t: t), None
+        return (lambda name, t: (t.data,)), None
     if config.kind == "noise":
         return functools.partial(_noise, config.value, seed), None
     if config.kind == "prune":

@@ -6,14 +6,19 @@ ref of a site is rewritten with the same index array p
 producer's axis-0 reorder is compensated by reordering each consumer's
 contraction axis with the same p.
 
-A schedule is applied as one rewrite per tensor (``schedule_rewrite``), so
-``sanitize`` can rewrite a file one tensor at a time; ``apply_schedule``
-maps that rewrite over an archive in memory.
+A schedule is applied as one rewrite per tensor (``schedule_rewrite``). A
+tensor's moves compose into one element index per axis, and the rewrite
+yields the moved tensor as a run of row blocks of about ``_BLOCK_BYTES``
+each: a block gathers its rows along axis 0, then each other moved axis
+within the block. No whole rewritten tensor, and no intermediate of one,
+ever exists, so ``sanitize`` writes each block as it comes;
+``apply_schedule`` assembles the blocks of every tensor in memory.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import math
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,11 +27,20 @@ from .archive import ArchiveReader, ModelArchive
 from .descriptor import ArchDescriptor, PermutableSite, validate_descriptor
 from .errors import DescriptorError
 from .rng import SeededRng, derive_seed
-from .tensor import Tensor, fisher_yates, invert, is_permutation, permute_axis_blocks
+# permute_axis_blocks is unused here but stays importable as
+# neuperm.engine.permute_axis_blocks, a name perfbench/tracer.py wraps
+from .tensor import Tensor, fisher_yates, invert, is_permutation, permute_axis_blocks  # noqa: F401
 
 
-#: a rewrite of one tensor, given its name: what a disruptor does to each tensor
-Rewrite = Callable[[str, Tensor], Tensor]
+#: a rewrite of one tensor, given its name: what a disruptor does to each
+#: tensor, as a run of row blocks. Blocks are arrays of the tensor's dtype and
+#: trailing shape, handed over to the caller, whose rows in order are the
+#: rewritten tensor; one block may be the whole tensor (0-d included).
+Rewrite = Callable[[str, Tensor], Iterable[np.ndarray]]
+
+#: bytes of the row blocks a moved tensor is rewritten in; a slice larger
+#: than this is a block of its own
+_BLOCK_BYTES = 1 << 20
 
 
 def site_seed(master_seed: int, site_id: str) -> int:
@@ -128,6 +142,35 @@ def _select_sites(
     return [s for s in desc.sites if s.site_id in chosen_ids]
 
 
+def _axis_index(extent: int, moves: list[np.ndarray]) -> np.ndarray:
+    """One element index along an axis of ``extent`` for the block moves
+    ``moves`` made in turn: gathering with it gives the bytes of
+    ``permute_axis_blocks`` called once per move."""
+    index = np.arange(extent, dtype=np.int64)
+    for p in moves:
+        width = extent // len(p)
+        index = index[(p[:, None] * width + np.arange(width)).ravel()]
+    return index
+
+
+def _row_blocks(t: Tensor, index: dict[int, np.ndarray]) -> Iterator[np.ndarray]:
+    """``t`` gathered by ``index`` ({axis: element index}) in row blocks:
+    each block takes its rows along axis 0, then every other axis within
+    itself."""
+    data = t.data
+    rows = index.get(0)
+    others = [(axis, idx) for axis, idx in sorted(index.items()) if axis]
+    step = max(1, _BLOCK_BYTES // max(1, data.itemsize * math.prod(data.shape[1:])))
+    for start in range(0, len(data), step):
+        if rows is None:
+            block = data[start : start + step]
+        else:
+            block = np.take(data, rows[start : start + step], axis=0)
+        for axis, idx in others:
+            block = np.take(block, idx, axis=axis)
+        yield block
+
+
 def schedule_rewrite(
     archive: ModelArchive | ArchiveReader, desc: ArchDescriptor, schedule: PermutationSchedule
 ) -> tuple[Rewrite, CoverageReport]:
@@ -136,11 +179,14 @@ def schedule_rewrite(
     supplies only the layout the descriptor is checked against.
 
     A tensor takes the moves of every ref that names it, in descriptor
-    order, which gives the bytes of rewriting site by site; a tensor no
-    scheduled site names passes through as it is.
+    order, composed into one element index per axis (a kv-group move spans
+    its group's width), which gives the bytes of rewriting site by site. A
+    moved tensor comes out in row blocks; a tensor no scheduled site names
+    passes through as one block, itself.
     """
     sizes = validate_descriptor(desc, archive)
-    moves: dict[str, list[tuple[int, np.ndarray]]] = {}
+    layout = archive.layout
+    moves: dict[str, dict[int, list[np.ndarray]]] = {}
     applied: list[PermutableSite] = []
     for site in desc.sites:
         p = schedule.entries.get(site.site_id)
@@ -152,12 +198,16 @@ def schedule_rewrite(
             )
         applied.append(site)
         for name, axis in site.refs:
-            moves.setdefault(name, []).append((axis, p))
+            moves.setdefault(name, {}).setdefault(axis, []).append(np.asarray(p, dtype=np.int64))
+    index = {
+        name: {axis: _axis_index(layout[name].shape[axis], ps) for axis, ps in axes.items()}
+        for name, axes in moves.items()
+    }
 
-    def rewrite(name: str, t: Tensor) -> Tensor:
-        for axis, p in moves.get(name, ()):
-            t = permute_axis_blocks(t, axis, p)
-        return t
+    def rewrite(name: str, t: Tensor) -> Iterable[np.ndarray]:
+        if name not in index:
+            return (t.data,)
+        return _row_blocks(t, index[name])
 
     return rewrite, _coverage(desc, sizes, applied)
 

@@ -13,7 +13,7 @@ it may take, the hyper-parameters it requires, and its arithmetic.
 Params are looked up by name (`name in archive`, `archive.read(name)`), so
 the chain runs over an archive in memory or an `ArchiveReader` alike. `normalized_output_deviation`,
 the check behind `sanitize --verify`, runs its probes layer-major and holds
-one layer's params of each model at a time; `check_params` finds a net that
+one layer's params of one model at a time; `check_params` finds a net that
 names a missing tensor from the archive's layout alone.
 """
 
@@ -351,22 +351,22 @@ def normalized_output_deviation(
     outputs; for unit-scale outputs it coincides with the absolute form.
     A NaN deviation on any probe makes the result NaN.
 
-    The probes run layer-major: each layer's params are read from ``a`` and
-    from ``b`` (archives or ``ArchiveReader``s), every probe goes through
-    that layer, and the params are let go before the next layer is read, so
-    one layer's weights of each side are held at a time. Each probe meets
-    the same arithmetic as in ``forward``, one sample at a time.
+    The probes run layer-major: per layer, its params are read from ``a``
+    (an archive or an ``ArchiveReader``), every probe goes through the
+    layer, and the params are let go; then the same for ``b``. So one
+    layer's weights of one side are held at a time. Each probe meets the
+    same arithmetic as in ``forward``, one sample at a time.
     """
-    ya = [_as_input(net, x) for x in inputs]
-    yb = list(ya)
+    first = [_as_input(net, x) for x in inputs]
+    outs = [first, first]
     for i, layer in enumerate(net.layers):
-        pa, pb = _params(net, i, a), _params(net, i, b)
         run = _LAYERS[layer.kind][3]
-        ya = [run(x, pa, layer.hyper).astype(np.float32) for x in ya]
-        yb = [run(x, pb, layer.hyper).astype(np.float32) for x in yb]
-        del pa, pb
+        for side, model in enumerate((a, b)):
+            params = _params(net, i, model)
+            outs[side] = [run(x, params, layer.hyper).astype(np.float32) for x in outs[side]]
+            del params
     worst = 0.0
-    for oa, ob in zip(ya, yb):
+    for oa, ob in zip(*outs):
         scale = max(1.0, float(np.max(np.abs(oa))))
         # np.maximum keeps a NaN, where max() would drop it
         worst = float(np.maximum(worst, float(np.max(np.abs(oa - ob))) / scale))

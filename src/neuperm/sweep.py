@@ -1,5 +1,6 @@
 """Helper threads: ordered sweeps over independent items on every CPU the
-process may use, and one background call beside the calling thread.
+process may use, one background call beside the calling thread, and one
+helper fed items in order.
 
 ``run_ordered(produce, consume, items)`` calls ``consume(item,
 produce(item))`` for each item, in the order of ``items``. W threads, one
@@ -20,12 +21,18 @@ CPU count.
 
 ``background(fn, *args)`` runs one call on a helper thread for the length of
 a ``with`` block. ``attack`` and ``evaluate`` hash their input archive that
-way while they parse and use it; ``sanitize`` hashes its input file that way
-while it streams the rewrite, reading the file through the same handle as
-the tensors; and ``save_archive`` hashes each chunk it writes while it
-writes it. sha256, file reads and writes and ``np.take`` release the GIL, so
-the hash runs on another CPU beside that work. Unlike a sweep, it leaves the
-OpenBLAS thread count alone.
+way while they parse and use it, and ``sanitize`` hashes its input file that
+way while it streams the rewrite, reading the file through the same handle
+as the tensors. ``feeding(fn)`` runs ``fn`` on each item a ``with`` block
+puts, in order, on one helper thread: ``save_archive`` hashes each block
+that way while it writes that block and produces the next. sha256, file
+reads and writes and ``np.take`` release the GIL, so the hash runs on
+another CPU beside that work. Unlike a sweep, neither touches the OpenBLAS
+thread count.
+
+A helper that cannot start (the thread limit or the address space is used
+up) raises MemoryError, which commands report as one error line, once every
+helper already started has stopped.
 """
 
 from __future__ import annotations
@@ -34,12 +41,26 @@ import contextlib
 import ctypes
 import functools
 import os
+import queue
 import threading
 
 import numpy as np
 
 #: items per thread that a sweep may take before their results are consumed
 _AHEAD = 2
+#: items feeding() lets wait for its helper beside the one it is on
+_QUEUED = 1
+#: what feeding() sends its helper once the block is left
+_DONE = object()
+
+
+def _start(thread: threading.Thread) -> None:
+    """Start ``thread``; the RuntimeError of a thread that cannot start
+    becomes a MemoryError naming it."""
+    try:
+        thread.start()
+    except RuntimeError as e:
+        raise MemoryError(f"cannot start a helper thread: {e}") from e
 
 
 def workers() -> int:
@@ -134,12 +155,18 @@ def run_ordered(produce, consume, items) -> None:
             finally:
                 lock.notify_all()
 
-    helpers = [threading.Thread(target=work) for _ in range(1, count)]
+    started = []
     with blas_single_thread():
-        for t in helpers:
-            t.start()
+        try:
+            for _ in range(1, count):
+                started.append(threading.Thread(target=work))
+                _start(started[-1])
+        except MemoryError as e:  # the helpers already started stop at once
+            started.pop()
+            with lock:
+                errors.append(e)
         work()
-        for t in helpers:
+        for t in started:
             t.join()
     if errors:
         raise errors[0]
@@ -163,7 +190,7 @@ def background(fn, *args):
             outcome.append((None, e))
 
     thread = threading.Thread(target=run)
-    thread.start()
+    _start(thread)
 
     def result():
         thread.join()
@@ -176,3 +203,43 @@ def background(fn, *args):
         yield result
     finally:
         thread.join()
+
+
+@contextlib.contextmanager
+def feeding(fn):
+    """Call ``fn(item)`` on one helper thread for each item the block puts.
+
+    Yields a queue: ``put(item)`` hands one item over and returns at once
+    unless _QUEUED items already wait beside the one the helper is on, and
+    ``join()`` waits until the helper has let go of every item put so far.
+    Items are taken in the order put. Leaving the block waits until the
+    helper has done every item, then raises the first error ``fn`` raised;
+    the helper skips what is put after that error. When the block raises,
+    the helper skips what is left and has stopped before the block's error
+    propagates.
+    """
+    items = queue.Queue(_QUEUED)
+    errors = []
+
+    def run() -> None:
+        while (item := items.get()) is not _DONE:
+            if not errors:
+                try:
+                    fn(item)
+                except BaseException as e:  # raised when the block is left
+                    errors.append(e)
+            del item  # let it go before waiting for the next
+            items.task_done()
+
+    thread = threading.Thread(target=run)
+    _start(thread)
+    try:
+        yield items
+    except BaseException as e:
+        errors.append(e)
+        raise
+    finally:
+        items.put(_DONE)
+        thread.join()
+    if errors:
+        raise errors[0]

@@ -75,7 +75,8 @@ class Tensor:
         return (
             self.dtype == other.dtype
             and self.shape == other.shape
-            and bool(np.array_equal(self.data.view(np.uint8), other.data.view(np.uint8)))
+            and bool(np.array_equal(self.data.reshape(-1).view(np.uint8),
+                                    other.data.reshape(-1).view(np.uint8)))
         )
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 import sys
 import threading
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from neuperm.archive import (
     ArchiveReader,
     ModelArchive,
+    TensorSpec,
     archive_digest,
     load_archive,
     parse_archive,
@@ -131,6 +133,53 @@ def test_save_to_full_device_raises_and_leaves_no_helper_thread():
     with pytest.raises(OSError):
         save_archive(_mib_archive(), "/dev/full")
     assert threading.active_count() == before
+
+
+class _Blocks:
+    """An archive-like object whose tensor "w" comes out as ``blocks``."""
+
+    def __init__(self, blocks):
+        self.metadata, self.blocks_of_w = {}, blocks
+        self.layout = {"w": TensorSpec("float32", (3, 2)), "z": TensorSpec("float16", ())}
+
+    def blocks(self, name):
+        return self.blocks_of_w if name == "w" else (np.zeros((), np.float16),)
+
+
+_W = np.arange(6, dtype=np.float32).reshape(3, 2)
+
+
+@pytest.mark.parametrize("blocks, text", [
+    ([_W[:1], _W[1:]], None),
+    ([_W[:0], _W[:2], _W[2:]], None),
+    ([_W[:2]], "its blocks hold 2 of the 3 rows"),
+    ([], "its blocks hold 0 of the 3 rows"),
+    ([_W, _W[:1]], "a block of float32 (1, 2) does not fit"),
+    ([_W[:, :1]], "a block of float32 (3, 1) does not fit"),
+    ([_W.reshape(6)], "a block of float32 (6,) does not fit"),
+    ([_W.astype(np.float16)], "a block of float16 (3, 2) does not fit"),
+    ([_W.astype(">f4")], "a block of >f4 (3, 2) does not fit"),
+])
+def test_blocks_are_checked_against_the_header(tmp_path, blocks, text):
+    """Row blocks that add up to the header's shape are written as one
+    tensor; any others raise ValueError naming the tensor, when saved or
+    assembled in memory."""
+    if text is None:
+        assert write_archive(_Blocks(blocks)) == write_archive(
+            ModelArchive({"w": tensor(_W), "z": tensor(0.0, dtype="float16")}))
+        assert ModelArchive({"w": tensor(_W)}).map(lambda n, t: blocks).tensors["w"].same_bits(
+            tensor(_W))
+        return
+    with pytest.raises(ValueError, match=rf"^tensor 'w': {re.escape(text)}"):
+        save_archive(_Blocks(blocks), tmp_path / "x")
+    with pytest.raises(ValueError, match=rf"^tensor 'w': {re.escape(text)}"):
+        ModelArchive({"w": tensor(_W)}).map(lambda n, t: blocks)
+
+
+def test_map_adopts_a_whole_tensor_block():
+    a = ModelArchive({"w": tensor(_W), "z": tensor(1.5)})
+    mapped = a.map(lambda n, t: (t.data,))
+    assert all(mapped.tensors[n].data is a.tensors[n].data for n in a.tensors)
 
 
 # ------------------------------------------------------- aligned loading

@@ -16,7 +16,7 @@ import pytest
 from conftest import random_payload, refusal
 
 import neuperm
-from neuperm import cli
+from neuperm import cli, sweep
 from neuperm.archive import (
     ArchiveReader, ModelArchive, archive_digest, load_archive, save_archive, write_archive,
 )
@@ -356,6 +356,87 @@ def test_sanitize_refuses_an_input_cut_short(ws, tmp_path, capsys, monkeypatch):
     assert code == 1 and line.startswith(f"error: tensor {last!r} is cut short: "), line
 
 
+@pytest.mark.parametrize("broken, text", [
+    (lambda block: block[:-1], "its blocks hold 127 of the 128 rows"),
+    (lambda block: block[:, :-1], "a block of float32 (128, 127) does not fit"),
+], ids=["rows", "columns"])
+def test_sanitize_refuses_blocks_that_miss_the_header(ws, tmp_path, capsys, monkeypatch,
+                                                      broken, text):
+    """A rewrite whose blocks hold fewer rows than the header says, or a
+    block of another trailing shape, ends sanitize with exit 1 and an error
+    naming the tensor; nothing is written."""
+    real = cli.tensor_rewrite
+    name = sorted(load_archive(ws["host"]).tensors)[1]
+
+    def patched(*args, **kwargs):
+        rewrite, coverage = real(*args, **kwargs)
+
+        def cut(n, t):
+            blocks = rewrite(n, t)
+            return [broken(block) for block in blocks] if n == name else blocks
+
+        return cut, coverage
+
+    monkeypatch.setattr(cli, "tensor_rewrite", patched)
+    code, line = refusal(["sanitize", "--input", ws["host"], "--output", "out",
+                          "--disrupt", "neuperm", "--descriptor", ws["host.desc"],
+                          "--seed", "3", "--manifest", "run.json"], tmp_path, capsys)
+    assert code == 1 and line.startswith(f"error: tensor {name!r}: {text}"), line
+
+
+def _thread_start_fails_at(monkeypatch, at: int) -> list:
+    """Make the at-th Thread.start from now on raise the RuntimeError
+    CPython raises when no thread can start (0: none does); returns the
+    threads asked to start."""
+    real, asked = threading.Thread.start, []
+
+    def start(thread):
+        asked.append(thread)
+        if len(asked) == at:
+            raise RuntimeError("can't start new thread")
+        real(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return asked
+
+
+@pytest.mark.parametrize("command", ["sanitize", "attack", "evaluate"])
+def test_a_helper_thread_that_cannot_start_is_one_error_line(ws, tmp_path, capsys, monkeypatch,
+                                                              command):
+    """sanitize --verify, attack ss and ss evaluate, with the k-th helper
+    thread failing to start for every k the command reaches: exit 1 with
+    one error line, every helper already started stopped, no file left and
+    OpenBLAS back at its thread count. Sweeps run three threads, so a
+    failed start can find helpers running."""
+    argv = {
+        "sanitize": ["sanitize", "--input", ws["host"], "--output", "out", "--disrupt",
+                     "neuperm", "--descriptor", ws["host.desc"], "--seed", "3", "--verify",
+                     "--net", ws["host.net"], "--manifest", "run.json"],
+        "attack": ["attack", "--input", ws["host"], "--output", "out", "--attack", "ss:0.02",
+                   "--payload", ws["payload"], "--seed", "9", "--plan", "plan.json"],
+        "evaluate": ["evaluate", "--carrier", ws["ss.carrier"], "--plan", ws["ss.plan"],
+                     "--disrupt", "none", "--disrupt", "neuperm", "--descriptor",
+                     ws["host.desc"], "--trials", "2", "--seed", "4", "--output", "r.csv"],
+    }[command]
+    monkeypatch.setattr(sweep, "workers", lambda: 3)
+    blas = sweep._blas_thread_calls()
+    before = blas[0]() if blas else None
+    work = tmp_path / "ok"
+    work.mkdir()
+    asked = _thread_start_fails_at(monkeypatch, 0)
+    assert refusal(argv, work, capsys) == (0, "")
+    starts = len(asked)
+    assert starts >= (2 if command == "sanitize" else 3)
+    for at in range(1, starts + 1):
+        _thread_start_fails_at(monkeypatch, at)
+        work = tmp_path / str(at)
+        work.mkdir()
+        code, line = refusal(argv, work, capsys)
+        assert (code, line) == (1, "error: cannot start a helper thread: can't start new "
+                                   "thread"), at
+        assert (blas[0]() if blas else None) == before
+
+
 def test_sanitize_leaves_no_helper_thread(ws, tmp_path, capsys):
     """The input and output hashes run on helper threads. None is left once
     main() returns, and the manifest holds the sha256 of each file on disk."""
@@ -573,6 +654,36 @@ def test_sanitize_verify_holds_one_copy_of_the_model(tmp_path):
                    "--seed", "5", "--verify", "--probes", "4", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.startswith("sanitize neuperm:1 seed=5 coverage=100.00% verified(")
+    assert (tmp_path / "clean.safetensors").stat().st_size == host.stat().st_size
+
+
+@pytest.mark.parametrize("disrupt", ["neuperm", "none"])
+def test_sanitize_verify_holds_one_tensor(tmp_path, disrupt):
+    """sanitize --verify on a host of two 64 MiB weights, in an address
+    space that may grow by 2.25 times one of them: one tensor, its blocks
+    and OpenBLAS's buffer fit (from about 1.75 times, on a 2-vCPU Linux
+    box), but two tensors at once do not: holding a tensor and its permuted
+    copy, one layer's weight of each side in --verify, or a written tensor
+    while the next is read, needed about 2.75 times."""
+    pytest.importorskip("resource")
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("the cap is sized from /proc/self/statm")
+    width = 4096
+    rng = np.random.default_rng(25)
+    archive = ModelArchive({f"fc{i}.weight": Tensor.adopt(
+        rng.standard_normal((width, width), dtype=np.float32)) for i in (1, 2)})
+    desc, net = _dense_chain(archive, [width] * 3)
+    host = tmp_path / "host.safetensors"
+    save_archive(archive, host)
+    del archive
+    (tmp_path / "host.desc.json").write_text(json.dumps(descriptor_to_dict(desc)))
+    (tmp_path / "host.safetensors.net.json").write_text(json.dumps(network_to_dict(net)))
+    proc = _within(9 * width * width, "sanitize", "--input", host, "--output",
+                   "clean.safetensors", "--disrupt", disrupt, "--descriptor", "host.desc.json",
+                   "--seed", "5", "--verify", "--probes", "4", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith(f"sanitize {disrupt}")
+    assert "verified(" in proc.stdout
     assert (tmp_path / "clean.safetensors").stat().st_size == host.stat().st_size
 
 

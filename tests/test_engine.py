@@ -4,11 +4,14 @@ from conftest import max_output_deviation
 
 from neuperm.archive import ModelArchive
 from neuperm.descriptor import ArchDescriptor, GqaMeta, PermutableSite
+import neuperm.engine as engine
+from neuperm.archive import write_archive
 from neuperm.engine import (
     PermutationSchedule,
     apply_schedule,
     count_changed_fraction,
     make_schedule,
+    schedule_rewrite,
     site_seed,
 )
 from neuperm.errors import DescriptorError
@@ -21,7 +24,7 @@ from neuperm.fixtures import (
 )
 from neuperm.inference import random_inputs
 from neuperm.rng import SeededRng, derive_seed
-from neuperm.tensor import Tensor, fisher_yates, invert, tensor
+from neuperm.tensor import Tensor, fisher_yates, invert, permute_axis_blocks, tensor
 
 F32_TOL = 1e-5
 F16_TOL = 1e-3
@@ -302,3 +305,78 @@ def test_host_descriptor_sites_cover_weights(small_host_bundle):
     report = count_changed_fraction(desc, archive=archive)
     assert report.fraction == 1.0
     assert ss_host(width=128, layers=3)[0].same_bits(archive)  # fixture determinism
+
+
+# ------------------------------------------------- row-block rewrite oracle
+
+def _site_by_site(archive, desc, schedule):
+    """The schedule applied one site at a time, each ref by its own
+    permute_axis_blocks call: the oracle of the block rewrite."""
+    tensors = dict(archive.tensors)
+    for site in desc.sites:
+        if (p := schedule.entries.get(site.site_id)) is not None:
+            for name, axis in site.refs:
+                tensors[name] = permute_axis_blocks(tensors[name], axis, p)
+    return ModelArchive(tensors, dict(archive.metadata))
+
+
+def _stacked_sites():
+    """Tensors that the fixtures lack: a 0-d and 1-d ones, float16 rows, a
+    column axis moved by three sites in turn (an attn_gqa site in group
+    widths, then two fc_pair sites in single columns) in a tensor whose
+    rows move too, and a row axis moved by an attn_gqa site in head widths
+    and then by an fc_pair site."""
+    rng = SeededRng(31)
+
+    def gauss(*shape, dtype="float32"):
+        values = rng.gaussian_block(int(np.prod(shape))).astype(dtype)
+        return Tensor.adopt(values.reshape(shape))
+
+    tensors = {"scalar": gauss(), "vec": gauss(8), "u": gauss(8, dtype="float16"),
+               "wq": gauss(8, 3), "wk": gauss(4, 3, dtype="float16"), "wv": gauss(4, 3),
+               "wo": gauss(5, 8), "b": gauss(4, dtype="float16")}
+    sites = (
+        PermutableSite("attn", "attn_gqa", 2, (("wq", 0), ("wk", 0), ("wv", 0)), (("wo", 1),),
+                       GqaMeta(h_q=4, h_kv=2, head_dim=2)),
+        PermutableSite("cols", "fc_pair", 8, (("vec", 0),), (("wo", 1),)),
+        PermutableSite("kv", "fc_pair", 4, (("b", 0),), (("wk", 0), ("wv", 0))),
+        PermutableSite("cols2", "fc_pair", 8, (("u", 0),), (("wo", 1),)),
+        PermutableSite("rows", "fc_pair", 5, (("wo", 0),), ()),
+    )
+    archive = ModelArchive(tensors, {"fixture": "stacked"})
+    return archive, ArchDescriptor(sites, total_params=archive.param_count), None
+
+
+@pytest.mark.parametrize("block_bytes", [1, 24, 4096, 1 << 20])
+@pytest.mark.parametrize("name", ["mlp", "cnn", "gqa", "host", "stacked"])
+def test_block_rewrite_equals_site_by_site_permutes(
+        all_bundles, small_host_bundle, monkeypatch, name, block_bytes):
+    """Under random schedules (each site drawn or left out at random), the
+    rewrite's blocks hold the bytes of the sequential permute_axis_blocks
+    calls for every tensor, and no moved block is larger than
+    _BLOCK_BYTES unless it is one slice. A 1-byte block makes every slice
+    larger than a block; at 1 MiB every fixture tensor is smaller than one."""
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", block_bytes)
+    bundles = {**all_bundles, "host": small_host_bundle, "stacked": _stacked_sites()}
+    archive, desc, _ = bundles[name]
+    draw = np.random.default_rng(block_bytes)
+    for trial in range(6):
+        entries = {site.site_id: draw.permutation(site.n) for site in desc.sites
+                   if trial == 0 or draw.random() < 0.7}
+        schedule = PermutationSchedule(trial, entries)
+        want = _site_by_site(archive, desc, schedule)
+        rewrite, _ = schedule_rewrite(archive, desc, schedule)
+        for tname, t in archive.tensors.items():
+            blocks = list(rewrite(tname, t))
+            moved = any(tname in site.tensor_names() for site in desc.sites
+                        if site.site_id in entries)
+            if not moved:
+                assert len(blocks) == 1 and blocks[0] is t.data
+                continue
+            row = t.data[0].nbytes
+            assert all(b.nbytes <= max(block_bytes, row) for b in blocks), tname
+            assert len(blocks) == -(-len(t.data) // max(1, block_bytes // row)), tname
+            got = Tensor.adopt(np.concatenate(blocks))
+            assert got.same_bits(want.tensors[tname]), (tname, trial)
+        assert apply_schedule(archive, desc, schedule)[0].same_bits(want)
+        assert write_archive(archive.map(rewrite)) == write_archive(want)

@@ -162,3 +162,131 @@ def test_background_waits_for_the_helper_when_the_block_raises():
         assert threading.active_count() == before
 
     _bounded(body)
+
+
+def test_feeding_calls_fn_on_every_item_in_order_on_one_helper():
+    """At a tiny switch interval every item is done once, in the order put,
+    on one helper thread; join() waits for every item put so far, and the
+    helper is gone once the block is left."""
+    done, idents = [], set()
+
+    def fn(item):
+        idents.add(threading.get_ident())
+        done.append(item)
+
+    def body():
+        before = threading.active_count()
+        with sweep.feeding(fn) as items:
+            for i in range(1000):
+                items.put(i)
+            items.join()
+            assert done == list(range(1000))
+            for i in range(1000, 2000):
+                items.put(i)
+        assert done == list(range(2000))
+        assert len(idents) == 1 and threading.get_ident() not in idents
+        assert threading.active_count() == before
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _bounded(body)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_feeding_holds_few_items_ahead_of_a_slow_helper():
+    """put waits while _QUEUED items wait beside the one the helper is on."""
+    gate, taken = threading.Event(), []
+
+    def fn(item):
+        taken.append(item)
+        gate.wait()
+
+    def body():
+        sent = []
+        with sweep.feeding(fn) as items:
+            def feed():
+                for i in range(10):
+                    items.put(i)
+                    sent.append(i)
+
+            feeder = threading.Thread(target=feed)
+            feeder.start()
+            time.sleep(0.2)
+            ahead = len(sent)
+            gate.set()
+            feeder.join()
+        assert ahead == 1 + sweep._QUEUED and taken == list(range(10))
+
+    _bounded(body)
+
+
+def test_feeding_raises_the_helpers_error_and_skips_the_rest():
+    done = []
+
+    def fn(item):
+        if item == 3:
+            raise KeyError("boom")
+        done.append(item)
+
+    def body():
+        before = threading.active_count()
+        with pytest.raises(KeyError, match="boom"):
+            with sweep.feeding(fn) as items:
+                for i in range(50):
+                    items.put(i)
+        assert done == [0, 1, 2]
+        assert threading.active_count() == before
+
+    _bounded(body)
+
+
+def test_feeding_stops_the_helper_when_the_block_raises():
+    """The block's error is raised once the helper has stopped; items still
+    waiting are skipped."""
+    gate, done = threading.Event(), []
+
+    def fn(item):
+        gate.wait()
+        done.append(item)
+
+    def body():
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="block"):
+            with sweep.feeding(fn) as items:
+                items.put(0)
+                items.put(1)
+                gate.set()
+                raise ValueError("block")
+        assert done in ([], [0])
+        assert threading.active_count() == before
+
+    _bounded(body)
+
+
+@pytest.mark.parametrize("helper", ["background", "feeding", "run_ordered"])
+def test_a_helper_that_cannot_start_raises_memory_error(monkeypatch, helper):
+    """The RuntimeError of a thread that cannot start becomes a MemoryError;
+    in a sweep, it comes once the helpers already started have stopped."""
+    real, asked = threading.Thread.start, []
+
+    def start(thread):
+        asked.append(thread)
+        if len(asked) == 3 or helper != "run_ordered":
+            raise RuntimeError("can't start new thread")
+        real(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setattr(sweep, "workers", lambda: 5)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="^cannot start a helper thread: can't start new thread$"):
+        if helper == "background":
+            with sweep.background(print):
+                pass
+        elif helper == "feeding":
+            with sweep.feeding(print):
+                pass
+        else:
+            sweep.run_ordered(lambda i: i, lambda i, r: None, range(100))
+    assert threading.active_count() == before
