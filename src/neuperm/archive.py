@@ -9,15 +9,15 @@ whitespace, sorted keys) and pack payloads contiguously in name order, so
 equal archives serialize to identical bytes. The parser is stricter than it
 needs to be for our own files on purpose: it is the fuzz target.
 
-An archive is read in one of two ways, both through one header validator,
-``_read_header``. ``load_archive`` reads the whole file once into a
-read-only buffer placed so that the payload starts on a 64-byte boundary,
-and ``parse_archive`` wraps each tensor as a view of that buffer; only a
-tensor whose offset does not suit its dtype's alignment is copied (by
-``Tensor``), because numpy runs misaligned arrays through a slower non-BLAS
-loop that also rounds differently. ``ArchiveReader`` keeps the file open,
-checks its header, and reads one tensor at a time into a buffer of its own,
-so a rewrite can stream a model it never holds whole.
+A file is read through ``ArchiveReader``: it checks the header with
+``_read_header``, as ``parse_archive`` does, then reads one tensor at a time
+into a 64-byte-aligned buffer of its own (numpy runs a misaligned array
+through a slower loop that also rounds differently). Every archive offers
+``metadata``, a ``layout`` of ``TensorSpec`` by name, ``read(name)`` and
+``map(rewrite)`` (see ``engine.Rewrite``): a ``ModelArchive`` holds its
+tensors and maps them at once, while a reader's ``map`` is a view that reads
+and rewrites a tensor when it is asked for, so a command can stream a model
+it never holds whole.
 
 Everything that writes an archive goes through one canonical writer,
 ``_emit``, over any archive-like object: ``metadata``, a ``layout`` of
@@ -56,8 +56,7 @@ _METADATA_KEY = "__metadata__"
 
 # json header larger than this is rejected before allocation
 _MAX_HEADER = 256 * 1024 * 1024
-# every tensor buffer a reader fills, and load_archive's payload, start on a
-# multiple of this many bytes
+# every tensor buffer a reader fills starts on a multiple of this many bytes
 _PAYLOAD_ALIGN = 64
 # bytes ArchiveReader.digest reads at a time
 _HASH_CHUNK = 4 << 20
@@ -80,16 +79,10 @@ class TensorSpec(NamedTuple):
 
 @dataclass
 class ModelArchive:
-    """Named tensors plus free-form string metadata.
-
-    ``source`` is the read-only file content ``load_archive`` parsed, so a
-    caller can hash its input without reading the file again; it is None
-    for an archive built any other way, ``replace`` and ``map`` included.
-    """
+    """Named tensors plus free-form string metadata."""
 
     tensors: dict[str, Tensor] = field(default_factory=dict)
     metadata: dict[str, str] = field(default_factory=dict)
-    source: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def param_count(self) -> int:
@@ -98,9 +91,6 @@ class ModelArchive:
     @property
     def layout(self) -> dict[str, TensorSpec]:
         return {name: TensorSpec(t.dtype, t.shape) for name, t in self.tensors.items()}
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
 
     def read(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -296,9 +286,6 @@ class ArchiveReader:
     def param_count(self) -> int:
         return sum(spec.size for spec in self.layout.values())
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.layout
-
     def read(self, name: str) -> Tensor:
         """Tensor ``name``, read from the file now. A file that ends before
         the tensor does raises ParseError naming it."""
@@ -314,8 +301,8 @@ class ArchiveReader:
 
     def map(self, rewrite) -> "_Rewritten":
         """This file as an archive whose tensors come as the row blocks of
-        ``rewrite(name, tensor)``, each read and rewritten when its blocks
-        are asked for."""
+        ``rewrite(name, tensor)``, each read and rewritten when it or its
+        blocks are asked for."""
         return _Rewritten(self, rewrite)
 
     def digest(self) -> str:
@@ -345,21 +332,27 @@ class ArchiveReader:
 
 @dataclass(frozen=True)
 class _Rewritten:
-    """``ArchiveReader.map``: the reader's archive, each tensor rewritten as it is read."""
+    """``map`` of a reader or of a view: ``source``, each tensor rewritten as it is read."""
 
-    reader: ArchiveReader
+    source: "ArchiveReader | _Rewritten"
     rewrite: Callable[[str, Tensor], Iterable[np.ndarray]]
 
     @property
     def metadata(self) -> dict[str, str]:
-        return self.reader.metadata
+        return self.source.metadata
 
     @property
     def layout(self) -> dict[str, TensorSpec]:
-        return self.reader.layout
+        return self.source.layout
 
     def blocks(self, name: str) -> Iterable[np.ndarray]:
-        return self.rewrite(name, self.reader.read(name))
+        return self.rewrite(name, self.source.read(name))
+
+    def read(self, name: str) -> Tensor:
+        return _assemble(name, self.blocks(name), self.layout[name])
+
+    def map(self, rewrite) -> "_Rewritten":
+        return _Rewritten(self, rewrite)
 
 
 def _checked(name: str, blocks: Iterable[np.ndarray], spec: TensorSpec) -> Iterator[np.ndarray]:
@@ -430,21 +423,10 @@ def write_archive(archive: ModelArchive) -> bytes:
 
 
 def load_archive(path) -> ModelArchive:
-    """Read a file into one read-only buffer whose payload is 64-byte aligned;
-    the archive keeps that buffer as its ``source``."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        # a short or implausible prefix only moves the start; parse_archive rejects it
-        start = -(8 + int.from_bytes(fh.read(8), "little")) % _PAYLOAD_ALIGN
-        raw = np.empty(size + 2 * _PAYLOAD_ALIGN, dtype=np.uint8)
-        start += -raw.ctypes.data % _PAYLOAD_ALIGN
-        fh.seek(0)
-        filled = _fill(fh, raw[start : start + size])
-    raw.setflags(write=False)
-    content = raw[start : start + filled]
-    archive = parse_archive(content)
-    archive.source = content
-    return archive
+    """Every tensor of the file at ``path``, read through ``ArchiveReader``."""
+    with ArchiveReader(path) as reader:
+        return ModelArchive({name: reader.read(name) for name in reader.layout},
+                            dict(reader.metadata))
 
 
 def save_archive(archive, path) -> str:

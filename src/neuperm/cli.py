@@ -15,6 +15,10 @@ Subcommands:
 * ``bound``    — closed-form payload-survival bound for the fixed-position
   placement game, optionally checked by Monte-Carlo simulation.
 
+``attack`` and ``evaluate`` read their input through ``ArchiveReader`` one
+tensor at a time too: the carrier is made as it is written, and a variant
+reads and disrupts a tensor when extraction asks for it.
+
 A command exits 0 on success; otherwise it prints one ``error:`` line and
 exits with the ``exit_code`` of the error that ended it (see ``errors``),
 1 for usage errors. Every command takes ``--seed`` and
@@ -44,7 +48,7 @@ from .analysis import (
 )
 # archive_digest and load_descriptor are unused here but stay importable as
 # neuperm.cli.archive_digest and neuperm.cli.load_descriptor, names perfbench/tracer.py wraps
-from .archive import ArchiveReader, archive_digest, load_archive, save_archive  # noqa: F401
+from .archive import ArchiveReader, archive_digest, save_archive  # noqa: F401
 from .descriptor import load_descriptor, parse_descriptor  # noqa: F401
 from .disrupt import apply_disruptor, parse_disruptor, tensor_rewrite
 from .errors import VerificationError, quote, read_json, split_spec
@@ -83,11 +87,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _source_digest(archive) -> str:
-    """sha256 of the file an archive was loaded from, from the bytes already read."""
-    return hashlib.sha256(archive.source).hexdigest()
 
 
 def _read_input(path, inputs: dict) -> bytes:
@@ -273,23 +272,22 @@ def _parse_attack_spec(spec: str):
 
 
 def cmd_attack(args, argv) -> int:
-    archive = load_archive(args.input)
-    with background(_source_digest, archive) as input_digest:
+    seed = _resolve_seed(args)
+    inputs, details = {}, {"attack": args.attack}
+    # the input is closed before the outputs are committed, so --output may name it
+    with _Outputs(args, argv, seed, inputs, details) as out, \
+            ArchiveReader(args.input) as source, background(source.digest) as input_digest:
         with open(args.payload, "rb") as fh:
             payload = fh.read()
         if not payload:
             raise ValueError("payload file is empty")
         kind, param = _parse_attack_spec(args.attack)
         ecc = parse_ecc(args.ecc)
-        seed = _resolve_seed(args)
-        plan = AttackPlan.for_payload(kind, payload, archive, seed=seed, ecc=ecc, param=param)
+        plan = AttackPlan.for_payload(kind, payload, source, seed=seed, ecc=ecc, param=param)
+        details.update(ecc=ecc.spec, payload_sha256=plan.payload_sha256)
         embed = {"lsb": lsb_embed, "sign": sign_embed, "ss": ss_embed}[kind]
-        carrier = embed(archive, payload, plan)
-
-    details = {"attack": args.attack, "ecc": ecc.spec, "payload_sha256": plan.payload_sha256}
-    inputs = {args.input: input_digest(), args.payload: plan.payload_sha256}
-    with _Outputs(args, argv, seed, inputs, details) as out:
-        details["output_digest"] = out.archive(args.output, carrier)
+        details["output_digest"] = out.archive(args.output, embed(source, payload, plan))
+        inputs.update({args.input: input_digest(), args.payload: plan.payload_sha256})
         if args.plan:
             out.text(args.plan, _json_text(plan.to_dict()))
     print(f"attack {args.attack} ecc={ecc.spec} seed={seed} payload={len(payload)}B")
@@ -308,37 +306,33 @@ def _variant_specs(configs, trials: int, seed: int):
 def cmd_evaluate(args, argv) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
-    archive = load_archive(args.carrier)
     inputs = {}
-    with background(_source_digest, archive) as carrier_digest:
+    with ArchiveReader(args.carrier) as source, background(source.digest) as carrier_digest:
         plan = AttackPlan.from_dict(read_json(_read_input(args.plan, inputs), "plan"))
         configs = [parse_disruptor(s) for s in args.disrupt]
         if not configs:
             raise ValueError("at least one --disrupt is required")
         descriptor = None
         if args.descriptor:
-            descriptor = parse_descriptor(_read_input(args.descriptor, inputs), archive)
+            descriptor = parse_descriptor(_read_input(args.descriptor, inputs), source)
         seed = _resolve_seed(args)
         variants = _variant_specs(configs, args.trials, seed)
 
         # ss variants share a chip sweep: their host vectors are stacked, up to
         # _HOST_STACK_BYTES of them, and each full stack is despread in one sweep;
-        # lsb and sign variants are read once disrupted. Each variant is let go
-        # once read, before the next is drawn or a stack is despread
+        # lsb and sign variants read only the tensors holding slots
         if plan.method == "ss":
-            plan.check_host(archive)
+            plan.check_host(source)
             group = min(len(variants), max(1, _HOST_STACK_BYTES // (4 * plan.host_n)))
             hosts = np.empty((group, plan.host_n), dtype=np.float32)
         extracted = []
         for i, (config, vseed) in enumerate(variants):
-            variant, _ = apply_disruptor(archive, config, seed=vseed, descriptor=descriptor)
+            variant, _ = apply_disruptor(source, config, seed=vseed, descriptor=descriptor)
             if plan.method != "ss":
                 extract = lsb_extract if plan.method == "lsb" else sign_extract
                 extracted.append((extract(variant, plan), ""))
-                del variant
                 continue
-            hosts[i % group] = host_vector(variant, plan.eligible)
-            del variant
+            host_vector(variant, plan.eligible, out=hosts[i % group])
             if i % group == group - 1 or i == len(variants) - 1:
                 for y in ss_despread_many(hosts[: i % group + 1], plan):
                     got, snr = decode_correlations(y, plan)
@@ -347,7 +341,7 @@ def cmd_evaluate(args, argv) -> int:
             (config, snr, int(plan.matches(got)))
             for (config, _), (got, snr) in zip(variants, extracted)
         ]
-    inputs[args.carrier] = carrier_digest()
+        inputs[args.carrier] = carrier_digest()
     successes = sum(ok for _, _, ok in rows)
 
     details = {"disrupt": [c.spec for c in configs], "trials": args.trials,

@@ -13,9 +13,9 @@ not, which is the whole point of preferring it.
 
 Each disruptor is one rewrite per tensor (``tensor_rewrite``), which yields
 the rewritten tensor as row blocks: the permutation pass in blocks of about
-1 MiB, the others as one block. ``apply_disruptor`` maps it over an archive
-in memory for ``evaluate``, and ``sanitize`` streams it over a file one
-tensor at a time, writing each block as it comes.
+1 MiB, the others as one block. ``apply_disruptor`` maps it over an archive,
+lazily over ``evaluate``'s reader, and ``sanitize`` streams it over a file
+one tensor at a time, writing each block as it comes.
 """
 
 from __future__ import annotations
@@ -149,14 +149,14 @@ def tensor_rewrite(
 
 
 def apply_disruptor(
-    archive: ModelArchive,
+    archive: ModelArchive | ArchiveReader,
     config: DisruptorConfig,
     *,
     seed: int = 0,
     descriptor: ArchDescriptor | None = None,
-) -> tuple[ModelArchive, CoverageReport | None]:
-    """Run one disruptor over an archive in memory: ``tensor_rewrite``
-    mapped over every tensor. Returns the new archive and, for the
-    permutation pass, its coverage report (None for the others)."""
+):
+    """``archive.map`` of one disruptor's ``tensor_rewrite`` (a lazy view
+    over a reader), and, for the permutation pass, its coverage report
+    (None for the others)."""
     rewrite, coverage = tensor_rewrite(config, archive, seed=seed, descriptor=descriptor)
     return archive.map(rewrite), coverage

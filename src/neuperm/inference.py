@@ -10,7 +10,7 @@ it may take, the hyper-parameters it requires, and its arithmetic.
 `LayerSpec` checks a layer against its entry when the layer is built, and
 `forward` runs every kind the same way.
 
-Params are looked up by name (`name in archive`, `archive.read(name)`), so
+Params are looked up by name (`archive.layout`, `archive.read(name)`), so
 the chain runs over an archive in memory or an `ArchiveReader` alike. `normalized_output_deviation`,
 the check behind `sanitize --verify`, runs its probes layer-major and holds
 one layer's params of one model at a time; `check_params` finds a net that
@@ -311,7 +311,7 @@ def _param_names(net: ToyNetwork, i: int, archive) -> dict[str, str]:
     layer = net.layers[i]
     required, optional, _, _ = _LAYERS[layer.kind]
     names = {role: name for role in required + optional if (name := layer.params.get(role))}
-    if lacking := {name for name in names.values() if name not in archive}:
+    if lacking := set(names.values()) - archive.layout.keys():
         raise ValueError(f"layer {i} ({layer.kind}) names tensors the archive lacks: "
                          f"{quote(sorted(lacking))}")
     return names

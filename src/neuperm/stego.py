@@ -19,17 +19,21 @@ around. Extraction is the exact mirror of embedding: same seed, same
 position/chip derivation, so any parameter displacement between the two
 shows up as bit errors.
 
-The two spread-spectrum chip sweeps, ``ss_embed`` and ``ss_despread_many``,
-run their column blocks through ``sweep.run_ordered``: one thread per CPU in
-the affinity mask, each taking the next block as it goes, OpenBLAS held at
-one thread, block results added in column order. The embed counts chip
-agreements from the chip bits, which is exact, with no BLAS call; the
-despread multiplies each float32 chip block by the hosts in one BLAS call.
-Every block computes the same thing as a single-thread sweep would, so
-carriers and correlations are byte for byte the same on any CPU count. Each
-thread holds one block at a time: about _SS_BLOCK_BYTES of float32 chips in
-the despread, a quarter of that in bits in the embed. At most two blocks per
-thread are taken and not yet added.
+Embedders and extractors use only an archive's ``layout``, ``read`` and
+``map``: an embedder returns ``archive.map`` of a rewrite of each tensor, so
+over an ``ArchiveReader`` the carrier is made one tensor at a time.
+
+The spread-spectrum chip sweeps, ``ss_embed`` (one per host tensor) and
+``ss_despread_many``, run their column blocks through ``sweep.run_ordered``:
+one thread per CPU in the affinity mask, each taking the next block as it
+goes, OpenBLAS held at one thread, block results added in column order. The
+embed counts chip agreements from the chip bits, which is exact, with no
+BLAS call; the despread multiplies each float32 chip block by the hosts in
+one BLAS call. Every block computes the same thing as a single-thread sweep
+would, so carriers and correlations are byte for byte the same on any CPU
+count. Each thread holds one block at a time: about _SS_BLOCK_BYTES of
+float32 chips in the despread, a quarter of that in bits in the embed. At
+most two blocks per thread are taken and not yet added.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .archive import ModelArchive
 from .errors import CapacityError, quote, split_spec
 from .rng import SeededRng, derive_seed, words_at
 from .sweep import run_ordered
@@ -153,34 +156,28 @@ def parse_ecc(spec: str) -> EccScheme:
 
 # ------------------------------------------------------- host indexing
 
-def eligible_names(archive: ModelArchive, min_ndim: int = 1) -> tuple[str, ...]:
+def eligible_names(archive, min_ndim: int = 1) -> tuple[str, ...]:
     """Names of tensors an embedder may write to, in sorted order."""
-    return tuple(
-        sorted(n for n, t in archive.tensors.items() if t.data.ndim >= min_ndim)
-    )
+    return tuple(sorted(n for n, spec in archive.layout.items() if len(spec.shape) >= min_ndim))
 
 
-def host_size(archive: ModelArchive, names) -> int:
-    return sum(archive.tensors[n].size for n in names)
+def host_size(archive, names) -> int:
+    layout = archive.layout
+    return sum(layout[n].size for n in names)
 
 
-def host_vector(archive: ModelArchive, names) -> np.ndarray:
-    """Flattened float32 view of the eligible tensors, concatenated in order."""
-    return np.concatenate([archive.tensors[n].f32().ravel() for n in names])
-
-
-def scatter_host(archive: ModelArchive, names, vec: np.ndarray) -> ModelArchive:
-    """Inverse of host_vector: write the flat values back, keeping dtypes."""
-    updates = {}
+def host_vector(archive, names, out: np.ndarray | None = None) -> np.ndarray:
+    """Flattened float32 values of the tensors ``names``, concatenated in
+    order, read one tensor at a time into ``out`` (a new array when None)."""
+    layout = archive.layout
+    if out is None:
+        out = np.empty(host_size(archive, names), dtype=np.float32)
     at = 0
     for n in names:
-        t = archive.tensors[n]
-        chunk = vec[at : at + t.size].reshape(t.shape)
-        updates[n] = Tensor.adopt(chunk.astype(t.dtype))
-        at += t.size
-    if at != vec.size:
-        raise ValueError("host vector length mismatch")
-    return archive.replace(updates)
+        size = layout[n].size
+        out[at : at + size] = archive.read(n).data.ravel()  # let go before the next read
+        at += size
+    return out
 
 
 def sample_positions(total: int, count: int, seed: int) -> np.ndarray:
@@ -253,13 +250,14 @@ def _slot_groups(names: tuple, sizes: tuple, count: int, seed: int) -> tuple:
     return tuple(groups)
 
 
-def _bit_slots(archive: ModelArchive, plan: AttackPlan, count: int) -> tuple:
+def _bit_slots(archive, plan: AttackPlan, count: int) -> tuple:
     """The `count` parameters a bit attack writes, as `_slot_groups` gives
     them for the archive's eligible tensors. The positions are drawn here,
     so a count beyond the host raises CapacityError before a caller
     allocates anything for its slots."""
     names = eligible_names(archive)
-    return _slot_groups(names, tuple(archive.tensors[n].size for n in names), count,
+    layout = archive.layout
+    return _slot_groups(names, tuple(layout[n].size for n in names), count,
                         derive_seed(plan.seed, f"{plan.method}/positions"))
 
 
@@ -279,39 +277,43 @@ def _bit_field(plan: AttackPlan, method: str) -> tuple[int, bool]:
     return (plan.bits_per_param, False) if method == "lsb" else (1, True)
 
 
-def _embed_bits(archive: ModelArchive, payload: bytes, plan: AttackPlan,
-                method: str) -> ModelArchive:
+def _embed_bits(archive, payload: bytes, plan: AttackPlan, method: str):
     """Write the coded payload, `width` bits per sampled parameter, into one
-    field of each parameter's raw word; only the tensors written are copied."""
+    field of each parameter's raw word: ``archive.map`` of a rewrite that
+    copies only the tensors holding slots and writes the slots in each."""
     width, top = _bit_field(plan, method)
     if not plan.matches(payload):
         raise ValueError("payload does not match plan digest")
-    coded = plan.ecc.encode(bytes_to_bits(payload))
-    slots = -(-coded.size // width)
+    slots = -(-plan.coded_bits // width)
+    groups = {name: rest for name, *rest in _bit_slots(archive, plan, slots)}
     padded = np.zeros(slots * width, dtype=np.uint8)
-    padded[: coded.size] = coded
+    padded[: plan.coded_bits] = plan.ecc.encode(bytes_to_bits(payload))
     weights = 1 << np.arange(width - 1, -1, -1, dtype=np.uint32)
     values = (padded.reshape(slots, width).astype(np.uint32) * weights).sum(axis=1)
-    updates = {}
-    for name, local, slot_idx in _bit_slots(archive, plan, slots):
-        data = archive.tensors[name].data
-        raw, shift, mask = _raw_field(data, width, top)
+
+    def rewrite(name: str, t: Tensor) -> tuple[np.ndarray]:
+        if name not in groups:
+            return (t.data,)
+        local, slot_idx = groups[name]
+        raw, shift, mask = _raw_field(t.data, width, top)
         raw = raw.copy()
         raw[local] = (raw[local] & ~mask) | (values[slot_idx].astype(raw.dtype) << shift)
-        updates[name] = Tensor.adopt(raw.view(data.dtype).reshape(data.shape))
-    return archive.replace(updates)
+        return (raw.view(t.data.dtype).reshape(t.shape),)
+
+    return archive.map(rewrite)
 
 
-def _extract_bits(archive: ModelArchive, plan: AttackPlan, method: str) -> bytes:
-    """Mirror of _embed_bits: reads the field through views of the stored data."""
+def _extract_bits(archive, plan: AttackPlan, method: str) -> bytes:
+    """Mirror of _embed_bits: reads the field of each tensor holding slots."""
     width, top = _bit_field(plan, method)
     coded_len = plan.coded_bits
     slots = -(-coded_len // width)
     groups = _bit_slots(archive, plan, slots)
     values = np.zeros(slots, dtype=np.uint32)
     for name, local, slot_idx in groups:
-        raw, shift, mask = _raw_field(archive.tensors[name].data, width, top)
+        raw, shift, mask = _raw_field(archive.read(name).data, width, top)
         values[slot_idx] = (raw[local] & mask) >> shift
+        del raw  # the tensor goes before the next is read
     shifts = np.arange(width - 1, -1, -1, dtype=np.uint32)
     bits = ((values[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
     decoded = plan.ecc.decode(bits[:coded_len])
@@ -320,22 +322,22 @@ def _extract_bits(archive: ModelArchive, plan: AttackPlan, method: str) -> bytes
 
 # ------------------------------------------------------------ lsb, sign
 
-def lsb_embed(archive: ModelArchive, payload: bytes, plan: AttackPlan) -> ModelArchive:
+def lsb_embed(archive, payload: bytes, plan: AttackPlan):
     """Hide payload bits in the low mantissa bits of sampled parameters."""
     return _embed_bits(archive, payload, plan, "lsb")
 
 
-def lsb_extract(archive: ModelArchive, plan: AttackPlan) -> bytes:
+def lsb_extract(archive, plan: AttackPlan) -> bytes:
     """Mirror of lsb_embed: the plan's payload_len bytes."""
     return _extract_bits(archive, plan, "lsb")
 
 
-def sign_embed(archive: ModelArchive, payload: bytes, plan: AttackPlan) -> ModelArchive:
+def sign_embed(archive, payload: bytes, plan: AttackPlan):
     """Store one coded bit per sampled parameter: bit 1 -> negative sign."""
     return _embed_bits(archive, payload, plan, "sign")
 
 
-def sign_extract(archive: ModelArchive, plan: AttackPlan) -> bytes:
+def sign_extract(archive, plan: AttackPlan) -> bytes:
     return _extract_bits(archive, plan, "sign")
 
 
@@ -410,12 +412,12 @@ class AttackPlan:
         object.__setattr__(self, "eligible", tuple(self.eligible))
 
     @classmethod
-    def for_payload(cls, method: str, payload: bytes, archive: ModelArchive, *, seed: int,
+    def for_payload(cls, method: str, payload: bytes, archive, *, seed: int,
                     ecc: EccScheme, param=None) -> "AttackPlan":
         """The plan for hiding `payload` in `archive` by `method`; `param` is
         lsb's bits_per_param or ss's gamma. An ss plan spreads over every
-        tensor of two or more dims, and raises CapacityError when they hold
-        too few params for its coded bits."""
+        tensor of two or more dims. A host with too few params for the coded
+        bits raises CapacityError before any bit is coded."""
         fields = {}
         if method == "lsb":
             fields["bits_per_param"] = param
@@ -426,6 +428,8 @@ class AttackPlan:
                    **fields)
         if method == "ss":
             plan.check_host(archive)
+        else:  # the slots are drawn, and cached for the embed, or refused here
+            _bit_slots(archive, plan, -(-plan.coded_bits // _bit_field(plan, method)[0]))
         return plan
 
     @property
@@ -439,10 +443,10 @@ class AttackPlan:
     def matches(self, payload: bytes) -> bool:
         return hashlib.sha256(payload).hexdigest() == self.payload_sha256
 
-    def check_host(self, archive: ModelArchive) -> None:
+    def check_host(self, archive) -> None:
         """Raise unless `archive` holds this ss plan's host (ValueError) and
         the host has SS_MIN_RATIO params per coded bit (CapacityError)."""
-        missing = [n for n in self.eligible if n not in archive.tensors]
+        missing = [n for n in self.eligible if n not in archive.layout]
         if missing:
             raise ValueError(f"ss plan names tensors the carrier lacks: {quote(missing)}")
         held = host_size(archive, self.eligible)
@@ -539,24 +543,37 @@ def _chunk_cols(n_bits: int) -> int:
     return max(64, _SS_BLOCK_BYTES // (4 * n_bits) // 64 * 64)
 
 
-def ss_embed(archive: ModelArchive, payload: bytes, plan: AttackPlan) -> ModelArchive:
-    """w' = w + gamma * sum_k b_k c_k with b_k = +/-1 from the coded bits."""
+def ss_embed(archive, payload: bytes, plan: AttackPlan):
+    """w' = w + gamma * sum_k b_k c_k with b_k = +/-1 from the coded bits,
+    added to each host tensor over its range of the host, in blocks cut at
+    the tensor's ends and at multiples of _chunk_cols. Each element gets
+    the same float32 sum at any cuts."""
     if not plan.matches(payload):
         raise ValueError("payload does not match plan digest")
-    coded = plan.ecc.encode(bytes_to_bits(payload))
-    out = host_vector(archive, plan.eligible)  # a fresh array, so it is added to in place
-    if out.size != plan.host_n:
+    layout, offsets, at = archive.layout, {}, 0
+    for n in plan.eligible:
+        offsets[n], at = at, at + layout[n].size
+    if at != plan.host_n:
         raise ValueError("archive host size does not match plan")
+    coded = plan.ecc.encode(bytes_to_bits(payload))
     width = _chunk_cols(coded.size)
 
-    def spread(s: int) -> np.ndarray:
-        return _spread_block(plan, s, min(s + width, plan.host_n), coded)
+    def rewrite(name: str, t: Tensor) -> tuple[np.ndarray]:
+        if name not in offsets:
+            return (t.data,)
+        start, stop = offsets[name], offsets[name] + t.size
+        out = t.data.astype(np.float32).ravel()  # a fresh array, so it is added to in place
 
-    def add(s: int, block: np.ndarray) -> None:
-        out[s : s + block.size] += plan.gamma * block
+        def spread(s: int) -> np.ndarray:
+            return _spread_block(plan, s, min(s - s % width + width, stop), coded)
 
-    run_ordered(spread, add, range(0, plan.host_n, width))
-    return scatter_host(archive, plan.eligible, out)
+        def add(s: int, block: np.ndarray) -> None:
+            out[s - start : s - start + block.size] += plan.gamma * block
+
+        run_ordered(spread, add, [start, *range(start - start % width + width, stop, width)])
+        return (out.astype(t.dtype, copy=False).reshape(t.shape),)
+
+    return archive.map(rewrite)
 
 
 def ss_despread_many(hosts: np.ndarray, plan: AttackPlan) -> np.ndarray:
@@ -599,7 +616,7 @@ def decode_correlations(y: np.ndarray, plan: AttackPlan) -> tuple[bytes, float]:
     return payload, snr
 
 
-def ss_extract(archive: ModelArchive, plan: AttackPlan) -> tuple[bytes, float]:
+def ss_extract(archive, plan: AttackPlan) -> tuple[bytes, float]:
     vec = host_vector(archive, plan.eligible)
     y = ss_despread_many(vec[None, :], plan)[0]
     return decode_correlations(y, plan)

@@ -20,10 +20,10 @@ splits a sum between its threads, which makes its rounding depend on the
 CPU count.
 
 ``background(fn, *args)`` runs one call on a helper thread for the length of
-a ``with`` block. ``attack`` and ``evaluate`` hash their input archive that
-way while they parse and use it, and ``sanitize`` hashes its input file that
-way while it streams the rewrite, reading the file through the same handle
-as the tensors. ``feeding(fn)`` runs ``fn`` on each item a ``with`` block
+a ``with`` block. Every command that reads an archive hashes its input file
+that way while it reads the tensors through the same ``ArchiveReader``
+handle: ``sanitize`` and ``attack`` while they stream their output,
+``evaluate`` while it reads its variants. ``feeding(fn)`` runs ``fn`` on each item a ``with`` block
 puts, in order, on one helper thread: ``save_archive`` hashes each block
 that way while it writes that block and produces the next. sha256, file
 reads and writes and ``np.take`` release the GIL, so the hash runs on

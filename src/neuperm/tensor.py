@@ -6,7 +6,7 @@ move whole slices without touching their bits, so any permutation op is
 lossless on either dtype.
 
 A tensor never copies what it can share. It wraps a read-only, contiguous,
-aligned array as it is, so tensors parsed from one load buffer stay views
+aligned array as it is, so tensors parsed from one read-only buffer stay views
 of it; it copies only a caller's writable array or one that is
 non-contiguous or misaligned. Code that builds a fresh array, such as a
 permutation's ``np.take`` result, hands it over with ``Tensor.adopt``, which

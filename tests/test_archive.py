@@ -219,27 +219,21 @@ def _payload_offsets(raw: bytes) -> dict[str, int]:
     return {name: entry["data_offsets"][0] for name, entry in header.items()}
 
 
-def test_load_is_aligned_and_shares_one_buffer(tmp_path):
+def test_load_and_parse_give_aligned_tensors(tmp_path):
+    """A file whose payload and tensor "b" start off 4-byte alignment loads
+    and parses to aligned, read-only tensors that compute what the archive
+    does."""
     archive, net = _misaligned_archive()
     raw = write_archive(archive)
     assert (len(raw) - 172) % 4 != 0  # the payload (172 bytes) starts off 4-byte alignment
-    offsets = _payload_offsets(raw)
-    assert offsets == {"a": 0, "b": 6, "c": 102, "d": 112}
+    assert _payload_offsets(raw) == {"a": 0, "b": 6, "c": 102, "d": 112}
     p = tmp_path / "m.safetensors"
     save_archive(archive, p)
 
     loaded = load_archive(p)
     assert loaded.same_bits(archive)
     for t in loaded.tensors.values():
-        assert t.data.flags.aligned and not t.data.flags.writeable
-    # tensors whose offset suits their dtype are views of the load buffer, at
-    # their file offsets from a payload start on a 64-byte boundary; "b" is not
-    # 4-byte aligned there, so it alone is copied
-    start = loaded.tensors["a"].data.ctypes.data
-    assert start % 64 == 0
-    for name in ("c", "d"):
-        assert loaded.tensors[name].data.ctypes.data - start == offsets[name]
-    assert loaded.tensors["b"].data.base is None
+        assert t.data.ctypes.data % 64 == 0 and not t.data.flags.writeable
 
     parsed = parse_archive(raw)
     assert parsed.same_bits(archive)
@@ -505,6 +499,39 @@ def test_reader_reads_aligned_read_only_tensors(tmp_path):
             assert got.data.ctypes.data % 64 == 0 and not got.data.flags.writeable
             assert got.same_bits(want), name
         assert reader.digest() == digest
+
+
+def _rows_reversed(name, t):
+    """A rewrite in row blocks: the tensor's rows in reverse, one block each."""
+    if not t.data.ndim:
+        return (t.data,)
+    return (t.data[i : i + 1] for i in reversed(range(len(t.data))))
+
+
+def _negated(name, t):
+    return (np.negative(t.data, out=np.empty_like(t.data)),)  # a 0-d tensor stays an array
+
+
+def test_reader_map_reads_what_the_archive_map_reads(tmp_path):
+    """A rewrite in row blocks, mapped over a reader and then mapped again
+    over that view, reads back the bits and saves the bytes that the same
+    maps give over the archive in memory, float16 and 0-d tensors included."""
+    archive, _ = _misaligned_archive()
+    archive = ModelArchive({**archive.tensors, "e": tensor(2.5)}, archive.metadata)
+    path = tmp_path / "m.safetensors"
+    save_archive(archive, path)
+    with ArchiveReader(path) as reader:
+        views = reader.map(_rows_reversed), reader.map(_rows_reversed).map(_negated)
+        models = archive.map(_rows_reversed), archive.map(_rows_reversed).map(_negated)
+        for i, (view, model) in enumerate(zip(views, models)):
+            assert view.layout == model.layout and view.metadata == model.metadata
+            for name in archive.layout:
+                got = view.read(name)
+                assert got.same_bits(model.read(name)), name
+                assert not got.data.flags.writeable
+            assert (save_archive(view, tmp_path / f"view{i}.safetensors")
+                    == save_archive(model, tmp_path / f"model{i}.safetensors"))
+    assert not models[1].same_bits(models[0]) and not models[0].same_bits(archive)
 
 
 def test_reader_refuses_a_tensor_cut_short(tmp_path):

@@ -28,6 +28,7 @@ from neuperm.fixtures import (
 )
 from neuperm.inference import forward, network_to_dict, parse_network, random_inputs
 from neuperm.rng import derive_seed
+from neuperm.stego import AttackPlan, lsb_embed, parse_ecc, sign_embed, ss_embed
 from neuperm.tensor import DTYPES, Tensor
 
 _SRC = Path(neuperm.__file__).resolve().parents[1]
@@ -455,6 +456,35 @@ def test_sanitize_leaves_no_helper_thread(ws, tmp_path, capsys):
 
 # --------------------------------------------------------------- attack
 
+@pytest.mark.parametrize("layout", ["scrambled", "output-is-input"])
+@pytest.mark.parametrize("attack", ["lsb:2", "sign", "ss:0.02"])
+def test_streamed_attack_equals_the_in_memory_embed(ws, tmp_path, capsys, attack, layout):
+    """attack makes the carrier one tensor at a time and writes the canonical
+    bytes of the embed over the whole archive in memory, also from an input
+    that stores its tensors out of name order with gaps, or that the output
+    overwrites; the manifest holds the input's digest."""
+    raw = ws["host"].read_bytes()
+    if layout == "scrambled":
+        raw = _scrambled(load_archive(ws["host"]))
+    src = tmp_path / "in.safetensors"
+    src.write_bytes(raw)
+    out = src if layout == "output-is-input" else tmp_path / "out.safetensors"
+    original, payload = load_archive(src), ws["payload"].read_bytes()
+    kind, param = cli._parse_attack_spec(attack)
+    plan = AttackPlan.for_payload(kind, payload, original, seed=9, ecc=parse_ecc("none"),
+                                  param=param)
+    want = {"lsb": lsb_embed, "sign": sign_embed, "ss": ss_embed}[kind](original, payload, plan)
+    manifest = tmp_path / "run.json"
+    assert run("attack", "--input", src, "--output", out, "--attack", attack, "--payload",
+               ws["payload"], "--seed", "9", "--manifest", manifest) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    assert out.read_bytes() == write_archive(want)
+    doc = json.loads(manifest.read_text())
+    assert doc["inputs"] == {str(src): hashlib.sha256(raw).hexdigest(),
+                             str(ws["payload"]): plan.payload_sha256}
+    assert doc["outputs"] == {str(out): archive_digest(want)}
+
+
 def test_attack_lsb_then_evaluate(ws, tmp_path, capsys):
     carrier = tmp_path / "carrier.safetensors"
     plan = tmp_path / "plan.json"
@@ -557,24 +587,31 @@ def test_attack_ss_then_evaluate(ws, tmp_path, capsys):
     assert all("." in r["snr_db"] and len(r["snr_db"].split(".")[1]) == 4 for r in rows)
 
 
-#: (attack, ecc, seed, sha256 of the evaluate CSV) per method on the host
-#: carrier, computed before the plan of every method became one type
+#: (attack, ecc, seed, sha256 of the evaluate CSV, sha256 of the carrier) per
+#: method on the host carrier; the CSV digests were computed before the plan of
+#: every method became one type, the carrier digests while attack still built
+#: the whole carrier in memory
 _FROZEN_EVALUATE = {
     "lsb": ("lsb:2", "hamming74", "7",
-        "8803b938f702a1e38b37b9aa93624c92e9035584bc36bff24f0098508dbe5d7a"),
+        "8803b938f702a1e38b37b9aa93624c92e9035584bc36bff24f0098508dbe5d7a",
+        "c2ab8766fbbf855f7330206b0a23ea61b9edb2d881677f526200ec7040241446"),
     "sign": ("sign", "repetition:3", "9",
-        "8d4a367e5cb0724566eda20a350afb5d65267f2b1e866b2ae824f6db2433b6ee"),
+        "8d4a367e5cb0724566eda20a350afb5d65267f2b1e866b2ae824f6db2433b6ee",
+        "22d36ffe9f3625dc3210ced266fd72c9353a3dc9a8ddcfc025df405faf748809"),
     "ss": ("ss:0.02", "repetition:3", "13",
-        "068a7304983bf7af7d074c3fb8b95872a622e6bebdecf0db1c402151dc40c002"),
+        "068a7304983bf7af7d074c3fb8b95872a622e6bebdecf0db1c402151dc40c002",
+        "d37de1e3e2f02d7f58fd9f5fad06c2b8f6b64759435caed1b2f7d140d0ed0d83"),
 }
 
 
 def _frozen_evaluate_digest(ws, tmp_path, method) -> str:
-    """sha256 of the CSV that the frozen attack and evaluate of `method` write."""
-    attack, ecc, seed, _ = _FROZEN_EVALUATE[method]
+    """sha256 of the CSV that the frozen attack and evaluate of `method`
+    write, once the carrier the attack wrote has its frozen sha256."""
+    attack, ecc, seed, _, carrier_sha256 = _FROZEN_EVALUATE[method]
     carrier, plan, report = (tmp_path / n for n in ("carrier.safetensors", "plan.json", "r.csv"))
     assert run("attack", "--input", ws["host"], "--output", carrier, "--attack", attack,
                "--ecc", ecc, "--payload", ws["payload"], "--seed", seed, "--plan", plan) == 0
+    assert hashlib.sha256(carrier.read_bytes()).hexdigest() == carrier_sha256
     assert run("evaluate", "--carrier", carrier, "--plan", plan, "--disrupt", "none",
                "--disrupt", "noise:0.0001", "--disrupt", "prune:0.05", "--disrupt", "neuperm:1",
                "--descriptor", ws["host.desc"], "--trials", "2", "--seed", "5",
@@ -633,28 +670,69 @@ def _within(allowance: int, *argv, cwd):
     return _fresh_interpreter([sys.executable, "-c", child], allowance, *argv, cwd=cwd, env=env)
 
 
-def test_sanitize_verify_holds_one_copy_of_the_model(tmp_path):
-    """sanitize --verify on a 128 MiB host of eight 16 MiB weights, in an
-    address space that may grow by 1.5 times the host: two copies of the
-    model do not fit, one tensor at a time does."""
+@pytest.fixture(scope="module")
+def eight_layer_host(tmp_path_factory):
+    """A 128 MiB host of eight 16 MiB float32 weights, written once with its
+    descriptor and net sidecar, for the tests that cap the address space
+    below two copies of it."""
     pytest.importorskip("resource")
     if not os.path.exists("/proc/self/statm"):
         pytest.skip("the cap is sized from /proc/self/statm")
+    root = tmp_path_factory.mktemp("eight")
     width, layers = 2048, 8
     rng = np.random.default_rng(24)
     archive = ModelArchive({f"fc{i}.weight": Tensor.adopt(
         rng.standard_normal((width, width), dtype=np.float32)) for i in range(1, layers + 1)})
     desc, net = _dense_chain(archive, [width] * (layers + 1))
-    host = tmp_path / "host.safetensors"
+    host = root / "host.safetensors"
     save_archive(archive, host)
-    (tmp_path / "host.desc.json").write_text(json.dumps(descriptor_to_dict(desc)))
-    (tmp_path / "host.safetensors.net.json").write_text(json.dumps(network_to_dict(net)))
+    (root / "host.desc.json").write_text(json.dumps(descriptor_to_dict(desc)))
+    (root / "host.safetensors.net.json").write_text(json.dumps(network_to_dict(net)))
+    return host
+
+
+def test_sanitize_verify_holds_one_copy_of_the_model(tmp_path, eight_layer_host):
+    """sanitize --verify on the 128 MiB host, in an address space that may
+    grow by 1.5 times the host: two copies of the model do not fit, one
+    tensor at a time does."""
+    host = eight_layer_host
     proc = _within(3 * host.stat().st_size // 2, "sanitize", "--input", host, "--output",
-                   "clean.safetensors", "--disrupt", "neuperm", "--descriptor", "host.desc.json",
-                   "--seed", "5", "--verify", "--probes", "4", cwd=tmp_path)
+                   "clean.safetensors", "--disrupt", "neuperm", "--descriptor",
+                   host.parent / "host.desc.json", "--seed", "5", "--verify", "--probes", "4",
+                   cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.startswith("sanitize neuperm:1 seed=5 coverage=100.00% verified(")
     assert (tmp_path / "clean.safetensors").stat().st_size == host.stat().st_size
+
+
+@pytest.mark.parametrize("command", ["attack lsb:2", "attack ss", "evaluate"])
+def test_attack_and_evaluate_hold_one_copy_of_the_model(tmp_path, eight_layer_host, command):
+    """attack (lsb:2 with a 4 KiB payload, ss with a 16-byte one) and
+    evaluate of an lsb plan under none and neuperm:1, on the 128 MiB host in
+    an address space that may grow by 1.5 times the host: each reads and
+    writes one tensor at a time, where holding the model and a second copy
+    of it (the carrier, an ss host vector or a disrupted variant) does not
+    fit."""
+    host = eight_layer_host
+    payload = tmp_path / "payload.bin"
+    payload.write_bytes(random_payload(80, 16 if command == "attack ss" else 4096))
+    attack = ["attack", "--input", host, "--payload", payload, "--seed", "3",
+              "--attack", "ss:0.001" if command == "attack ss" else "lsb:2"]
+    if command == "evaluate":
+        assert run(*attack, "--output", tmp_path / "carrier.safetensors",
+                   "--plan", tmp_path / "plan.json") == 0
+        argv = ["evaluate", "--carrier", "carrier.safetensors", "--plan", "plan.json",
+                "--disrupt", "none", "--disrupt", "neuperm:1", "--descriptor",
+                host.parent / "host.desc.json", "--seed", "4", "--output", "r.csv"]
+    else:
+        argv = [*attack, "--output", "carrier.safetensors"]
+    proc = _within(3 * host.stat().st_size // 2, *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    if command == "evaluate":
+        assert proc.stdout == "evaluate 2 attempts, 1 extractions succeeded\n"
+    else:
+        assert proc.stdout.startswith(f"attack {attack[-1]} ecc=none seed=3")
+        assert (tmp_path / "carrier.safetensors").stat().st_size == host.stat().st_size
 
 
 @pytest.mark.parametrize("disrupt", ["neuperm", "none"])
@@ -707,6 +785,26 @@ def test_evaluate_many_ss_variants_fit_1gb(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout == "evaluate 400 attempts, 0 extractions succeeded\n"
     assert len(report.read_text().splitlines()) == 401
+
+
+@pytest.mark.parametrize("attack,ecc,slots", [("lsb:1", "none", 128_000_000),
+                                              ("sign", "none", 128_000_000),
+                                              ("lsb:1", "repetition:5", 640_000_000)])
+def test_attack_refuses_an_oversized_bit_payload_in_1gb(tmp_path, attack, ecc, slots):
+    """A 16 MB payload needs more slots than the 2^20-parameter host has:
+    attack refuses it when it makes the plan, before any bit is coded, in a
+    1 GB address space. Coding and packing the bits first peaked at 1.8 GB,
+    and at 7.7 GB with repetition:5."""
+    pytest.importorskip("resource")
+    archive, _, _ = ss_host()
+    save_archive(archive, tmp_path / "host.safetensors")
+    (tmp_path / "p.bin").write_bytes(np.random.default_rng(81).bytes(16_000_000))
+    proc = _under_1gb("attack", "--input", "host.safetensors", "--output", "carrier.safetensors",
+                      "--attack", attack, "--ecc", ecc, "--payload", "p.bin", "--seed", "1",
+                      cwd=tmp_path)
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert proc.stderr == f"error: need {slots} positions but host has only 1048576\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["host.safetensors", "p.bin"]
 
 
 def test_bound_simulate_long_trial_fits_1gb(tmp_path):

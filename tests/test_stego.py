@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import neuperm.stego as stego
 import neuperm.sweep as sweep
-from neuperm.archive import ModelArchive, write_archive
+from neuperm.archive import ArchiveReader, ModelArchive, save_archive, write_archive
 from neuperm.errors import CapacityError
 from neuperm.rng import SeededRng, derive_seed, words_at
 from neuperm.stego import (
@@ -27,7 +27,6 @@ from neuperm.stego import (
     lsb_extract,
     parse_ecc,
     sample_positions,
-    scatter_host,
     sign_embed,
     sign_extract,
     ss_despread_many,
@@ -62,25 +61,38 @@ def test_eligible_names_sorted_and_filtered():
     assert eligible_names(arch, min_ndim=2) == ("a", "c")
 
 
-def test_host_vector_scatter_roundtrip(mlp_bundle):
-    archive, _, _ = mlp_bundle
+def _with_host(archive, names, vec):
+    """`archive` with the flat float32 host `vec` written back over the
+    tensors `names`, each cast to its own dtype."""
+    cuts = np.cumsum([archive.tensors[n].size for n in names])[:-1]
+    return archive.replace({
+        n: Tensor.adopt(v.reshape(archive.tensors[n].shape).astype(archive.tensors[n].dtype))
+        for n, v in zip(names, np.split(vec, cuts))})
+
+
+@pytest.mark.parametrize("bundle", ["mlp_bundle", "gqa_bundle"])
+def test_host_vector_concatenates_eligible_tensors(request, bundle):
+    """The host is each named tensor's float32 values in order, also when it
+    is filled into a row of a caller's array (float16 tensors included)."""
+    archive, _, _ = request.getfixturevalue(bundle)
     names = eligible_names(archive)
+    want = np.concatenate([archive.tensors[n].f32().ravel() for n in names])
     vec = host_vector(archive, names)
     assert vec.dtype == np.float32 and vec.size == host_size(archive, names)
-    bumped = vec.copy()
-    bumped[7] += 1.0
-    back = scatter_host(archive, names, bumped)
-    assert not back.same_bits(archive)
-    restored = scatter_host(archive, names, vec)
-    assert restored.same_bits(archive)
+    assert vec.tobytes() == want.tobytes()
+    rows = np.zeros((2, vec.size), dtype=np.float32)
+    row = rows[1]
+    assert host_vector(archive, names, out=row) is row
+    assert rows[1].tobytes() == want.tobytes() and not rows[0].any()
+    assert _with_host(archive, names, vec).same_bits(archive)
 
 
-def test_scatter_host_keeps_f16_dtype(gqa_bundle):
+def test_ss_embed_keeps_f16_dtype(gqa_bundle):
     archive, _, _ = gqa_bundle
-    names = eligible_names(archive)
-    back = scatter_host(archive, names, host_vector(archive, names))
-    for name in names:
-        assert back.tensors[name].dtype == archive.tensors[name].dtype
+    payload = random_payload(1042, 1)
+    carrier = ss_embed(archive, payload, _plan(archive, payload))
+    assert carrier.layout == archive.layout
+    assert not carrier.same_bits(archive)
 
 
 def test_sample_positions_contract():
@@ -376,7 +388,7 @@ def test_ss_sweeps_match_one_dense_block(small_host_bundle):
     host = host_vector(archive, plan.eligible)
     coded = plan.ecc.encode(np.unpackbits(np.frombuffer(payload, dtype=np.uint8)))
     b = coded.astype(np.float32) * 2.0 - 1.0
-    want = scatter_host(archive, plan.eligible, host + plan.gamma * (b @ chips))
+    want = _with_host(archive, plan.eligible, host + plan.gamma * (b @ chips))
 
     carrier = ss_embed(archive, payload, plan)
     assert write_archive(carrier) == write_archive(want)
@@ -393,6 +405,54 @@ def test_ss_embed_carrier_frozen(small_host_bundle):
     )
 
 
+def _odd_host() -> ModelArchive:
+    """A host whose second 2-d tensor starts 21 params in, off every
+    multiple of 64, and which ends in a vector."""
+    rng = np.random.default_rng(26)
+    return ModelArchive({"a": Tensor.adopt(rng.standard_normal((3, 7), dtype=np.float32)),
+                         "b": Tensor.adopt(rng.standard_normal((37, 41), dtype=np.float32)),
+                         "c": Tensor.adopt(rng.standard_normal(5, dtype=np.float32))})
+
+
+@pytest.mark.parametrize("method", ["lsb", "sign", "ss"])
+@pytest.mark.parametrize("host", ["gqa", "odd"])
+def test_streamed_embed_matches_in_memory(tmp_path, monkeypatch, gqa_bundle, host, method):
+    """Each embedder over an ArchiveReader, which makes the carrier one
+    tensor at a time as it is saved, saves the bytes it makes over the same
+    archive in memory: on the float16 toy_gqa fixture, and on a host whose
+    tensor "b" starts 21 params in, with ss blocks of 64 columns, so a block
+    is cut where "b" starts. On that host ss also equals one dense product
+    with the whole chip matrix, and every carrier gives its payload back."""
+    archive = gqa_bundle[0] if host == "gqa" else _odd_host()
+    if host == "odd":
+        monkeypatch.setattr(stego, "_SS_BLOCK_BYTES", 0)
+        assert _chunk_cols(8) == 64
+    payload = random_payload(1043, 1)
+    param = {"lsb": 3, "sign": None, "ss": 0.02}[method]
+    plan = AttackPlan.for_payload(method, payload, archive, seed=12, ecc=parse_ecc("none"),
+                                  param=param)
+    embed = {"lsb": lsb_embed, "sign": sign_embed, "ss": ss_embed}[method]
+    path = tmp_path / "host.safetensors"
+    save_archive(archive, path)
+    carrier = embed(archive, payload, plan)
+    want = save_archive(carrier, tmp_path / "memory.safetensors")
+    with ArchiveReader(path) as reader:
+        streamed = save_archive(embed(reader, payload, plan), tmp_path / "streamed.safetensors")
+    assert streamed == want
+    assert not carrier.same_bits(archive)
+    if method == "ss":
+        if host == "odd":
+            chips = _unpacked_chips(plan, 0, plan.host_n, plan.coded_bits)
+            coded = plan.ecc.encode(np.unpackbits(np.frombuffer(payload, dtype=np.uint8)))
+            b = coded.astype(np.float32) * 2.0 - 1.0
+            dense = host_vector(archive, plan.eligible) + plan.gamma * (b @ chips)
+            assert write_archive(carrier) == write_archive(
+                _with_host(archive, plan.eligible, dense))
+    else:
+        with ArchiveReader(tmp_path / "streamed.safetensors") as reader:
+            assert {"lsb": lsb_extract, "sign": sign_extract}[method](reader, plan) == payload
+
+
 def _serial_embed(archive, payload, plan):
     """The single-thread embed loop the threaded sweep must reproduce byte for byte."""
     coded = plan.ecc.encode(np.unpackbits(np.frombuffer(payload, dtype=np.uint8)))
@@ -402,7 +462,7 @@ def _serial_embed(archive, payload, plan):
     for s in range(0, plan.host_n, width):
         e = min(s + width, plan.host_n)
         out[s:e] += plan.gamma * (b @ _chip_block(plan, s, e, coded.size))
-    return scatter_host(archive, plan.eligible, out)
+    return _with_host(archive, plan.eligible, out)
 
 
 def _serial_despread(hosts, plan):
@@ -443,6 +503,8 @@ def test_ss_sweeps_match_serial_at_any_worker_count(small_host_bundle, monkeypat
     host whose last column block is partial, for one and several stacked
     hosts (BLAS gemv and gemm); every block is produced exactly once, and a
     sweep starts min(W, blocks) - 1 helper threads beside the calling one.
+    The embed sweeps each host tensor on its own, in blocks cut where the
+    tensor starts and at every multiple of the block width within it.
 
     The serial loops run with BLAS at one thread, as the sweeps do: for some
     shapes a multi-threaded OpenBLAS gemv splits the sum itself (one host,
@@ -455,6 +517,13 @@ def test_ss_sweeps_match_serial_at_any_worker_count(small_host_bundle, monkeypat
     width = _chunk_cols(plan.coded_bits)
     starts = list(range(0, plan.host_n, width))
     assert plan.host_n % width != 0 and len(starts) >= 3
+    embed_starts, embed_sweeps, at = [], [], 0
+    for name in plan.eligible:
+        stop = at + archive.tensors[name].size
+        embed_sweeps.append([at] + [s for s in starts if at < s < stop])
+        embed_starts += embed_sweeps[-1]
+        at = stop
+    assert len(embed_starts) > len(starts)  # a tensor starts inside a block of the grid
     with sweep.blas_single_thread():
         want_carrier = _serial_embed(archive, payload, plan)
         host = host_vector(archive, plan.eligible)
@@ -466,8 +535,8 @@ def test_ss_sweeps_match_serial_at_any_worker_count(small_host_bundle, monkeypat
     produced, helpers = _record_sweep(monkeypatch)
     carrier = ss_embed(archive, payload, plan)
     assert write_archive(carrier) == write_archive(want_carrier)
-    assert sorted(produced) == starts
-    assert len(helpers) == min(count, len(starts)) - 1
+    assert sorted(produced) == embed_starts
+    assert len(helpers) == sum(min(count, len(cuts)) - 1 for cuts in embed_sweeps)
     for stack, y in zip((hosts[:1], hosts), want):
         produced.clear()
         helpers.clear()
