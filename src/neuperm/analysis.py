@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundInapplicableError, IneffectiveRegimeError
-from .rng import GOLDEN, MASK64, _mix64_array
+from .errors import BoundInapplicableError, IneffectiveRegimeError, quote
+from .rng import GOLDEN, MASK64, _mix64_array, words_at
 from .sweep import run_ordered
 
 
@@ -142,23 +142,28 @@ def simulate_extraction_game(
     word hitting the stored row — exact, without materializing permutations.
     A trial succeeds when read errors fit the decoder budget floor(delta*L).
 
-    The words form one contiguous stream, read in batches of at most 2^16
-    (512 KiB): whole trials are batched up to that many words, and a longer
-    trial is drawn in chunks of 2^16 whose displaced counts are summed, so
-    memory does not grow with L. The batches run through
-    ``sweep.run_ordered``: each thread builds a batch's words from their
-    stream positions in its own scratch, reduces them with ``& (n-1)`` when
-    n is a power of two and with ``%`` otherwise, and counts each trial's
-    fixed points; the counts are added in batch order. A rejected word is
-    replaced from the stream after its batch, which moves every later batch
-    along the stream, so the consumer redraws, one at a time at its true
-    offset, a batch that holds a rejected word and every batch after it.
-    The count is therefore that of one serial pass at any worker count. No
-    word is ever rejected when n is a power of two, and for other n each
-    word is rejected with probability below n/2^64.
+    The words form one contiguous stream, read in items of at most 2^16
+    words (512 KiB): whole trials are batched up to that many words, and a
+    longer trial is drawn in chunks of 2^16 whose displaced counts are
+    summed, so memory does not grow with L. One function plays an item: it
+    builds the item's words from their stream positions in its thread's
+    scratch, replaces each rejected word with the next unused word after
+    the item's, reduces them with ``& (n-1)`` when n is a power of two and
+    with ``%`` otherwise, and counts each trial's fixed points. The items
+    run through ``sweep.run_ordered``, each played as if nothing before it
+    had been rejected, and their counts are added in item order. Once an
+    item has drawn replacement words, every later item lies that many words
+    further along the stream, so the consumer plays it again there. The
+    count is therefore that of one serial pass at any worker count. No word
+    is ever rejected when n is a power of two, and for other n each word is
+    rejected with probability below n/2^64. A word has 64 bits, so n may
+    not exceed 2^64.
     """
     if n < 1 or L < 1 or trials < 1:
         raise ValueError("n, L and trials must all be >= 1")
+    if n > 1 << 64:
+        raise ValueError(f"the game draws 64-bit words, so site size must be <= 2^64, "
+                         f"got {quote(n)}")
     bound = success_bound(1.0 / n, delta, L)
     span = ((1 << 64) // n) * n  # == 2**64 when n is a power of two: no rejection needed
     limit = np.uint64(span - 1) if span < (1 << 64) else None
@@ -171,69 +176,47 @@ def _play_game(n: int, L: int, budget: int, trials: int, state: int, limit) -> i
     a word above `limit` being rejected; `limit` is None when none are, and
     then n is a power of two."""
     draw = 1 << 16
-    if L <= draw:  # item i holds `batch` whole trials
-        batch, chunks = max(1, min(trials, draw // L)), 1
-        items = range(-(-trials // batch))
-    else:  # item i holds chunk i % chunks of trial i // chunks
-        batch, chunks = 1, -(-L // draw)
-        items = range(trials * chunks)
+    batch, chunks = max(1, min(trials, draw // L)), -(-L // draw)
     steps = np.arange(1, min(draw, batch * L) + 1, dtype=np.uint64)
     steps *= np.uint64(GOLDEN)
     local = threading.local()
 
-    def geometry(i: int) -> tuple[int, int, int]:
-        """Trials, words per trial and first word of item i, as if nothing
-        before it were rejected."""
-        if chunks == 1:
-            t = min(batch, trials - i * batch)
-            return t, L, i * batch * L
-        start = (i % chunks) * draw
-        return 1, min(draw, L - start), (i // chunks) * L + start
-
-    def stream(offset: int, size: int) -> np.ndarray:
-        """Stream words [offset, offset + size) in this thread's scratch."""
+    def play(i: int, shift: int = 0) -> tuple[np.ndarray, int]:
+        """Each trial's displaced bits in item i, chunk i % chunks of trial
+        block i // chunks, drawn `shift` words along the stream; and the
+        number of words that replaced rejected ones."""
+        block, start = divmod(i, chunks)
+        start *= draw
+        t, width = min(batch, trials - block * batch), min(draw, L - start)
         if not hasattr(local, "scratch"):  # this thread's, for all its items
             local.scratch = np.empty((2, steps.size), np.uint64)
-        words, tmp = local.scratch[:, :size]
-        np.add(steps[:size], np.uint64((state + offset * GOLDEN) & MASK64), out=words)
-        return _mix64_array(words, tmp)
-
-    def errors(words: np.ndarray, t: int, width: int) -> np.ndarray:
-        """Each trial's displaced bits, the words reduced in place."""
+        words, tmp = local.scratch[:, : t * width]
+        offset = block * batch * L + start + shift
+        np.add(steps[: words.size], np.uint64((state + offset * GOLDEN) & MASK64), out=words)
+        _mix64_array(words, tmp)
+        end = offset + words.size  # where the replacement words start
         if limit is None:
             np.bitwise_and(words, np.uint64(n - 1), out=words)
         else:
-            np.remainder(words, np.uint64(n), out=words)
-        hits = np.flatnonzero(words == 0) // width
-        return width - np.bincount(hits, minlength=t)
-
-    def play(i: int):
-        t, width, offset = geometry(i)
-        words = stream(offset, t * width)
-        if limit is not None and words.max() > limit:
-            return None  # consume draws it again at its true offset
-        return errors(words, t, width)
-
-    shift = 0  # words drawn to replace rejected ones so far
-    running = None  # the current trials' errors over their chunks so far
-    successes = 0
-
-    def consume(i: int, errs) -> None:
-        nonlocal shift, running, successes
-        if errs is None or shift:
-            t, width, offset = geometry(i)
-            words = stream(offset + shift, t * width).copy()
-            end = offset + shift + t * width  # where the replacement words start
             bad = np.flatnonzero(words > limit)
             while bad.size:  # a replacement word may be rejected too
-                words[bad] = stream(end, bad.size)
+                words[bad] = words_at(state, np.arange(end, end + bad.size, dtype=np.uint64))
                 end += bad.size
                 bad = bad[words[bad] > limit]
-            shift = end - offset - t * width
-            errs = errors(words, t, width)
+            np.remainder(words, np.uint64(n), out=words)
+        hits = np.flatnonzero(words == 0) // width
+        return width - np.bincount(hits, minlength=t), end - offset - words.size
+
+    shift = successes = 0  # shift: words drawn to replace rejected ones so far
+    running = None  # the current trials' errors over their chunks so far
+
+    def consume(i: int, played: tuple[np.ndarray, int]) -> None:
+        nonlocal shift, running, successes
+        errs, extra = play(i, shift) if shift else played
+        shift += extra
         running = errs if i % chunks == 0 else running + errs
         if i % chunks == chunks - 1:
             successes += int(np.count_nonzero(running <= budget))
 
-    run_ordered(play, consume, items)
+    run_ordered(play, consume, range(-(-trials // batch) * chunks))
     return successes

@@ -8,6 +8,8 @@ import threading
 import numpy as np
 import pytest
 
+import neuperm.stego as stego
+import neuperm.sweep as sweep
 from neuperm.analysis import simulate_extraction_game
 from neuperm.archive import save_archive
 from neuperm.cli import main
@@ -109,6 +111,45 @@ def refusal(argv, work, capsys) -> tuple[int, str]:
     assert "Traceback" not in line and ".tmp" not in line, line
     assert list(work.iterdir()) == []
     return code, line
+
+
+def fail_chip_sweeps(monkeypatch, on_caller: bool, message: str, first: int = 0) -> None:
+    """Make ``stego._chip_words`` raise ValueError(message.format(start=...))
+    for blocks at host position `first` or later, on the calling thread
+    (`on_caller`) or on the helper threads of a sweep.
+
+    ``sweep.run_ordered`` gives each block to whichever thread is free, so
+    either side may get none. In each sweep where the failing side is sure
+    to get such a block while every thread of the other side holds one
+    (helpers hold one each, the calling thread one), the other side's blocks
+    wait until the failing side has raised, for at most a minute."""
+    caller = threading.get_ident()
+    real_words, real_sweep = stego._chip_words, stego.run_ordered
+    raised = threading.Event()  # the current sweep's; set outside a sweep
+    raised.set()
+
+    def chip_words(plan, start, stop, n_bits):
+        if (threading.get_ident() == caller) != on_caller:
+            raised.wait(60)
+        elif start >= first:
+            raised.set()
+            raise ValueError(message.format(start=start))
+        return real_words(plan, start, stop, n_bits)
+
+    def run_ordered(produce, consume, items):
+        nonlocal raised
+        count = min(sweep.workers(), len(items))
+        others = count - 1 if on_caller else 1
+        raised = threading.Event()
+        if count == 1 or sum(s >= first for s in items) <= others:
+            raised.set()
+        try:
+            real_sweep(produce, consume, items)
+        finally:
+            raised.set()
+
+    monkeypatch.setattr(stego, "_chip_words", chip_words)
+    monkeypatch.setattr(stego, "run_ordered", run_ordered)
 
 
 def random_payload(seed: int, nbytes: int) -> bytes:

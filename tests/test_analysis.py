@@ -165,6 +165,17 @@ def test_game_validation():
         simulate_extraction_game(n=2, L=10, delta=0.0, trials=0, seed=1)
 
 
+def test_game_site_size_limit_is_2_64():
+    # a game word has 64 bits: n = 2^64 takes every word as it is, and above
+    # that no word could be reduced uniformly
+    g = simulate_extraction_game(n=2**64, L=5, delta=0.0, trials=1000, seed=1)
+    assert g.successes == 0 and g.trials == 1000
+    with pytest.raises(ValueError, match=r"must be <= 2\^64, got 18446744073709551617$"):
+        simulate_extraction_game(n=2**64 + 1, L=5, delta=0.0, trials=10, seed=1)
+    with pytest.raises(ValueError, match=r"got 10{17}\.\.\.0{19}$"):
+        simulate_extraction_game(n=10**100, L=5, delta=0.0, trials=10, seed=1)
+
+
 def test_game_deterministic():
     a = simulate_extraction_game(n=2, L=20, delta=1 / 3, trials=20_000, seed=5)
     b = simulate_extraction_game(n=2, L=20, delta=1 / 3, trials=20_000, seed=5)
@@ -243,7 +254,9 @@ def _serial_game(n, L, budget, trials, seed, limit):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("limit", [2**63 - 1, 2**64 - 2**46 - 1])
 @pytest.mark.parametrize("L, budget, trials", [(5, 2, 200_000), (1000, 667, 300),
-                                               (70_000, 46_667, 4)])
+                                               (70_000, 46_667, 4), (65536, 43791, 4),
+                                               (65537, 43792, 4), (131073, 87482, 4),
+                                               (32768, 21946, 5)])
 def test_game_redraws_rejected_batches_in_order(monkeypatch, workers, limit, L, budget,
                                                 trials):
     # fixed points as common as at n = 3, with half of all words rejected, or

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_payload, refusal
+from conftest import fail_chip_sweeps, random_payload, refusal
 
 import neuperm
 from neuperm import cli, sweep
@@ -1015,6 +1015,11 @@ _REFUSALS = {
     **{f"test_bound_simulate_below_one_exit_1[{n}]": _r(
         f"bound --site-sizes 2 --L 8 --simulate {n} --seed 11 --manifest bound.json", 1,
         "error: --simulate must be >= 1") for n in ("0", "-4")},
+    # a game word has 64 bits
+    "test_bound_simulate_site_size_above_2_64_exit_1": _r(
+        "bound --site-sizes 18446744073709551617 --L 5 --simulate 10 --seed 1", 1,
+        "error: the game draws 64-bit words, so site size must be <= 2^64, "
+        "got 18446744073709551617"),
     "test_bound_inapplicable_exit_4": _r(
         "bound --d 0.5 --delta 0.6 --L 100", 4,
         "error: bound needs d < 1 - delta, got d=0.5 vs 1-delta=0.4"),
@@ -1325,18 +1330,7 @@ def test_sweep_helper_error_exit_1_no_output(ws, tmp_path, capsys, monkeypatch, 
     """A chip block that fails on a sweep helper thread ends the command with
     exit 1 and an error line, writes none of its outputs, and leaves the
     BLAS thread count as it found it."""
-    import neuperm.stego as stego
-    import neuperm.sweep as sweep
-
-    caller = threading.get_ident()
-    real = stego._chip_words
-
-    def failing_block(*args):
-        if threading.get_ident() != caller:
-            raise ValueError("chip block failed on a helper")
-        return real(*args)
-
-    monkeypatch.setattr(stego, "_chip_words", failing_block)
+    fail_chip_sweeps(monkeypatch, False, "chip block failed on a helper")
     monkeypatch.setattr(sweep, "workers", lambda: 2)
     blas = sweep._blas_thread_calls()
     prior = blas[0]() if blas else None
@@ -1460,6 +1454,12 @@ def test_bound_golden_line(capsys):
     assert run("bound", "--d", "0.99", "--L", "1000") == 0
     out = capsys.readouterr().out
     assert out == "success_bound 4.317125e-05 (d=0.99, delta=0, L=1000)\n"
+
+
+def test_bound_takes_site_sizes_above_2_64(capsys):
+    # only the game of --simulate is limited to 64-bit words
+    assert run("bound", "--site-sizes", str(2**64 + 1), "--L", "5") == 0
+    assert capsys.readouterr().out == "success_bound 4.681676e-97 (d=5.42101e-20, delta=0, L=5)\n"
 
 
 def test_bound_composite_pipeline(capsys):

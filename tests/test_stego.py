@@ -35,7 +35,7 @@ from neuperm.stego import (
 )
 from neuperm.tensor import Tensor, tensor
 
-from conftest import random_payload
+from conftest import fail_chip_sweeps, random_payload
 
 
 def _lsb_plan(archive, payload, bits_per_param, *, seed, ecc=parse_ecc("none")) -> AttackPlan:
@@ -631,15 +631,7 @@ def test_sweep_error_reaches_caller_and_restores_blas(small_host_bundle, monkeyp
     archive, _, _ = small_host_bundle
     payload = random_payload(1025, 16)
     plan = _plan(archive, payload)
-    caller = threading.get_ident()
-    real = stego._chip_words
-
-    def failing_block(plan, start, stop, n_bits):
-        if (threading.get_ident() == caller) == (failing == "caller") and start > 0:
-            raise ValueError(f"chip block at {start} failed")
-        return real(plan, start, stop, n_bits)
-
-    monkeypatch.setattr(stego, "_chip_words", failing_block)
+    fail_chip_sweeps(monkeypatch, failing == "caller", "chip block at {start} failed", first=1)
     monkeypatch.setattr(sweep, "workers", lambda: 3)
     threads_before = threading.active_count()
     host = host_vector(archive, plan.eligible)
