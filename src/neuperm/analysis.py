@@ -151,13 +151,15 @@ def simulate_extraction_game(
     the item's, reduces them with ``& (n-1)`` when n is a power of two and
     with ``%`` otherwise, and counts each trial's fixed points. The items
     run through ``sweep.run_ordered``, each played as if nothing before it
-    had been rejected, and their counts are added in item order. Once an
-    item has drawn replacement words, every later item lies that many words
-    further along the stream, so the consumer plays it again there. The
-    count is therefore that of one serial pass at any worker count. No word
-    is ever rejected when n is a power of two, and for other n each word is
-    rejected with probability below n/2^64. A word has 64 bits, so n may
-    not exceed 2^64.
+    had been rejected, and their counts are added in item order. A sweep
+    thread gives an item up at its first rejected word, and the consumer
+    plays that item, replacements and all. Once an item has drawn
+    replacement words, every later item lies that many words further along
+    the stream, so the consumer plays it again there; no item runs its
+    replacements twice. The count is therefore that of one serial pass at
+    any worker count. No word is ever rejected when n is a power of two,
+    and for other n each word is rejected with probability below n/2^64. A
+    word has 64 bits, so n may not exceed 2^64.
     """
     if n < 1 or L < 1 or trials < 1:
         raise ValueError("n, L and trials must all be >= 1")
@@ -181,10 +183,11 @@ def _play_game(n: int, L: int, budget: int, trials: int, state: int, limit) -> i
     steps *= np.uint64(GOLDEN)
     local = threading.local()
 
-    def play(i: int, shift: int = 0) -> tuple[np.ndarray, int]:
+    def play(i: int, shift: int = 0, replace: bool = True) -> tuple[np.ndarray, int] | None:
         """Each trial's displaced bits in item i, chunk i % chunks of trial
         block i // chunks, drawn `shift` words along the stream; and the
-        number of words that replaced rejected ones."""
+        number of words that replaced rejected ones. Without `replace`, None
+        at the first rejected word instead."""
         block, start = divmod(i, chunks)
         start *= draw
         t, width = min(batch, trials - block * batch), min(draw, L - start)
@@ -199,6 +202,8 @@ def _play_game(n: int, L: int, budget: int, trials: int, state: int, limit) -> i
             np.bitwise_and(words, np.uint64(n - 1), out=words)
         else:
             bad = np.flatnonzero(words > limit)
+            if bad.size and not replace:
+                return None
             while bad.size:  # a replacement word may be rejected too
                 words[bad] = words_at(state, np.arange(end, end + bad.size, dtype=np.uint64))
                 end += bad.size
@@ -210,13 +215,13 @@ def _play_game(n: int, L: int, budget: int, trials: int, state: int, limit) -> i
     shift = successes = 0  # shift: words drawn to replace rejected ones so far
     running = None  # the current trials' errors over their chunks so far
 
-    def consume(i: int, played: tuple[np.ndarray, int]) -> None:
+    def consume(i: int, played: tuple[np.ndarray, int] | None) -> None:
         nonlocal shift, running, successes
-        errs, extra = play(i, shift) if shift else played
+        errs, extra = play(i, shift) if shift or played is None else played
         shift += extra
         running = errs if i % chunks == 0 else running + errs
         if i % chunks == chunks - 1:
             successes += int(np.count_nonzero(running <= budget))
 
-    run_ordered(play, consume, range(-(-trials // batch) * chunks))
+    run_ordered(lambda i: play(i, replace=False), consume, range(-(-trials // batch) * chunks))
     return successes

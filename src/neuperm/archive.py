@@ -111,7 +111,7 @@ class ModelArchive:
         """New archive holding, for every tensor, the rows of the blocks
         ``rewrite(name, tensor)`` yields (see ``engine.Rewrite``)."""
         return ModelArchive(
-            {name: _assemble(name, rewrite(name, t), TensorSpec(t.dtype, t.shape))
+            {name: assemble(name, rewrite(name, t), TensorSpec(t.dtype, t.shape))
              for name, t in self.tensors.items()},
             dict(self.metadata))
 
@@ -349,7 +349,7 @@ class _Rewritten:
         return self.rewrite(name, self.source.read(name))
 
     def read(self, name: str) -> Tensor:
-        return _assemble(name, self.blocks(name), self.layout[name])
+        return assemble(name, self.blocks(name), self.layout[name])
 
     def map(self, rewrite) -> "_Rewritten":
         return _Rewritten(self, rewrite)
@@ -373,7 +373,7 @@ def _checked(name: str, blocks: Iterable[np.ndarray], spec: TensorSpec) -> Itera
                          f"header's {spec.dtype} {spec.shape}")
 
 
-def _assemble(name: str, blocks: Iterable[np.ndarray], spec: TensorSpec) -> Tensor:
+def assemble(name: str, blocks: Iterable[np.ndarray], spec: TensorSpec) -> Tensor:
     """The tensor whose rows ``blocks`` hold: a block that is the whole
     tensor is adopted as it is, others are copied into one array."""
     out, rows = None, 0

@@ -16,8 +16,11 @@ Subcommands:
   placement game, optionally checked by Monte-Carlo simulation.
 
 ``attack`` and ``evaluate`` read their input through ``ArchiveReader`` one
-tensor at a time too: the carrier is made as it is written, and a variant
-reads and disrupts a tensor when extraction asks for it.
+tensor at a time too: the carrier is made as it is written. ``evaluate``
+runs tensor-major: it reads each tensor extraction needs once, rewrites it
+for each variant in turn and hands every rewrite to the method (lsb and sign
+take their slot values, ss a row of the tensor's stack of variants, which is
+despread before the next tensor is read).
 
 A command exits 0 on success; otherwise it prints one ``error:`` line and
 exits with the ``exit_code`` of the error that ended it (see ``errors``),
@@ -46,11 +49,12 @@ from .analysis import (
     simulate_extraction_game,
     success_bound,
 )
-# archive_digest and load_descriptor are unused here but stay importable as
-# neuperm.cli.archive_digest and neuperm.cli.load_descriptor, names perfbench/tracer.py wraps
+# archive_digest, load_descriptor, apply_disruptor, host_vector, lsb_extract,
+# sign_extract and ss_despread_many are unused here but stay importable under
+# neuperm.cli, names perfbench/tracer.py wraps
 from .archive import ArchiveReader, archive_digest, save_archive  # noqa: F401
 from .descriptor import load_descriptor, parse_descriptor  # noqa: F401
-from .disrupt import apply_disruptor, parse_disruptor, tensor_rewrite
+from .disrupt import apply_disruptor, parse_disruptor, tensor_rewrite  # noqa: F401
 from .errors import VerificationError, quote, read_json, split_spec
 from .inference import (
     check_params,
@@ -59,9 +63,11 @@ from .inference import (
     random_inputs,
 )
 from .rng import derive_seed
-from .stego import (
+from .stego import (  # noqa: F401
     ATTACK_KINDS,
     AttackPlan,
+    bit_extract_many,
+    decode_correlations,
     host_vector,
     lsb_embed,
     lsb_extract,
@@ -69,15 +75,18 @@ from .stego import (
     sign_embed,
     sign_extract,
     ss_despread_many,
+    ss_despread_pieces,
     ss_embed,
-    decode_correlations,
 )
 from .sweep import background
 
 _F32_TOL = 1e-5
 _F16_TOL = 1e-3
-#: Bytes of float32 host vectors `evaluate` stacks for one ss chip sweep.
-#: More variants than fit are despread in groups of that size, one sweep each.
+#: Bytes that one group of `evaluate` variants may hold at once: for ss, the
+#: float32 stack of one host tensor's rewrites, one row per variant, sized by
+#: the largest eligible tensor and despread in one chip sweep; for lsb and
+#: sign, their slot fields, at most one byte per coded bit. More variants are
+#: run group by group, each group reading the carrier once.
 _HOST_STACK_BYTES = 256 << 20
 
 
@@ -303,6 +312,25 @@ def _variant_specs(configs, trials: int, seed: int):
             for config in configs for i in range(trials if config.stochastic else 1)]
 
 
+def _host_stacks(source, names, rewrites):
+    """Each tensor of `names`, read once, as a float32 stack of its rewrites:
+    row v holds the row blocks of ``rewrites[v]``, made one variant at a
+    time. Every stack is a view of one buffer, sized for the largest tensor
+    and written again for the next tensor once the caller asks for it; the
+    tensor read is let go before its stack is handed over."""
+    buffer = np.empty((len(rewrites), max(source.layout[n].size for n in names)), np.float32)
+    for name in names:
+        t = source.read(name)
+        stack = buffer[:, : t.size]
+        for row, rewrite in zip(stack, rewrites):
+            at = 0
+            for block in rewrite(name, t):
+                row[at : at + block.size] = block.ravel()
+                at += block.size
+        del t
+        yield stack
+
+
 def cmd_evaluate(args, argv) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
@@ -318,25 +346,31 @@ def cmd_evaluate(args, argv) -> int:
         seed = _resolve_seed(args)
         variants = _variant_specs(configs, args.trials, seed)
 
-        # ss variants share a chip sweep: their host vectors are stacked, up to
-        # _HOST_STACK_BYTES of them, and each full stack is despread in one sweep;
-        # lsb and sign variants read only the tensors holding slots
+        def rewrites(specs) -> list:
+            return [tensor_rewrite(config, source, seed=vseed, descriptor=descriptor)[0]
+                    for config, vseed in specs]
+
+        # tensor-major, one group of variants at a time: each tensor extraction
+        # needs is read once per group, and each variant's rewrite of it is made
+        # in turn and handed to the method before the next is made. ss variants
+        # share one chip sweep per group, tensor stack by tensor stack; lsb and
+        # sign read only the tensors that hold slots
         if plan.method == "ss":
             plan.check_host(source)
-            group = min(len(variants), max(1, _HOST_STACK_BYTES // (4 * plan.host_n)))
-            hosts = np.empty((group, plan.host_n), dtype=np.float32)
+            per_variant = 4 * max(source.layout[n].size for n in plan.eligible)
+        else:
+            per_variant = plan.coded_bits
+        group = max(1, _HOST_STACK_BYTES // per_variant)
         extracted = []
-        for i, (config, vseed) in enumerate(variants):
-            variant, _ = apply_disruptor(source, config, seed=vseed, descriptor=descriptor)
-            if plan.method != "ss":
-                extract = lsb_extract if plan.method == "lsb" else sign_extract
-                extracted.append((extract(variant, plan), ""))
-                continue
-            host_vector(variant, plan.eligible, out=hosts[i % group])
-            if i % group == group - 1 or i == len(variants) - 1:
-                for y in ss_despread_many(hosts[: i % group + 1], plan):
+        for first in range(0, len(variants), group):
+            made = rewrites(variants[first : first + group])
+            if plan.method == "ss":
+                stacks = _host_stacks(source, plan.eligible, made)
+                for y in ss_despread_pieces(stacks, plan, len(made)):
                     got, snr = decode_correlations(y, plan)
                     extracted.append((got, f"{snr:.4f}"))
+            else:
+                extracted += [(got, "") for got in bit_extract_many(source, plan, made)]
         rows = [
             (config, snr, int(plan.matches(got)))
             for (config, _), (got, snr) in zip(variants, extracted)

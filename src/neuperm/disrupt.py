@@ -14,8 +14,9 @@ not, which is the whole point of preferring it.
 Each disruptor is one rewrite per tensor (``tensor_rewrite``), which yields
 the rewritten tensor as row blocks: the permutation pass in blocks of about
 1 MiB, the others as one block. ``apply_disruptor`` maps it over an archive,
-lazily over ``evaluate``'s reader, and ``sanitize`` streams it over a file
-one tensor at a time, writing each block as it comes.
+lazily over a reader; ``evaluate`` runs each variant's rewrite on each
+tensor it reads, and ``sanitize`` streams it over a file one tensor at a
+time, writing each block as it comes.
 """
 
 from __future__ import annotations

@@ -24,14 +24,18 @@ Embedders and extractors use only an archive's ``layout``, ``read`` and
 over an ``ArchiveReader`` the carrier is made one tensor at a time.
 
 The spread-spectrum chip sweeps, ``ss_embed`` (one per host tensor) and
-``ss_despread_many``, run their column blocks through ``sweep.run_ordered``:
-one thread per CPU in the affinity mask, each taking the next block as it
-goes, OpenBLAS held at one thread, block results added in column order. The
-embed counts chip agreements from the chip bits, which is exact, with no
-BLAS call; the despread multiplies each float32 chip block by the hosts in
-one BLAS call. Every block computes the same thing as a single-thread sweep
-would, so carriers and correlations are byte for byte the same on any CPU
-count. Each thread holds one block at a time: about _SS_BLOCK_BYTES of
+``ss_despread_pieces`` (one per piece of the host, such as one tensor's
+stack of variants; ``ss_despread_many`` is the one-piece case), run their
+column blocks through ``sweep.run_ordered``: one thread per CPU in the
+affinity mask, each taking the next block as it goes, OpenBLAS held at one
+thread, block results added in column order. The embed counts chip
+agreements from the chip bits, which is exact, with no BLAS call; the
+despread multiplies each float32 chip block by the hosts' columns in one
+BLAS call. The despread's blocks are those of the whole host wherever the
+pieces are cut: a block that spans pieces is copied together from them and
+runs first in the sweep of the piece that completes it. Every block
+computes the same thing as a single-thread sweep would, so carriers and
+correlations are byte for byte the same on any CPU count and any cut. Each thread holds one block at a time: about _SS_BLOCK_BYTES of
 float32 chips in the despread, a quarter of that in bits in the embed. At
 most two blocks per thread are taken and not yet added.
 """
@@ -46,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .archive import assemble
 from .errors import CapacityError, quote, split_spec
 from .rng import SeededRng, derive_seed, words_at
 from .sweep import run_ordered
@@ -250,14 +255,17 @@ def _slot_groups(names: tuple, sizes: tuple, count: int, seed: int) -> tuple:
     return tuple(groups)
 
 
-def _bit_slots(archive, plan: AttackPlan, count: int) -> tuple:
-    """The `count` parameters a bit attack writes, as `_slot_groups` gives
-    them for the archive's eligible tensors. The positions are drawn here,
-    so a count beyond the host raises CapacityError before a caller
-    allocates anything for its slots."""
+def _bit_slots(archive, plan: AttackPlan) -> tuple:
+    """The ceil(coded_bits / width) parameters a bit plan writes, as
+    `_slot_groups` gives them for the archive's eligible tensors:
+    (name, local_offsets, slot_idx) per tensor holding slots, in name order.
+    The positions are drawn here, so a count beyond the host raises
+    CapacityError before a caller allocates anything for its slots."""
+    width, _ = _bit_field(plan, plan.method)
     names = eligible_names(archive)
     layout = archive.layout
-    return _slot_groups(names, tuple(layout[n].size for n in names), count,
+    return _slot_groups(names, tuple(layout[n].size for n in names),
+                        -(-plan.coded_bits // width),
                         derive_seed(plan.seed, f"{plan.method}/positions"))
 
 
@@ -285,7 +293,7 @@ def _embed_bits(archive, payload: bytes, plan: AttackPlan, method: str):
     if not plan.matches(payload):
         raise ValueError("payload does not match plan digest")
     slots = -(-plan.coded_bits // width)
-    groups = {name: rest for name, *rest in _bit_slots(archive, plan, slots)}
+    groups = {name: rest for name, *rest in _bit_slots(archive, plan)}
     padded = np.zeros(slots * width, dtype=np.uint8)
     padded[: plan.coded_bits] = plan.ecc.encode(bytes_to_bits(payload))
     weights = 1 << np.arange(width - 1, -1, -1, dtype=np.uint32)
@@ -303,21 +311,31 @@ def _embed_bits(archive, payload: bytes, plan: AttackPlan, method: str):
     return archive.map(rewrite)
 
 
+def bit_extract_many(archive, plan: AttackPlan, rewrites) -> list[bytes]:
+    """The payload a bit plan reads from each of `rewrites` of `archive`,
+    tensor-major: each tensor holding slots is read once, and each rewrite
+    of it (see ``engine.Rewrite``) is made in turn, its slot fields taken,
+    and let go before the next is made."""
+    width, top = _bit_field(plan, plan.method)
+    groups = _bit_slots(archive, plan)
+    values = np.zeros((len(rewrites), sum(local.size for _, local, _ in groups)), np.uint8)
+    for name, local, slot_idx in groups:
+        t, spec = archive.read(name), archive.layout[name]
+        for row, rewrite in zip(values, rewrites):
+            raw, shift, mask = _raw_field(assemble(name, rewrite(name, t), spec).data, width, top)
+            row[slot_idx] = (raw[local] & mask) >> shift  # a field has at most 8 bits
+            del raw
+        del t  # the tensor goes before the next is read
+    shifts = np.arange(width - 1, -1, -1, dtype=np.uint8)
+    return [bits_to_bytes(plan.ecc.decode(
+                ((row[:, None] >> shifts) & 1).reshape(-1)[: plan.coded_bits])[: plan.payload_bits])
+            for row in values]
+
+
 def _extract_bits(archive, plan: AttackPlan, method: str) -> bytes:
     """Mirror of _embed_bits: reads the field of each tensor holding slots."""
-    width, top = _bit_field(plan, method)
-    coded_len = plan.coded_bits
-    slots = -(-coded_len // width)
-    groups = _bit_slots(archive, plan, slots)
-    values = np.zeros(slots, dtype=np.uint32)
-    for name, local, slot_idx in groups:
-        raw, shift, mask = _raw_field(archive.read(name).data, width, top)
-        values[slot_idx] = (raw[local] & mask) >> shift
-        del raw  # the tensor goes before the next is read
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint32)
-    bits = ((values[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
-    decoded = plan.ecc.decode(bits[:coded_len])
-    return bits_to_bytes(decoded[: plan.payload_bits])
+    _bit_field(plan, method)  # refuses a plan of another method
+    return bit_extract_many(archive, plan, [lambda name, t: (t.data,)])[0]
 
 
 # ------------------------------------------------------------ lsb, sign
@@ -429,7 +447,7 @@ class AttackPlan:
         if method == "ss":
             plan.check_host(archive)
         else:  # the slots are drawn, and cached for the embed, or refused here
-            _bit_slots(archive, plan, -(-plan.coded_bits // _bit_field(plan, method)[0]))
+            _bit_slots(archive, plan)
         return plan
 
     @property
@@ -576,26 +594,70 @@ def ss_embed(archive, payload: bytes, plan: AttackPlan):
     return archive.map(rewrite)
 
 
+def ss_despread_pieces(pieces, plan: AttackPlan, rows: int) -> np.ndarray:
+    """Correlations y[v, k] = <host_v, c_k> / N of `rows` hosts handed over
+    in pieces: float32 arrays of `rows` rows whose columns, piece after
+    piece, are the hosts' positions in order.
+
+    The blocks are those of one whole-host sweep: they start at position 0
+    and at every multiple of _chunk_cols, and the last may be short. Each
+    piece's whole blocks run in one sweep, led by the block carried over
+    from earlier pieces once this piece completes it; that block is copied
+    together from the tail of one piece and the heads of the next, and the
+    tail a piece leaves goes into it after the piece's sweep. Every block is
+    the same chip product, added to y in column order, so y has the bytes
+    of one sweep over the concatenated hosts. A piece is let go before the
+    next is asked for, so the caller may make each as it is needed, or
+    write each into the same buffer.
+    """
+    n, k = plan.host_n, plan.coded_bits
+    width = _chunk_cols(k)
+    y = np.zeros((rows, k), dtype=np.float64)
+    carry = None  # the columns so far of the block that runs past the last piece
+    at = 0  # host position of the next piece's first column
+
+    def correlate(s: int) -> np.ndarray:
+        return _chip_block(plan, s, s + blocks[s].shape[1], k) @ blocks[s].T
+
+    for piece in pieces:
+        stop = at + piece.shape[1]
+        if piece.shape[0] != rows or stop > n:
+            raise ValueError("host vector length does not match plan")
+        if stop == at:
+            continue
+        blocks, s, tail = {}, at - at % width, None  # blocks: start -> its columns
+        if s < at:  # the carried block takes this piece's head
+            e = min(s + width, n)
+            carry[:, at - s : min(e, stop) - s] = piece[:, : min(e, stop) - at]
+            if e <= stop:
+                blocks[s] = carry[:, : e - s]
+            s = e
+        for s in range(s, stop, width):
+            if min(s + width, n) <= stop:
+                blocks[s] = piece[:, s - at : s + width - at]
+            else:
+                tail = s
+        run_ordered(correlate, lambda _, block: np.add(y, block.T, out=y), list(blocks))
+        if tail is not None:
+            if carry is None:
+                carry = np.empty((rows, width), dtype=np.float32)
+            carry[:, : stop - tail] = piece[:, tail - at :]
+        at = stop
+        del piece, blocks  # before the next piece is made
+    if at != n:
+        raise ValueError("host vector length does not match plan")
+    return y / n
+
+
 def ss_despread_many(hosts: np.ndarray, plan: AttackPlan) -> np.ndarray:
-    """Correlations y[v, k] = <host_v, c_k> / N for a stack of host vectors.
+    """Correlations y[v, k] = <host_v, c_k> / N for a stack of host vectors:
+    ``ss_despread_pieces`` of the stack as one piece.
 
     The chip matrix is regenerated chunk by chunk and shared across all
     rows, so evaluating many disrupted variants costs one sweep.
     """
     hosts = np.atleast_2d(np.asarray(hosts, dtype=np.float32))
-    if hosts.shape[1] != plan.host_n:
-        raise ValueError("host vector length does not match plan")
-    k = plan.coded_bits
-    y = np.zeros((hosts.shape[0], k), dtype=np.float64)
-    width = _chunk_cols(k)
-
-    def correlate(s: int) -> np.ndarray:
-        e = min(s + width, plan.host_n)
-        return _chip_block(plan, s, e, k) @ hosts[:, s:e].T
-
-    run_ordered(correlate, lambda s, block: np.add(y, block.T, out=y),
-                range(0, plan.host_n, width))
-    return y / plan.host_n
+    return ss_despread_pieces([hosts], plan, hosts.shape[0])
 
 
 def decode_correlations(y: np.ndarray, plan: AttackPlan) -> tuple[bytes, float]:
@@ -617,7 +679,9 @@ def decode_correlations(y: np.ndarray, plan: AttackPlan) -> tuple[bytes, float]:
 
 
 def ss_extract(archive, plan: AttackPlan) -> tuple[bytes, float]:
-    vec = host_vector(archive, plan.eligible)
-    y = ss_despread_many(vec[None, :], plan)[0]
-    return decode_correlations(y, plan)
+    """The payload and SNR of an ss plan in `archive`, read and despread one
+    host tensor at a time."""
+    pieces = (archive.read(n).data.reshape(1, -1).astype(np.float32, copy=False)
+              for n in plan.eligible)
+    return decode_correlations(ss_despread_pieces(pieces, plan, 1)[0], plan)
 

@@ -28,7 +28,7 @@ from neuperm.fixtures import (
 )
 from neuperm.inference import forward, network_to_dict, parse_network, random_inputs
 from neuperm.rng import derive_seed
-from neuperm.stego import AttackPlan, lsb_embed, parse_ecc, sign_embed, ss_embed
+from neuperm.stego import AttackPlan, _bit_slots, lsb_embed, parse_ecc, sign_embed, ss_embed
 from neuperm.tensor import DTYPES, Tensor
 
 _SRC = Path(neuperm.__file__).resolve().parents[1]
@@ -626,11 +626,48 @@ def test_evaluate_csv_frozen(ws, tmp_path, capsys, method):
 
 @pytest.mark.parametrize("rows", [1, 4])
 def test_evaluate_ss_groups_keep_frozen_csv(ws, tmp_path, capsys, monkeypatch, rows):
-    """With room for only `rows` host vectors, the six ss variants are
-    despread in groups, one chip sweep each, and the CSV bytes stay frozen."""
-    host_n = load_archive(ws["host"]).param_count
-    monkeypatch.setattr(cli, "_HOST_STACK_BYTES", rows * 4 * host_n)
+    """With room for only `rows` rows of the largest eligible tensor, the
+    six ss variants are despread in groups, one chip sweep each, and the CSV
+    bytes stay frozen."""
+    largest = max(t.size for t in load_archive(ws["host"]).tensors.values() if t.data.ndim >= 2)
+    monkeypatch.setattr(cli, "_HOST_STACK_BYTES", rows * 4 * largest)
     assert _frozen_evaluate_digest(ws, tmp_path, "ss") == _FROZEN_EVALUATE["ss"][3]
+
+
+@pytest.mark.parametrize("rows", [None, 5])
+@pytest.mark.parametrize("method", ["ss", "lsb", "sign"])
+def test_evaluate_reads_each_tensor_once_per_group(ws, tmp_path, capsys, monkeypatch,
+                                                   method, rows):
+    """Across 12 variants, evaluate reads each tensor that extraction needs
+    once per group of variants, in one group or, with room for only 5
+    variants, in three: every eligible tensor of an ss plan, and every
+    tensor holding slots of an lsb or sign plan. Reading a tensor once per
+    variant read each 12 times."""
+    carrier, plan_path = ws[f"{method}.carrier"], ws[f"{method}.plan"]
+    plan = AttackPlan.from_dict(json.loads(plan_path.read_text()))
+    with ArchiveReader(carrier) as source:
+        if method == "ss":
+            names = plan.eligible
+            per_variant = 4 * max(source.layout[n].size for n in names)
+        else:
+            names = [name for name, _, _ in _bit_slots(source, plan)]
+            per_variant = plan.coded_bits
+    if rows is not None:
+        monkeypatch.setattr(cli, "_HOST_STACK_BYTES", rows * per_variant)
+    reads, real_read = {}, ArchiveReader.read
+
+    def counting(self, name):
+        reads[name] = reads.get(name, 0) + 1
+        return real_read(self, name)
+
+    monkeypatch.setattr(ArchiveReader, "read", counting)
+    desc = ws["host.desc" if method == "ss" else "mlp.desc"]
+    assert run("evaluate", "--carrier", carrier, "--plan", plan_path, "--disrupt", "none",
+               "--disrupt", "noise:0.0001", "--disrupt", "prune:0.05", "--disrupt", "neuperm:1",
+               "--descriptor", desc, "--trials", "5", "--seed", "5",
+               "--output", tmp_path / "r.csv") == 0
+    assert capsys.readouterr().out.startswith("evaluate 12 attempts")
+    assert reads == {name: 1 if rows is None else 3 for name in names}
 
 
 def _under_1gb(*argv, cwd):
@@ -705,31 +742,35 @@ def test_sanitize_verify_holds_one_copy_of_the_model(tmp_path, eight_layer_host)
     assert (tmp_path / "clean.safetensors").stat().st_size == host.stat().st_size
 
 
-@pytest.mark.parametrize("command", ["attack lsb:2", "attack ss", "evaluate"])
+@pytest.mark.parametrize("command", ["attack lsb:2", "attack ss", "evaluate", "evaluate ss"])
 def test_attack_and_evaluate_hold_one_copy_of_the_model(tmp_path, eight_layer_host, command):
     """attack (lsb:2 with a 4 KiB payload, ss with a 16-byte one) and
     evaluate of an lsb plan under none and neuperm:1, on the 128 MiB host in
     an address space that may grow by 1.5 times the host: each reads and
     writes one tensor at a time, where holding the model and a second copy
     of it (the carrier, an ss host vector or a disrupted variant) does not
-    fit."""
+    fit. So does evaluate of the ss plan under none and neuperm:1 --trials
+    3: it stacks the four variants of one 16 MiB tensor at a time, where two
+    stacked whole host vectors, 2.0 times the host, do not fit."""
     host = eight_layer_host
+    ss = command.endswith(" ss")
     payload = tmp_path / "payload.bin"
-    payload.write_bytes(random_payload(80, 16 if command == "attack ss" else 4096))
+    payload.write_bytes(random_payload(80, 16 if ss else 4096))
     attack = ["attack", "--input", host, "--payload", payload, "--seed", "3",
-              "--attack", "ss:0.001" if command == "attack ss" else "lsb:2"]
-    if command == "evaluate":
+              "--attack", "ss:0.001" if ss else "lsb:2"]
+    if command.startswith("evaluate"):
         assert run(*attack, "--output", tmp_path / "carrier.safetensors",
                    "--plan", tmp_path / "plan.json") == 0
         argv = ["evaluate", "--carrier", "carrier.safetensors", "--plan", "plan.json",
                 "--disrupt", "none", "--disrupt", "neuperm:1", "--descriptor",
-                host.parent / "host.desc.json", "--seed", "4", "--output", "r.csv"]
+                host.parent / "host.desc.json", "--trials", "3" if ss else "1",
+                "--seed", "4", "--output", "r.csv"]
     else:
         argv = [*attack, "--output", "carrier.safetensors"]
     proc = _within(3 * host.stat().st_size // 2, *argv, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    if command == "evaluate":
-        assert proc.stdout == "evaluate 2 attempts, 1 extractions succeeded\n"
+    if command.startswith("evaluate"):
+        assert proc.stdout == f"evaluate {4 if ss else 2} attempts, 1 extractions succeeded\n"
     else:
         assert proc.stdout.startswith(f"attack {attack[-1]} ecc=none seed=3")
         assert (tmp_path / "carrier.safetensors").stat().st_size == host.stat().st_size

@@ -30,6 +30,7 @@ from neuperm.stego import (
     sign_embed,
     sign_extract,
     ss_despread_many,
+    ss_despread_pieces,
     ss_embed,
     ss_extract,
 )
@@ -579,6 +580,48 @@ def test_despread_of_102_hosts_matches_serial(small_host_bundle, monkeypatch, wo
         want = _serial_despread(hosts, plan)
     monkeypatch.setattr(sweep, "workers", lambda: workers)
     assert ss_despread_many(hosts, plan).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("bundle,width", [
+    ("mlp_bundle", 64),  # a tensor smaller than a block; a short last block over two tensors
+    ("mlp_bundle", 256),  # fc1 inside one block; the short last block spans three tensors
+    ("gqa_bundle", 1600),  # float16; the first block spans three tensors, the last is short
+])
+def test_piecewise_despread_matches_whole_host(request, monkeypatch, bundle, width, workers):
+    """The correlations of hosts handed over tensor by tensor, or cut
+    anywhere (an empty piece included), equal ss_despread_many of the
+    concatenated hosts and the serial loop, byte for byte, on hosts whose
+    tensor sizes are not multiples of the block width."""
+    archive, _, _ = request.getfixturevalue(bundle)
+    names = eligible_names(archive, min_ndim=2)
+    host_n = host_size(archive, names)
+    plan = AttackPlan("ss", 1031, "none", "0" * 64, 2, gamma=1, eligible=names, host_n=host_n)
+    monkeypatch.setattr(stego, "_SS_BLOCK_BYTES", 4 * plan.coded_bits * width)
+    assert _chunk_cols(plan.coded_bits) == width and host_n % width
+    host = host_vector(archive, names)
+    noise = SeededRng(1032).gaussian_block(2 * host_n).astype(np.float32).reshape(2, host_n)
+    hosts = np.vstack([host, host + 0.1 * noise])
+    with sweep.blas_single_thread():
+        want = _serial_despread(hosts, plan)
+    monkeypatch.setattr(sweep, "workers", lambda: workers)
+    assert ss_despread_many(hosts, plan).tobytes() == want.tobytes()
+    bounds = np.cumsum([0] + [archive.tensors[n].size for n in names])
+    for cuts in (bounds, [0, 0, 5, 5, width - 1, width + 3, host_n - 1, host_n, host_n]):
+        pieces = (hosts[:, a:b] for a, b in zip(cuts[:-1], cuts[1:]))
+        assert ss_despread_pieces(pieces, plan, 3).tobytes() == want.tobytes()
+
+
+def test_piecewise_despread_refuses_a_host_of_another_length(small_host_bundle):
+    archive, _, _ = small_host_bundle
+    plan = _plan(archive, random_payload(1033, 3))
+    host = host_vector(archive, plan.eligible)[None, :]
+    for pieces in ([host, host[:, :1]], [host[:, :-1]], [np.vstack([host, host])]):
+        with pytest.raises(ValueError, match="host vector length does not match plan"):
+            ss_despread_pieces(pieces, plan, 1)
+    for hosts in (host[:, :-1], np.hstack([host, host])):
+        with pytest.raises(ValueError, match="host vector length does not match plan"):
+            ss_despread_many(hosts, plan)
 
 
 @pytest.fixture
