@@ -10,31 +10,35 @@ equal archives serialize to identical bytes. The parser is stricter than it
 needs to be for our own files on purpose: it is the fuzz target.
 
 A file is read through ``ArchiveReader``: it checks the header with
-``_read_header``, as ``parse_archive`` does, then reads one tensor at a time
-into a 64-byte-aligned buffer of its own (numpy runs a misaligned array
-through a slower loop that also rounds differently). Every archive offers
-``metadata``, a ``layout`` of ``TensorSpec`` by name, ``read(name)`` and
-``map(rewrite)`` (see ``engine.Rewrite``): a ``ModelArchive`` holds its
-tensors and maps them at once, while a reader's ``map`` is a view that reads
-and rewrites a tensor when it is asked for, so a command can stream a model
-it never holds whole.
+``_read_header``, as ``parse_archive`` does, then reads a tensor, or some
+rows of one (``rows``: a contiguous range in one read, an index array one
+read per run of consecutive rows), into a 64-byte-aligned buffer (numpy
+runs a misaligned array through a slower loop that also rounds
+differently). Every archive offers ``metadata``, a ``layout`` of
+``TensorSpec`` by name, ``read(name)`` and ``map(rewrite)`` (see
+``engine.Rewrite``): a ``ModelArchive`` holds its tensors and maps them at
+once, while a reader's ``map`` is a view that hands each rewrite a
+``StoredTensor``, read only as far as the rewrite asks, so a command can
+stream a model in row blocks and never hold one tensor whole.
 
 Everything that writes an archive goes through one canonical writer,
 ``_emit``, over any archive-like object: ``metadata``, a ``layout`` of
 ``TensorSpec`` by name, and ``blocks(name)``, the tensor as a run of row
 blocks (one block, itself, for a ``ModelArchive``; the rewrite's blocks for
 ``ArchiveReader.map``). Blocks are checked against the header as they go
-out and let go right after, so one tensor and a few blocks are held at a
-time. ``save_archive`` writes each block to the file while one helper
-thread (``sweep.feeding``) feeds the same block to sha256, at most two
-blocks behind; a block over 1 MiB, such as a whole tensor, is hashed in
-full before the next is produced, so it is let go before the next is read.
+out and let go right after, so a few blocks, or a rewrite's one whole
+tensor, are held at a time. ``save_archive`` writes each block to the file
+while one helper thread (``sweep.feeding``) feeds the same block to sha256,
+at most two blocks behind; a block over 1 MiB, such as a whole tensor, is
+hashed in full before the next is produced, so it is let go before the
+next is read.
 The digest returned is that of the bytes written, and a saved archive is
 never read again to name it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -62,7 +66,7 @@ _PAYLOAD_ALIGN = 64
 _HASH_CHUNK = 4 << 20
 # largest block save_archive's hashing helper may still hold while the next
 # block is produced; a larger one, such as a whole tensor, is let go first.
-# The permutation pass's row blocks (engine._BLOCK_BYTES) are no larger.
+# The row blocks of engine.row_blocks (engine._BLOCK_BYTES) are no larger.
 _LAG_BYTES = 1 << 20
 
 
@@ -238,6 +242,15 @@ def parse_archive(buf) -> ModelArchive:
     return ModelArchive(tensors, metadata)
 
 
+def aligned_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A fresh C-contiguous array that starts on a multiple of _PAYLOAD_ALIGN bytes."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    raw = np.empty(nbytes + _PAYLOAD_ALIGN, dtype=np.uint8)
+    first = -raw.ctypes.data % _PAYLOAD_ALIGN
+    return raw[first : first + nbytes].view(dtype).reshape(shape)
+
+
 def _fill(fh, buf) -> int:
     """Read from ``fh``'s position into ``buf`` until it is full or the file
     ends; returns the number of bytes read."""
@@ -252,16 +265,16 @@ def _fill(fh, buf) -> int:
 
 
 class ArchiveReader:
-    """An archive file held open and read one tensor at a time.
+    """An archive file held open and read a tensor, or some of its rows, at a time.
 
     Opening reads only the length prefix and the header, and checks them as
     ``parse_archive`` does, so a malformed file is refused before any tensor
     is read. ``metadata``, ``layout`` and ``param_count`` come from the
     header. ``read(name)`` reads one tensor into a 64-byte-aligned buffer of
-    its own; ``digest()`` hashes the whole file in order. Both read through
-    the one file handle under a lock, so a helper thread may hash the file
-    while the caller reads tensors, and the file is opened once. A ``with``
-    block closes it.
+    its own, ``rows(name, index)`` some of its rows; ``digest()`` hashes the
+    whole file in order. All read through the one file handle under a lock,
+    so a helper thread may hash the file while the caller reads tensors,
+    and the file is opened once. A ``with`` block closes it.
     """
 
     def __init__(self, path):
@@ -289,15 +302,47 @@ class ArchiveReader:
     def read(self, name: str) -> Tensor:
         """Tensor ``name``, read from the file now. A file that ends before
         the tensor does raises ParseError naming it."""
-        dt, shape, begin, end = self._entries[name]
-        raw = np.empty(end - begin + _PAYLOAD_ALIGN, dtype=np.uint8)
-        first = -raw.ctypes.data % _PAYLOAD_ALIGN
-        data = raw[first : first + end - begin]
-        got = self._read_at(data, self._start + begin)
-        if got < data.size:
-            raise ParseError(f"tensor {name!r} is cut short: the file ends {got} bytes into "
-                             f"its {data.size}", self._start + begin + got)
-        return Tensor.adopt(data.view(dt).reshape(shape))
+        dt, shape, begin, _ = self._entries[name]
+        data = aligned_empty(shape, dt)
+        self._fill_from(name, data, begin)
+        return Tensor.adopt(data)
+
+    def rows(self, name: str, index, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows ``index`` of tensor ``name``, read from the file now: a slice
+        of axis 0 in one read, or an array of row indices in one read per
+        run of consecutive rows. They land in the first rows of ``out`` (a
+        C-contiguous array of the tensor's dtype and trailing shape) or in
+        a fresh 64-byte-aligned block. A file that ends before a row does
+        raises ParseError naming the tensor."""
+        dt, shape, begin, _ = self._entries[name]
+        if not shape:
+            raise ValueError(f"tensor {name!r} is 0-d: it has no rows")
+        row = dt.itemsize * math.prod(shape[1:])
+        if isinstance(index, slice):
+            first, stop, step = index.indices(shape[0])
+            if step != 1:
+                raise ValueError("a slice of rows must have step 1")
+            firsts, counts = [first], [max(0, stop - first)]
+        else:
+            index = np.asarray(index, dtype=np.int64).reshape(-1)
+            if index.size and not 0 <= index.min() <= index.max() < shape[0]:
+                raise IndexError(f"a row index of tensor {name!r} is out of its {shape[0]} rows")
+            cuts = np.flatnonzero(np.diff(index) != 1) + 1
+            firsts = index[np.r_[0, cuts]].tolist() if index.size else []
+            counts = np.diff(np.r_[0, cuts, index.size]).tolist()
+        n = sum(counts)
+        if out is None:
+            data = aligned_empty((n, *shape[1:]), dt)
+        elif (out.dtype != dt or out.shape[1:] != shape[1:] or len(out) < n
+                or not out.flags.c_contiguous):
+            raise ValueError(f"rows of {dt} {shape} cannot be read into {out.dtype} {out.shape}")
+        else:
+            data = out[:n]
+        at = 0
+        for first, count in zip(firsts, counts):
+            self._fill_from(name, data[at : at + count], begin + first * row)
+            at += count
+        return data
 
     def map(self, rewrite) -> "_Rewritten":
         """This file as an archive whose tensors come as the row blocks of
@@ -320,6 +365,17 @@ class ArchiveReader:
             self._fh.seek(offset)
             return _fill(self._fh, buf)
 
+    def _fill_from(self, name: str, buf: np.ndarray, at: int) -> None:
+        """Fill the C-contiguous array ``buf`` with the payload bytes of
+        tensor ``name`` from payload offset ``at``; raise ParseError if the
+        file ends first."""
+        buf = buf.reshape(-1).view(np.uint8)
+        if self._read_at(buf, self._start + at) < buf.size:
+            _, _, begin, end = self._entries[name]
+            ends = max(0, os.fstat(self._fh.fileno()).st_size - self._start - begin)
+            raise ParseError(f"tensor {name!r} is cut short: the file ends {ends} bytes into "
+                             f"its {end - begin}", self._start + begin + ends)
+
     def close(self) -> None:
         self._fh.close()
 
@@ -330,12 +386,35 @@ class ArchiveReader:
         self.close()
 
 
+class StoredTensor:
+    """Tensor ``name`` of ``reader``'s file, as a rewrite of a reader's
+    ``map`` is handed it: nothing is read until it is asked for. ``shape``,
+    ``dtype`` and ``size`` come from the header, ``rows(index)`` reads some
+    rows (see ``ArchiveReader.rows``), and ``data`` or ``f32()`` reads the
+    whole tensor, once, as ``Tensor`` gives them."""
+
+    def __init__(self, reader: ArchiveReader, name: str):
+        self.reader, self.name = reader, name
+        spec = reader.layout[name]
+        self.shape, self.dtype, self.size = spec.shape, spec.dtype, spec.size
+
+    @functools.cached_property
+    def data(self) -> np.ndarray:
+        return self.reader.read(self.name).data
+
+    def f32(self) -> np.ndarray:
+        return Tensor(self.data).f32()
+
+    def rows(self, index) -> np.ndarray:
+        return self.reader.rows(self.name, index)
+
+
 @dataclass(frozen=True)
 class _Rewritten:
     """``map`` of a reader or of a view: ``source``, each tensor rewritten as it is read."""
 
     source: "ArchiveReader | _Rewritten"
-    rewrite: Callable[[str, Tensor], Iterable[np.ndarray]]
+    rewrite: Callable[[str, "Tensor | StoredTensor"], Iterable[np.ndarray]]
 
     @property
     def metadata(self) -> dict[str, str]:
@@ -346,7 +425,10 @@ class _Rewritten:
         return self.source.layout
 
     def blocks(self, name: str) -> Iterable[np.ndarray]:
-        return self.rewrite(name, self.source.read(name))
+        source = self.source
+        if isinstance(source, ArchiveReader):
+            return self.rewrite(name, StoredTensor(source, name))
+        return self.rewrite(name, source.read(name))
 
     def read(self, name: str) -> Tensor:
         return assemble(name, self.blocks(name), self.layout[name])

@@ -2,12 +2,13 @@
 
 Subcommands:
 
-* ``sanitize`` — rewrite a weight file with a disruptor, one tensor at a
-  time: each is read, then rewritten and written in row blocks, and let go
-  before the next, so about one tensor is held in memory at a time.
+* ``sanitize`` — rewrite a weight file with a disruptor in row blocks of
+  about 1 MiB, each read from the file (``none`` and ``neuperm``; noise and
+  prune read a tensor whole), rewritten and written before the next.
   ``--verify`` then checks that the function is preserved, against the
-  model's net sidecar, reading one layer at a time of the input and then
-  of the staged output before the output is committed.
+  model's net sidecar, one layer at a time of the input and then of the
+  staged output before the output is committed; a dense layer over vector
+  probes reads its weight in row blocks.
 * ``attack``   — embed a payload file into a weight file (lsb / sign / ss)
   and write a plan file describing how to extract it again.
 * ``evaluate`` — replay extraction against disrupted variants of a carrier
@@ -15,8 +16,9 @@ Subcommands:
 * ``bound``    — closed-form payload-survival bound for the fixed-position
   placement game, optionally checked by Monte-Carlo simulation.
 
-``attack`` and ``evaluate`` read their input through ``ArchiveReader`` one
-tensor at a time too: the carrier is made as it is written. ``evaluate``
+``attack`` and ``evaluate`` read their input through ``ArchiveReader`` too:
+the carrier is made as it is written, in row blocks for lsb and sign and
+one host tensor at a time for ss. ``evaluate``
 runs tensor-major: it reads each tensor extraction needs once, rewrites it
 for each variant in turn and hands every rewrite to the method (lsb and sign
 take their slot values, ss a row of the tensor's stack of variants, which is
@@ -254,9 +256,9 @@ def cmd_sanitize(args, argv) -> int:
                 "percent": coverage.percent,
                 "applied_sites": list(coverage.applied_sites),
             }
-        # one tensor at a time is read, then rewritten and written in row
-        # blocks; the input hash runs beside that and is done before --verify,
-        # whose gemvs use every BLAS thread
+        # each tensor is read, rewritten and written in row blocks; the input
+        # hash runs beside that and is done before --verify, whose gemvs use
+        # every BLAS thread
         with background(source.digest) as input_digest:
             details["output_digest"] = out.archive(args.output, source.map(rewrite))
             inputs[args.input] = input_digest()

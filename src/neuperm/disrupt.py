@@ -12,11 +12,12 @@ Noise and pruning change what the model computes; the permutation pass does
 not, which is the whole point of preferring it.
 
 Each disruptor is one rewrite per tensor (``tensor_rewrite``), which yields
-the rewritten tensor as row blocks: the permutation pass in blocks of about
-1 MiB, the others as one block. ``apply_disruptor`` maps it over an archive,
-lazily over a reader; ``evaluate`` runs each variant's rewrite on each
-tensor it reads, and ``sanitize`` streams it over a file one tensor at a
-time, writing each block as it comes.
+the rewritten tensor as row blocks: ``none`` and the permutation pass in
+blocks of about 1 MiB (``engine.row_blocks``), read from the file block by
+block over a reader; noise and pruning as one block, from the whole tensor.
+``apply_disruptor`` maps it over an archive, lazily over a reader;
+``evaluate`` runs each variant's rewrite on each tensor it reads, and
+``sanitize`` streams it over a file, writing each block as it comes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .descriptor import ArchDescriptor
 # apply_schedule is unused here but stays importable as neuperm.disrupt.apply_schedule,
 # a name perfbench/tracer.py wraps
 from .engine import (  # noqa: F401
-    CoverageReport, Rewrite, apply_schedule, make_schedule, schedule_rewrite,
+    CoverageReport, Rewrite, apply_schedule, make_schedule, row_blocks, schedule_rewrite,
 )
 from .errors import split_spec
 from .rng import SeededRng, derive_seed
@@ -138,7 +139,7 @@ def tensor_rewrite(
     pass draws its schedule for; no tensor is read here.
     """
     if config.kind == "none":
-        return (lambda name, t: (t.data,)), None
+        return (lambda name, t: row_blocks(t)), None
     if config.kind == "noise":
         return functools.partial(_noise, config.value, seed), None
     if config.kind == "prune":

@@ -8,11 +8,16 @@ contraction axis with the same p.
 
 A schedule is applied as one rewrite per tensor (``schedule_rewrite``). A
 tensor's moves compose into one element index per axis, and the rewrite
-yields the moved tensor as a run of row blocks of about ``_BLOCK_BYTES``
-each: a block gathers its rows along axis 0, then each other moved axis
-within the block. No whole rewritten tensor, and no intermediate of one,
-ever exists, so ``sanitize`` writes each block as it comes;
-``apply_schedule`` assembles the blocks of every tensor in memory.
+yields the tensor as a run of row blocks of about ``_BLOCK_BYTES`` each
+(``row_blocks``): a block gathers its rows along axis 0, then each other
+moved axis within the block. No whole rewritten tensor, and no intermediate
+of one, ever exists. Over an ``ArchiveReader`` each block's rows are read
+from the file as the block is made: a contiguous run in one read, gathered
+rows one read per run of consecutive source rows while rows are at least
+``_PAGE_BYTES`` long (shorter rows, and a tensor no larger than one block,
+are read whole and taken from). So ``sanitize`` holds a few blocks, not a
+tensor, and writes each block as it comes; ``apply_schedule`` assembles the
+blocks of every tensor in memory.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .archive import ArchiveReader, ModelArchive
+from .archive import ArchiveReader, ModelArchive, StoredTensor
 from .descriptor import ArchDescriptor, PermutableSite, validate_descriptor
 from .errors import DescriptorError
 from .rng import SeededRng, derive_seed
@@ -33,14 +38,19 @@ from .tensor import Tensor, fisher_yates, invert, is_permutation, permute_axis_b
 
 
 #: a rewrite of one tensor, given its name: what a disruptor does to each
-#: tensor, as a run of row blocks. Blocks are arrays of the tensor's dtype and
-#: trailing shape, handed over to the caller, whose rows in order are the
-#: rewritten tensor; one block may be the whole tensor (0-d included).
-Rewrite = Callable[[str, Tensor], Iterable[np.ndarray]]
+#: tensor, as a run of row blocks. The tensor is a ``Tensor``, or, over an
+#: ``ArchiveReader``, a ``StoredTensor`` not yet read. Blocks are arrays of
+#: the tensor's dtype and trailing shape, handed over to the caller, whose
+#: rows in order are the rewritten tensor; one block may be the whole tensor
+#: (0-d included).
+Rewrite = Callable[[str, "Tensor | StoredTensor"], Iterable[np.ndarray]]
 
-#: bytes of the row blocks a moved tensor is rewritten in; a slice larger
-#: than this is a block of its own
+#: bytes of the row blocks a tensor is rewritten in; a slice larger than
+#: this is a block of its own
 _BLOCK_BYTES = 1 << 20
+#: shortest row, in bytes, gathered from a file one read per row: a
+#: tensor of shorter rows is read whole and its rows taken from it
+_PAGE_BYTES = 4096
 
 
 def site_seed(master_seed: int, site_id: str) -> int:
@@ -153,19 +163,39 @@ def _axis_index(extent: int, moves: list[np.ndarray]) -> np.ndarray:
     return index
 
 
-def _row_blocks(t: Tensor, index: dict[int, np.ndarray]) -> Iterator[np.ndarray]:
-    """``t`` gathered by ``index`` ({axis: element index}) in row blocks:
-    each block takes its rows along axis 0, then every other axis within
-    itself."""
-    data = t.data
+def row_blocks(t: Tensor | StoredTensor,
+               index: dict[int, np.ndarray] | None = None) -> Iterator[np.ndarray]:
+    """``t`` gathered by ``index`` ({axis: element index}; none moves
+    nothing) in row blocks of about _BLOCK_BYTES: each block takes its rows
+    along axis 0, then every other axis within itself.
+
+    A ``StoredTensor``'s blocks are read from its file one at a time: a
+    contiguous run of rows in one read, and gathered rows one read per run
+    when the tensor is larger than one block and its rows are at least
+    _PAGE_BYTES long. Otherwise, and for a tensor in memory, blocks are
+    taken from the whole tensor; a whole tensor nothing moves (and a 0-d
+    one) is one block, itself."""
+    index = index or {}
     rows = index.get(0)
     others = [(axis, idx) for axis, idx in sorted(index.items()) if axis]
-    step = max(1, _BLOCK_BYTES // max(1, data.itemsize * math.prod(data.shape[1:])))
-    for start in range(0, len(data), step):
-        if rows is None:
-            block = data[start : start + step]
+    if not t.shape:
+        yield t.data
+        return
+    row_bytes = np.dtype(t.dtype).itemsize * math.prod(t.shape[1:])
+    from_file = isinstance(t, StoredTensor) and (rows is None or (
+        row_bytes >= _PAGE_BYTES and t.shape[0] * row_bytes > _BLOCK_BYTES))
+    if not (from_file or index):
+        yield t.data
+        return
+    step = max(1, _BLOCK_BYTES // max(1, row_bytes))
+    for start in range(0, t.shape[0], step):
+        take = slice(start, start + step) if rows is None else rows[start : start + step]
+        if from_file:
+            block = t.rows(take)
+        elif rows is None:
+            block = t.data[take]
         else:
-            block = np.take(data, rows[start : start + step], axis=0)
+            block = np.take(t.data, take, axis=0)
         for axis, idx in others:
             block = np.take(block, idx, axis=axis)
         yield block
@@ -180,9 +210,9 @@ def schedule_rewrite(
 
     A tensor takes the moves of every ref that names it, in descriptor
     order, composed into one element index per axis (a kv-group move spans
-    its group's width), which gives the bytes of rewriting site by site. A
-    moved tensor comes out in row blocks; a tensor no scheduled site names
-    passes through as one block, itself.
+    its group's width), which gives the bytes of rewriting site by site.
+    Every tensor comes out in the row blocks of ``row_blocks``; a tensor in
+    memory that no scheduled site names passes through as one block, itself.
     """
     sizes = validate_descriptor(desc, archive)
     layout = archive.layout
@@ -204,10 +234,8 @@ def schedule_rewrite(
         for name, axes in moves.items()
     }
 
-    def rewrite(name: str, t: Tensor) -> Iterable[np.ndarray]:
-        if name not in index:
-            return (t.data,)
-        return _row_blocks(t, index[name])
+    def rewrite(name: str, t: Tensor | StoredTensor) -> Iterable[np.ndarray]:
+        return row_blocks(t, index.get(name))
 
     return rewrite, _coverage(desc, sizes, applied)
 

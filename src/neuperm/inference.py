@@ -11,10 +11,13 @@ it may take, the hyper-parameters it requires, and its arithmetic.
 `forward` runs every kind the same way.
 
 Params are looked up by name (`archive.layout`, `archive.read(name)`), so
-the chain runs over an archive in memory or an `ArchiveReader` alike. `normalized_output_deviation`,
-the check behind `sanitize --verify`, runs its probes layer-major and holds
-one layer's params of one model at a time; `check_params` finds a net that
-names a missing tensor from the archive's layout alone.
+the chain runs over an archive in memory or an `ArchiveReader` alike.
+`normalized_output_deviation`, the check behind `sanitize --verify`, runs
+its probes layer-major. A dense layer over vector probes takes its weight
+in row blocks, from a reader through one reused buffer, so it never holds
+the weight whole; any other layer holds its params of one model at a time.
+`check_params` finds a net that names a missing tensor from the archive's
+layout alone.
 """
 
 from __future__ import annotations
@@ -24,11 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .archive import ArchiveReader, ModelArchive
+from .archive import ArchiveReader, ModelArchive, aligned_empty
 from .errors import quote, read_json
 from .rng import SeededRng, derive_seed
 
 _EPS_DEFAULT = 1e-5
+#: bytes of float32 weight rows a dense layer's vector probes go through at a time
+_BLOCK_BYTES = 1 << 20
 
 # integer hyper-parameters and their smallest legal value; each must also
 # be below 2**63, so that it fits the int64 arrays built from it
@@ -211,13 +216,19 @@ def _attention_gqa(x, wq, wk, wv, wo, h_q, h_kv, head_dim, causal):
     return (mixed @ wo.T).astype(np.float32)
 
 
-def _dense(x, p, hyper):
+def _dense_fits(x, p):
+    """Raise unless the params ``p`` of a dense layer (arrays, or the
+    ``TensorSpec`` of each) fit its input ``x``."""
     w = p["weight"]
-    if w.ndim != 2 or w.shape[1:] != x.shape[-1:]:
+    if len(w.shape) != 2 or w.shape[1:] != x.shape[-1:]:
         raise _misfit("dense", "weight", w, x)
     if "bias" in p:
         _check_shape("dense", p, "bias", w.shape[:1])
-    x = x @ w.T
+
+
+def _dense(x, p, hyper):
+    _dense_fits(x, p)
+    x = x @ p["weight"].T
     return x + p["bias"] if "bias" in p else x
 
 
@@ -353,15 +364,24 @@ def normalized_output_deviation(
 
     The probes run layer-major: per layer, its params are read from ``a``
     (an archive or an ``ArchiveReader``), every probe goes through the
-    layer, and the params are let go; then the same for ``b``. So one
-    layer's weights of one side are held at a time. Each probe meets the
-    same arithmetic as in ``forward``, one sample at a time.
+    layer, and the params are let go; then the same for ``b``. A dense layer
+    whose probes are all vectors reads its weight in row blocks instead,
+    each going through every probe before the next is read
+    (``_dense_in_blocks``), so from a reader it holds one block of one side.
+    Other layers, and dense layers over 2-D probes (a matrix product, whose
+    rounding changes when its rows are cut), hold one layer's params of one
+    side at a time. Each probe meets the same arithmetic as in ``forward``,
+    one sample at a time; a blocked dense layer gives the bits ``forward``
+    gives on one BLAS thread.
     """
     first = [_as_input(net, x) for x in inputs]
     outs = [first, first]
     for i, layer in enumerate(net.layers):
         run = _LAYERS[layer.kind][3]
         for side, model in enumerate((a, b)):
+            if layer.kind == "dense" and all(x.ndim == 1 for x in outs[side]):
+                outs[side] = _dense_in_blocks(model, _param_names(net, i, model), outs[side])
+                continue
             params = _params(net, i, model)
             outs[side] = [run(x, params, layer.hyper).astype(np.float32) for x in outs[side]]
             del params
@@ -371,6 +391,50 @@ def normalized_output_deviation(
         # np.maximum keeps a NaN, where max() would drop it
         worst = float(np.maximum(worst, float(np.max(np.abs(oa - ob))) / scale))
     return worst
+
+
+def _dense_in_blocks(model, names: dict[str, str], probes: list) -> list:
+    """A dense layer of ``model`` (its param ``names`` by role) over the 1-D
+    ``probes``, with its weight in blocks of a multiple of 64 rows, about
+    _BLOCK_BYTES of float32: each block goes through every probe before the
+    next is taken. From an ``ArchiveReader`` each block is read into one
+    reused buffer; from any other archive the blocks are views of the whole
+    weight. A gemv on a block of a multiple of 64 rows gives, at any BLAS
+    thread count, the bits of those rows in the whole weight's gemv on one
+    thread, so the outputs are those of ``_dense`` on one thread (on
+    several, OpenBLAS may cut the whole weight's rows elsewhere and round a
+    few of them differently)."""
+    specs = {role: model.layout[name] for role, name in names.items()}
+    for x in probes:
+        _dense_fits(x, specs)
+    rows, cols = specs["weight"].shape
+    step = max(64, _BLOCK_BYTES // (4 * max(1, cols)) // 64 * 64)
+    weight = names["weight"]
+    if isinstance(model, ArchiveReader):
+        buffer = aligned_empty((min(step, rows), cols), np.float32)
+        stored = np.dtype(specs["weight"].dtype)
+        staged = buffer if stored == np.float32 else aligned_empty(buffer.shape, stored)
+
+        def block(start: int) -> np.ndarray:
+            got = model.rows(weight, slice(start, start + step), out=staged)
+            if staged is not buffer:  # float16 rows, widened into the float32 buffer
+                np.copyto(buffer[: len(got)], got)
+            return buffer[: len(got)]
+    else:
+        whole = model.read(weight).f32()
+
+        def block(start: int) -> np.ndarray:
+            return whole[start : start + step]
+
+    outs = [np.empty(rows, np.float32) for _ in probes]
+    for start in range(0, rows, step):
+        w = block(start)
+        for x, out in zip(probes, outs):
+            out[start : start + len(w)] = x @ w.T
+    if "bias" in names:
+        bias = model.read(names["bias"]).f32()
+        outs = [out + bias for out in outs]
+    return outs
 
 
 def random_inputs(net: ToyNetwork, count: int, seed: int):

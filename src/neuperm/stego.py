@@ -21,7 +21,8 @@ shows up as bit errors.
 
 Embedders and extractors use only an archive's ``layout``, ``read`` and
 ``map``: an embedder returns ``archive.map`` of a rewrite of each tensor, so
-over an ``ArchiveReader`` the carrier is made one tensor at a time.
+over an ``ArchiveReader`` the carrier is made as it is written: lsb and
+sign in row blocks read from the file, ss one host tensor at a time.
 
 The spread-spectrum chip sweeps, ``ss_embed`` (one per host tensor) and
 ``ss_despread_pieces`` (one per piece of the host, such as one tensor's
@@ -46,11 +47,13 @@ import functools
 import hashlib
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .archive import assemble
+from .archive import StoredTensor, assemble
+from .engine import row_blocks
 from .errors import CapacityError, quote, split_spec
 from .rng import SeededRng, derive_seed, words_at
 from .sweep import run_ordered
@@ -288,25 +291,34 @@ def _bit_field(plan: AttackPlan, method: str) -> tuple[int, bool]:
 def _embed_bits(archive, payload: bytes, plan: AttackPlan, method: str):
     """Write the coded payload, `width` bits per sampled parameter, into one
     field of each parameter's raw word: ``archive.map`` of a rewrite that
-    copies only the tensors holding slots and writes the slots in each."""
+    yields each tensor in contiguous row blocks (``engine.row_blocks``),
+    copying each block that holds slots and writing its slots."""
     width, top = _bit_field(plan, method)
     if not plan.matches(payload):
         raise ValueError("payload does not match plan digest")
     slots = -(-plan.coded_bits // width)
-    groups = {name: rest for name, *rest in _bit_slots(archive, plan)}
+    groups = {}
+    for name, local, slot_idx in _bit_slots(archive, plan):
+        order = np.argsort(local)
+        groups[name] = local[order], slot_idx[order]
     padded = np.zeros(slots * width, dtype=np.uint8)
     padded[: plan.coded_bits] = plan.ecc.encode(bytes_to_bits(payload))
     weights = 1 << np.arange(width - 1, -1, -1, dtype=np.uint32)
     values = (padded.reshape(slots, width).astype(np.uint32) * weights).sum(axis=1)
 
-    def rewrite(name: str, t: Tensor) -> tuple[np.ndarray]:
-        if name not in groups:
-            return (t.data,)
-        local, slot_idx = groups[name]
-        raw, shift, mask = _raw_field(t.data, width, top)
-        raw = raw.copy()
-        raw[local] = (raw[local] & ~mask) | (values[slot_idx].astype(raw.dtype) << shift)
-        return (raw.view(t.data.dtype).reshape(t.shape),)
+    def rewrite(name: str, t: Tensor | StoredTensor) -> Iterator[np.ndarray]:
+        local, slot_idx = groups.get(name, (np.empty(0, np.int64),) * 2)
+        at = 0  # flat offset of the block's first element
+        for block in row_blocks(t):
+            lo, hi = np.searchsorted(local, (at, at + block.size))
+            if lo < hi:
+                block = block.copy()
+                raw, shift, mask = _raw_field(block, width, top)
+                here = local[lo:hi] - at
+                written = values[slot_idx[lo:hi]].astype(raw.dtype) << shift
+                raw[here] = (raw[here] & ~mask) | written
+            at += block.size
+            yield block
 
     return archive.map(rewrite)
 
@@ -576,9 +588,9 @@ def ss_embed(archive, payload: bytes, plan: AttackPlan):
     coded = plan.ecc.encode(bytes_to_bits(payload))
     width = _chunk_cols(coded.size)
 
-    def rewrite(name: str, t: Tensor) -> tuple[np.ndarray]:
+    def rewrite(name: str, t: Tensor | StoredTensor) -> Iterable[np.ndarray]:
         if name not in offsets:
-            return (t.data,)
+            return row_blocks(t)
         start, stop = offsets[name], offsets[name] + t.size
         out = t.data.astype(np.float32).ravel()  # a fresh array, so it is added to in place
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import struct
 import threading
 
 import numpy as np
@@ -17,6 +18,7 @@ from neuperm.descriptor import descriptor_to_dict
 from neuperm.fixtures import ss_host, toy_cnn, toy_gqa, toy_mlp
 from neuperm.inference import forward, network_to_dict, softmax
 from neuperm.rng import derive_seed
+from neuperm.tensor import DTYPES
 
 
 @pytest.fixture(scope="session")
@@ -224,3 +226,19 @@ def write_grid_csv(path, results) -> None:
         for r in results:
             w.writerow([f"{1.0 / r.n:.10g}", f"{r.delta:.10g}", r.L, f"{r.bound:.10g}",
                         f"{r.rate:.10g}", r.trials])
+
+
+def scrambled(archive) -> bytes:
+    """The bytes of `archive` with its tensors stored in reverse name order,
+    three bytes of gap after each, and one more metadata entry."""
+    header = {"__metadata__": {**archive.metadata, "layout": "scrambled"}}
+    chunks, cursor = [], 0
+    for name in sorted(archive.tensors, reverse=True):
+        t = archive.tensors[name]
+        data = t.data.tobytes()
+        header[name] = {"dtype": DTYPES[t.dtype], "shape": list(t.shape),
+                        "data_offsets": [cursor, cursor + len(data)]}
+        chunks.append(data + b"\x07" * 3)
+        cursor += len(data) + 3
+    text = json.dumps(header).encode()
+    return struct.pack("<Q", len(text)) + text + b"".join(chunks)

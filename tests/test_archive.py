@@ -536,31 +536,51 @@ def test_reader_map_reads_what_the_archive_map_reads(tmp_path):
 
 def test_reader_refuses_a_tensor_cut_short(tmp_path):
     """A file that shrinks after its header was read gives a ParseError
-    naming the tensor that was cut short, at the byte where the file ends."""
+    naming the tensor that was cut short, at the byte where the file ends:
+    for a whole read and for a read of rows that reaches past the end, in
+    a run of rows that starts before the end or after it. Rows before the
+    end still read."""
     archive = _mib_archive()
     path = tmp_path / "m.safetensors"
     save_archive(archive, path)
     size = path.stat().st_size
+    rows = 1 << 18
     with ArchiveReader(path) as reader:
         os.truncate(path, size - 12)
         assert reader.read("a").same_bits(archive.tensors["a"])
-        with pytest.raises(ParseError, match=r"^tensor 'b' is cut short: the file ends "
-                           rf"1048564 bytes into its 1048576 \(at byte {size - 12}\)$"):
-            reader.read("b")
+        kept = np.arange(rows - 3)[::-1]
+        assert np.array_equal(reader.rows("b", kept), archive.tensors["b"].data[kept])
+        assert np.array_equal(reader.rows("b", slice(5, rows - 3)),
+                              archive.tensors["b"].data[5 : rows - 3])
+        for read in (lambda: reader.read("b"), lambda: reader.rows("b", slice(rows - 4, rows)),
+                     lambda: reader.rows("b", [0, 1, rows - 1]),
+                     lambda: reader.rows("b", [rows - 1, 0])):
+            with pytest.raises(ParseError, match=r"^tensor 'b' is cut short: the file ends "
+                               rf"1048564 bytes into its 1048576 \(at byte {size - 12}\)$"):
+                read()
 
 
 def test_reader_shared_by_threads(tmp_path):
-    """Threads that hash the file and read tensors through one reader at
-    once, switching every microsecond, each get the file's digest and every
-    tensor's bits: the lock keeps each seek with its read."""
+    """Threads that hash the file, read tensors and read runs of their rows
+    through one reader at once, switching every microsecond, each get the
+    file's digest and every tensor's bits: the lock keeps each seek with its
+    read."""
     archive = _mib_archive()
     path = tmp_path / "m.safetensors"
     digest = save_archive(archive, path)
     results, interval = [], sys.getswitchinterval()
 
+    # 64 runs of 4096 rows each, the runs in reverse order
+    runs = np.arange(1 << 18).reshape(64, -1)[::-1].ravel()
+
     def work(reader, i):
-        if i % 2:
+        if i % 3 == 1:
             results.append(reader.digest() == digest)
+        elif i % 3 == 2:
+            results.append(all(
+                np.array_equal(reader.rows(n, runs), t.data[runs])
+                and np.array_equal(reader.rows(n, slice(7, 70_007)), t.data[7:70_007])
+                for n, t in archive.tensors.items()))
         else:
             results.append(all(reader.read(n).same_bits(t) for n, t in archive.tensors.items()))
 

@@ -13,23 +13,26 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import fail_chip_sweeps, random_payload, refusal
+from conftest import fail_chip_sweeps, random_payload, refusal, scrambled
 
 import neuperm
-from neuperm import cli, sweep
+from neuperm import cli, inference, sweep
 from neuperm.archive import (
     ArchiveReader, ModelArchive, archive_digest, load_archive, save_archive, write_archive,
 )
 from neuperm.cli import main
 from neuperm.descriptor import descriptor_to_dict, parse_descriptor
-from neuperm.disrupt import apply_disruptor, parse_disruptor
+from neuperm.disrupt import add_gaussian_noise, apply_disruptor, parse_disruptor
 from neuperm.fixtures import (
     _dense_chain, llama32_1b_descriptor, ss_host, toy_cnn, toy_gqa, toy_mlp, vgg11_descriptor,
 )
-from neuperm.inference import forward, network_to_dict, parse_network, random_inputs
+from neuperm.inference import (
+    LayerSpec, ToyNetwork, forward, network_to_dict, normalized_output_deviation, parse_network,
+    random_inputs,
+)
 from neuperm.rng import derive_seed
 from neuperm.stego import AttackPlan, _bit_slots, lsb_embed, parse_ecc, sign_embed, ss_embed
-from neuperm.tensor import DTYPES, Tensor
+from neuperm.tensor import Tensor
 
 _SRC = Path(neuperm.__file__).resolve().parents[1]
 
@@ -208,22 +211,6 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _scrambled(archive) -> bytes:
-    """The bytes of `archive` with its tensors stored in reverse name order,
-    three bytes of gap after each, and one more metadata entry."""
-    header = {"__metadata__": {**archive.metadata, "layout": "scrambled"}}
-    chunks, cursor = [], 0
-    for name in sorted(archive.tensors, reverse=True):
-        t = archive.tensors[name]
-        data = t.data.tobytes()
-        header[name] = {"dtype": DTYPES[t.dtype], "shape": list(t.shape),
-                        "data_offsets": [cursor, cursor + len(data)]}
-        chunks.append(data + b"\x07" * 3)
-        cursor += len(data) + 3
-    text = json.dumps(header).encode()
-    return struct.pack("<Q", len(text)) + text + b"".join(chunks)
-
-
 def _deviation(net, a, b, probes) -> float:
     """normalized_output_deviation as it ran before verification streamed:
     every layer of one probe through `forward`, then the next probe."""
@@ -233,6 +220,54 @@ def _deviation(net, a, b, probes) -> float:
         scale = max(1.0, float(np.max(np.abs(ya))))
         worst = float(np.maximum(worst, float(np.max(np.abs(ya - yb))) / scale))
     return worst
+
+
+def _verify_host(dtype: str) -> tuple[ModelArchive, list]:
+    """A dense chain 70 -> 150 -> 100 -> 45 with biases, no width a multiple
+    of 64, stored in `dtype`, and the (weight, bias) names of its layers."""
+    rng = np.random.default_rng(27)
+    widths, tensors, names = [70, 150, 100, 45], {}, []
+    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+        tensors[f"w{i}"] = Tensor.adopt((rng.standard_normal((fan_out, fan_in))
+                                         / np.sqrt(fan_in)).astype(dtype))
+        tensors[f"b{i}"] = Tensor.adopt(rng.standard_normal(fan_out).astype(dtype))
+        names.append((f"w{i}", f"b{i}"))
+    return ModelArchive(tensors), names
+
+
+@pytest.mark.parametrize("source", ["memory", "file"])
+@pytest.mark.parametrize("shape", [(70,), (3, 70)], ids=["vector", "rows"])
+@pytest.mark.parametrize("dtype", ["float32", "float16"])
+def test_blocked_verify_deviation_equals_the_forward_one(tmp_path, monkeypatch, dtype, shape,
+                                                        source):
+    """normalized_output_deviation runs a dense layer over vector probes with
+    its weight in blocks of 64 rows (three for the 150-row weight), from a
+    file never reading a weight whole, and gives the deviation of _deviation
+    on one BLAS thread bit for bit, in float32 and float16, from files and
+    in memory. Probes of several rows go through the whole weight."""
+    monkeypatch.setattr(inference, "_BLOCK_BYTES", 1)
+    a, names = _verify_host(dtype)
+    b = add_gaussian_noise(a, 1e-3, 5)
+    layers = []
+    for weight, bias in names:
+        layers += [LayerSpec("dense", {"weight": weight, "bias": bias}), LayerSpec("relu")]
+    net = ToyNetwork(tuple(layers[:-1]), "vector", shape)
+    probes = random_inputs(net, 5, 3)
+    with sweep.blas_single_thread():
+        want = _deviation(net, a, b, probes)
+    assert want > 0
+    if source == "memory":
+        assert normalized_output_deviation(net, a, b, probes).hex() == want.hex()
+        return
+    save_archive(a, tmp_path / "a.safetensors")
+    save_archive(b, tmp_path / "b.safetensors")
+    wholes, real = [], ArchiveReader.read
+    monkeypatch.setattr(ArchiveReader, "read", lambda self, n: wholes.append(n) or real(self, n))
+    with ArchiveReader(tmp_path / "a.safetensors") as ra, \
+            ArchiveReader(tmp_path / "b.safetensors") as rb:
+        assert normalized_output_deviation(net, ra, rb, probes).hex() == want.hex()
+    weights = sorted([w for w, _ in names] * 2)
+    assert sorted(n for n in wholes if n.startswith("w")) == ([] if len(shape) == 1 else weights)
 
 
 @pytest.mark.parametrize("layout", ["canonical", "scrambled", "output-is-input"])
@@ -248,7 +283,7 @@ def test_streamed_sanitize_equals_the_in_memory_rewrite(ws, tmp_path, capsys, mo
     its tensors out of name order with gaps, or be overwritten by the output."""
     raw = ws[model].read_bytes()
     if layout == "scrambled":
-        raw = _scrambled(load_archive(ws[model]))
+        raw = scrambled(load_archive(ws[model]))
     src = tmp_path / "in.safetensors"
     src.write_bytes(raw)
     original = load_archive(src)
@@ -465,7 +500,7 @@ def test_streamed_attack_equals_the_in_memory_embed(ws, tmp_path, capsys, attack
     overwrites; the manifest holds the input's digest."""
     raw = ws["host"].read_bytes()
     if layout == "scrambled":
-        raw = _scrambled(load_archive(ws["host"]))
+        raw = scrambled(load_archive(ws["host"]))
     src = tmp_path / "in.safetensors"
     src.write_bytes(raw)
     out = src if layout == "output-is-input" else tmp_path / "out.safetensors"
@@ -776,34 +811,75 @@ def test_attack_and_evaluate_hold_one_copy_of_the_model(tmp_path, eight_layer_ho
         assert (tmp_path / "carrier.safetensors").stat().st_size == host.stat().st_size
 
 
-@pytest.mark.parametrize("disrupt", ["neuperm", "none"])
-def test_sanitize_verify_holds_one_tensor(tmp_path, disrupt):
-    """sanitize --verify on a host of two 64 MiB weights, in an address
-    space that may grow by 2.25 times one of them: one tensor, its blocks
-    and OpenBLAS's buffer fit (from about 1.75 times, on a 2-vCPU Linux
-    box), but two tensors at once do not: holding a tensor and its permuted
-    copy, one layer's weight of each side in --verify, or a written tensor
-    while the next is read, needed about 2.75 times."""
+@pytest.fixture(scope="module")
+def two_tensor_host(tmp_path_factory):
+    """A host of two 64 MiB float32 weights (4096 x 4096), written once with
+    its descriptor and net sidecar."""
     pytest.importorskip("resource")
     if not os.path.exists("/proc/self/statm"):
         pytest.skip("the cap is sized from /proc/self/statm")
+    root = tmp_path_factory.mktemp("two")
     width = 4096
     rng = np.random.default_rng(25)
     archive = ModelArchive({f"fc{i}.weight": Tensor.adopt(
         rng.standard_normal((width, width), dtype=np.float32)) for i in (1, 2)})
     desc, net = _dense_chain(archive, [width] * 3)
-    host = tmp_path / "host.safetensors"
+    host = root / "host.safetensors"
     save_archive(archive, host)
-    del archive
-    (tmp_path / "host.desc.json").write_text(json.dumps(descriptor_to_dict(desc)))
-    (tmp_path / "host.safetensors.net.json").write_text(json.dumps(network_to_dict(net)))
-    proc = _within(9 * width * width, "sanitize", "--input", host, "--output",
-                   "clean.safetensors", "--disrupt", disrupt, "--descriptor", "host.desc.json",
-                   "--seed", "5", "--verify", "--probes", "4", cwd=tmp_path)
+    (root / "host.desc.json").write_text(json.dumps(descriptor_to_dict(desc)))
+    (root / "host.safetensors.net.json").write_text(json.dumps(network_to_dict(net)))
+    return host
+
+
+def _sanitize_within(allowance: int, host, disrupt: str, cwd) -> None:
+    proc = _within(allowance, "sanitize", "--input", host, "--output", "clean.safetensors",
+                   "--disrupt", disrupt, "--descriptor", host.parent / "host.desc.json",
+                   "--seed", "5", "--verify", "--probes", "4", cwd=cwd)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.startswith(f"sanitize {disrupt}")
     assert "verified(" in proc.stdout
-    assert (tmp_path / "clean.safetensors").stat().st_size == host.stat().st_size
+    assert (cwd / "clean.safetensors").stat().st_size == host.stat().st_size
+
+
+@pytest.mark.parametrize("disrupt", ["neuperm", "none"])
+def test_sanitize_verify_holds_one_tensor(tmp_path, two_tensor_host, disrupt):
+    """sanitize --verify on a host of two 64 MiB weights, in an address
+    space that may grow by 2.25 times one of them: one tensor, its blocks
+    and OpenBLAS's buffer fit (from about 1.75 times, on a 2-vCPU Linux
+    box, while sanitize read each tensor whole), but two tensors at once do
+    not: holding a tensor and its permuted copy, one layer's weight of each
+    side in --verify, or a written tensor while the next is read, needed
+    about 2.75 times."""
+    _sanitize_within(9 * 4096 * 4096, two_tensor_host, disrupt, tmp_path)
+
+
+@pytest.mark.parametrize("disrupt", ["neuperm", "none"])
+def test_sanitize_verify_holds_less_than_one_tensor(tmp_path, two_tensor_host, disrupt):
+    """sanitize --verify on the host of two 64 MiB weights, in an address
+    space that may grow by 0.875 times one of them: the rewrite reads,
+    writes and hashes row blocks, and --verify runs each dense weight's row
+    blocks through one reused buffer, so neither holds a tensor. It fits
+    from about 49 MiB (0.77 times, on a 2-vCPU Linux box), nearly all of it
+    OpenBLAS's buffer and the stacks of the two hashing threads; reading
+    each tensor whole needed about 112 MiB (1.75 times)."""
+    _sanitize_within(7 * 4096 * 4096 // 2, two_tensor_host, disrupt, tmp_path)
+
+
+def test_attack_lsb_holds_row_blocks(tmp_path, eight_layer_host):
+    """attack lsb:2 with a 4 KiB payload on the 128 MiB host of 16 MiB
+    weights, in an address space that may grow by 32 MiB: the carrier is
+    read, copied and written in row blocks. It fits from about 24 MiB (on a
+    2-vCPU Linux box), of which the stacks of the two hashing threads take
+    16 MiB and the input hash's read buffer 4 MiB, so no allowance below one
+    16 MiB tensor fits it; copying each tensor whole needed about 52 MiB."""
+    payload = tmp_path / "payload.bin"
+    payload.write_bytes(random_payload(80, 4096))
+    proc = _within(32 << 20, "attack", "--input", eight_layer_host, "--payload", payload,
+                   "--seed", "3", "--attack", "lsb:2", "--output", "carrier.safetensors",
+                   cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith("attack lsb:2 ecc=none seed=3")
+    assert (tmp_path / "carrier.safetensors").stat().st_size == eight_layer_host.stat().st_size
 
 
 def test_evaluate_many_ss_variants_fit_1gb(tmp_path):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from conftest import max_output_deviation
+from conftest import max_output_deviation, scrambled
 
-from neuperm.archive import ModelArchive
+from neuperm.archive import ArchiveReader, ModelArchive, StoredTensor
 from neuperm.descriptor import ArchDescriptor, GqaMeta, PermutableSite
 import neuperm.engine as engine
 from neuperm.archive import write_archive
@@ -380,3 +380,73 @@ def test_block_rewrite_equals_site_by_site_permutes(
             assert got.same_bits(want.tensors[tname]), (tname, trial)
         assert apply_schedule(archive, desc, schedule)[0].same_bits(want)
         assert write_archive(archive.map(rewrite)) == write_archive(want)
+
+
+def _gather_host() -> ModelArchive:
+    """Tensors for the file gather, read with 256-byte blocks and 32-byte
+    pages: rows of one page in float32 and in float16, rows of half a page,
+    and tensors of exactly one block and of one block plus a row."""
+    rng = np.random.default_rng(29)
+    return ModelArchive({
+        "w": Tensor.adopt(rng.standard_normal((40, 8), dtype=np.float32)),
+        "h": Tensor.adopt(rng.standard_normal((40, 16)).astype(np.float16)),
+        "short": Tensor.adopt(rng.standard_normal((40, 4), dtype=np.float32)),
+        "one": Tensor.adopt(rng.standard_normal((8, 8), dtype=np.float32)),
+        "plus": Tensor.adopt(rng.standard_normal((9, 8), dtype=np.float32)),
+    })
+
+
+#: case -> (tensor, {axis: the lengths of the permutations moved along it},
+#: whether its blocks are gathered from the file rather than a whole read)
+_GATHERS = {
+    "axis0": ("w", {0: [40]}, True),
+    "axis1": ("w", {1: [8]}, True),
+    "both-axes": ("w", {0: [40, 40], 1: [8]}, True),
+    "kv-group": ("w", {0: [5]}, True),
+    "float16": ("h", {0: [40], 1: [16]}, True),
+    "short-rows": ("short", {0: [40]}, False),
+    "one-block": ("one", {0: [8]}, False),
+    "block-plus-row": ("plus", {0: [9]}, True),
+}
+
+
+@pytest.mark.parametrize("layout", ["canonical", "scrambled"])
+@pytest.mark.parametrize("case", list(_GATHERS))
+def test_file_gather_equals_in_memory_take(tmp_path, monkeypatch, case, layout):
+    """row_blocks of a tensor stored in a file read it block by block when
+    it is larger than one block and its rows are at least a page long, one
+    read per run of consecutive source rows (a kv-group move reads whole
+    groups; a column move reads each block at once), and read it whole
+    otherwise. Either way its blocks hold the bytes of np.take in memory,
+    cut where the blocks of the tensor in memory are, also from a file that
+    stores its tensors out of name order with gaps."""
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 256)
+    monkeypatch.setattr(engine, "_PAGE_BYTES", 32)
+    archive = _gather_host()
+    name, moves, from_file = _GATHERS[case]
+    t = archive.tensors[name]
+    draw = np.random.default_rng(len(case))
+    index = {axis: engine._axis_index(t.shape[axis], [draw.permutation(n) for n in ns])
+             for axis, ns in moves.items()}
+    want = t.data
+    for axis, idx in sorted(index.items()):
+        want = np.take(want, idx, axis=axis)
+    memory = list(engine.row_blocks(t, index))
+    path = tmp_path / "m.safetensors"
+    path.write_bytes(write_archive(archive) if layout == "canonical" else scrambled(archive))
+    with ArchiveReader(path) as reader:
+        wholes, reads = [], []
+        read, read_at = reader.read, reader._read_at
+        monkeypatch.setattr(reader, "read", lambda n: wholes.append(n) or read(n))
+        monkeypatch.setattr(reader, "_read_at",
+                            lambda buf, at: reads.append(at) or read_at(buf, at))
+        blocks = list(engine.row_blocks(StoredTensor(reader, name), index))
+    assert [b.shape for b in blocks] == [b.shape for b in memory]
+    assert np.concatenate(blocks).tobytes() == np.concatenate(memory).tobytes() == want.tobytes()
+    assert all(b.nbytes <= 256 for b in blocks)
+    assert wholes == ([] if from_file else [name])
+    step = len(memory[0])
+    rows = index.get(0, np.arange(len(want)))
+    runs = sum(1 + int(np.count_nonzero(np.diff(rows[s : s + step]) != 1))
+               for s in range(0, len(rows), step))
+    assert len(reads) == (runs if from_file else 1)

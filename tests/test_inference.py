@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import max_output_deviation, mhsa_forward
 
+import neuperm.inference as inference
 from neuperm.archive import ModelArchive
 from neuperm.inference import (
     LayerSpec,
@@ -19,6 +20,7 @@ from neuperm.inference import (
     softmax,
 )
 from neuperm.rng import SeededRng, derive_seed
+from neuperm.sweep import blas_single_thread
 from neuperm.tensor import Tensor, tensor
 
 
@@ -322,3 +324,20 @@ def test_deviation_helpers(mlp_bundle):
         {"fc1.weight": Tensor(archive.tensors["fc1.weight"].data + np.float32(0.1))}
     )
     assert max_output_deviation(net, archive, bumped, inputs) > 0.0
+
+
+@pytest.mark.parametrize("rows, cols", [(1024, 2048), (130, 4096), (333, 2048), (1000, 513),
+                                        (100, 37), (64, 7)])
+def test_dense_row_blocks_give_the_one_thread_gemv(rows, cols):
+    """A dense weight in blocks of a multiple of 64 rows gives each vector
+    probe the bits of its gemv on the whole weight on one BLAS thread, at
+    any thread count. On several threads the whole weight's gemv splits its
+    rows where OpenBLAS likes: at 130 x 4096 on two threads, rows 64, 128
+    and 129 came out rounded differently."""
+    rng = np.random.default_rng(rows + cols)
+    w = rng.standard_normal((rows, cols), dtype=np.float32)
+    probes = [rng.standard_normal(cols, dtype=np.float32) for _ in range(3)]
+    with blas_single_thread():
+        want = [x @ w.T for x in probes]
+    got = inference._dense_in_blocks(ModelArchive({"w": Tensor.adopt(w)}), {"weight": "w"}, probes)
+    assert all(g.tobytes() == v.tobytes() for g, v in zip(got, want))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import neuperm.engine as engine
 import neuperm.stego as stego
 import neuperm.sweep as sweep
 from neuperm.archive import ArchiveReader, ModelArchive, save_archive, write_archive
@@ -452,6 +453,31 @@ def test_streamed_embed_matches_in_memory(tmp_path, monkeypatch, gqa_bundle, hos
     else:
         with ArchiveReader(tmp_path / "streamed.safetensors") as reader:
             assert {"lsb": lsb_extract, "sign": sign_extract}[method](reader, plan) == payload
+
+
+@pytest.mark.parametrize("method", ["lsb", "sign"])
+@pytest.mark.parametrize("host", ["gqa", "odd"])
+def test_streamed_bit_embed_in_row_blocks(tmp_path, monkeypatch, gqa_bundle, host, method):
+    """With row blocks of 64 bytes, the lsb and sign embeds over an
+    ArchiveReader read, copy and write each tensor in contiguous blocks no
+    larger than that (or one row), slots falling in many of them, and save
+    the bytes of the embed over the archive in memory, which copies each
+    tensor whole."""
+    archive = gqa_bundle[0] if host == "gqa" else _odd_host()
+    payload = random_payload(1044, 8)
+    plan = AttackPlan.for_payload(method, payload, archive, seed=13, ecc=parse_ecc("none"),
+                                  param=2 if method == "lsb" else None)
+    embed = {"lsb": lsb_embed, "sign": sign_embed}[method]
+    want = hashlib.sha256(write_archive(embed(archive, payload, plan))).hexdigest()
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 64)
+    path = tmp_path / "host.safetensors"
+    save_archive(archive, path)
+    with ArchiveReader(path) as reader:
+        carrier = embed(reader, payload, plan)
+        for name, spec in reader.layout.items():
+            row = np.dtype(spec.dtype).itemsize * math.prod(spec.shape[1:])
+            assert all(b.nbytes <= max(64, row) for b in carrier.blocks(name)), name
+        assert save_archive(carrier, tmp_path / "carrier.safetensors") == want
 
 
 def _serial_embed(archive, payload, plan):
