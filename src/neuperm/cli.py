@@ -21,8 +21,9 @@ the carrier is made as it is written, in row blocks for lsb and sign and
 one host tensor at a time for ss. ``evaluate``
 runs tensor-major: it reads each tensor extraction needs once, rewrites it
 for each variant in turn and hands every rewrite to the method (lsb and sign
-take their slot values, ss a row of the tensor's stack of variants, which is
-despread before the next tensor is read).
+take their slot values; ss writes it into the variant's row of one buffer
+and despreads the buffer's whole chip blocks before the next tensor is
+read, see ``stego.ss_correlations``).
 
 A command exits 0 on success; otherwise it prints one ``error:`` line and
 exits with the ``exit_code`` of the error that ended it (see ``errors``),
@@ -76,8 +77,8 @@ from .stego import (  # noqa: F401
     parse_ecc,
     sign_embed,
     sign_extract,
+    ss_correlations,
     ss_despread_many,
-    ss_despread_pieces,
     ss_embed,
 )
 from .sweep import background
@@ -85,7 +86,7 @@ from .sweep import background
 _F32_TOL = 1e-5
 _F16_TOL = 1e-3
 #: Bytes that one group of `evaluate` variants may hold at once: for ss, the
-#: float32 stack of one host tensor's rewrites, one row per variant, sized by
+#: float32 buffer of one host tensor's rewrites, one row per variant, sized by
 #: the largest eligible tensor and despread in one chip sweep; for lsb and
 #: sign, their slot fields, at most one byte per coded bit. More variants are
 #: run group by group, each group reading the carrier once.
@@ -314,25 +315,6 @@ def _variant_specs(configs, trials: int, seed: int):
             for config in configs for i in range(trials if config.stochastic else 1)]
 
 
-def _host_stacks(source, names, rewrites):
-    """Each tensor of `names`, read once, as a float32 stack of its rewrites:
-    row v holds the row blocks of ``rewrites[v]``, made one variant at a
-    time. Every stack is a view of one buffer, sized for the largest tensor
-    and written again for the next tensor once the caller asks for it; the
-    tensor read is let go before its stack is handed over."""
-    buffer = np.empty((len(rewrites), max(source.layout[n].size for n in names)), np.float32)
-    for name in names:
-        t = source.read(name)
-        stack = buffer[:, : t.size]
-        for row, rewrite in zip(stack, rewrites):
-            at = 0
-            for block in rewrite(name, t):
-                row[at : at + block.size] = block.ravel()
-                at += block.size
-        del t
-        yield stack
-
-
 def cmd_evaluate(args, argv) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
@@ -355,8 +337,8 @@ def cmd_evaluate(args, argv) -> int:
         # tensor-major, one group of variants at a time: each tensor extraction
         # needs is read once per group, and each variant's rewrite of it is made
         # in turn and handed to the method before the next is made. ss variants
-        # share one chip sweep per group, tensor stack by tensor stack; lsb and
-        # sign read only the tensors that hold slots
+        # share one chip sweep per group, tensor by tensor; lsb and sign read
+        # only the tensors that hold slots
         if plan.method == "ss":
             plan.check_host(source)
             per_variant = 4 * max(source.layout[n].size for n in plan.eligible)
@@ -367,8 +349,7 @@ def cmd_evaluate(args, argv) -> int:
         for first in range(0, len(variants), group):
             made = rewrites(variants[first : first + group])
             if plan.method == "ss":
-                stacks = _host_stacks(source, plan.eligible, made)
-                for y in ss_despread_pieces(stacks, plan, len(made)):
+                for y in ss_correlations(source, plan, made):
                     got, snr = decode_correlations(y, plan)
                     extracted.append((got, f"{snr:.4f}"))
             else:

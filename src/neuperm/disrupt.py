@@ -87,8 +87,13 @@ def _noise(sigma: float, seed: int, name: str, t: Tensor) -> tuple[np.ndarray]:
 
 
 def _prune(ratio: float, name: str, t: Tensor) -> tuple[np.ndarray]:
-    """Zero the floor(ratio * size) smallest-|w| entries (see
-    prune_magnitude); one block."""
+    """Zero the floor(ratio * size) smallest-|w| entries; one block.
+
+    Ties break toward the earlier flat index and NaN magnitudes rank last,
+    as in a stable sort of |w|, so the result is fully deterministic. One
+    partition finds the k-th smallest magnitude; every entry below it is
+    zeroed, then the first of its ties in flat order until k are.
+    """
     k = math.floor(ratio * t.size)
     if k == 0:
         return (t.data,)
@@ -103,24 +108,6 @@ def _prune(ratio: float, name: str, t: Tensor) -> tuple[np.ndarray]:
     flat[below] = 0
     flat[np.flatnonzero(ties)[: k - np.count_nonzero(below)]] = 0
     return (flat.reshape(t.shape),)
-
-
-def add_gaussian_noise(archive: ModelArchive, sigma: float, seed: int) -> ModelArchive:
-    """w' = w + sigma * g, g ~ N(0,1), per-tensor substreams keyed by name."""
-    return archive.map(functools.partial(_noise, sigma, seed))
-
-
-def prune_magnitude(archive: ModelArchive, ratio: float) -> ModelArchive:
-    """Zero floor(ratio * size) smallest-|w| entries of each tensor.
-
-    Ties break toward the earlier flat index and NaN magnitudes rank last,
-    as in a stable sort of |w|, so the result is fully deterministic. One
-    partition finds the k-th smallest magnitude; every entry below it is
-    zeroed, then the first of its ties in flat order until k are.
-    """
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError("prune ratio must lie in [0, 1]")
-    return archive.map(functools.partial(_prune, ratio))
 
 
 def tensor_rewrite(

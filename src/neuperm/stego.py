@@ -25,20 +25,21 @@ over an ``ArchiveReader`` the carrier is made as it is written: lsb and
 sign in row blocks read from the file, ss one host tensor at a time.
 
 The spread-spectrum chip sweeps, ``ss_embed`` (one per host tensor) and
-``ss_despread_pieces`` (one per piece of the host, such as one tensor's
-stack of variants; ``ss_despread_many`` is the one-piece case), run their
+the despread (``ss_despread_many`` over stacked hosts, ``ss_correlations``
+over the rewrites of a carrier, one sweep per tensor read), run their
 column blocks through ``sweep.run_ordered``: one thread per CPU in the
 affinity mask, each taking the next block as it goes, OpenBLAS held at one
 thread, block results added in column order. The embed counts chip
 agreements from the chip bits, which is exact, with no BLAS call; the
 despread multiplies each float32 chip block by the hosts' columns in one
-BLAS call. The despread's blocks are those of the whole host wherever the
-pieces are cut: a block that spans pieces is copied together from them and
-runs first in the sweep of the piece that completes it. Every block
-computes the same thing as a single-thread sweep would, so carriers and
-correlations are byte for byte the same on any CPU count and any cut. Each thread holds one block at a time: about _SS_BLOCK_BYTES of
-float32 chips in the despread, a quarter of that in bits in the embed. At
-most two blocks per thread are taken and not yet added.
+BLAS call. The despread's blocks are those of the whole host:
+``ss_correlations`` keeps the columns past a tensor's last whole block and
+writes the next tensor after them. Every block computes the same thing as
+a single-thread sweep would, so carriers and correlations are byte for
+byte the same on any CPU count and any tensor sizes. Each thread holds one
+block at a time: about _SS_BLOCK_BYTES of float32 chips in the despread, a
+quarter of that in bits in the embed. At most two blocks per thread are
+taken and not yet added.
 """
 
 from __future__ import annotations
@@ -606,70 +607,33 @@ def ss_embed(archive, payload: bytes, plan: AttackPlan):
     return archive.map(rewrite)
 
 
-def ss_despread_pieces(pieces, plan: AttackPlan, rows: int) -> np.ndarray:
-    """Correlations y[v, k] = <host_v, c_k> / N of `rows` hosts handed over
-    in pieces: float32 arrays of `rows` rows whose columns, piece after
-    piece, are the hosts' positions in order.
-
-    The blocks are those of one whole-host sweep: they start at position 0
-    and at every multiple of _chunk_cols, and the last may be short. Each
-    piece's whole blocks run in one sweep, led by the block carried over
-    from earlier pieces once this piece completes it; that block is copied
-    together from the tail of one piece and the heads of the next, and the
-    tail a piece leaves goes into it after the piece's sweep. Every block is
-    the same chip product, added to y in column order, so y has the bytes
-    of one sweep over the concatenated hosts. A piece is let go before the
-    next is asked for, so the caller may make each as it is needed, or
-    write each into the same buffer.
-    """
-    n, k = plan.host_n, plan.coded_bits
+def _despread_into(y: np.ndarray, plan: AttackPlan, stack: np.ndarray, at: int) -> None:
+    """Add to `y` the chip products of `stack`, whose columns are host
+    positions at, at+1, ... with `at` on a block boundary, in blocks of
+    _chunk_cols (the last may be short), one sweep, in column order."""
+    k = plan.coded_bits
     width = _chunk_cols(k)
-    y = np.zeros((rows, k), dtype=np.float64)
-    carry = None  # the columns so far of the block that runs past the last piece
-    at = 0  # host position of the next piece's first column
 
     def correlate(s: int) -> np.ndarray:
-        return _chip_block(plan, s, s + blocks[s].shape[1], k) @ blocks[s].T
+        block = stack[:, s - at : s - at + width]
+        return _chip_block(plan, s, s + block.shape[1], k) @ block.T
 
-    for piece in pieces:
-        stop = at + piece.shape[1]
-        if piece.shape[0] != rows or stop > n:
-            raise ValueError("host vector length does not match plan")
-        if stop == at:
-            continue
-        blocks, s, tail = {}, at - at % width, None  # blocks: start -> its columns
-        if s < at:  # the carried block takes this piece's head
-            e = min(s + width, n)
-            carry[:, at - s : min(e, stop) - s] = piece[:, : min(e, stop) - at]
-            if e <= stop:
-                blocks[s] = carry[:, : e - s]
-            s = e
-        for s in range(s, stop, width):
-            if min(s + width, n) <= stop:
-                blocks[s] = piece[:, s - at : s + width - at]
-            else:
-                tail = s
-        run_ordered(correlate, lambda _, block: np.add(y, block.T, out=y), list(blocks))
-        if tail is not None:
-            if carry is None:
-                carry = np.empty((rows, width), dtype=np.float32)
-            carry[:, : stop - tail] = piece[:, tail - at :]
-        at = stop
-        del piece, blocks  # before the next piece is made
-    if at != n:
-        raise ValueError("host vector length does not match plan")
-    return y / n
+    run_ordered(correlate, lambda _, r: np.add(y, r.T, out=y),
+                range(at, at + stack.shape[1], width))
 
 
 def ss_despread_many(hosts: np.ndarray, plan: AttackPlan) -> np.ndarray:
-    """Correlations y[v, k] = <host_v, c_k> / N for a stack of host vectors:
-    ``ss_despread_pieces`` of the stack as one piece.
+    """Correlations y[v, k] = <host_v, c_k> / N for a stack of host vectors.
 
     The chip matrix is regenerated chunk by chunk and shared across all
     rows, so evaluating many disrupted variants costs one sweep.
     """
     hosts = np.atleast_2d(np.asarray(hosts, dtype=np.float32))
-    return ss_despread_pieces([hosts], plan, hosts.shape[0])
+    if hosts.shape[1] != plan.host_n:
+        raise ValueError("host vector length does not match plan")
+    y = np.zeros((hosts.shape[0], plan.coded_bits))
+    _despread_into(y, plan, hosts, 0)
+    return y / plan.host_n
 
 
 def decode_correlations(y: np.ndarray, plan: AttackPlan) -> tuple[bytes, float]:
@@ -690,10 +654,39 @@ def decode_correlations(y: np.ndarray, plan: AttackPlan) -> tuple[bytes, float]:
     return payload, snr
 
 
-def ss_extract(archive, plan: AttackPlan) -> tuple[bytes, float]:
-    """The payload and SNR of an ss plan in `archive`, read and despread one
-    host tensor at a time."""
-    pieces = (archive.read(n).data.reshape(1, -1).astype(np.float32, copy=False)
-              for n in plan.eligible)
-    return decode_correlations(ss_despread_pieces(pieces, plan, 1)[0], plan)
+def ss_correlations(archive, plan: AttackPlan, rewrites) -> np.ndarray:
+    """``ss_despread_many`` of the hosts of `rewrites` (see ``engine.Rewrite``)
+    of `archive`, byte for byte, tensor-major: each eligible tensor is read
+    once and each rewrite's row blocks of it written into that rewrite's row
+    of one float32 buffer, after the columns the last tensor left over. The
+    buffer's whole blocks, those of the whole-host sweep, run in one sweep;
+    the columns left, fewer than a block, move to the front, and after the
+    last tensor they are the host's short last block."""
+    plan.check_host(archive)
+    layout, n = archive.layout, plan.host_n
+    width = _chunk_cols(plan.coded_bits)
+    y = np.zeros((len(rewrites), plan.coded_bits))
+    buffer = np.empty((len(rewrites), width - 1 + max(layout[m].size for m in plan.eligible)),
+                      np.float32)
+    at = left = 0  # host position of the buffer's first column; columns held there
+    for name in plan.eligible:
+        t = archive.read(name)
+        for row, rewrite in zip(buffer, rewrites):
+            col = left
+            for block in rewrite(name, t):
+                row[col : col + block.size] = block.ravel()
+                col += block.size
+        del t  # the tensor goes before the next is read
+        end = left + layout[name].size
+        whole = end if at + end == n else end - end % width
+        _despread_into(y, plan, buffer[:, :whole], at)
+        buffer[:, : end - whole] = buffer[:, whole:end]
+        at, left = at + whole, end - whole
+    return y / n
 
+
+def ss_extract(archive, plan: AttackPlan) -> tuple[bytes, float]:
+    """The payload and SNR of an ss plan in `archive`: the one-rewrite case
+    of ``ss_correlations``."""
+    return decode_correlations(ss_correlations(archive, plan, [lambda name, t: (t.data,)])[0],
+                               plan)

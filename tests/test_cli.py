@@ -22,7 +22,7 @@ from neuperm.archive import (
 )
 from neuperm.cli import main
 from neuperm.descriptor import descriptor_to_dict, parse_descriptor
-from neuperm.disrupt import add_gaussian_noise, apply_disruptor, parse_disruptor
+from neuperm.disrupt import DisruptorConfig, apply_disruptor, parse_disruptor
 from neuperm.fixtures import (
     _dense_chain, llama32_1b_descriptor, ss_host, toy_cnn, toy_gqa, toy_mlp, vgg11_descriptor,
 )
@@ -247,7 +247,7 @@ def test_blocked_verify_deviation_equals_the_forward_one(tmp_path, monkeypatch, 
     in memory. Probes of several rows go through the whole weight."""
     monkeypatch.setattr(inference, "_BLOCK_BYTES", 1)
     a, names = _verify_host(dtype)
-    b = add_gaussian_noise(a, 1e-3, 5)
+    b = apply_disruptor(a, DisruptorConfig("noise", 1e-3), seed=5)[0]
     layers = []
     for weight, bias in names:
         layers += [LayerSpec("dense", {"weight": weight, "bias": bias}), LayerSpec("relu")]

@@ -6,13 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neuperm.archive import ModelArchive
-from neuperm.disrupt import (
-    DisruptorConfig,
-    add_gaussian_noise,
-    apply_disruptor,
-    parse_disruptor,
-    prune_magnitude,
-)
+from neuperm.disrupt import DisruptorConfig, apply_disruptor, parse_disruptor
 from neuperm.fixtures import ss_host
 from neuperm.stego import AttackPlan, host_vector, parse_ecc, ss_despread_many, ss_embed
 from neuperm.tensor import tensor
@@ -45,13 +39,13 @@ def test_spec_roundtrip():
 
 def test_prune_golden():
     a = ModelArchive({"w": tensor([1.0, -2.0, 3.0, -4.0])})
-    out = prune_magnitude(a, 0.5)
+    out = apply_disruptor(a, DisruptorConfig("prune", 0.5))[0]
     assert out.tensors["w"].data.tolist() == [0.0, 0.0, 3.0, -4.0]
 
 
 def test_prune_counts_floor_per_tensor():
     a = ModelArchive({"w": tensor([5.0, 4.0, 3.0, 2.0, 1.0])})  # 5 params
-    out = prune_magnitude(a, 0.5)  # floor(2.5) = 2 zeros
+    out = apply_disruptor(a, DisruptorConfig("prune", 0.5))[0]  # floor(2.5) = 2 zeros
     vals = out.tensors["w"].data.tolist()
     assert vals.count(0.0) == 2
     assert vals == [5.0, 4.0, 3.0, 0.0, 0.0]
@@ -59,8 +53,8 @@ def test_prune_counts_floor_per_tensor():
 
 def test_prune_extremes(mlp_bundle):
     archive, _, _ = mlp_bundle
-    assert prune_magnitude(archive, 0.0).same_bits(archive)
-    dead = prune_magnitude(archive, 1.0)
+    assert apply_disruptor(archive, DisruptorConfig("prune", 0.0))[0].same_bits(archive)
+    dead = apply_disruptor(archive, DisruptorConfig("prune", 1.0))[0]
     for t in dead.tensors.values():
         assert not np.any(t.f32())
 
@@ -88,7 +82,8 @@ def test_prune_matches_stable_sort(dtype, values, ratio):
     # ties, +/-0, +/-inf and NaN of either sign, at ratios across [0, 1]; a
     # NaN k-th magnitude prunes every number and the first NaNs
     flat = np.array(values, dtype=dtype)
-    pruned = prune_magnitude(ModelArchive({"w": tensor(flat, flat.dtype.name)}), ratio)
+    pruned = apply_disruptor(ModelArchive({"w": tensor(flat, flat.dtype.name)}),
+                             DisruptorConfig("prune", ratio))[0]
     out = pruned.tensors["w"].data
     assert out.dtype == dtype
     assert out.tobytes() == _prune_reference(flat, ratio).tobytes()
@@ -96,7 +91,7 @@ def test_prune_matches_stable_sort(dtype, values, ratio):
 
 def test_noise_statistics(small_host_bundle):
     archive, _, _ = small_host_bundle
-    noisy = add_gaussian_noise(archive, 0.01, seed=9)
+    noisy = apply_disruptor(archive, DisruptorConfig("noise", 0.01), seed=9)[0]
     deltas = np.concatenate(
         [
             (noisy.tensors[k].f32() - archive.tensors[k].f32()).ravel()
@@ -106,15 +101,15 @@ def test_noise_statistics(small_host_bundle):
     assert abs(float(deltas.std()) - 0.01) < 0.0005
     assert abs(float(deltas.mean())) < 0.001
     # per-tensor streams are independent and seeded
-    again = add_gaussian_noise(archive, 0.01, seed=9)
+    again = apply_disruptor(archive, DisruptorConfig("noise", 0.01), seed=9)[0]
     assert again.same_bits(noisy)
-    other = add_gaussian_noise(archive, 0.01, seed=10)
+    other = apply_disruptor(archive, DisruptorConfig("noise", 0.01), seed=10)[0]
     assert not other.same_bits(noisy)
 
 
 def test_noise_zero_sigma_is_identity_values(mlp_bundle):
     archive, _, _ = mlp_bundle
-    out = add_gaussian_noise(archive, 0.0, seed=1)
+    out = apply_disruptor(archive, DisruptorConfig("noise", 0.0), seed=1)[0]
     for name in archive.tensors:
         assert np.array_equal(out.tensors[name].f32(), archive.tensors[name].f32())
 
@@ -161,7 +156,8 @@ def test_snr_degrades_monotonically_with_noise():
     sigmas = [0.0, 1e-4, 1e-3, 1e-2, 1e-1]
     hosts = []
     for i, s in enumerate(sigmas):
-        noisy = carrier if s == 0.0 else add_gaussian_noise(carrier, s, seed=600 + i)
+        noisy = carrier if s == 0.0 else apply_disruptor(
+            carrier, DisruptorConfig("noise", s), seed=600 + i)[0]
         hosts.append(host_vector(noisy, plan.eligible))
     ys = ss_despread_many(np.stack(hosts), plan)
     from neuperm.stego import decode_correlations

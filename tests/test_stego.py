@@ -30,8 +30,8 @@ from neuperm.stego import (
     sample_positions,
     sign_embed,
     sign_extract,
+    ss_correlations,
     ss_despread_many,
-    ss_despread_pieces,
     ss_embed,
     ss_extract,
 )
@@ -608,6 +608,22 @@ def test_despread_of_102_hosts_matches_serial(small_host_bundle, monkeypatch, wo
     assert ss_despread_many(hosts, plan).tobytes() == want.tobytes()
 
 
+def _host_rewrites(hosts, eligible, archive, rows_per_block):
+    """One rewrite per row of `hosts`, yielding that host's values of each
+    tensor of `eligible` in blocks of rows_per_block[v] rows (None for the
+    whole tensor in one block); a zero-size tensor yields no block."""
+    offsets = dict(zip(eligible, np.cumsum([0] + [archive.layout[n].size for n in eligible])))
+
+    def rewrite(host, step):
+        def rows(name, t):
+            values = host[offsets[name] : offsets[name] + t.size].reshape(t.shape)
+            size = step or max(len(values), 1)
+            return (values[i : i + size] for i in range(0, len(values), size))
+        return rows
+
+    return [rewrite(host, step) for host, step in zip(hosts, rows_per_block)]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("bundle,width", [
     ("mlp_bundle", 64),  # a tensor smaller than a block; a short last block over two tensors
@@ -615,15 +631,21 @@ def test_despread_of_102_hosts_matches_serial(small_host_bundle, monkeypatch, wo
     ("gqa_bundle", 1600),  # float16; the first block spans three tensors, the last is short
 ])
 def test_piecewise_despread_matches_whole_host(request, monkeypatch, bundle, width, workers):
-    """The correlations of hosts handed over tensor by tensor, or cut
-    anywhere (an empty piece included), equal ss_despread_many of the
-    concatenated hosts and the serial loop, byte for byte, on hosts whose
-    tensor sizes are not multiples of the block width."""
+    """ss_correlations of rewrites that yield the rows of stacked hosts, each
+    tensor in one block or in blocks of one or two rows, with zero-size
+    eligible tensors after the first and the last, equals ss_despread_many
+    of the stacked hosts and the serial loop, byte for byte, on hosts whose
+    tensor sizes are not multiples of the block width. Its blocks are those
+    of the whole-host grid, so none is cut at a tensor's end."""
     archive, _, _ = request.getfixturevalue(bundle)
     names = eligible_names(archive, min_ndim=2)
+    empty = tensor(np.zeros((0, 3), dtype=np.float32))
+    archive = ModelArchive({**archive.tensors, "empty.a": empty, "empty.b": empty})
+    eligible = (names[0], "empty.a", *names[1:], "empty.b")
     host_n = host_size(archive, names)
-    plan = AttackPlan("ss", 1031, "none", "0" * 64, 2, gamma=1, eligible=names, host_n=host_n)
+    plan = AttackPlan("ss", 1031, "none", "0" * 64, 2, gamma=1, eligible=eligible, host_n=host_n)
     monkeypatch.setattr(stego, "_SS_BLOCK_BYTES", 4 * plan.coded_bits * width)
+    monkeypatch.setattr(stego, "SS_MIN_RATIO", 1)  # toy_mlp holds 416 params for 16 coded bits
     assert _chunk_cols(plan.coded_bits) == width and host_n % width
     host = host_vector(archive, names)
     noise = SeededRng(1032).gaussian_block(2 * host_n).astype(np.float32).reshape(2, host_n)
@@ -632,22 +654,36 @@ def test_piecewise_despread_matches_whole_host(request, monkeypatch, bundle, wid
         want = _serial_despread(hosts, plan)
     monkeypatch.setattr(sweep, "workers", lambda: workers)
     assert ss_despread_many(hosts, plan).tobytes() == want.tobytes()
-    bounds = np.cumsum([0] + [archive.tensors[n].size for n in names])
-    for cuts in (bounds, [0, 0, 5, 5, width - 1, width + 3, host_n - 1, host_n, host_n]):
-        pieces = (hosts[:, a:b] for a, b in zip(cuts[:-1], cuts[1:]))
-        assert ss_despread_pieces(pieces, plan, 3).tobytes() == want.tobytes()
+    produced, _ = _record_sweep(monkeypatch)
+    rewrites = _host_rewrites(hosts, eligible, archive, [None, 1, 2])
+    assert ss_correlations(archive, plan, rewrites).tobytes() == want.tobytes()
+    assert sorted(produced) == list(range(0, host_n, width))
 
 
 def test_piecewise_despread_refuses_a_host_of_another_length(small_host_bundle):
     archive, _, _ = small_host_bundle
     plan = _plan(archive, random_payload(1033, 3))
     host = host_vector(archive, plan.eligible)[None, :]
-    for pieces in ([host, host[:, :1]], [host[:, :-1]], [np.vstack([host, host])]):
-        with pytest.raises(ValueError, match="host vector length does not match plan"):
-            ss_despread_pieces(pieces, plan, 1)
     for hosts in (host[:, :-1], np.hstack([host, host])):
         with pytest.raises(ValueError, match="host vector length does not match plan"):
             ss_despread_many(hosts, plan)
+
+
+def test_ss_extract_refuses_a_carrier_of_another_host(small_host_bundle):
+    """A carrier whose eligible tensors hold other than the plan's host_n
+    params, or that lacks one of them, is refused before any despread."""
+    archive, _, _ = small_host_bundle
+    payload = random_payload(1034, 3)
+    plan = _plan(archive, payload)
+    carrier = ss_embed(archive, payload, plan)
+    name = plan.eligible[-1]
+    t = carrier.tensors[name]
+    for rows in (t.data[:-1], np.vstack([t.data, t.data[:1]])):
+        with pytest.raises(ValueError, match="host_n"):
+            ss_extract(carrier.replace({name: Tensor.adopt(np.ascontiguousarray(rows))}), plan)
+    lacking = ModelArchive({n: v for n, v in carrier.tensors.items() if n != name})
+    with pytest.raises(ValueError, match="lacks"):
+        ss_extract(lacking, plan)
 
 
 @pytest.fixture
