@@ -390,8 +390,8 @@ class StoredTensor:
     """Tensor ``name`` of ``reader``'s file, as a rewrite of a reader's
     ``map`` is handed it: nothing is read until it is asked for. ``shape``,
     ``dtype`` and ``size`` come from the header, ``rows(index)`` reads some
-    rows (see ``ArchiveReader.rows``), and ``data`` or ``f32()`` reads the
-    whole tensor, once, as ``Tensor`` gives them."""
+    rows (see ``ArchiveReader.rows``), and ``data`` reads the whole tensor,
+    once."""
 
     def __init__(self, reader: ArchiveReader, name: str):
         self.reader, self.name = reader, name
@@ -401,9 +401,6 @@ class StoredTensor:
     @functools.cached_property
     def data(self) -> np.ndarray:
         return self.reader.read(self.name).data
-
-    def f32(self) -> np.ndarray:
-        return Tensor(self.data).f32()
 
     def rows(self, index) -> np.ndarray:
         return self.reader.rows(self.name, index)

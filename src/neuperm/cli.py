@@ -17,8 +17,7 @@ Subcommands:
   placement game, optionally checked by Monte-Carlo simulation.
 
 ``attack`` and ``evaluate`` read their input through ``ArchiveReader`` too:
-the carrier is made as it is written, in row blocks for lsb and sign and
-one host tensor at a time for ss. ``evaluate``
+the carrier is made as it is written, in row blocks. ``evaluate``
 runs tensor-major: it reads each tensor extraction needs once, rewrites it
 for each variant in turn and hands every rewrite to the method (lsb and sign
 take their slot values; ss writes it into the variant's row of one buffer

@@ -82,7 +82,7 @@ def _noise(sigma: float, seed: int, name: str, t: Tensor) -> tuple[np.ndarray]:
     one block."""
     rng = SeededRng(derive_seed(seed, f"noise/{name}"))
     g = rng.gaussian_block(t.size).astype(np.float32).reshape(t.shape)
-    vals = t.f32() + np.float32(sigma) * g
+    vals = t.data.astype(np.float32, copy=False) + np.float32(sigma) * g
     return (vals.astype(t.dtype, copy=False),)
 
 

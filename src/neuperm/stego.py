@@ -21,10 +21,10 @@ shows up as bit errors.
 
 Embedders and extractors use only an archive's ``layout``, ``read`` and
 ``map``: an embedder returns ``archive.map`` of a rewrite of each tensor, so
-over an ``ArchiveReader`` the carrier is made as it is written: lsb and
-sign in row blocks read from the file, ss one host tensor at a time.
+over an ``ArchiveReader`` the carrier is made as it is written, in row
+blocks read from the file.
 
-The spread-spectrum chip sweeps, ``ss_embed`` (one per host tensor) and
+The spread-spectrum chip sweeps, ``ss_embed`` (one per row block) and
 the despread (``ss_despread_many`` over stacked hosts, ``ss_correlations``
 over the rewrites of a carrier, one sweep per tensor read), run their
 column blocks through ``sweep.run_ordered``: one thread per CPU in the
@@ -48,7 +48,7 @@ import functools
 import hashlib
 import re
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,12 +175,11 @@ def host_size(archive, names) -> int:
     return sum(layout[n].size for n in names)
 
 
-def host_vector(archive, names, out: np.ndarray | None = None) -> np.ndarray:
+def host_vector(archive, names) -> np.ndarray:
     """Flattened float32 values of the tensors ``names``, concatenated in
-    order, read one tensor at a time into ``out`` (a new array when None)."""
+    order, read one tensor at a time."""
     layout = archive.layout
-    if out is None:
-        out = np.empty(host_size(archive, names), dtype=np.float32)
+    out = np.empty(host_size(archive, names), dtype=np.float32)
     at = 0
     for n in names:
         size = layout[n].size
@@ -474,19 +473,23 @@ class AttackPlan:
     def matches(self, payload: bytes) -> bool:
         return hashlib.sha256(payload).hexdigest() == self.payload_sha256
 
-    def check_host(self, archive) -> None:
-        """Raise unless `archive` holds this ss plan's host (ValueError) and
-        the host has SS_MIN_RATIO params per coded bit (CapacityError)."""
+    def check_host(self, archive) -> dict[str, int]:
+        """Each eligible tensor's offset in this ss plan's host. Raise unless
+        `archive` holds the host (ValueError) and the host has SS_MIN_RATIO
+        params per coded bit (CapacityError)."""
         missing = [n for n in self.eligible if n not in archive.layout]
         if missing:
             raise ValueError(f"ss plan names tensors the carrier lacks: {quote(missing)}")
-        held = host_size(archive, self.eligible)
+        offsets, held = {}, 0
+        for n in self.eligible:
+            offsets[n], held = held, held + archive.layout[n].size
         if held != self.host_n:
             raise ValueError(f"ss plan host_n is {quote(self.host_n)} but its eligible tensors "
                              f"hold {held} params in the carrier")
         if self.host_n < SS_MIN_RATIO * self.coded_bits:
             raise CapacityError(f"host has {self.host_n} params; {quote(self.coded_bits)} coded "
                                 f"bits need at least {quote(SS_MIN_RATIO * self.coded_bits)}")
+        return offsets
 
     def to_dict(self) -> dict:
         doc = {key: getattr(self, key) for key in ("method", *_PLAN_KEYS[self.method])}
@@ -576,33 +579,32 @@ def _chunk_cols(n_bits: int) -> int:
 
 def ss_embed(archive, payload: bytes, plan: AttackPlan):
     """w' = w + gamma * sum_k b_k c_k with b_k = +/-1 from the coded bits,
-    added to each host tensor over its range of the host, in blocks cut at
-    the tensor's ends and at multiples of _chunk_cols. Each element gets
-    the same float32 sum at any cuts."""
+    added to each row block (``engine.row_blocks``) of a host tensor, in
+    pieces of its host range cut at multiples of _chunk_cols. Each element
+    gets the same float32 sum at any cuts."""
     if not plan.matches(payload):
         raise ValueError("payload does not match plan digest")
-    layout, offsets, at = archive.layout, {}, 0
-    for n in plan.eligible:
-        offsets[n], at = at, at + layout[n].size
-    if at != plan.host_n:
-        raise ValueError("archive host size does not match plan")
+    offsets = plan.check_host(archive)
     coded = plan.ecc.encode(bytes_to_bits(payload))
     width = _chunk_cols(coded.size)
 
-    def rewrite(name: str, t: Tensor | StoredTensor) -> Iterable[np.ndarray]:
-        if name not in offsets:
-            return row_blocks(t)
-        start, stop = offsets[name], offsets[name] + t.size
-        out = t.data.astype(np.float32).ravel()  # a fresh array, so it is added to in place
+    def rewrite(name: str, t: Tensor | StoredTensor) -> Iterator[np.ndarray]:
+        stop = offsets.get(name)  # host position after the last block
+        for block in row_blocks(t):
+            if stop is None:
+                yield block
+                continue
+            out = block.astype(np.float32).ravel()  # a fresh array, so it is added to in place
+            start, stop = stop, stop + out.size
 
-        def spread(s: int) -> np.ndarray:
-            return _spread_block(plan, s, min(s - s % width + width, stop), coded)
+            def spread(s: int) -> np.ndarray:
+                return _spread_block(plan, s, min(s - s % width + width, stop), coded)
 
-        def add(s: int, block: np.ndarray) -> None:
-            out[s - start : s - start + block.size] += plan.gamma * block
+            def add(s: int, chips: np.ndarray) -> None:
+                out[s - start : s - start + chips.size] += plan.gamma * chips
 
-        run_ordered(spread, add, [start, *range(start - start % width + width, stop, width)])
-        return (out.astype(t.dtype, copy=False).reshape(t.shape),)
+            run_ordered(spread, add, [start, *range(start - start % width + width, stop, width)])
+            yield out.astype(t.dtype, copy=False).reshape(block.shape)
 
     return archive.map(rewrite)
 

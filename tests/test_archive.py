@@ -560,6 +560,32 @@ def test_reader_refuses_a_tensor_cut_short(tmp_path):
                 read()
 
 
+def test_reader_rows_refusals(tmp_path):
+    """``rows`` refuses a 0-d tensor, a slice whose step is not 1, a row
+    index out of range and an ``out`` of another dtype, trailing shape or
+    too few rows, or one that is not C-contiguous; a fitting ``out`` gets
+    the rows in its first rows."""
+    w = np.arange(24, dtype=np.float32).reshape(6, 4)
+    path = tmp_path / "m.safetensors"
+    save_archive(ModelArchive({"s": Tensor.adopt(np.array(1.5, dtype=np.float32)),
+                               "w": Tensor.adopt(w)}), path)
+    with ArchiveReader(path) as reader:
+        with pytest.raises(ValueError, match="^tensor 's' is 0-d: it has no rows$"):
+            reader.rows("s", slice(None))
+        with pytest.raises(ValueError, match="^a slice of rows must have step 1$"):
+            reader.rows("w", slice(0, 6, 2))
+        for index in ([6], [-1], [0, 7]):
+            with pytest.raises(IndexError, match="^a row index of tensor 'w' is out of its 6"):
+                reader.rows("w", index)
+        for out in (np.empty((6, 4), np.float64), np.empty((6, 5), np.float32),
+                    np.empty((2, 4), np.float32), np.empty((6, 8), np.float32)[:, ::2]):
+            with pytest.raises(ValueError, match=r"^rows of float32 \(6, 4\) cannot be read"):
+                reader.rows("w", slice(1, 4), out=out)
+        out = np.zeros((5, 4), np.float32)
+        assert reader.rows("w", [4, 1, 2], out=out).base is out
+        assert np.array_equal(out, np.vstack([w[[4, 1, 2]], np.zeros((2, 4))]))
+
+
 def test_reader_shared_by_threads(tmp_path):
     """Threads that hash the file, read tensors and read runs of their rows
     through one reader at once, switching every microsecond, each get the

@@ -520,6 +520,29 @@ def test_streamed_attack_equals_the_in_memory_embed(ws, tmp_path, capsys, attack
     assert doc["outputs"] == {str(out): archive_digest(want)}
 
 
+def test_failed_commit_removes_the_outputs_already_moved(ws, tmp_path, capsys, monkeypatch):
+    """When moving attack's plan onto its target fails after the carrier was
+    moved onto its own, the command exits 1 with one error line naming the
+    plan, and the carrier, the plan and every staged file are gone: a failed
+    command leaves no partial output."""
+    real, moved = os.replace, []
+
+    def replace(src, dst):
+        moved.append(dst)
+        if len(moved) == 2:
+            raise PermissionError(13, "Permission denied", src)
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    work = tmp_path / "work"
+    work.mkdir()
+    code, line = refusal(["attack", "--input", ws["host"], "--output", "carrier",
+                          "--attack", "sign", "--payload", ws["payload"], "--seed", "9",
+                          "--plan", "plan.json"], work, capsys)
+    assert code == 1 and line == "error: [Errno 13] Permission denied: 'plan.json'", line
+    assert moved == ["carrier", "plan.json"]
+
+
 def test_attack_lsb_then_evaluate(ws, tmp_path, capsys):
     carrier = tmp_path / "carrier.safetensors"
     plan = tmp_path / "plan.json"
@@ -879,6 +902,24 @@ def test_attack_lsb_holds_row_blocks(tmp_path, eight_layer_host):
                    cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.startswith("attack lsb:2 ecc=none seed=3")
+    assert (tmp_path / "carrier.safetensors").stat().st_size == eight_layer_host.stat().st_size
+
+
+def test_attack_ss_holds_row_blocks(tmp_path, eight_layer_host):
+    """attack ss:0.001 with a 16-byte payload on the 128 MiB host of 16 MiB
+    weights, in an address space that may grow by 56 MiB: the chips are
+    added to float32 copies of the carrier's row blocks as they are read
+    and written. It fits from about 48 MiB (on a 2-vCPU Linux box), where
+    the stacks of the two hashing threads and of the chip sweep's helper
+    thread reserve 8 MiB each; adding the chips to a float32 copy of each
+    16 MiB tensor needed about 64 MiB."""
+    payload = tmp_path / "payload.bin"
+    payload.write_bytes(random_payload(80, 16))
+    proc = _within(56 << 20, "attack", "--input", eight_layer_host, "--payload", payload,
+                   "--seed", "3", "--attack", "ss:0.001", "--output", "carrier.safetensors",
+                   cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith("attack ss:0.001 ecc=none seed=3")
     assert (tmp_path / "carrier.safetensors").stat().st_size == eight_layer_host.stat().st_size
 
 

@@ -74,18 +74,14 @@ def _with_host(archive, names, vec):
 
 @pytest.mark.parametrize("bundle", ["mlp_bundle", "gqa_bundle"])
 def test_host_vector_concatenates_eligible_tensors(request, bundle):
-    """The host is each named tensor's float32 values in order, also when it
-    is filled into a row of a caller's array (float16 tensors included)."""
+    """The host is each named tensor's float32 values in order (float16
+    tensors included)."""
     archive, _, _ = request.getfixturevalue(bundle)
     names = eligible_names(archive)
     want = np.concatenate([archive.tensors[n].f32().ravel() for n in names])
     vec = host_vector(archive, names)
     assert vec.dtype == np.float32 and vec.size == host_size(archive, names)
     assert vec.tobytes() == want.tobytes()
-    rows = np.zeros((2, vec.size), dtype=np.float32)
-    row = rows[1]
-    assert host_vector(archive, names, out=row) is row
-    assert rows[1].tobytes() == want.tobytes() and not rows[0].any()
     assert _with_host(archive, names, vec).same_bits(archive)
 
 
@@ -480,6 +476,31 @@ def test_streamed_bit_embed_in_row_blocks(tmp_path, monkeypatch, gqa_bundle, hos
         assert save_archive(carrier, tmp_path / "carrier.safetensors") == want
 
 
+@pytest.mark.parametrize("host", ["gqa", "odd"])
+def test_streamed_ss_embed_in_row_blocks(tmp_path, monkeypatch, gqa_bundle, host):
+    """With row blocks of 64 bytes and ss blocks of 64 columns, the ss embed
+    over an ArchiveReader reads, adds its chips to and writes each tensor in
+    blocks no larger than that (or one row), so its chip pieces are cut at
+    the ends of row blocks as well as at multiples of 64 columns. It saves
+    the bytes of the embed over the archive in memory, which adds to each
+    tensor whole."""
+    archive = gqa_bundle[0] if host == "gqa" else _odd_host()
+    payload = random_payload(1045, 1)
+    plan = AttackPlan.for_payload("ss", payload, archive, seed=14, ecc=parse_ecc("none"),
+                                  param=0.02)
+    want = hashlib.sha256(write_archive(ss_embed(archive, payload, plan))).hexdigest()
+    monkeypatch.setattr(stego, "_SS_BLOCK_BYTES", 0)
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 64)
+    path = tmp_path / "host.safetensors"
+    save_archive(archive, path)
+    with ArchiveReader(path) as reader:
+        carrier = ss_embed(reader, payload, plan)
+        for name, spec in reader.layout.items():
+            row = np.dtype(spec.dtype).itemsize * math.prod(spec.shape[1:])
+            assert all(b.nbytes <= max(64, row) for b in carrier.blocks(name)), name
+        assert save_archive(carrier, tmp_path / "carrier.safetensors") == want
+
+
 def _serial_embed(archive, payload, plan):
     """The single-thread embed loop the threaded sweep must reproduce byte for byte."""
     coded = plan.ecc.encode(np.unpackbits(np.frombuffer(payload, dtype=np.uint8)))
@@ -684,6 +705,24 @@ def test_ss_extract_refuses_a_carrier_of_another_host(small_host_bundle):
     lacking = ModelArchive({n: v for n, v in carrier.tensors.items() if n != name})
     with pytest.raises(ValueError, match="lacks"):
         ss_extract(lacking, plan)
+
+
+def test_ss_embed_refuses_a_host_of_another_size(small_host_bundle):
+    """ss_embed refuses, as ss_extract does, an archive whose eligible
+    tensors hold other than the plan's host_n params, or that lacks one of
+    them, before it writes a block."""
+    archive, _, _ = small_host_bundle
+    payload = random_payload(1035, 3)
+    plan = _plan(archive, payload)
+    name = plan.eligible[-1]
+    t = archive.tensors[name]
+    for rows in (t.data[:-1], np.vstack([t.data, t.data[:1]])):
+        with pytest.raises(ValueError, match="host_n"):
+            ss_embed(archive.replace({name: Tensor.adopt(np.ascontiguousarray(rows))}),
+                     payload, plan)
+    lacking = ModelArchive({n: v for n, v in archive.tensors.items() if n != name})
+    with pytest.raises(ValueError, match="lacks"):
+        ss_embed(lacking, payload, plan)
 
 
 @pytest.fixture
