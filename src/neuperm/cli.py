@@ -17,12 +17,9 @@ Subcommands:
   placement game, optionally checked by Monte-Carlo simulation.
 
 ``attack`` and ``evaluate`` read their input through ``ArchiveReader`` too:
-the carrier is made as it is written, in row blocks. ``evaluate``
-runs tensor-major: it reads each tensor extraction needs once, rewrites it
-for each variant in turn and hands every rewrite to the method (lsb and sign
-take their slot values; ss writes it into the variant's row of one buffer
-and despreads the buffer's whole chip blocks before the next tensor is
-read, see ``stego.ss_correlations``).
+the carrier is made as it is written, in row blocks. ``evaluate`` hands
+every variant's rewrite to ``stego.extract_many``, which reads each tensor
+extraction needs once per group of variants.
 
 A command exits 0 on success; otherwise it prints one ``error:`` line and
 exits with the ``exit_code`` of the error that ended it (see ``errors``),
@@ -51,9 +48,9 @@ from .analysis import (
     simulate_extraction_game,
     success_bound,
 )
-# archive_digest, load_descriptor, apply_disruptor, host_vector, lsb_extract,
-# sign_extract and ss_despread_many are unused here but stay importable under
-# neuperm.cli, names perfbench/tracer.py wraps
+# archive_digest, load_descriptor, apply_disruptor, decode_correlations,
+# host_vector, lsb_extract, sign_extract and ss_despread_many are unused here
+# but stay importable under neuperm.cli, names perfbench/tracer.py wraps
 from .archive import ArchiveReader, archive_digest, save_archive  # noqa: F401
 from .descriptor import load_descriptor, parse_descriptor  # noqa: F401
 from .disrupt import apply_disruptor, parse_disruptor, tensor_rewrite  # noqa: F401
@@ -68,15 +65,14 @@ from .rng import derive_seed
 from .stego import (  # noqa: F401
     ATTACK_KINDS,
     AttackPlan,
-    bit_extract_many,
     decode_correlations,
+    extract_many,
     host_vector,
     lsb_embed,
     lsb_extract,
     parse_ecc,
     sign_embed,
     sign_extract,
-    ss_correlations,
     ss_despread_many,
     ss_embed,
 )
@@ -84,12 +80,6 @@ from .sweep import background
 
 _F32_TOL = 1e-5
 _F16_TOL = 1e-3
-#: Bytes that one group of `evaluate` variants may hold at once: for ss, the
-#: float32 buffer of one host tensor's rewrites, one row per variant, sized by
-#: the largest eligible tensor and despread in one chip sweep; for lsb and
-#: sign, their slot fields, at most one byte per coded bit. More variants are
-#: run group by group, each group reading the carrier once.
-_HOST_STACK_BYTES = 256 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -328,33 +318,11 @@ def cmd_evaluate(args, argv) -> int:
             descriptor = parse_descriptor(_read_input(args.descriptor, inputs), source)
         seed = _resolve_seed(args)
         variants = _variant_specs(configs, args.trials, seed)
-
-        def rewrites(specs) -> list:
-            return [tensor_rewrite(config, source, seed=vseed, descriptor=descriptor)[0]
-                    for config, vseed in specs]
-
-        # tensor-major, one group of variants at a time: each tensor extraction
-        # needs is read once per group, and each variant's rewrite of it is made
-        # in turn and handed to the method before the next is made. ss variants
-        # share one chip sweep per group, tensor by tensor; lsb and sign read
-        # only the tensors that hold slots
-        if plan.method == "ss":
-            plan.check_host(source)
-            per_variant = 4 * max(source.layout[n].size for n in plan.eligible)
-        else:
-            per_variant = plan.coded_bits
-        group = max(1, _HOST_STACK_BYTES // per_variant)
-        extracted = []
-        for first in range(0, len(variants), group):
-            made = rewrites(variants[first : first + group])
-            if plan.method == "ss":
-                for y in ss_correlations(source, plan, made):
-                    got, snr = decode_correlations(y, plan)
-                    extracted.append((got, f"{snr:.4f}"))
-            else:
-                extracted += [(got, "") for got in bit_extract_many(source, plan, made)]
+        extracted = extract_many(source, plan, (
+            tensor_rewrite(config, source, seed=vseed, descriptor=descriptor)[0]
+            for config, vseed in variants))
         rows = [
-            (config, snr, int(plan.matches(got)))
+            (config, "" if snr is None else f"{snr:.4f}", int(plan.matches(got)))
             for (config, _), (got, snr) in zip(variants, extracted)
         ]
         inputs[args.carrier] = carrier_digest()

@@ -22,30 +22,27 @@ shows up as bit errors.
 Embedders and extractors use only an archive's ``layout``, ``read`` and
 ``map``: an embedder returns ``archive.map`` of a rewrite of each tensor, so
 over an ``ArchiveReader`` the carrier is made as it is written, in row
-blocks read from the file.
+blocks read from the file; ``extract_many`` reads each tensor once and
+takes what it needs from the row blocks of each rewrite of it.
 
 The spread-spectrum chip sweeps, ``ss_embed`` (one per row block) and
 the despread (``ss_despread_many`` over stacked hosts, ``ss_correlations``
 over the rewrites of a carrier, one sweep per tensor read), run their
 column blocks through ``sweep.run_ordered``: one thread per CPU in the
 affinity mask, each taking the next block as it goes, OpenBLAS held at one
-thread, block results added in column order. The embed counts chip
-agreements from the chip bits, which is exact, with no BLAS call; the
-despread multiplies each float32 chip block by the hosts' columns in one
-BLAS call. The despread's blocks are those of the whole host:
-``ss_correlations`` keeps the columns past a tensor's last whole block and
-writes the next tensor after them. Every block computes the same thing as
-a single-thread sweep would, so carriers and correlations are byte for
-byte the same on any CPU count and any tensor sizes. Each thread holds one
-block at a time: about _SS_BLOCK_BYTES of float32 chips in the despread, a
-quarter of that in bits in the embed. At most two blocks per thread are
-taken and not yet added.
+thread, block results added in column order. Every block computes the
+same thing as a single-thread sweep would, so carriers and correlations
+are byte for byte the same on any CPU count and any tensor sizes. Each
+thread holds one block at a time: about _SS_BLOCK_BYTES of float32 chips
+in the despread, a quarter of that in bits in the embed. At most two
+blocks per thread are taken and not yet added.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import re
 import sys
 from collections.abc import Iterator
@@ -53,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .archive import StoredTensor, assemble
+from .archive import StoredTensor, _checked
 from .engine import row_blocks
 from .errors import CapacityError, quote, split_spec
 from .rng import SeededRng, derive_seed, words_at
@@ -236,35 +233,32 @@ LSB_BITS = range(1, 9)
 def _slot_groups(names: tuple, sizes: tuple, count: int, seed: int) -> tuple:
     """The `count` parameters a bit attack writes in a host of `names`
     holding `sizes` params: read-only (name, local_offsets, slot_idx)
-    groups, one per tensor written, in name order.
+    groups, one per tensor written, in name order, each in ascending offset.
 
     Disruptors never change tensor shapes, so every variant of a carrier
     has the same groups; embed and extract share them through here, and
     `sample_positions` runs once per (total, count, seed).
     """
     positions = sample_positions(sum(sizes), count, seed)
-    sizes = np.array(sizes, dtype=np.int64)
-    bounds = np.cumsum(sizes)
-    owner = np.searchsorted(bounds, positions, side="right")
-    local = positions - (bounds[owner] - sizes[owner])
-    groups = []
-    for ti, name in enumerate(names):
-        mask = owner == ti
-        if mask.any():
-            offsets, slot_idx = local[mask], np.flatnonzero(mask)
-            offsets.setflags(write=False)
-            slot_idx.setflags(write=False)
-            groups.append((name, offsets, slot_idx))
+    slot_idx = np.argsort(positions)  # the slots in host order
+    positions = positions[slot_idx]
+    slot_idx.setflags(write=False)
+    groups, lo, start = [], 0, 0
+    for name, size in zip(names, sizes):
+        hi = np.searchsorted(positions, start + size)
+        if lo < hi:
+            local = positions[lo:hi] - start
+            local.setflags(write=False)
+            groups.append((name, local, slot_idx[lo:hi]))
+        lo, start = hi, start + size
     return tuple(groups)
 
 
 def _bit_slots(archive, plan: AttackPlan) -> tuple:
-    """The ceil(coded_bits / width) parameters a bit plan writes, as
-    `_slot_groups` gives them for the archive's eligible tensors:
-    (name, local_offsets, slot_idx) per tensor holding slots, in name order.
-    The positions are drawn here, so a count beyond the host raises
-    CapacityError before a caller allocates anything for its slots."""
-    width, _ = _bit_field(plan, plan.method)
+    """`_slot_groups` of a bit plan's ceil(coded_bits / width) slots in the
+    archive's eligible tensors. A count beyond the host raises CapacityError
+    here, before a caller allocates anything for its slots."""
+    width, _ = _bit_field(plan)
     names = eligible_names(archive)
     layout = archive.layout
     return _slot_groups(names, tuple(layout[n].size for n in names),
@@ -280,27 +274,37 @@ def _raw_field(data: np.ndarray, width: int, top: bool):
     return raw, shift, raw.dtype.type(((1 << width) - 1) << shift)
 
 
-def _bit_field(plan: AttackPlan, method: str) -> tuple[int, bool]:
-    """Width of the raw-word field a `method` plan writes, and whether it is
-    the top of the word: the low bits_per_param bits (lsb) or the sign bit."""
+def _refuse_other(plan: AttackPlan, method: str) -> None:
     if plan.method != method:
         raise ValueError(f"the {method} attack cannot read a {quote(plan.method)} plan")
-    return (plan.bits_per_param, False) if method == "lsb" else (1, True)
+
+
+def _bit_field(plan: AttackPlan) -> tuple[int, bool]:
+    """Width of the raw-word field a bit plan writes, and whether it is the
+    top of the word: the low bits_per_param bits (lsb) or the sign bit."""
+    return (plan.bits_per_param, False) if plan.method == "lsb" else (1, True)
+
+
+def _slots_in(blocks, local: np.ndarray) -> Iterator[tuple]:
+    """Each of a tensor's row `blocks`, with the slice of its slots (at the
+    ascending flat offsets `local`) that falls in it, and their offsets in it."""
+    at = 0  # flat offset of the block's first element
+    for block in blocks:
+        lo, hi = np.searchsorted(local, (at, at + block.size))
+        yield block, slice(lo, hi), local[lo:hi] - at
+        at += block.size
 
 
 def _embed_bits(archive, payload: bytes, plan: AttackPlan, method: str):
-    """Write the coded payload, `width` bits per sampled parameter, into one
-    field of each parameter's raw word: ``archive.map`` of a rewrite that
-    yields each tensor in contiguous row blocks (``engine.row_blocks``),
-    copying each block that holds slots and writing its slots."""
-    width, top = _bit_field(plan, method)
+    """``archive.map`` of a rewrite that writes the coded payload, `width`
+    bits per slot, into one field of each slot's raw word, copying each row
+    block (``engine.row_blocks``) that holds slots."""
+    _refuse_other(plan, method)
+    width, top = _bit_field(plan)
     if not plan.matches(payload):
         raise ValueError("payload does not match plan digest")
     slots = -(-plan.coded_bits // width)
-    groups = {}
-    for name, local, slot_idx in _bit_slots(archive, plan):
-        order = np.argsort(local)
-        groups[name] = local[order], slot_idx[order]
+    groups = {name: (local, slot_idx) for name, local, slot_idx in _bit_slots(archive, plan)}
     padded = np.zeros(slots * width, dtype=np.uint8)
     padded[: plan.coded_bits] = plan.ecc.encode(bytes_to_bits(payload))
     weights = 1 << np.arange(width - 1, -1, -1, dtype=np.uint32)
@@ -308,46 +312,15 @@ def _embed_bits(archive, payload: bytes, plan: AttackPlan, method: str):
 
     def rewrite(name: str, t: Tensor | StoredTensor) -> Iterator[np.ndarray]:
         local, slot_idx = groups.get(name, (np.empty(0, np.int64),) * 2)
-        at = 0  # flat offset of the block's first element
-        for block in row_blocks(t):
-            lo, hi = np.searchsorted(local, (at, at + block.size))
-            if lo < hi:
+        for block, held, here in _slots_in(row_blocks(t), local):
+            if here.size:
                 block = block.copy()
                 raw, shift, mask = _raw_field(block, width, top)
-                here = local[lo:hi] - at
-                written = values[slot_idx[lo:hi]].astype(raw.dtype) << shift
+                written = values[slot_idx[held]].astype(raw.dtype) << shift
                 raw[here] = (raw[here] & ~mask) | written
-            at += block.size
             yield block
 
     return archive.map(rewrite)
-
-
-def bit_extract_many(archive, plan: AttackPlan, rewrites) -> list[bytes]:
-    """The payload a bit plan reads from each of `rewrites` of `archive`,
-    tensor-major: each tensor holding slots is read once, and each rewrite
-    of it (see ``engine.Rewrite``) is made in turn, its slot fields taken,
-    and let go before the next is made."""
-    width, top = _bit_field(plan, plan.method)
-    groups = _bit_slots(archive, plan)
-    values = np.zeros((len(rewrites), sum(local.size for _, local, _ in groups)), np.uint8)
-    for name, local, slot_idx in groups:
-        t, spec = archive.read(name), archive.layout[name]
-        for row, rewrite in zip(values, rewrites):
-            raw, shift, mask = _raw_field(assemble(name, rewrite(name, t), spec).data, width, top)
-            row[slot_idx] = (raw[local] & mask) >> shift  # a field has at most 8 bits
-            del raw
-        del t  # the tensor goes before the next is read
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint8)
-    return [bits_to_bytes(plan.ecc.decode(
-                ((row[:, None] >> shifts) & 1).reshape(-1)[: plan.coded_bits])[: plan.payload_bits])
-            for row in values]
-
-
-def _extract_bits(archive, plan: AttackPlan, method: str) -> bytes:
-    """Mirror of _embed_bits: reads the field of each tensor holding slots."""
-    _bit_field(plan, method)  # refuses a plan of another method
-    return bit_extract_many(archive, plan, [lambda name, t: (t.data,)])[0]
 
 
 # ------------------------------------------------------------ lsb, sign
@@ -359,7 +332,7 @@ def lsb_embed(archive, payload: bytes, plan: AttackPlan):
 
 def lsb_extract(archive, plan: AttackPlan) -> bytes:
     """Mirror of lsb_embed: the plan's payload_len bytes."""
-    return _extract_bits(archive, plan, "lsb")
+    return _extract(archive, plan, "lsb")[0]
 
 
 def sign_embed(archive, payload: bytes, plan: AttackPlan):
@@ -368,7 +341,7 @@ def sign_embed(archive, payload: bytes, plan: AttackPlan):
 
 
 def sign_extract(archive, plan: AttackPlan) -> bytes:
-    return _extract_bits(archive, plan, "sign")
+    return _extract(archive, plan, "sign")[0]
 
 
 # --------------------------------------------------------------- plans
@@ -582,6 +555,7 @@ def ss_embed(archive, payload: bytes, plan: AttackPlan):
     added to each row block (``engine.row_blocks``) of a host tensor, in
     pieces of its host range cut at multiples of _chunk_cols. Each element
     gets the same float32 sum at any cuts."""
+    _refuse_other(plan, "ss")
     if not plan.matches(payload):
         raise ValueError("payload does not match plan digest")
     offsets = plan.check_host(archive)
@@ -627,8 +601,7 @@ def _despread_into(y: np.ndarray, plan: AttackPlan, stack: np.ndarray, at: int) 
 def ss_despread_many(hosts: np.ndarray, plan: AttackPlan) -> np.ndarray:
     """Correlations y[v, k] = <host_v, c_k> / N for a stack of host vectors.
 
-    The chip matrix is regenerated chunk by chunk and shared across all
-    rows, so evaluating many disrupted variants costs one sweep.
+    The chip matrix is regenerated chunk by chunk and shared by all rows.
     """
     hosts = np.atleast_2d(np.asarray(hosts, dtype=np.float32))
     if hosts.shape[1] != plan.host_n:
@@ -687,8 +660,52 @@ def ss_correlations(archive, plan: AttackPlan, rewrites) -> np.ndarray:
     return y / n
 
 
+#: bytes one group of `extract_many` rewrites may hold: for ss a float32 row
+#: of the largest host tensor each, for lsb and sign a byte per coded bit
+_GROUP_BYTES = 256 << 20
+
+
+def extract_many(archive, plan: AttackPlan, rewrites) -> list[tuple[bytes, float | None]]:
+    """The payload `plan` reads from each of `rewrites` (see ``engine.Rewrite``)
+    of `archive`, and its SNR in dB (ss) or None. Each group of rewrites
+    reads each tensor extraction needs once and makes each rewrite of it in
+    turn; a group's rewrites are pulled from `rewrites` when it runs."""
+    if plan.method == "ss":
+        plan.check_host(archive)
+        per_rewrite = 4 * max(archive.layout[n].size for n in plan.eligible)
+    else:
+        width, top = _bit_field(plan)
+        groups, per_rewrite = _bit_slots(archive, plan), plan.coded_bits
+    rewrites, out = iter(rewrites), []
+    while made := list(itertools.islice(rewrites, max(1, _GROUP_BYTES // per_rewrite))):
+        if plan.method == "ss":
+            out += [decode_correlations(y, plan) for y in ss_correlations(archive, plan, made)]
+            continue
+        values = np.zeros((len(made), -(-plan.coded_bits // width)), np.uint8)
+        for name, local, slot_idx in groups:
+            t, spec = archive.read(name), archive.layout[name]
+            for row, rewrite in zip(values, made):
+                for block, held, here in _slots_in(_checked(name, rewrite(name, t), spec), local):
+                    raw, shift, mask = _raw_field(block, width, top)
+                    row[slot_idx[held]] = (raw[here] & mask) >> shift  # at most 8 bits
+                del block, raw  # it may be a whole tensor: it goes before the next is made
+            del t  # the tensor goes before the next is read
+        shifts = np.arange(width - 1, -1, -1, dtype=np.uint8)
+        out += [(bits_to_bytes(plan.ecc.decode(((row[:, None] >> shifts) & 1).reshape(-1)
+                                               [: plan.coded_bits])[: plan.payload_bits]), None)
+                for row in values]
+    return out
+
+
+def _as_is(name: str, t: Tensor) -> tuple[np.ndarray]:
+    return (t.data,)  # the rewrite that changes nothing
+
+
+def _extract(archive, plan: AttackPlan, method: str) -> tuple[bytes, float | None]:
+    """The payload a `method` plan reads from `archive`, and its SNR (ss)."""
+    _refuse_other(plan, method)
+    return extract_many(archive, plan, [_as_is])[0]
+
+
 def ss_extract(archive, plan: AttackPlan) -> tuple[bytes, float]:
-    """The payload and SNR of an ss plan in `archive`: the one-rewrite case
-    of ``ss_correlations``."""
-    return decode_correlations(ss_correlations(archive, plan, [lambda name, t: (t.data,)])[0],
-                               plan)
+    return _extract(archive, plan, "ss")

@@ -16,7 +16,7 @@ import pytest
 from conftest import fail_chip_sweeps, random_payload, refusal, scrambled
 
 import neuperm
-from neuperm import cli, inference, sweep
+from neuperm import cli, inference, stego, sweep
 from neuperm.archive import (
     ArchiveReader, ModelArchive, archive_digest, load_archive, save_archive, write_archive,
 )
@@ -688,7 +688,7 @@ def test_evaluate_ss_groups_keep_frozen_csv(ws, tmp_path, capsys, monkeypatch, r
     six ss variants are despread in groups, one chip sweep each, and the CSV
     bytes stay frozen."""
     largest = max(t.size for t in load_archive(ws["host"]).tensors.values() if t.data.ndim >= 2)
-    monkeypatch.setattr(cli, "_HOST_STACK_BYTES", rows * 4 * largest)
+    monkeypatch.setattr(stego, "_GROUP_BYTES", rows * 4 * largest)
     assert _frozen_evaluate_digest(ws, tmp_path, "ss") == _FROZEN_EVALUATE["ss"][3]
 
 
@@ -711,7 +711,7 @@ def test_evaluate_reads_each_tensor_once_per_group(ws, tmp_path, capsys, monkeyp
             names = [name for name, _, _ in _bit_slots(source, plan)]
             per_variant = plan.coded_bits
     if rows is not None:
-        monkeypatch.setattr(cli, "_HOST_STACK_BYTES", rows * per_variant)
+        monkeypatch.setattr(stego, "_GROUP_BYTES", rows * per_variant)
     reads, real_read = {}, ArchiveReader.read
 
     def counting(self, name):
@@ -921,6 +921,28 @@ def test_attack_ss_holds_row_blocks(tmp_path, eight_layer_host):
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.startswith("attack ss:0.001 ecc=none seed=3")
     assert (tmp_path / "carrier.safetensors").stat().st_size == eight_layer_host.stat().st_size
+
+
+@pytest.mark.parametrize("attack", ["lsb:2", "sign"])
+def test_evaluate_bits_holds_one_tensor(tmp_path, eight_layer_host, attack):
+    """evaluate of an lsb:2 or sign plan (4 KiB payload) under none and
+    neuperm:1 --trials 3 on the 128 MiB host of 16 MiB weights, in an
+    address space that may grow by 40 MiB: each tensor is read once and each
+    variant's slot fields are taken from its row blocks. It fits from 32 MiB
+    and fails at 28 (on a 2-vCPU Linux box); assembling each variant's
+    rewritten tensor beside the one read needed 48 MiB and failed at 44, so
+    the allowance sits halfway between."""
+    payload = tmp_path / "payload.bin"
+    payload.write_bytes(random_payload(80, 4096))
+    assert run("attack", "--input", eight_layer_host, "--payload", payload, "--seed", "3",
+               "--attack", attack, "--output", tmp_path / "carrier.safetensors",
+               "--plan", tmp_path / "plan.json") == 0
+    proc = _within(40 << 20, "evaluate", "--carrier", "carrier.safetensors", "--plan",
+                   "plan.json", "--disrupt", "none", "--disrupt", "neuperm:1", "--descriptor",
+                   eight_layer_host.parent / "host.desc.json", "--trials", "3", "--seed", "4",
+                   "--output", "r.csv", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "evaluate 4 attempts, 1 extractions succeeded\n"
 
 
 def test_evaluate_many_ss_variants_fit_1gb(tmp_path):

@@ -11,17 +11,20 @@ import neuperm.engine as engine
 import neuperm.stego as stego
 import neuperm.sweep as sweep
 from neuperm.archive import ArchiveReader, ModelArchive, save_archive, write_archive
+from neuperm.disrupt import apply_disruptor, parse_disruptor, tensor_rewrite
 from neuperm.errors import CapacityError
 from neuperm.rng import SeededRng, derive_seed, words_at
 from neuperm.stego import (
     SS_MIN_RATIO,
     AttackPlan,
+    _bit_slots,
     _chip_block,
     _chunk_cols,
     _slot_groups,
     _spread_block,
     decode_correlations,
     eligible_names,
+    extract_many,
     host_size,
     host_vector,
     lsb_embed,
@@ -146,8 +149,8 @@ def test_positions_drawn_once_per_seed(small_host_bundle, monkeypatch):
     _slot_groups.cache_clear()
     ((name, local, slot_idx),) = _slot_groups(("w",), (1000,), 10, 3)
     assert name == "w" and not local.flags.writeable and not slot_idx.flags.writeable
-    assert np.array_equal(local, sample_positions(1000, 10, 3))
-    assert slot_idx.tolist() == list(range(10))
+    assert np.all(np.diff(local) > 0)
+    assert np.array_equal(local[np.argsort(slot_idx)], sample_positions(1000, 10, 3))
 
 
 # ----------------------------------------------------------------- lsb
@@ -261,15 +264,16 @@ def test_sign_embed_carrier_frozen(small_host_bundle):
     )
 
 
-@pytest.mark.parametrize("method", ["lsb", "sign"])
+@pytest.mark.parametrize("method", ["lsb", "sign", "ss"])
 def test_bit_attack_refuses_a_plan_it_does_not_match(small_host_bundle, method):
-    """Each bit embedder refuses a payload whose digest is not its plan's, as
-    ss_embed does, and neither bit attack reads another method's plan."""
+    """Each embedder refuses a payload whose digest is not its plan's, and no
+    attack reads another method's plan."""
     archive, _, _ = small_host_bundle
     payload = random_payload(1041, 16)
     plans = {"lsb": _lsb_plan(archive, payload, 2, seed=8),
              "sign": _sign_plan(archive, payload, seed=8), "ss": _plan(archive, payload)}
-    embed, extract = {"lsb": (lsb_embed, lsb_extract), "sign": (sign_embed, sign_extract)}[method]
+    embed, extract = {"lsb": (lsb_embed, lsb_extract), "sign": (sign_embed, sign_extract),
+                      "ss": (ss_embed, ss_extract)}[method]
     with pytest.raises(ValueError, match="does not match plan digest"):
         embed(archive, payload[::-1], plans[method])
     for other in sorted(set(plans) - {method}):
@@ -499,6 +503,50 @@ def test_streamed_ss_embed_in_row_blocks(tmp_path, monkeypatch, gqa_bundle, host
             row = np.dtype(spec.dtype).itemsize * math.prod(spec.shape[1:])
             assert all(b.nbytes <= max(64, row) for b in carrier.blocks(name)), name
         assert save_archive(carrier, tmp_path / "carrier.safetensors") == want
+
+
+@pytest.mark.parametrize("method", ["lsb", "sign"])
+def test_extract_many_reads_slots_from_row_blocks(tmp_path, monkeypatch, gqa_bundle, method):
+    """With row blocks of 64 bytes, extract_many over the none and neuperm:1
+    rewrites of an ArchiveReader reads each slot's field from the block it
+    falls in: slots span many blocks, some blocks hold none, and some slots
+    are a block's first or last element. Each payload is the one read from
+    that variant built in memory by apply_disruptor."""
+    archive, desc, _ = gqa_bundle
+    payload = random_payload(1046, 64)
+    plan = AttackPlan.for_payload(method, payload, archive, seed=16, ecc=parse_ecc("none"),
+                                  param=1 if method == "lsb" else None)
+    carrier = {"lsb": lsb_embed, "sign": sign_embed}[method](archive, payload, plan)
+    extract = {"lsb": lsb_extract, "sign": sign_extract}[method]
+    configs = [parse_disruptor("none"), parse_disruptor("neuperm:1")]
+    want = [extract(apply_disruptor(carrier, c, seed=21, descriptor=desc)[0], plan)
+            for c in configs]
+    assert want[0] == payload != want[1]
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 64)
+    save_archive(carrier, tmp_path / "carrier.safetensors")
+    seen = []  # (tensor name, block sizes) of each rewrite made
+
+    def recorded(rewrite):
+        def blocks(name, t):
+            made = list(rewrite(name, t))
+            seen.append((name, [b.size for b in made]))
+            return made
+        return blocks
+
+    with ArchiveReader(tmp_path / "carrier.safetensors") as reader:
+        got = extract_many(reader, plan, [
+            recorded(tensor_rewrite(c, reader, seed=21, descriptor=desc)[0]) for c in configs])
+        local = {name: offsets for name, offsets, _ in _bit_slots(reader, plan)}
+    assert got == [(w, None) for w in want]
+    spans = empty = first = last = False
+    for name, sizes in seen:
+        cuts = np.cumsum([0, *sizes])
+        held = np.diff(np.searchsorted(local[name], cuts))
+        spans |= np.count_nonzero(held) > 1
+        empty |= bool(np.any(held == 0))
+        first |= bool(np.isin(cuts[:-1], local[name]).any())
+        last |= bool(np.isin(cuts[1:] - 1, local[name]).any())
+    assert spans and empty and first and last
 
 
 def _serial_embed(archive, payload, plan):
