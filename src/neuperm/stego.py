@@ -33,9 +33,10 @@ affinity mask, each taking the next block as it goes, OpenBLAS held at one
 thread, block results added in column order. Every block computes the
 same thing as a single-thread sweep would, so carriers and correlations
 are byte for byte the same on any CPU count and any tensor sizes. Each
-thread holds one block at a time: about _SS_BLOCK_BYTES of float32 chips
-in the despread, a quarter of that in bits in the embed. At most two
-blocks per thread are taken and not yet added.
+thread holds one block at a time: in the embed a quarter of _SS_BLOCK_BYTES
+in bits; in the despread the block's chip words and one row tile of about
+1 MiB of float32 chips (_tile_rows). At most two block results per thread
+are taken and not yet added.
 """
 
 from __future__ import annotations
@@ -487,9 +488,8 @@ class AttackPlan:
 #: min host params per coded bit; below this the chips no longer average out
 SS_MIN_RATIO = 64
 
-#: bytes of float32 chips per despreading block (the embed's block holds the
-#: same chips as one byte each): small enough to stay in cache and be reused
-#: by the allocator instead of page-faulted afresh
+#: bytes of float32 chips a block of all coded bits would hold; sets the
+#: column grid of both sweeps only (_chunk_cols)
 _SS_BLOCK_BYTES = 6 << 20
 
 #: byte value -> its 8 chips as +/-1, little-endian bit order
@@ -515,18 +515,9 @@ def _chip_words(plan: AttackPlan, start: int, stop: int, n_bits: int) -> np.ndar
     return words_at(chip_seed, rows + cols)
 
 
-def _chip_block(plan: AttackPlan, start: int, stop: int, n_bits: int) -> np.ndarray:
-    """Chips for host positions [start, stop) and all coded bits as +/-1
-    float32, (n_bits, width): each byte of a chip word becomes its 8 chips
-    through one lookup in _CHIP_LUT."""
-    words = _chip_words(plan, start, stop, n_bits)
-    chips = np.take(_CHIP_LUT, words.view(np.uint8), axis=0).reshape(n_bits, -1)
-    return chips[:, start % 64 : start % 64 + stop - start]
-
-
 def _spread_block(plan: AttackPlan, start: int, stop: int, coded: np.ndarray) -> np.ndarray:
-    """``b @ _chip_block(plan, start, stop, coded.size)`` with b = +/-1 from
-    the coded bits, counted from the chip bits alone.
+    """``b @ C`` with b = +/-1 from the coded bits and C the +/-1 chips of
+    [start, stop) for all of them, counted from the chip bits alone.
 
     Both factors are +/-1, so column j is the integer 2*agree_j - n_bits,
     where agree_j counts the coded bits equal to chip bit j, and no partial
@@ -545,9 +536,16 @@ def _spread_block(plan: AttackPlan, start: int, stop: int, coded: np.ndarray) ->
 
 
 def _chunk_cols(n_bits: int) -> int:
-    """Host positions per (de)spreading block: a multiple of 64, so blocks
-    start on a chip word, sized to keep the block near _SS_BLOCK_BYTES."""
+    """Host positions per (de)spreading block, the column grid: a multiple
+    of 64, so blocks start on a chip word, sized so that float32 chips for
+    all n_bits would fill about _SS_BLOCK_BYTES."""
     return max(64, _SS_BLOCK_BYTES // (4 * n_bits) // 64 * 64)
+
+
+def _tile_rows(width: int) -> int:
+    """Coded bits per despread row tile of a block `width` columns wide: a
+    multiple of 256, sized to about 1 MiB of float32 chips."""
+    return max(256, (1 << 20) // (4 * width) // 256 * 256)
 
 
 def ss_embed(archive, payload: bytes, plan: AttackPlan):
@@ -586,13 +584,25 @@ def ss_embed(archive, payload: bytes, plan: AttackPlan):
 def _despread_into(y: np.ndarray, plan: AttackPlan, stack: np.ndarray, at: int) -> None:
     """Add to `y` the chip products of `stack`, whose columns are host
     positions at, at+1, ... with `at` on a block boundary, in blocks of
-    _chunk_cols (the last may be short), one sweep, in column order."""
+    _chunk_cols (the last may be short), one sweep, in column order. A
+    block's chips are expanded _tile_rows coded bits at a time, into one
+    buffer reused for each such row tile."""
     k = plan.coded_bits
     width = _chunk_cols(k)
+    rows = _tile_rows(width)
 
     def correlate(s: int) -> np.ndarray:
         block = stack[:, s - at : s - at + width]
-        return _chip_block(plan, s, s + block.shape[1], k) @ block.T
+        words = _chip_words(plan, s, s + block.shape[1], k).view(np.uint8)
+        tile = np.empty((min(k, rows), words.shape[1], 8), np.float32)
+        out = np.empty((k, len(block)), np.float32)
+        for r in range(0, k, rows):
+            chips = tile[: min(rows, k - r)]
+            # uint8 indices cannot leave the 256-row table, so "clip" reads what
+            # "raise" would, without the copy of `out` numpy makes under "raise"
+            np.take(_CHIP_LUT, words[r : r + rows], axis=0, out=chips, mode="clip")
+            out[r : r + rows] = chips.reshape(len(chips), -1)[:, : block.shape[1]] @ block.T
+        return out
 
     run_ordered(correlate, lambda _, r: np.add(y, r.T, out=y),
                 range(at, at + stack.shape[1], width))

@@ -945,6 +945,33 @@ def test_evaluate_bits_holds_one_tensor(tmp_path, eight_layer_host, attack):
     assert proc.stdout == "evaluate 4 attempts, 1 extractions succeeded\n"
 
 
+def test_evaluate_ss_despreads_in_row_tiles(tmp_path):
+    """evaluate of a 3072-coded-bit ss plan (128-byte payload, repetition:3)
+    under none and neuperm:1 --trials 5 on the 2^20-parameter host, in an
+    address space that may grow by 96 MiB: each sweep thread expands its
+    512-column blocks' chips 512 coded bits (1 MiB) at a time. It fits from
+    about 84 MiB, and from about 92 with other load on the CPUs (on a 2-vCPU
+    Linux box); expanding each block's 6 MiB of chips at once needed 100 to
+    104 MiB and failed at 96 in every run."""
+    pytest.importorskip("resource")
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("the cap is sized from /proc/self/statm")
+    archive, desc, _ = ss_host()
+    save_archive(archive, tmp_path / "host.safetensors")
+    (tmp_path / "host.desc.json").write_text(json.dumps(descriptor_to_dict(desc)))
+    (tmp_path / "p.bin").write_bytes(random_payload(81, 128))
+    assert run("attack", "--input", tmp_path / "host.safetensors", "--output",
+               tmp_path / "carrier.safetensors", "--attack", "ss:0.009", "--ecc", "repetition:3",
+               "--payload", tmp_path / "p.bin", "--seed", "3",
+               "--plan", tmp_path / "plan.json") == 0
+    proc = _within(96 << 20, "evaluate", "--carrier", "carrier.safetensors", "--plan",
+                   "plan.json", "--disrupt", "none", "--disrupt", "neuperm:1", "--descriptor",
+                   "host.desc.json", "--trials", "5", "--seed", "4", "--output", "r.csv",
+                   cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "evaluate 6 attempts, 1 extractions succeeded\n"
+
+
 def test_evaluate_many_ss_variants_fit_1gb(tmp_path):
     """400 variants of a 2^20-parameter carrier would be a 1.6 GB float32
     stack; despread in budgeted groups they run in a 1 GB address space."""

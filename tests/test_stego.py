@@ -18,10 +18,11 @@ from neuperm.stego import (
     SS_MIN_RATIO,
     AttackPlan,
     _bit_slots,
-    _chip_block,
+    _chip_words,
     _chunk_cols,
     _slot_groups,
     _spread_block,
+    _tile_rows,
     decode_correlations,
     eligible_names,
     extract_many,
@@ -340,6 +341,15 @@ def test_bit_attack_writes_only_its_field(gqa_bundle, host, attack):
 
 # ------------------------------------------------------ spread spectrum
 
+def _chip_block(plan, start, stop, n_bits):
+    """Chips for host positions [start, stop) and all coded bits as +/-1
+    float32, (n_bits, stop - start): each byte of a chip word becomes its 8
+    chips through one lookup in _CHIP_LUT, for the whole block at once."""
+    words = _chip_words(plan, start, stop, n_bits)
+    chips = np.take(stego._CHIP_LUT, words.view(np.uint8), axis=0).reshape(n_bits, -1)
+    return chips[:, start % 64 : start % 64 + stop - start]
+
+
 def _plan(archive, payload, gamma=0.02, seed=40, spec="repetition:3"):
     return AttackPlan.for_payload("ss", payload, archive, seed=seed, ecc=parse_ecc(spec),
                                   param=gamma)
@@ -562,12 +572,17 @@ def _serial_embed(archive, payload, plan):
 
 
 def _serial_despread(hosts, plan):
-    """The single-thread despread loop the threaded sweep must reproduce byte for byte."""
-    y = np.zeros((hosts.shape[0], plan.coded_bits))
-    width = _chunk_cols(plan.coded_bits)
+    """The single-thread despread loop the threaded sweep must reproduce byte
+    for byte: each block's chips times the hosts, one row tile of
+    _tile_rows coded bits at a time."""
+    k = plan.coded_bits
+    y = np.zeros((hosts.shape[0], k))
+    width = _chunk_cols(k)
+    rows = stego._tile_rows(width)
     for s in range(0, plan.host_n, width):
         e = min(s + width, plan.host_n)
-        y += hosts[:, s:e] @ _chip_block(plan, s, e, plan.coded_bits).T
+        chips = _chip_block(plan, s, e, k)
+        y += np.vstack([chips[r : r + rows] @ hosts[:, s:e].T for r in range(0, k, rows)]).T
     return y / plan.host_n
 
 
@@ -727,6 +742,38 @@ def test_piecewise_despread_matches_whole_host(request, monkeypatch, bundle, wid
     rewrites = _host_rewrites(hosts, eligible, archive, [None, 1, 2])
     assert ss_correlations(archive, plan, rewrites).tobytes() == want.tobytes()
     assert sorted(produced) == list(range(0, host_n, width))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n_hosts", [1, 2, 5, 12])
+def test_despread_row_tiles_match_serial(small_host_bundle, monkeypatch, n_hosts, workers):
+    """With 600 coded bits, each 2560-column block's chips are expanded in
+    row tiles of 256, 256 and 88 coded bits, on a host whose last block is
+    short. ss_despread_many and ss_correlations of stacked hosts equal the
+    serial loop over the same tiles byte for byte, and no expanded tile
+    holds more rows than _tile_rows allows."""
+    archive, _, _ = small_host_bundle
+    plan = _plan(archive, random_payload(1036, 75), spec="none")
+    k, width = plan.coded_bits, _chunk_cols(plan.coded_bits)
+    rows = _tile_rows(width)
+    assert (k, width, rows) == (600, 2560, 256) and plan.host_n % width
+    noise = SeededRng(1037).gaussian_block(n_hosts * plan.host_n).astype(np.float32)
+    hosts = host_vector(archive, plan.eligible) + noise.reshape(n_hosts, -1)
+    with sweep.blas_single_thread():
+        want = _serial_despread(hosts, plan).tobytes()
+    tiles, real_take = [], np.take
+
+    def recording_take(a, indices, *args, **kwargs):
+        if a is stego._CHIP_LUT:
+            tiles.append(len(kwargs["out"]))
+        return real_take(a, indices, *args, **kwargs)
+
+    monkeypatch.setattr(np, "take", recording_take)
+    monkeypatch.setattr(sweep, "workers", lambda: workers)
+    rewrites = _host_rewrites(hosts, plan.eligible, archive, [None, 1, 2] * 4)
+    assert ss_despread_many(hosts, plan).tobytes() == want
+    assert ss_correlations(archive, plan, rewrites).tobytes() == want
+    assert sorted(tiles) == sorted([256, 256, 88] * 2 * -(-plan.host_n // width))
 
 
 def test_piecewise_despread_refuses_a_host_of_another_length(small_host_bundle):
