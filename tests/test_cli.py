@@ -728,15 +728,20 @@ def test_evaluate_reads_each_tensor_once_per_group(ws, tmp_path, capsys, monkeyp
     assert reads == {name: 1 if rows is None else 3 for name in names}
 
 
+# The child runs on at most two CPUs with OpenBLAS at one thread, so what it
+# holds is the command's arrays, not per-thread buffers.
+_CHILD_PRELUDE = (
+    "import os, sys\n"
+    "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+    "if hasattr(os, 'sched_setaffinity'):\n"
+    "    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
+)
+
+
 def _under_1gb(*argv, cwd):
-    """Run the CLI in a child process whose address space is capped at 1 GB.
-    The child runs on at most two CPUs with OpenBLAS at one thread, so the
-    cap bounds the command's arrays, not per-thread reservations."""
-    child = (
-        "import os, resource, sys\n"
-        "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
-        "if hasattr(os, 'sched_setaffinity'):\n"
-        "    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
+    """Run the CLI in a child process whose address space is capped at 1 GB."""
+    child = _CHILD_PRELUDE + (
+        "import resource\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         "from neuperm.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
@@ -744,35 +749,42 @@ def _under_1gb(*argv, cwd):
     return _fresh_interpreter([sys.executable, "-c", child], *argv, cwd=cwd)
 
 
-def _within(allowance: int, *argv, cwd):
-    """Run the CLI in a child process whose address space may grow by
-    `allowance` bytes once neuperm.cli is imported. The child runs on at
-    most two CPUs with OpenBLAS at one thread and one malloc arena
-    (MALLOC_ARENA_MAX=1), so the cap bounds the command's arrays, not
-    per-thread reservations."""
-    child = (
-        "import os, resource, sys\n"
-        "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
-        "if hasattr(os, 'sched_setaffinity'):\n"
-        "    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
+def _within(bound: int, *argv, cwd):
+    """Run the CLI in a child process, check that it exits 0 and that its
+    peak RSS grows by at most `bound` bytes once neuperm.cli is imported;
+    return the process. The growth is the child's own VmHWM at exit less
+    its VmHWM after the import, written back through a pipe: wait4 and
+    getrusage would report the parent's high-water mark, which a child
+    carries across exec."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("peak RSS is read from /proc/self/status")
+    child = _CHILD_PRELUDE + (
+        "def hwm():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(l.split()[1]) << 10 for l in fh if l.startswith('VmHWM:'))\n"
         "from neuperm.cli import main\n"
-        "with open('/proc/self/statm') as fh:\n"
-        "    cap = int(fh.read().split()[0]) * os.sysconf('SC_PAGE_SIZE') + int(sys.argv[1])\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
-        "sys.exit(main(sys.argv[2:]))\n"
+        "base = hwm()\n"
+        "code = main(sys.argv[2:])\n"
+        "os.write(int(sys.argv[1]), b'%d' % (hwm() - base))\n"
+        "sys.exit(code)\n"
     )
-    env = {**os.environ, "MALLOC_ARENA_MAX": "1"}
-    return _fresh_interpreter([sys.executable, "-c", child], allowance, *argv, cwd=cwd, env=env)
+    read, write = os.pipe()
+    try:
+        proc = _fresh_interpreter([sys.executable, "-c", child], write, *argv, cwd=cwd,
+                                  pass_fds=(write,))
+    finally:
+        os.close(write)
+    with os.fdopen(read, "rb") as fh:
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        growth = int(fh.read())
+    assert growth <= bound, f"peak RSS grew by {growth / 2**20:.1f} MiB"
+    return proc
 
 
 @pytest.fixture(scope="module")
 def eight_layer_host(tmp_path_factory):
     """A 128 MiB host of eight 16 MiB float32 weights, written once with its
-    descriptor and net sidecar, for the tests that cap the address space
-    below two copies of it."""
-    pytest.importorskip("resource")
-    if not os.path.exists("/proc/self/statm"):
-        pytest.skip("the cap is sized from /proc/self/statm")
+    descriptor and net sidecar."""
     root = tmp_path_factory.mktemp("eight")
     width, layers = 2048, 8
     rng = np.random.default_rng(24)
@@ -786,16 +798,24 @@ def eight_layer_host(tmp_path_factory):
     return host
 
 
+def test_peak_rss_growth_is_the_childs_own(tmp_path):
+    """While this process holds a 256 MiB array, `bound` in a child grows
+    by a few MiB: the growth is the child's own, not the high-water mark it
+    inherits, which wait4 would report."""
+    held = np.ones(32 << 20)
+    _within(4 << 20, "bound", "--d", "0.5", "--L", "10", cwd=tmp_path)
+    assert held.sum() == 32 << 20
+
+
 def test_sanitize_verify_holds_one_copy_of_the_model(tmp_path, eight_layer_host):
-    """sanitize --verify on the 128 MiB host, in an address space that may
-    grow by 1.5 times the host: two copies of the model do not fit, one
-    tensor at a time does."""
+    """sanitize --verify on the 128 MiB host grows by at most one 16 MiB
+    tensor (about 7.6 MiB on a 2-vCPU Linux box): one tensor at a time fits,
+    where holding the model and a rewritten copy grew by 257 MiB."""
     host = eight_layer_host
-    proc = _within(3 * host.stat().st_size // 2, "sanitize", "--input", host, "--output",
+    proc = _within(16 << 20, "sanitize", "--input", host, "--output",
                    "clean.safetensors", "--disrupt", "neuperm", "--descriptor",
                    host.parent / "host.desc.json", "--seed", "5", "--verify", "--probes", "4",
                    cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.startswith("sanitize neuperm:1 seed=5 coverage=100.00% verified(")
     assert (tmp_path / "clean.safetensors").stat().st_size == host.stat().st_size
 
@@ -803,13 +823,14 @@ def test_sanitize_verify_holds_one_copy_of_the_model(tmp_path, eight_layer_host)
 @pytest.mark.parametrize("command", ["attack lsb:2", "attack ss", "evaluate", "evaluate ss"])
 def test_attack_and_evaluate_hold_one_copy_of_the_model(tmp_path, eight_layer_host, command):
     """attack (lsb:2 with a 4 KiB payload, ss with a 16-byte one) and
-    evaluate of an lsb plan under none and neuperm:1, on the 128 MiB host in
-    an address space that may grow by 1.5 times the host: each reads and
-    writes one tensor at a time, where holding the model and a second copy
-    of it (the carrier, an ss host vector or a disrupted variant) does not
-    fit. So does evaluate of the ss plan under none and neuperm:1 --trials
-    3: it stacks the four variants of one 16 MiB tensor at a time, where two
-    stacked whole host vectors, 2.0 times the host, do not fit."""
+    evaluate of an lsb plan under none and neuperm:1, on the 128 MiB host,
+    read and write one tensor at a time: they grow by 9, 12 and 24 MiB (on a
+    2-vCPU Linux box), under bounds of 16, 24 and 32 MiB that one more 16 MiB
+    tensor would break, where holding the model and a second copy of it (the
+    carrier, an ss host vector or a disrupted variant) grew by 257 to 388
+    MiB. evaluate of the ss plan under none and neuperm:1 --trials 3 stacks
+    the four variants of one tensor at a time: it grows by 92 MiB under a
+    bound of 100, where stacking whole host vectors grew by 300 MiB."""
     host = eight_layer_host
     ss = command.endswith(" ss")
     payload = tmp_path / "payload.bin"
@@ -825,8 +846,8 @@ def test_attack_and_evaluate_hold_one_copy_of_the_model(tmp_path, eight_layer_ho
                 "--seed", "4", "--output", "r.csv"]
     else:
         argv = [*attack, "--output", "carrier.safetensors"]
-    proc = _within(3 * host.stat().st_size // 2, *argv, cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr[-2000:]
+    bound = {"attack lsb:2": 16, "attack ss": 24, "evaluate": 32, "evaluate ss": 100}[command]
+    proc = _within(bound << 20, *argv, cwd=tmp_path)
     if command.startswith("evaluate"):
         assert proc.stdout == f"evaluate {4 if ss else 2} attempts, 1 extractions succeeded\n"
     else:
@@ -838,9 +859,6 @@ def test_attack_and_evaluate_hold_one_copy_of_the_model(tmp_path, eight_layer_ho
 def two_tensor_host(tmp_path_factory):
     """A host of two 64 MiB float32 weights (4096 x 4096), written once with
     its descriptor and net sidecar."""
-    pytest.importorskip("resource")
-    if not os.path.exists("/proc/self/statm"):
-        pytest.skip("the cap is sized from /proc/self/statm")
     root = tmp_path_factory.mktemp("two")
     width = 4096
     rng = np.random.default_rng(25)
@@ -854,11 +872,10 @@ def two_tensor_host(tmp_path_factory):
     return host
 
 
-def _sanitize_within(allowance: int, host, disrupt: str, cwd) -> None:
-    proc = _within(allowance, "sanitize", "--input", host, "--output", "clean.safetensors",
+def _sanitize_within(bound: int, host, disrupt: str, cwd) -> None:
+    proc = _within(bound, "sanitize", "--input", host, "--output", "clean.safetensors",
                    "--disrupt", disrupt, "--descriptor", host.parent / "host.desc.json",
                    "--seed", "5", "--verify", "--probes", "4", cwd=cwd)
-    assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.startswith(f"sanitize {disrupt}")
     assert "verified(" in proc.stdout
     assert (cwd / "clean.safetensors").stat().st_size == host.stat().st_size
@@ -866,59 +883,49 @@ def _sanitize_within(allowance: int, host, disrupt: str, cwd) -> None:
 
 @pytest.mark.parametrize("disrupt", ["neuperm", "none"])
 def test_sanitize_verify_holds_one_tensor(tmp_path, two_tensor_host, disrupt):
-    """sanitize --verify on a host of two 64 MiB weights, in an address
-    space that may grow by 2.25 times one of them: one tensor, its blocks
-    and OpenBLAS's buffer fit (from about 1.75 times, on a 2-vCPU Linux
-    box, while sanitize read each tensor whole), but two tensors at once do
-    not: holding a tensor and its permuted copy, one layer's weight of each
-    side in --verify, or a written tensor while the next is read, needed
-    about 2.75 times."""
-    _sanitize_within(9 * 4096 * 4096, two_tensor_host, disrupt, tmp_path)
+    """sanitize --verify on a host of two 64 MiB weights grows by at most
+    one of them, so two tensors at once do not fit: holding a tensor and its
+    permuted copy, one layer's weight of each side in --verify, or a written
+    tensor while the next is read grew by 129 to 133 MiB (on a 2-vCPU Linux
+    box)."""
+    _sanitize_within(64 << 20, two_tensor_host, disrupt, tmp_path)
 
 
 @pytest.mark.parametrize("disrupt", ["neuperm", "none"])
 def test_sanitize_verify_holds_less_than_one_tensor(tmp_path, two_tensor_host, disrupt):
-    """sanitize --verify on the host of two 64 MiB weights, in an address
-    space that may grow by 0.875 times one of them: the rewrite reads,
-    writes and hashes row blocks, and --verify runs each dense weight's row
-    blocks through one reused buffer, so neither holds a tensor. It fits
-    from about 49 MiB (0.77 times, on a 2-vCPU Linux box), nearly all of it
-    OpenBLAS's buffer and the stacks of the two hashing threads; reading
-    each tensor whole needed about 112 MiB (1.75 times)."""
-    _sanitize_within(7 * 4096 * 4096 // 2, two_tensor_host, disrupt, tmp_path)
+    """sanitize --verify on the host of two 64 MiB weights grows by at most
+    half of one: the rewrite reads, writes and hashes row blocks, and
+    --verify runs each dense weight's row blocks through one reused buffer,
+    so neither holds a tensor. It grows by about 7 MiB (on a 2-vCPU Linux
+    box); reading each tensor whole grew by 68 to 72 MiB."""
+    _sanitize_within(32 << 20, two_tensor_host, disrupt, tmp_path)
 
 
 def test_attack_lsb_holds_row_blocks(tmp_path, eight_layer_host):
     """attack lsb:2 with a 4 KiB payload on the 128 MiB host of 16 MiB
-    weights, in an address space that may grow by 32 MiB: the carrier is
-    read, copied and written in row blocks. It fits from about 24 MiB (on a
-    2-vCPU Linux box), of which the stacks of the two hashing threads take
-    16 MiB and the input hash's read buffer 4 MiB, so no allowance below one
-    16 MiB tensor fits it; copying each tensor whole needed about 52 MiB."""
+    weights grows by less than one of them: the carrier is read, copied and
+    written in row blocks. It grows by about 9 MiB (on a 2-vCPU Linux box);
+    copying each tensor whole grew by 37 MiB."""
     payload = tmp_path / "payload.bin"
     payload.write_bytes(random_payload(80, 4096))
-    proc = _within(32 << 20, "attack", "--input", eight_layer_host, "--payload", payload,
+    proc = _within(16 << 20, "attack", "--input", eight_layer_host, "--payload", payload,
                    "--seed", "3", "--attack", "lsb:2", "--output", "carrier.safetensors",
                    cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.startswith("attack lsb:2 ecc=none seed=3")
     assert (tmp_path / "carrier.safetensors").stat().st_size == eight_layer_host.stat().st_size
 
 
 def test_attack_ss_holds_row_blocks(tmp_path, eight_layer_host):
     """attack ss:0.001 with a 16-byte payload on the 128 MiB host of 16 MiB
-    weights, in an address space that may grow by 56 MiB: the chips are
-    added to float32 copies of the carrier's row blocks as they are read
-    and written. It fits from about 48 MiB (on a 2-vCPU Linux box), where
-    the stacks of the two hashing threads and of the chip sweep's helper
-    thread reserve 8 MiB each; adding the chips to a float32 copy of each
-    16 MiB tensor needed about 64 MiB."""
+    weights grows by at most 24 MiB: the chips are added to float32 copies
+    of the carrier's row blocks as they are read and written. It grows by
+    about 12 MiB (on a 2-vCPU Linux box); adding the chips to a float32 copy
+    of each 16 MiB tensor grew by 40 MiB."""
     payload = tmp_path / "payload.bin"
     payload.write_bytes(random_payload(80, 16))
-    proc = _within(56 << 20, "attack", "--input", eight_layer_host, "--payload", payload,
+    proc = _within(24 << 20, "attack", "--input", eight_layer_host, "--payload", payload,
                    "--seed", "3", "--attack", "ss:0.001", "--output", "carrier.safetensors",
                    cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.startswith("attack ss:0.001 ecc=none seed=3")
     assert (tmp_path / "carrier.safetensors").stat().st_size == eight_layer_host.stat().st_size
 
@@ -926,36 +933,30 @@ def test_attack_ss_holds_row_blocks(tmp_path, eight_layer_host):
 @pytest.mark.parametrize("attack", ["lsb:2", "sign"])
 def test_evaluate_bits_holds_one_tensor(tmp_path, eight_layer_host, attack):
     """evaluate of an lsb:2 or sign plan (4 KiB payload) under none and
-    neuperm:1 --trials 3 on the 128 MiB host of 16 MiB weights, in an
-    address space that may grow by 40 MiB: each tensor is read once and each
-    variant's slot fields are taken from its row blocks. It fits from 32 MiB
-    and fails at 28 (on a 2-vCPU Linux box); assembling each variant's
-    rewritten tensor beside the one read needed 48 MiB and failed at 44, so
-    the allowance sits halfway between."""
+    neuperm:1 --trials 3 on the 128 MiB host of 16 MiB weights grows by at
+    most 32 MiB: each tensor is read once and each variant's slot fields are
+    taken from its row blocks. It grows by about 24 MiB (on a 2-vCPU Linux
+    box); assembling each variant's rewritten tensor beside the one read
+    grew by 40 MiB."""
     payload = tmp_path / "payload.bin"
     payload.write_bytes(random_payload(80, 4096))
     assert run("attack", "--input", eight_layer_host, "--payload", payload, "--seed", "3",
                "--attack", attack, "--output", tmp_path / "carrier.safetensors",
                "--plan", tmp_path / "plan.json") == 0
-    proc = _within(40 << 20, "evaluate", "--carrier", "carrier.safetensors", "--plan",
+    proc = _within(32 << 20, "evaluate", "--carrier", "carrier.safetensors", "--plan",
                    "plan.json", "--disrupt", "none", "--disrupt", "neuperm:1", "--descriptor",
                    eight_layer_host.parent / "host.desc.json", "--trials", "3", "--seed", "4",
                    "--output", "r.csv", cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout == "evaluate 4 attempts, 1 extractions succeeded\n"
 
 
 def test_evaluate_ss_despreads_in_row_tiles(tmp_path):
     """evaluate of a 3072-coded-bit ss plan (128-byte payload, repetition:3)
-    under none and neuperm:1 --trials 5 on the 2^20-parameter host, in an
-    address space that may grow by 96 MiB: each sweep thread expands its
-    512-column blocks' chips 512 coded bits (1 MiB) at a time. It fits from
-    about 84 MiB, and from about 92 with other load on the CPUs (on a 2-vCPU
-    Linux box); expanding each block's 6 MiB of chips at once needed 100 to
-    104 MiB and failed at 96 in every run."""
-    pytest.importorskip("resource")
-    if not os.path.exists("/proc/self/statm"):
-        pytest.skip("the cap is sized from /proc/self/statm")
+    under none and neuperm:1 --trials 5 on the 2^20-parameter host grows by
+    at most 18 MiB: each sweep thread expands its 512-column blocks' chips
+    512 coded bits (1 MiB) at a time. It grows by about 12.4 MiB, with or
+    without other load on the CPUs (on a 2-vCPU Linux box); expanding each
+    block's 6 MiB of chips at once grew by 25.4 MiB."""
     archive, desc, _ = ss_host()
     save_archive(archive, tmp_path / "host.safetensors")
     (tmp_path / "host.desc.json").write_text(json.dumps(descriptor_to_dict(desc)))
@@ -964,11 +965,10 @@ def test_evaluate_ss_despreads_in_row_tiles(tmp_path):
                tmp_path / "carrier.safetensors", "--attack", "ss:0.009", "--ecc", "repetition:3",
                "--payload", tmp_path / "p.bin", "--seed", "3",
                "--plan", tmp_path / "plan.json") == 0
-    proc = _within(96 << 20, "evaluate", "--carrier", "carrier.safetensors", "--plan",
+    proc = _within(18 << 20, "evaluate", "--carrier", "carrier.safetensors", "--plan",
                    "plan.json", "--disrupt", "none", "--disrupt", "neuperm:1", "--descriptor",
                    "host.desc.json", "--trials", "5", "--seed", "4", "--output", "r.csv",
                    cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout == "evaluate 6 attempts, 1 extractions succeeded\n"
 
 
@@ -1738,13 +1738,14 @@ def _declared_entry_point(pyproject: Path) -> tuple[str, str]:
     return module, attr
 
 
-def _fresh_interpreter(cmd, *argv, cwd, env=None):
-    """Run `cmd argv...` in a new process, in `env` (by default this one's),
-    with this package's src/ first on PYTHONPATH."""
-    env = dict(os.environ if env is None else env)
+def _fresh_interpreter(cmd, *argv, cwd, pass_fds=()):
+    """Run `cmd argv...` in a new process, in this one's environment with
+    this package's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(_SRC), env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [*cmd, *map(str, argv)], capture_output=True, text=True, timeout=60, env=env, cwd=cwd,
+        pass_fds=pass_fds,
     )
 
 
